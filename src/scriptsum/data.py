@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .astcore import Ast, ast_from_json, leaf_tokens
+from .astcore import Ast, TokenAlignment, ast_from_json, leaf_tokens
 from .minilang import parse_minilang
 from .errors import EmptyCorpusError, FormatError, MiniLangSyntaxError
 from .structure import StructuralEncodings, encode_structure
@@ -143,7 +143,8 @@ def example_from_record(
     distance_clip: int = 8,
     view_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
 ) -> Example:
-    """Build one Example from a parsed dataset line."""
+    """Build one Example from a parsed dataset line; the source is cut to
+    MAX_SOURCE_TOKENS tokens before its structural matrices are built."""
     if not isinstance(record, dict):
         raise FormatError("dataset line must be a JSON object")
     if "summary" not in record or not isinstance(record["summary"], str):
@@ -159,16 +160,9 @@ def example_from_record(
     else:
         ast = ast_from_json(record["ast"])
     tokens, alignment = leaf_tokens(ast)
+    tokens = tokens[:MAX_SOURCE_TOKENS]
+    alignment = TokenAlignment(alignment.token_to_node[:MAX_SOURCE_TOKENS])
     bundle = encode_structure(ast, alignment, distance_clip, view_weights)
-    if len(tokens) > MAX_SOURCE_TOKENS:
-        keep = MAX_SOURCE_TOKENS
-        tokens = tokens[:keep]
-        bundle = StructuralEncodings(
-            distances=bundle.distances[:keep, :keep],
-            distance_weights=bundle.distance_weights[:keep, :keep],
-            bucket_ids=bundle.bucket_ids[:keep, :keep],
-            multiview=bundle.multiview[:keep, :keep],
-        )
     summary = summary_tokens(record["summary"])[:MAX_SUMMARY_TOKENS]
     return Example(
         code_tokens=tuple(tokens),

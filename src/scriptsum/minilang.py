@@ -30,7 +30,9 @@ Grammar (EBNF):
 Comments run from '//' to end of line. Blocks are non-empty and return
 takes an expression, so interior nodes always have children. Operator
 tokens fold into the node type (BinaryOp(+), UnaryOp(-)); only
-identifiers and literals become leaves.
+identifiers and literals become leaves. Blocks, `else if` links,
+parenthesised expressions, call argument lists and unary operators
+together nest at most MAX_NESTING_DEPTH levels deep.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ _KEYWORDS = frozenset({"function", "if", "else", "while", "return"})
 _TWO_CHAR_OPS = ("<=", ">=", "==", "!=")
 _ONE_CHAR = "(){},;=<>+-*/%"
 _CMP_OPS = frozenset({"<", ">", "<=", ">=", "==", "!="})
+
+# Each nesting level costs the parser at most six Python frames, so a
+# source within this limit stays far below the interpreter's default
+# recursion limit of 1000 frames.
+MAX_NESTING_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -142,6 +149,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self, offset: int = 0) -> _Token:
         idx = min(self.pos + offset, len(self.tokens) - 1)
@@ -164,6 +172,15 @@ class _Parser:
     def at_op(self, text: str) -> bool:
         tok = self.peek()
         return tok.kind == "OP" and tok.text == text
+
+    def enter(self) -> None:
+        """Open one nesting level at the current token."""
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            tok = self.peek()
+            raise MiniLangSyntaxError(
+                f"nesting deeper than {MAX_NESTING_DEPTH} levels", tok.line, tok.col
+            )
 
     # -- grammar --------------------------------------------------------
 
@@ -215,7 +232,9 @@ class _Parser:
         if self.peek().kind == "KEYWORD" and self.peek().text == "else":
             self.advance()
             if self.peek().kind == "KEYWORD" and self.peek().text == "if":
+                self.enter()
                 children.append(self.if_stmt())
+                self.depth -= 1
             else:
                 children.append(self.block())
         return _Tmp("IfStatement", children=children)
@@ -247,6 +266,7 @@ class _Parser:
         return _Tmp("ExpressionStatement", children=children)
 
     def block(self) -> _Tmp:
+        self.enter()
         self.expect("OP", "{")
         stmts = [self.statement()]
         while not self.at_op("}"):
@@ -255,6 +275,7 @@ class _Parser:
                 raise MiniLangSyntaxError("unterminated block", tok.line, tok.col)
             stmts.append(self.statement())
         self.expect("OP", "}")
+        self.depth -= 1
         return _Tmp("Block", children=stmts)
 
     def expr(self) -> _Tmp:
@@ -282,8 +303,11 @@ class _Parser:
 
     def unary(self) -> _Tmp:
         if self.at_op("-"):
+            self.enter()
             self.advance()
-            return _Tmp("UnaryOp(-)", children=[self.unary()])
+            node = _Tmp("UnaryOp(-)", children=[self.unary()])
+            self.depth -= 1
+            return node
         return self.primary()
 
     def primary(self) -> _Tmp:
@@ -300,9 +324,11 @@ class _Parser:
             self.advance()
             return _Tmp("Identifier", tok.text)
         if self.at_op("("):
+            self.enter()
             self.advance()
             node = self.expr()
             self.expect("OP", ")")
+            self.depth -= 1
             return node
         got = tok.text if tok.text else "end of input"
         raise MiniLangSyntaxError(f"expected expression, found {got!r}", tok.line, tok.col)
@@ -310,6 +336,7 @@ class _Parser:
     def call(self) -> _Tmp:
         callee = self.expect("IDENT")
         children = [_Tmp("Identifier", callee.text)]
+        self.enter()
         self.expect("OP", "(")
         if not self.at_op(")"):
             children.append(self.expr())
@@ -317,6 +344,7 @@ class _Parser:
                 self.advance()
                 children.append(self.expr())
         self.expect("OP", ")")
+        self.depth -= 1
         return _Tmp("Call", children=children)
 
 
@@ -343,7 +371,8 @@ def parse_minilang(source: str) -> Ast:
     """Parse MiniLang source text into a canonical tree.
 
     Raises MiniLangSyntaxError (with line and column) on any grammar
-    violation, including empty programs.
+    violation, including empty programs and nesting deeper than
+    MAX_NESTING_DEPTH.
     """
     tokens = _tokenize(source)
     parser = _Parser(tokens)

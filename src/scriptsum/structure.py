@@ -9,7 +9,9 @@ attention.
 
 Node-level distances are expanded to token level through the leaf
 alignment, so subtokens of one identifier share that leaf's structural
-relations and sit at distance 0 from each other.
+relations and sit at distance 0 from each other. Tree distances take one
+O(n^2) pass over the canonical preorder ids; the relation views are
+gathers and equality tests over per-token parent, statement and name ids.
 """
 
 from __future__ import annotations
@@ -80,20 +82,25 @@ class MultiViewMatrix:
 
 
 def floyd_apsp(ast: Ast) -> DistanceMatrix:
-    """All-pairs shortest-path hop counts over tree nodes.
+    """All-pairs hop counts over tree nodes in O(n^2).
 
-    Classic O(n^3) relaxation over the undirected parent-child edges;
-    rows and columns follow canonical node ids.
+    Rows follow canonical node ids. The root's row is its depth vector; a
+    child's row is its parent's row plus one, minus two on the child's own
+    subtree, which preorder ids make the contiguous range [c, end(c)).
+    Integer arithmetic in float64 keeps the result exact. The name is kept
+    from the Floyd-Warshall pass this replaced, since callers and tools
+    refer to it.
     """
     n = len(ast)
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    for node in ast.nodes:
-        for child in node.children:
-            dist[node.id, child] = 1.0
-            dist[child, node.id] = 1.0
-    for k in range(n):
-        np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :], out=dist)
+    parent = ast.parent_map()
+    end = np.arange(1, n + 1)
+    for c in range(n - 1, 0, -1):
+        end[parent[c]] = max(end[parent[c]], end[c])
+    dist = np.empty((n, n))
+    dist[0] = ast.depths()
+    for c in range(1, n):
+        dist[c] = dist[parent[c]] + 1.0
+        dist[c, c : end[c]] -= 2.0
     return DistanceMatrix(n=n, d=dist)
 
 
@@ -184,35 +191,23 @@ def _flow_edges(ast: Ast) -> set[tuple[int, int]]:
     return edges
 
 
-def _token_leaf_ids(align: TokenAlignment) -> np.ndarray:
-    return np.asarray(align.token_to_node, dtype=np.int64)
-
-
 def ast_view(ast: Ast, align: TokenAlignment) -> np.ndarray:
     """Token-pair relation: 1 when the aligned leaves are at most two hops
     apart in the tree (same leaf, or siblings under one parent)."""
-    dist = floyd_apsp(ast).d
-    idx = _token_leaf_ids(align)
-    sub = dist[np.ix_(idx, idx)]
-    out = (sub <= 2.0).astype(np.float64)
-    np.fill_diagonal(out, 1.0)
-    return out
+    parent = ast.parent_map()
+    leaf_parents = np.asarray([parent.get(nid, -1) for nid in align.token_to_node])
+    return np.equal.outer(leaf_parents, leaf_parents).astype(np.float64)
 
 
 def flow_view(ast: Ast, align: TokenAlignment) -> np.ndarray:
     """Token-pair relation: 1 when the owning statements are control-flow
     adjacent; the diagonal is forced to 1."""
-    owner = _statement_of(ast)
-    edges = _flow_edges(ast)
-    idx = _token_leaf_ids(align)
-    stmts = np.asarray([owner[nid] for nid in idx], dtype=np.int64)
-    n = len(idx)
-    out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(n):
-            pair = (min(stmts[i], stmts[j]), max(stmts[i], stmts[j]))
-            if pair in edges:
-                out[i, j] = 1.0
+    adjacent = np.zeros((len(ast), len(ast)))
+    for a, b in _flow_edges(ast):
+        adjacent[a, b] = adjacent[b, a] = 1.0
+    owner = np.asarray(_statement_of(ast), dtype=np.int64)
+    stmts = owner[np.asarray(align.token_to_node, dtype=np.int64)]
+    out = adjacent[np.ix_(stmts, stmts)]
     np.fill_diagonal(out, 1.0)
     return out
 
@@ -220,20 +215,15 @@ def flow_view(ast: Ast, align: TokenAlignment) -> np.ndarray:
 def dataflow_view(ast: Ast, align: TokenAlignment) -> np.ndarray:
     """Token-pair relation: 1 when both tokens are occurrences of the same
     identifier name; the diagonal is forced to 1."""
-    idx = _token_leaf_ids(align)
-    names: list[str | None] = []
-    for nid in idx:
+    codes: dict[str, int] = {}
+    name_ids = np.empty(len(align), dtype=np.int64)
+    for i, nid in enumerate(align.token_to_node):
         node = ast.nodes[nid]
-        names.append(node.value if node.node_type == "Identifier" else None)
-    n = len(idx)
-    out = np.eye(n, dtype=np.float64)
-    for i in range(n):
-        if names[i] is None:
-            continue
-        for j in range(n):
-            if names[j] == names[i]:
-                out[i, j] = 1.0
-    return out
+        if node.node_type == "Identifier":
+            name_ids[i] = codes.setdefault(node.value, len(codes))
+        else:
+            name_ids[i] = -1 - i  # an id no other token has
+    return np.equal.outer(name_ids, name_ids).astype(np.float64)
 
 
 def multiview(

@@ -1,9 +1,10 @@
 """Independent reference implementations used to verify the package.
 
 Everything here is deliberately written with different algorithms than the
-library (BFS instead of Floyd, explicit subsequence enumeration instead of
-DP, step-by-step argmax instead of beam bookkeeping) so agreement is
-meaningful.
+library (BFS instead of the preorder distance recurrence, pairwise loops
+instead of vectorised relation views, explicit subsequence enumeration
+instead of DP, step-by-step argmax instead of beam bookkeeping) so
+agreement is meaningful.
 """
 
 from collections import deque
@@ -11,7 +12,8 @@ from itertools import product
 
 import numpy as np
 
-from scriptsum.astcore import Ast, AstNode
+from scriptsum.astcore import Ast, AstNode, TokenAlignment
+from scriptsum.structure import _flow_edges, _statement_of
 
 
 def random_tree(rng: np.random.Generator, n_nodes: int) -> Ast:
@@ -86,6 +88,83 @@ def lca_depth(ast: Ast, a: int, b: int) -> int:
         j = parent[j]
     depths = node_depths(ast)
     return depths[j]
+
+
+def random_minilang(rng: np.random.Generator, n_statements: int) -> str:
+    """Random MiniLang program over a small name pool, so names repeat."""
+    names = ["a", "b", "n", "total", "getValue", "max_len"]
+
+    def expr(depth: int) -> str:
+        roll = int(rng.integers(0, 6 if depth < 3 else 3))
+        if roll == 0:
+            return names[int(rng.integers(0, len(names)))]
+        if roll == 1:
+            return str(int(rng.integers(0, 100)))
+        if roll == 2:
+            return '"s"'
+        if roll == 3:
+            op = ["+", "-", "*", "/", "%", "<", "=="][int(rng.integers(0, 7))]
+            return f"({expr(depth + 1)} {op} {expr(depth + 1)})"
+        if roll == 4:
+            return f"-{expr(depth + 1)}"
+        return f"f({expr(depth + 1)}, {expr(depth + 1)})"
+
+    def block(depth: int) -> str:
+        return "{ " + " ".join(stmt(depth + 1) for _ in range(int(rng.integers(1, 4)))) + " }"
+
+    def stmt(depth: int) -> str:
+        roll = int(rng.integers(0, 7 if depth < 3 else 3))
+        name = names[int(rng.integers(0, len(names)))]
+        if roll == 0:
+            return f"{name} = {expr(0)};"
+        if roll == 1:
+            return f"return {expr(0)};"
+        if roll == 2:
+            return f"{expr(0)};"
+        if roll == 3:
+            return f"if ({expr(0)}) {block(depth)}"
+        if roll == 4:
+            return f"if ({expr(0)}) {block(depth)} else {block(depth)}"
+        if roll == 5:
+            return f"while ({expr(0)}) {block(depth)}"
+        return f"function {name}(a, n) {block(depth)}"
+
+    return " ".join(stmt(0) for _ in range(n_statements))
+
+
+def ast_view_reference(ast: Ast, align: TokenAlignment) -> np.ndarray:
+    """Token pairs whose leaves are at most two hops apart, by BFS."""
+    idx = list(align.token_to_node)
+    return (bfs_apsp(ast)[np.ix_(idx, idx)] <= 2).astype(np.float64)
+
+
+def flow_view_reference(ast: Ast, align: TokenAlignment) -> np.ndarray:
+    """Pairwise lookup of owning-statement pairs in the flow-edge set."""
+    owner = _statement_of(ast)
+    edges = _flow_edges(ast)
+    stmts = [owner[nid] for nid in align.token_to_node]
+    n = len(stmts)
+    out = np.eye(n)
+    for i in range(n):
+        for j in range(n):
+            if (min(stmts[i], stmts[j]), max(stmts[i], stmts[j])) in edges:
+                out[i, j] = 1.0
+    return out
+
+
+def dataflow_view_reference(ast: Ast, align: TokenAlignment) -> np.ndarray:
+    """Pairwise equality of identifier names; other tokens link to themselves."""
+    names = []
+    for nid in align.token_to_node:
+        node = ast.nodes[nid]
+        names.append(node.value if node.node_type == "Identifier" else None)
+    n = len(names)
+    out = np.eye(n)
+    for i in range(n):
+        for j in range(n):
+            if names[i] is not None and names[i] == names[j]:
+                out[i, j] = 1.0
+    return out
 
 
 def brute_force_lcs(a: list[str], b: list[str]) -> int:

@@ -79,6 +79,13 @@ class TestParse:
         data.write_text("\n")
         assert main(["parse", str(data), str(tmp_path / "out")]) == 0
 
+    def test_too_deep_nesting_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "deep.ml"
+        src.write_text("x = " + "(" * 300 + "1" + ")" * 300 + ";\n")
+        assert main(["parse", str(src), str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "line 1: nesting deeper than 100 levels (line 1, col 105)\n"
+
     def test_missing_input_is_input_error(self, tmp_path):
         assert main(["parse", str(tmp_path / "nope.jsonl"), str(tmp_path / "out")]) == 2
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from scriptsum.astcore import TokenAlignment, leaf_tokens
 from scriptsum.data import (
     BOS_ID,
     EOS_ID,
@@ -23,6 +24,8 @@ from scriptsum.data import (
     summary_tokens,
 )
 from scriptsum.errors import EmptyCorpusError, FormatError
+from scriptsum.minilang import parse_minilang
+from scriptsum.structure import encode_structure
 
 
 def mini_example(code="x = a + b;", summary="adds two numbers"):
@@ -174,6 +177,22 @@ class TestExampleFromRecord:
         assert len(ex.code_tokens) == MAX_SOURCE_TOKENS
         assert ex.bundle.distance_weights.shape == (MAX_SOURCE_TOKENS, MAX_SOURCE_TOKENS)
         assert ex.bundle.multiview.shape == (MAX_SOURCE_TOKENS, MAX_SOURCE_TOKENS)
+
+    def test_over_cap_bundle_is_built_from_kept_tokens(self, toy_corpus_path):
+        code = json.loads(toy_corpus_path.read_text().splitlines()[0])["code"] * 60
+        ex = mini_example(code=code, summary="repeated max")
+        ast = parse_minilang(code)
+        tokens, align = leaf_tokens(ast)
+        assert len(tokens) > MAX_SOURCE_TOKENS
+        row_sums = ex.bundle.distance_weights.sum(axis=1)
+        assert np.all(np.abs(row_sums - 1.0) <= 1e-12)
+        kept = encode_structure(ast, TokenAlignment(align.token_to_node[:MAX_SOURCE_TOKENS]))
+        full = encode_structure(ast, align)
+        cut = np.s_[:MAX_SOURCE_TOKENS, :MAX_SOURCE_TOKENS]
+        for field in ("distances", "distance_weights", "bucket_ids", "multiview"):
+            assert np.array_equal(getattr(ex.bundle, field), getattr(kept, field))
+        for field in ("distances", "bucket_ids", "multiview"):
+            assert np.array_equal(getattr(ex.bundle, field), getattr(full, field)[cut])
 
 
 class TestLoadDataset:

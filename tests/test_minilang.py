@@ -1,7 +1,7 @@
 import pytest
 
 from scriptsum.errors import MiniLangSyntaxError
-from scriptsum.minilang import parse_minilang
+from scriptsum.minilang import MAX_NESTING_DEPTH, parse_minilang
 
 
 def shape(ast):
@@ -201,3 +201,32 @@ class TestErrors:
     def test_keyword_as_identifier(self):
         with pytest.raises(MiniLangSyntaxError):
             parse_minilang("return = 1;")
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize(
+        "source, col",
+        [
+            ("x = " + "(" * 300 + "1" + ")" * 300 + ";", 105),
+            ("x = " + "f(" * 300 + "1" + ")" * 300 + ";", 206),
+            ("x = " + "-" * 1200 + "1;", 105),
+            ("if (a) { x = 1; }" + " else if (a) { x = 1; }" * 300, 2308),
+        ],
+        ids=["parentheses", "calls", "unary_minus", "else_if_chain"],
+    )
+    def test_too_deep_is_a_syntax_error(self, source, col):
+        with pytest.raises(MiniLangSyntaxError, match="nesting deeper than") as exc_info:
+            parse_minilang(source)
+        assert (exc_info.value.line, exc_info.value.col) == (1, col)
+
+    def test_limit_is_exact_and_kinds_add_up(self):
+        depth = MAX_NESTING_DEPTH
+        parse_minilang("x = " + "(" * depth + "1" + ")" * depth + ";")
+        parse_minilang("if (a) {" * depth + "x = 1;" + "}" * depth)
+        half = depth // 2
+        mixed = "while (a) {" * half + "x = " + "f(" * (depth - half) + "1" + ")" * (depth - half)
+        parse_minilang(mixed + ";" + "}" * half)
+        with pytest.raises(MiniLangSyntaxError):
+            parse_minilang("x = " + "(" * (depth + 1) + "1" + ")" * (depth + 1) + ";")
+        with pytest.raises(MiniLangSyntaxError):
+            parse_minilang(mixed.replace("x = ", "x = -") + ";" + "}" * half)

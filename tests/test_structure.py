@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,16 @@ from scriptsum.structure import (
     token_distance_matrix,
 )
 
-from oracles import bfs_apsp, lca_depth, node_depths, random_tree
+from oracles import (
+    ast_view_reference,
+    bfs_apsp,
+    dataflow_view_reference,
+    flow_view_reference,
+    lca_depth,
+    node_depths,
+    random_minilang,
+    random_tree,
+)
 
 
 def leaf(i, value):
@@ -48,8 +59,11 @@ class TestFloydApsp:
 
     def test_matches_bfs_oracle(self):
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            ast = random_tree(rng, 30)
+        chain = Ast([interior(i, "M", [i + 1]) for i in range(399)] + [leaf(399, "x")])
+        star = Ast([interior(0, "R", range(1, 401))] + [leaf(i, f"v{i}") for i in range(1, 401)])
+        trees = [random_tree(rng, 30) for _ in range(10)]
+        trees += [chain, star] + [random_tree(rng, int(rng.integers(280, 320))) for _ in range(3)]
+        for ast in trees:
             assert np.array_equal(floyd_apsp(ast).d, bfs_apsp(ast))
 
     def test_lca_depth_identity(self):
@@ -255,6 +269,18 @@ class TestMultiview:
             multiview(ast, align, (0.0, 0.0, 0.0))
         with pytest.raises(ConfigError):
             multiview(ast, align, (-0.1, 0.6, 0.5))
+
+    def test_views_match_pairwise_references(self, toy_corpus_path):
+        rng = np.random.default_rng(3)
+        codes = [json.loads(line)["code"] for line in toy_corpus_path.read_text().splitlines()]
+        codes += [random_minilang(rng, int(rng.integers(1, 6))) for _ in range(10)]
+        for code in codes:
+            ast = parse_minilang(code)
+            _, align = leaf_tokens(ast)
+            mv = multiview(ast, align)
+            assert np.array_equal(mv.a_ast, ast_view_reference(ast, align))
+            assert np.array_equal(mv.a_fl, flow_view_reference(ast, align))
+            assert np.array_equal(mv.a_dp, dataflow_view_reference(ast, align))
 
     def test_flow_view_links_consecutive_statements(self):
         ast = parse_minilang("a = 1; b = 2; c = 3;")
