@@ -4,12 +4,14 @@ Layout: 8-byte little-endian unsigned header length, then a JSON header
 {"params": [{"name", "shape", "dtype", "offset"}]}, then the raw
 little-endian float64 array bytes concatenated in name order. Offsets are
 relative to the start of the data section. Writing the same parameters
-always produces byte-identical files.
+always produces byte-identical files. The reader accepts only `<f8`
+entries with unique names and non-negative integer dims.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -17,6 +19,7 @@ import numpy as np
 from .errors import FormatError
 
 _DTYPE = "<f8"
+_ITEMSIZE = np.dtype(_DTYPE).itemsize
 
 
 def save_checkpoint(params: dict[str, np.ndarray], path) -> None:
@@ -40,35 +43,58 @@ def save_checkpoint(params: dict[str, np.ndarray], path) -> None:
             fh.write(raw)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _entry_fields(entry) -> tuple[str, tuple[int, ...], int]:
+    """Name, shape and offset of one header entry; FormatError unless the
+    entry is a `<f8` array with a string name and non-negative integer
+    dims and offset."""
+    if not isinstance(entry, dict):
+        raise FormatError(f"malformed checkpoint entry: {entry!r}")
+    name, shape, offset = entry.get("name"), entry.get("shape"), entry.get("offset")
+    if not (
+        isinstance(name, str)
+        and isinstance(shape, list)
+        and all(_is_count(dim) for dim in shape)
+        and _is_count(offset)
+    ):
+        raise FormatError(f"malformed checkpoint entry: {entry!r}")
+    dtype = entry.get("dtype")
+    if dtype != _DTYPE:
+        raise FormatError(f"checkpoint entry {name!r} has dtype {dtype!r}, not {_DTYPE!r}")
+    return name, tuple(shape), offset
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into name -> float64 array."""
+    """Read a checkpoint back into name -> float64 array.
+
+    Each array is read in place from the file's bytes and copied once.
+    Entries must be `<f8` with unique names; anything else is a
+    FormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 8:
         raise FormatError("checkpoint file too short for its header length field")
     (header_len,) = struct.unpack("<Q", blob[:8])
-    if len(blob) < 8 + header_len:
+    base = 8 + header_len
+    if len(blob) < base:
         raise FormatError("checkpoint header truncated")
     try:
-        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
+        header = json.loads(blob[8:base].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"checkpoint header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict) or "params" not in header:
-        raise FormatError("checkpoint header missing 'params'")
-    data = blob[8 + header_len :]
+    if not isinstance(header, dict) or not isinstance(header.get("params"), list):
+        raise FormatError("checkpoint header needs a 'params' list")
     out: dict[str, np.ndarray] = {}
     for entry in header["params"]:
-        try:
-            name = entry["name"]
-            shape = tuple(int(s) for s in entry["shape"])
-            dtype = np.dtype(entry["dtype"])
-            offset = int(entry["offset"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed checkpoint entry: {entry!r}") from exc
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * dtype.itemsize
-        if offset < 0 or offset + nbytes > len(data):
+        name, shape, offset = _entry_fields(entry)
+        if name in out:
+            raise FormatError(f"duplicate checkpoint entry {name!r}")
+        count = math.prod(shape)
+        if offset + count * _ITEMSIZE > len(blob) - base:
             raise FormatError(f"checkpoint entry {name!r} overruns the data section")
-        arr = np.frombuffer(data[offset : offset + nbytes], dtype=dtype).reshape(shape)
-        out[name] = arr.astype(np.float64, copy=True)
+        arr = np.frombuffer(blob, dtype=_DTYPE, count=count, offset=base + offset)
+        out[name] = arr.reshape(shape).astype(np.float64)
     return out

@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .astcore import ast_to_json
-from .checkpoint import load_checkpoint
 from .data import (
     MAX_SUMMARY_TOKENS,
     Example,
@@ -46,13 +45,10 @@ from .errors import (
 from .manifest import RunManifest
 from .metrics import BucketSpec, EvalPair, corpus_report
 from .minilang import parse_minilang
-from .model import (
-    ModelConfig,
-    ScriptModel,
-    ablation_layer_plan,
-    load_model_sidecar,
-)
-from .training import TrainConfig, train
+from .model import ModelConfig, ScriptModel, ablation_layer_plan
+from .structure import DEFAULT_VIEW_WEIGHTS
+from .tensor import no_grad
+from .training import TrainConfig, load_model_from_dir, train
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -378,7 +374,7 @@ def cmd_train(args) -> int:
         raise ConfigError(f"ablation must be one of {sorted(_ABLATIONS)}, got {ablation!r}")
     min_freq = merged.pop("min_freq", 1)
     max_vocab = merged.pop("max_vocab", None)
-    view_weights = tuple(merged.pop("view_weights", (1 / 3, 1 / 3, 1 / 3)))
+    view_weights = tuple(merged.pop("view_weights", DEFAULT_VIEW_WEIGHTS))
 
     model_kwargs = {k: merged[k] for k in _MODEL_KEYS if k in merged}
     train_kwargs = {k: merged[k] for k in _TRAIN_KEYS if k in merged}
@@ -461,8 +457,7 @@ def _load_model_dir(
     src_vocab_path=None,
     tgt_vocab_path=None,
 ) -> tuple[ScriptModel, dict, Vocabulary, Vocabulary]:
-    sidecar = model_dir / "best.json"
-    config, payload = load_model_sidecar(sidecar)
+    model, payload = load_model_from_dir(model_dir, which)
     src_vocab = Vocabulary.load(src_vocab_path or model_dir / "src_vocab.json")
     tgt_vocab = Vocabulary.load(tgt_vocab_path or model_dir / "tgt_vocab.json")
     for label, vocab, key in (
@@ -475,16 +470,13 @@ def _load_model_dir(
                 f"{label} vocabulary digest {vocab.digest()[:12]}... does not match "
                 f"checkpoint sidecar {want[:12]}..."
             )
-    model = ScriptModel(config, seed=0)
-    arrays = load_checkpoint(model_dir / f"{which}.ckpt")
-    model.load_state_dict({k: v for k, v in arrays.items() if not k.startswith("adam.")})
     return model, payload, src_vocab, tgt_vocab
 
 
 def _data_config(payload: dict) -> tuple[int, tuple[float, float, float]]:
     dc = payload.get("data_config", {})
     clip = int(dc.get("distance_clip", 8))
-    weights = tuple(dc.get("view_weights", (1 / 3, 1 / 3, 1 / 3)))
+    weights = tuple(dc.get("view_weights", DEFAULT_VIEW_WEIGHTS))
     return clip, weights
 
 
@@ -510,13 +502,7 @@ def cmd_eval(args) -> int:
     pairs: list[EvalPair] = []
     rows: list[dict] = []
     for idx, (ex, enc) in enumerate(zip(split, encoded)):
-        state = model.script_encoder(enc.src_ids, enc.bundle)
-        ids = model.beam_search(
-            state,
-            beam_size=args.beam,
-            max_len=args.max_len,
-            length_penalty=args.length_penalty,
-        )
+        ids = model.summarize(enc.src_ids, enc.bundle, args.beam, args.max_len, args.length_penalty)
         candidate = tgt_vocab.decode(ids)
         pairs.append(EvalPair(candidate=candidate, references=[list(ex.summary_tokens)]))
         rows.append(
@@ -589,19 +575,11 @@ def cmd_summarize(args) -> int:
     clip, weights = _data_config(payload)
     examples = _examples_for_inference(Path(args.input), clip, weights)
 
+    beam = 1 if args.greedy else args.beam
     lines: list[str] = []
     for ex in examples:
         src_ids = src_vocab.encode(ex.code_tokens)
-        state = model.script_encoder(src_ids, ex.bundle)
-        if args.greedy:
-            ids = model.greedy_decode(state, max_len=args.max_len)
-        else:
-            ids = model.beam_search(
-                state,
-                beam_size=args.beam,
-                max_len=args.max_len,
-                length_penalty=args.length_penalty,
-            )
+        ids = model.summarize(src_ids, ex.bundle, beam, args.max_len, args.length_penalty)
         lines.append(" ".join(tgt_vocab.decode(ids)))
 
     for line in lines:
@@ -650,8 +628,8 @@ def cmd_export_attention(args) -> int:
     ex = examples[args.index]
 
     capture: list[np.ndarray] = []
-    src_ids = src_vocab.encode(ex.code_tokens)
-    model.script_encoder(src_ids, ex.bundle, capture=capture)
+    with no_grad():
+        model.script_encoder(src_vocab.encode(ex.code_tokens), ex.bundle, capture=capture)
     matrix = capture[args.layer * cfg.n_heads + args.head]
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -701,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out", help="output directory for bundle files")
     p.add_argument("--clip", type=int, default=8, help="distance clipping threshold l")
     p.add_argument("--seq-window", type=int, default=32, help="sequential window k (recorded)")
-    p.add_argument("--weights", default="0.3333333333333333,0.3333333333333333,0.3333333333333333",
+    p.add_argument("--weights", default=",".join(str(w) for w in DEFAULT_VIEW_WEIGHTS),
                    help="multi-view weights alpha,beta,gamma")
     p.set_defaults(func=cmd_encode)
 
@@ -756,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_dir", help="training output directory")
     p.add_argument("input", help="MiniLang source file or JSONL dataset")
     p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--greedy", action="store_true", help="greedy decoding (same as --beam 1)")
+    p.add_argument("--greedy", action="store_true", help="greedy decoding: runs as --beam 1")
     p.add_argument("--max-len", type=int, default=MAX_SUMMARY_TOKENS)
     p.add_argument("--length-penalty", type=float, default=1.0)
     p.add_argument("--src-vocab", default=None, help="override source vocabulary file")

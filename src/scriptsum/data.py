@@ -21,7 +21,7 @@ import numpy as np
 from .astcore import Ast, TokenAlignment, ast_from_json, leaf_tokens
 from .minilang import parse_minilang
 from .errors import EmptyCorpusError, FormatError, MiniLangSyntaxError
-from .structure import StructuralEncodings, encode_structure
+from .structure import DEFAULT_VIEW_WEIGHTS, StructuralEncodings, encode_structure
 
 PAD_ID, BOS_ID, EOS_ID, UNK_ID, STR_ID, NUM_ID = 0, 1, 2, 3, 4, 5
 PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN = "<pad>", "<bos>", "<eos>", "<unk>"
@@ -141,7 +141,7 @@ def summary_tokens(text: str) -> tuple[str, ...]:
 def example_from_record(
     record: dict,
     distance_clip: int = 8,
-    view_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
+    view_weights: tuple[float, float, float] = DEFAULT_VIEW_WEIGHTS,
 ) -> Example:
     """Build one Example from a parsed dataset line; the source is cut to
     MAX_SOURCE_TOKENS tokens before its structural matrices are built."""
@@ -175,7 +175,7 @@ def example_from_record(
 def load_dataset(
     path,
     distance_clip: int = 8,
-    view_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
+    view_weights: tuple[float, float, float] = DEFAULT_VIEW_WEIGHTS,
 ) -> list[Example]:
     """Read a JSON Lines dataset; blank lines are skipped."""
     examples: list[Example] = []

@@ -696,6 +696,20 @@ class ScriptModel:
     def greedy_decode(self, state: EncoderState, max_len: int = 50) -> list[int]:
         return self.beam_search(state, beam_size=1, max_len=max_len)
 
+    def summarize(
+        self,
+        src_ids: np.ndarray,
+        bundle: StructuralEncodings,
+        beam_size: int = 5,
+        max_len: int = 50,
+        length_penalty: float = 1.0,
+    ) -> list[int]:
+        """Encode one source and beam-decode its summary ids, recording no
+        graph. Every inference caller decodes through here."""
+        with no_grad():
+            state = self.script_encoder(src_ids, bundle)
+            return self.beam_search(state, beam_size, max_len, length_penalty)
+
 
 # -- module-level helpers ----------------------------------------------------
 

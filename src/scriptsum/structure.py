@@ -23,6 +23,9 @@ import numpy as np
 from .astcore import Ast, TokenAlignment
 from .errors import ConfigError
 
+# Default (alpha, beta, gamma) weights of the AST, flow and data-flow views.
+DEFAULT_VIEW_WEIGHTS: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
+
 STATEMENT_TYPES = frozenset(
     {
         "IfStatement",
@@ -229,7 +232,7 @@ def dataflow_view(ast: Ast, align: TokenAlignment) -> np.ndarray:
 def multiview(
     ast: Ast,
     align: TokenAlignment,
-    weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
+    weights: tuple[float, float, float] = DEFAULT_VIEW_WEIGHTS,
 ) -> MultiViewMatrix:
     """Weighted sum of the three relation views at token level.
 
@@ -270,7 +273,7 @@ def encode_structure(
     ast: Ast,
     align: TokenAlignment,
     distance_clip: int = 8,
-    view_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
+    view_weights: tuple[float, float, float] = DEFAULT_VIEW_WEIGHTS,
 ) -> StructuralEncodings:
     """Compute every structural input for one example in token space.
 

@@ -36,7 +36,7 @@ from .data import (
 )
 from .errors import ConfigError, NumericsError
 from .metrics import EvalPair, bleu4
-from .model import ModelConfig, ScriptModel, save_model_sidecar
+from .model import ModelConfig, ScriptModel, load_model_sidecar, save_model_sidecar
 from .tensor import backward, no_grad, scale
 
 HISTORY_COLUMNS = ("epoch", "train_loss", "valid_loss", "valid_bleu", "lr", "wall_seconds")
@@ -229,12 +229,10 @@ def evaluate_bleu(
     if not split:
         return 0.0
     total = 0.0
-    with no_grad():
-        for ex in split:
-            state = model.script_encoder(ex.src_ids, ex.bundle)
-            ids = model.beam_search(state, beam_size=beam_size, max_len=max_len)
-            candidate = tgt_vocab.decode(ids)
-            total += bleu4(EvalPair(candidate=candidate, references=[list(ex.summary_tokens)]))
+    for ex in split:
+        ids = model.summarize(ex.src_ids, ex.bundle, beam_size=beam_size, max_len=max_len)
+        candidate = tgt_vocab.decode(ids)
+        total += bleu4(EvalPair(candidate=candidate, references=[list(ex.summary_tokens)]))
     return total / len(split)
 
 
@@ -455,8 +453,6 @@ def _read_history(path) -> list[HistoryRow]:
 
 def load_model_from_dir(out_dir, which: str = "best") -> tuple[ScriptModel, dict]:
     """Rebuild a model from a training directory's sidecar + checkpoint."""
-    from .model import load_model_sidecar
-
     out_dir = Path(out_dir)
     config, payload = load_model_sidecar(out_dir / "best.json")
     model = ScriptModel(config, seed=0)

@@ -1,11 +1,15 @@
 import csv
 import json
+import shutil
+import struct
 
 import numpy as np
 import pytest
 
 from scriptsum.cli import main, read_config_file
 from scriptsum.errors import ConfigError, NumericsError
+from scriptsum.model import ScriptModel
+from scriptsum.tensor import _grad_enabled
 
 TRAIN_FLAGS = [
     "--d-model", "16",
@@ -256,6 +260,33 @@ class TestEval:
         rc = main(["eval", str(tmp_path / "ghost"), str(small_dataset), str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda header: header["params"][0].update(dtype="O"),
+            lambda header: header.update(params=5),
+        ],
+        ids=["object-dtype", "params-not-a-list"],
+    )
+    def test_malformed_checkpoint_is_input_error(
+        self, tmp_path, trained_dir, small_dataset, capsys, corrupt
+    ):
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained_dir, model_dir)
+        blob = (model_dir / "best.ckpt").read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[:8])
+        header = json.loads(blob[8 : 8 + header_len])
+        corrupt(header)
+        raw = json.dumps(header).encode()
+        (model_dir / "best.ckpt").write_bytes(
+            struct.pack("<Q", len(raw)) + raw + blob[8 + header_len :]
+        )
+        capsys.readouterr()
+        rc = main(["eval", str(model_dir), str(small_dataset), str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestSummarize:
     def test_beam_one_matches_greedy(self, trained_dir, small_dataset, capsys):
@@ -333,3 +364,33 @@ class TestExportAttention:
         assert main(base + ["--layer", "5", "--head", "0"]) == 2
         assert main(base + ["--layer", "0", "--head", "9"]) == 2
         assert main(base + ["--layer", "0", "--head", "0", "--index", "3"]) == 2
+
+
+class TestInferenceRecordsNoGraph:
+    def test_encoder_runs_with_graph_recording_off(
+        self, tmp_path, trained_dir, small_dataset, monkeypatch, capsys
+    ):
+        recorded: list[bool] = []
+        encode = ScriptModel.script_encoder
+
+        def recording_encoder(self, *args, **kwargs):
+            recorded.append(_grad_enabled())
+            return encode(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScriptModel, "script_encoder", recording_encoder)
+        src = tmp_path / "prog.ml"
+        src.write_text("x = y / z;\n")
+        commands = [
+            ["eval", str(trained_dir), str(small_dataset), str(tmp_path / "eval"),
+             "--beam", "2", "--max-len", "4"],
+            ["summarize", str(trained_dir), str(src), "--beam", "2", "--max-len", "4"],
+            ["summarize", str(trained_dir), str(src), "--greedy", "--max-len", "4"],
+            ["export-attention", str(trained_dir), str(src), str(tmp_path / "attn"),
+             "--layer", "0", "--head", "0"],
+        ]
+        for argv in commands:
+            before = len(recorded)
+            assert main(argv) == 0, argv[0]
+            assert len(recorded) > before, argv[0]
+        assert not any(recorded)
+        assert _grad_enabled()

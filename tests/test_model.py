@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from scriptsum.model import (
     save_model_sidecar,
 )
 from scriptsum.structure import StructuralEncodings
-from scriptsum.tensor import Tensor, grad_check, sum_all, tensor
+from scriptsum.tensor import Tensor, _grad_enabled, grad_check, sum_all, tensor
 
 from conftest import make_example, random_bundle, tiny_config, tiny_model
 from oracles import exhaustive_decode, greedy_oracle, vanilla_attention
@@ -533,6 +534,30 @@ class TestGeneration:
             model.beam_search(state, max_len=0)
 
 
+    def test_summarize_is_encode_then_beam_search(self):
+        rng = np.random.default_rng(27)
+        model = tiny_model(seed=3)
+        bundle = random_bundle(rng, 5)
+        ids = rng.integers(0, 13, 5)
+        for beam in (1, 3):
+            state = model.script_encoder(ids, bundle)
+            want = model.beam_search(state, beam_size=beam, max_len=6, length_penalty=0.5)
+            got = model.summarize(ids, bundle, beam_size=beam, max_len=6, length_penalty=0.5)
+            assert got == want
+            assert _grad_enabled()
+        with pytest.raises(ConfigError):
+            model.summarize(ids, bundle, beam_size=0)
+        assert _grad_enabled()
+
+
+def write_raw_checkpoint(path, params, data: bytes) -> None:
+    header = json.dumps({"params": params}).encode("utf-8")
+    path.write_bytes(struct.pack("<Q", len(header)) + header + data)
+
+
+GOOD_ENTRY = {"name": "w", "shape": [2], "dtype": "<f8", "offset": 0}
+
+
 class TestCheckpointAndSidecar:
     def test_round_trip_preserves_outputs(self, tmp_path):
         rng = np.random.default_rng(27)
@@ -580,6 +605,41 @@ class TestCheckpointAndSidecar:
         with pytest.raises(FormatError):
             load_checkpoint(path)
         path.write_bytes(b"\xff" * 24)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_well_formed_raw_checkpoint_loads(self, tmp_path):
+        path = tmp_path / "ok.ckpt"
+        write_raw_checkpoint(path, [GOOD_ENTRY], np.arange(4.0).tobytes())
+        loaded = load_checkpoint(path)
+        assert np.array_equal(loaded["w"], [0.0, 1.0])
+        assert loaded["w"].dtype == np.float64 and loaded["w"].flags.writeable
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            [dict(GOOD_ENTRY, dtype="O")],
+            [dict(GOOD_ENTRY, dtype="<i8")],
+            [dict(GOOD_ENTRY, dtype="float64")],
+            [GOOD_ENTRY, dict(GOOD_ENTRY, offset=16)],
+            [dict(GOOD_ENTRY, shape=[-1])],
+            [dict(GOOD_ENTRY, shape=[2.0])],
+            [dict(GOOD_ENTRY, shape=2)],
+            [dict(GOOD_ENTRY, offset=-8)],
+            [dict(GOOD_ENTRY, name=7)],
+            [dict(GOOD_ENTRY, shape=[2**40, 2**40])],
+            ["w"],
+            5,
+        ],
+        ids=[
+            "object-dtype", "int-dtype", "dtype-alias", "duplicate-name", "negative-dim",
+            "float-dim", "scalar-shape", "negative-offset", "non-string-name",
+            "huge-shape", "entry-not-object", "params-not-a-list",
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, params):
+        path = tmp_path / "bad.ckpt"
+        write_raw_checkpoint(path, params, np.arange(4.0).tobytes())
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
