@@ -9,6 +9,9 @@ outputs the position-wise sum of its two layers' outputs. The decoder is a
 standard masked transformer with cross-attention; its output projection is
 tied to the target embedding.
 
+Attention runs all heads in one pass, with heads as the leading axis of the
+scores; each relative-position table is shared by the heads and gathered once.
+
 All forward passes operate on one example (no batch axis) in float64, so
 results are bit-reproducible for a fixed seed.
 """
@@ -335,9 +338,10 @@ class ScriptModel:
         z_i = sum_j alpha_ij (v_j + a_v[ij] + b_v[ij]).
         """
         cfg = self.config
+        heads, dh = cfg.n_heads, cfg.d_head
         use_seq = tables is not None and tables.w_k_seq is not None and seq_idx is not None
         use_str = tables is not None and tables.w_k_str is not None and str_idx is not None
-        inv_sqrt = 1.0 / math.sqrt(cfg.d_head)
+        inv_sqrt = 1.0 / math.sqrt(dh)
         gate_additive = additive_mask
         scale_matrix = None
         if a_mv is not None:
@@ -346,28 +350,30 @@ class ScriptModel:
             else:
                 keep = np.where(a_mv > 0, 0.0, NEG_INF)
                 gate_additive = keep if additive_mask is None else keep + additive_mask
-        heads = []
-        for h in range(cfg.n_heads):
-            q = matmul(x_q, self.params[f"{prefix}.q{h}"])
-            k = matmul(x_kv, self.params[f"{prefix}.k{h}"])
-            v = matmul(x_kv, self.params[f"{prefix}.v{h}"])
-            e = matmul(q, transpose(k, (1, 0)))
-            if use_seq:
-                e = add(e, _rel_scores(q, tables.w_k_seq, seq_idx))
-            if use_str:
-                e = add(e, _rel_scores(q, tables.w_k_str, str_idx))
-            e = scale(e, inv_sqrt)
-            alpha = softmax_masked(e, additive_mask=gate_additive, scale_matrix=scale_matrix)
-            if capture is not None:
-                capture.append(alpha.data.copy())
-            alpha = dropout(alpha, cfg.dropout_p, rng, training)
-            z = matmul(alpha, v)
-            if use_seq:
-                z = add(z, _rel_values(alpha, tables.w_v_seq, seq_idx))
-            if use_str:
-                z = add(z, _rel_values(alpha, tables.w_v_str, str_idx))
-            heads.append(z)
-        cat = concat(heads, axis=1)
+
+        def project(x: Tensor, kind: str) -> Tensor:
+            w = concat([self.params[f"{prefix}.{kind}{h}"] for h in range(heads)], axis=1)
+            return reshape(matmul(x, w), (x.shape[0], heads, dh))
+
+        q = project(x_q, "q")  # (n_q, heads, dh)
+        k = project(x_kv, "k")
+        v = project(x_kv, "v")
+        e = matmul(transpose(q, (1, 0, 2)), transpose(k, (1, 2, 0)))  # (heads, n_q, n_k)
+        if use_seq:
+            e = add(e, _rel_scores(q, tables.w_k_seq, seq_idx))
+        if use_str:
+            e = add(e, _rel_scores(q, tables.w_k_str, str_idx))
+        e = scale(e, inv_sqrt)
+        alpha = softmax_masked(e, additive_mask=gate_additive, scale_matrix=scale_matrix)
+        if capture is not None:
+            capture.extend(head.copy() for head in alpha.data)
+        alpha = dropout(alpha, cfg.dropout_p, rng, training)
+        z = transpose(matmul(alpha, transpose(v, (1, 0, 2))), (1, 0, 2))  # (n_q, heads, dh)
+        if use_seq:
+            z = add(z, _rel_values(alpha, tables.w_v_seq, seq_idx))
+        if use_str:
+            z = add(z, _rel_values(alpha, tables.w_v_str, str_idx))
+        cat = reshape(z, (x_q.shape[0], heads * dh))
         return _affine(cat, self.params[f"{prefix}.out_w"], self.params[f"{prefix}.out_b"])
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
@@ -659,6 +665,12 @@ class ScriptModel:
             raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
         if max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {max_len}")
+        try:  # gen_len ** length_penalty is monotone in gen_len, so max_len bounds it
+            longest = float(max_len) ** length_penalty
+        except OverflowError:
+            longest = math.inf
+        if not (math.isfinite(length_penalty) and 0.0 < longest < math.inf):
+            raise ConfigError(f"length_penalty {length_penalty!r} overflows max_len ** length_penalty")
         cfg = self.config
         bos, eos = cfg.bos_id, cfg.eos_id
         active: list[tuple[tuple[int, ...], float]] = [((bos,), 0.0)]
@@ -719,21 +731,18 @@ def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _rel_scores(q: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
-    """Pairwise scores q_i . table[idx[i, j]] via one batched matmul."""
-    n_q, dh = q.shape
+    """Pairwise scores q_hi . table[idx[i, j]] for every head h, from one
+    gather: (n_q, heads, dh) @ (n_q, dh, n_k), returned as (heads, n_q, n_k)."""
     r = gather(table, idx)  # (n_q, n_k, dh)
-    q3 = reshape(q, (n_q, 1, dh))
-    e3 = matmul(q3, transpose(r, (0, 2, 1)))  # (n_q, 1, n_k)
-    return reshape(e3, idx.shape)
+    e = matmul(q, transpose(r, (0, 2, 1)))  # (n_q, heads, n_k)
+    return transpose(e, (1, 0, 2))
 
 
 def _rel_values(alpha: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
-    """Attention-weighted sums of table rows: sum_j alpha_ij table[idx[i, j]]."""
-    n_q, n_k = alpha.shape
+    """Attention-weighted sums of table rows, sum_j alpha_hij table[idx[i, j]],
+    for every head from one gather: (n_q, heads, n_k) @ (n_q, n_k, dh)."""
     r = gather(table, idx)  # (n_q, n_k, dh)
-    a3 = reshape(alpha, (n_q, 1, n_k))
-    z3 = matmul(a3, r)  # (n_q, 1, dh)
-    return reshape(z3, (n_q, r.shape[2]))
+    return matmul(transpose(alpha, (1, 0, 2)), r)  # (n_q, heads, dh)
 
 
 def save_model_sidecar(path, config: ModelConfig, extra: dict | None = None) -> None:

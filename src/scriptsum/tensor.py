@@ -5,9 +5,12 @@ elementwise add/mul, sigmoid, relu, masked softmax, layer normalization,
 dropout, embedding/gather lookups, cross-entropy, and a few shape utilities.
 
 Every operation records its parents and a backward closure on the output
-tensor; backward() walks that implicit graph in reverse topological order,
-which doubles as the computation tape. All math is double precision, so a
-fixed seed gives bit-identical results across runs.
+tensor; the closure is handed the output's gradient and holds no reference
+to the output. backward() walks that implicit graph in reverse topological
+order, which doubles as the computation tape, and consumes it: each node
+drops its closure and parent links, so a finished graph is freed by
+reference counting, not the cycle collector. All math is double precision,
+so a fixed seed gives bit-identical results across runs.
 """
 
 from __future__ import annotations
@@ -45,15 +48,15 @@ class no_grad:
 class Tensor:
     """A float64 array plus optional gradient buffer and graph linkage."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_backward_ran")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
-        self._backward_ran = False
+        self._backward: Callable[[np.ndarray], None] | None = None
+        self._consumed = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -72,7 +75,7 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable[[], None]) -> Tensor:
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
     if _grad_enabled():
         out._parents = parents
@@ -83,13 +86,14 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable[[], 
 def backward(loss: Tensor) -> None:
     """Populate grads of everything the scalar loss depends on.
 
-    Walks the recorded graph in reverse topological order; calling twice on
-    the same loss without rebuilding the graph raises StateError.
+    Walks the recorded graph in reverse topological order and consumes it:
+    each recorded node hands its gradient to its closure, then drops the
+    closure and its parent links. Running backward again through any tensor
+    of a consumed graph raises StateError before any gradient moves; leaves
+    (parameters and tensors made under no_grad) are never consumed.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if loss._backward_ran:
-        raise StateError("backward already ran for this loss; rebuild the graph first")
     topo: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -100,16 +104,18 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._consumed:
+            raise StateError("backward already ran through this graph; rebuild it first")
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
+        stack.extend((parent, False) for parent in node._parents)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward()
-    loss._backward_ran = True
+    # popping releases each node once its gradient has been passed on
+    while topo:
+        node = topo.pop()
+        if node._backward is not None:
+            node._backward(node.grad)
+            node._backward, node._parents, node._consumed = None, (), True
 
 
 # -- primitives ----------------------------------------------------------
@@ -127,13 +133,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul requires matching 2-D or 3-D operands: {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
 
-    def backward_fn():
-        g = out.grad
+    def backward_fn(g):
         a.accumulate(g @ np.swapaxes(b.data, -1, -2))
         b.accumulate(np.swapaxes(a.data, -1, -2) @ g)
 
-    out = _make(out_data, (a, b), backward_fn)
-    return out
+    return _make(out_data, (a, b), backward_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -146,16 +150,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape}")
     out_data = a.data + b.data
 
-    def backward_fn():
-        g = out.grad
+    def backward_fn(g):
         a.accumulate(g)
         if b.shape == a.shape:
             b.accumulate(g)
         else:
             b.accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
 
-    out = _make(out_data, (a, b), backward_fn)
-    return out
+    return _make(out_data, (a, b), backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -164,13 +166,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul shapes differ: {a.shape} * {b.shape}")
     out_data = a.data * b.data
 
-    def backward_fn():
-        g = out.grad
+    def backward_fn(g):
         a.accumulate(g * b.data)
         b.accumulate(g * a.data)
 
-    out = _make(out_data, (a, b), backward_fn)
-    return out
+    return _make(out_data, (a, b), backward_fn)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -178,32 +178,29 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out_data = a.data * c
 
-    def backward_fn():
-        a.accumulate(out.grad * c)
+    def backward_fn(g):
+        a.accumulate(g * c)
 
-    out = _make(out_data, (a,), backward_fn)
-    return out
+    return _make(out_data, (a,), backward_fn)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
-    def backward_fn():
-        a.accumulate(out.grad * s * (1.0 - s))
+    def backward_fn(g):
+        a.accumulate(g * s * (1.0 - s))
 
-    out = _make(s, (a,), backward_fn)
-    return out
+    return _make(s, (a,), backward_fn)
 
 
 def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0.0)
 
-    def backward_fn():
-        a.accumulate(out.grad * (a.data > 0))
+    def backward_fn(g):
+        a.accumulate(g * (a.data > 0))
 
-    out = _make(out_data, (a,), backward_fn)
-    return out
+    return _make(out_data, (a,), backward_fn)
 
 
 def softmax_masked(
@@ -211,38 +208,39 @@ def softmax_masked(
     additive_mask: np.ndarray | None = None,
     scale_matrix: np.ndarray | None = None,
 ) -> Tensor:
-    """Row softmax with optional multiplicative and additive masking.
+    """Softmax over the last axis of (rows, cols) or (heads, rows, cols)
+    logits, with optional multiplicative and additive masking.
 
     scale_matrix multiplies the logits elementwise first (relation-gated
     attention); additive_mask is then added (NEG_INF entries drop keys).
-    Raises NumericsError when an additive mask removes an entire row.
+    Both are (rows, cols) and shared by every head of a 3-D input. Raises
+    NumericsError when an additive mask removes an entire row.
     """
-    if logits.data.ndim != 2:
-        raise ShapeError(f"softmax expects a 2-D tensor, got {logits.shape}")
+    if logits.data.ndim not in (2, 3):
+        raise ShapeError(f"softmax expects a 2-D or 3-D tensor, got {logits.shape}")
     z = logits.data
+    rows_cols = z.shape[-2:]
     if scale_matrix is not None:
-        if scale_matrix.shape != z.shape:
-            raise ShapeError(f"scale matrix {scale_matrix.shape} != logits {z.shape}")
+        if scale_matrix.shape != rows_cols:
+            raise ShapeError(f"scale matrix {scale_matrix.shape} != logits rows/cols {rows_cols}")
         z = z * scale_matrix
     if additive_mask is not None:
-        if additive_mask.shape != z.shape:
-            raise ShapeError(f"additive mask {additive_mask.shape} != logits {z.shape}")
+        if additive_mask.shape != rows_cols:
+            raise ShapeError(f"additive mask {additive_mask.shape} != logits rows/cols {rows_cols}")
         if np.any(np.all(additive_mask <= NEG_INF, axis=1)):
             raise NumericsError("softmax row is fully masked")
         z = z + additive_mask
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
-    def backward_fn():
-        g = out.grad
-        gz = (g - (g * s).sum(axis=1, keepdims=True)) * s
+    def backward_fn(g):
+        gz = (g - (g * s).sum(axis=-1, keepdims=True)) * s
         if scale_matrix is not None:
             gz = gz * scale_matrix
         logits.accumulate(gz)
 
-    out = _make(s, (logits,), backward_fn)
-    return out
+    return _make(s, (logits,), backward_fn)
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -256,16 +254,14 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     xhat = (x.data - mu) * inv
     out_data = xhat * gain.data + bias.data
 
-    def backward_fn():
-        g = out.grad
+    def backward_fn(g):
         gain.accumulate((g * xhat).reshape(-1, d).sum(axis=0))
         bias.accumulate(g.reshape(-1, d).sum(axis=0))
         gx = g * gain.data
         term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
         x.accumulate(term * inv)
 
-    out = _make(out_data, (x, gain, bias), backward_fn)
-    return out
+    return _make(out_data, (x, gain, bias), backward_fn)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool) -> Tensor:
@@ -279,11 +275,10 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool
     keep = (rng.random(x.shape) >= p) / (1.0 - p)
     out_data = x.data * keep
 
-    def backward_fn():
-        x.accumulate(out.grad * keep)
+    def backward_fn(g):
+        x.accumulate(g * keep)
 
-    out = _make(out_data, (x,), backward_fn)
-    return out
+    return _make(out_data, (x,), backward_fn)
 
 
 def embed(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -297,13 +292,12 @@ def embed(table: Tensor, ids: np.ndarray) -> Tensor:
         )
     out_data = table.data[ids]
 
-    def backward_fn():
-        g = np.zeros_like(table.data)
-        np.add.at(g, ids, out.grad)
-        table.accumulate(g)
+    def backward_fn(g):
+        g_table = np.zeros_like(table.data)
+        np.add.at(g_table, ids, g)
+        table.accumulate(g_table)
 
-    out = _make(out_data, (table,), backward_fn)
-    return out
+    return _make(out_data, (table,), backward_fn)
 
 
 def gather(table: Tensor, idx: np.ndarray) -> Tensor:
@@ -332,16 +326,14 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
     total = -picked.sum()
     out_data = np.asarray(total / n if reduction == "mean" else total)
 
-    def backward_fn():
-        g = float(out.grad)
+    def backward_fn(g):
         soft = np.exp(logp)
         soft[np.arange(n), targets] -= 1.0
         if reduction == "mean":
             soft /= n
-        logits.accumulate(soft * g)
+        logits.accumulate(soft * float(g))
 
-    out = _make(out_data, (logits,), backward_fn)
-    return out
+    return _make(out_data, (logits,), backward_fn)
 
 
 # -- shape utilities -----------------------------------------------------
@@ -350,22 +342,20 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out_data = a.data.reshape(shape)
 
-    def backward_fn():
-        a.accumulate(out.grad.reshape(a.shape))
+    def backward_fn(g):
+        a.accumulate(g.reshape(a.shape))
 
-    out = _make(out_data, (a,), backward_fn)
-    return out
+    return _make(out_data, (a,), backward_fn)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     out_data = np.transpose(a.data, axes)
     inverse = tuple(np.argsort(axes))
 
-    def backward_fn():
-        a.accumulate(np.transpose(out.grad, inverse))
+    def backward_fn(g):
+        a.accumulate(np.transpose(g, inverse))
 
-    out = _make(out_data, (a,), backward_fn)
-    return out
+    return _make(out_data, (a,), backward_fn)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -375,25 +365,22 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
-    def backward_fn():
-        g = out.grad
+    def backward_fn(g):
         for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
             part.accumulate(g[tuple(sl)])
 
-    out = _make(out_data, tuple(parts), backward_fn)
-    return out
+    return _make(out_data, tuple(parts), backward_fn)
 
 
 def sum_all(a: Tensor) -> Tensor:
     out_data = np.asarray(a.data.sum())
 
-    def backward_fn():
-        a.accumulate(np.full_like(a.data, float(out.grad)))
+    def backward_fn(g):
+        a.accumulate(np.full_like(a.data, float(g)))
 
-    out = _make(out_data, (a,), backward_fn)
-    return out
+    return _make(out_data, (a,), backward_fn)
 
 
 def mean_all(a: Tensor) -> Tensor:

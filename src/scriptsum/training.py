@@ -8,9 +8,10 @@ patience counter; the best checkpoint and a resumable last checkpoint are
 written every epoch together with a CSV history.
 
 All randomness is counter-based: the shuffle order is seeded by (seed,
-epoch) and every dropout pass by (seed, step, example index), so an
+epoch) and every dropout pass by (seed, step, batch row), so an
 interrupted run resumed from the last checkpoint retraces the exact same
-computation.
+computation. Masks are drawn at the padded length, so an example's dropout
+depends on its batch partners (ROADMAP open item 5).
 """
 
 from __future__ import annotations

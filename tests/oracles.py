@@ -178,19 +178,61 @@ def brute_force_lcs(a: list[str], b: list[str]) -> int:
     return best
 
 
-def vanilla_attention(params: dict, prefix: str, x: np.ndarray, n_heads: int) -> np.ndarray:
-    """Plain multi-head scaled-dot attention with the model's weights."""
+def vanilla_attention(
+    params: dict,
+    prefix: str,
+    x: np.ndarray,
+    n_heads: int,
+    *,
+    x_kv: np.ndarray | None = None,
+    rel_base: str | None = None,
+    seq_idx: np.ndarray | None = None,
+    str_idx: np.ndarray | None = None,
+    a_mv: np.ndarray | None = None,
+    mask_mode: str = "multiply",
+    additive_mask: np.ndarray | None = None,
+    dropout_p: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Multi-head scaled-dot attention with the model's weights, one head
+    at a time, with the relative-position terms of relative_attention.
+
+    With rel_base, the "{rel_base}.seq_k"/"seq_v" rows indexed by seq_idx
+    and, when str_idx is given, the "str_k"/"str_v" rows indexed by str_idx
+    are added to keys and values; every head looks its rows up again and
+    sums them with einsum. With dropout_p > 0 each head draws its own
+    (n_q, n_k) keep mask from rng, in head order.
+    """
+    x_kv = x if x_kv is None else x_kv
     d_head = params[f"{prefix}.q0"].shape[1]
+    rel = []
+    if rel_base is not None:
+        rel.append((params[f"{rel_base}.seq_k"], params[f"{rel_base}.seq_v"], seq_idx))
+        if str_idx is not None:
+            rel.append((params[f"{rel_base}.str_k"], params[f"{rel_base}.str_v"], str_idx))
+    gate = np.ones((x.shape[0], x_kv.shape[0])) if a_mv is None else a_mv
+    mask = np.zeros_like(gate) if additive_mask is None else additive_mask
+    if mask_mode == "neg_inf":
+        mask = mask + np.where(gate > 0, 0.0, -1e9)
+        gate = np.ones_like(gate)
     heads = []
     for h in range(n_heads):
         q = x @ params[f"{prefix}.q{h}"]
-        k = x @ params[f"{prefix}.k{h}"]
-        v = x @ params[f"{prefix}.v{h}"]
-        scores = q @ k.T / np.sqrt(d_head)
+        k = x_kv @ params[f"{prefix}.k{h}"]
+        v = x_kv @ params[f"{prefix}.v{h}"]
+        scores = q @ k.T
+        for table_k, _, idx in rel:
+            scores = scores + np.einsum("id,ijd->ij", q, table_k[idx])
+        scores = scores / np.sqrt(d_head) * gate + mask
         scores = scores - scores.max(axis=1, keepdims=True)
         alpha = np.exp(scores)
         alpha /= alpha.sum(axis=1, keepdims=True)
-        heads.append(alpha @ v)
+        if dropout_p > 0.0:
+            alpha = alpha * (rng.random(alpha.shape) >= dropout_p) / (1.0 - dropout_p)
+        z = alpha @ v
+        for _, table_v, idx in rel:
+            z = z + np.einsum("ij,ijd->id", alpha, table_v[idx])
+        heads.append(z)
     return np.concatenate(heads, axis=1) @ params[f"{prefix}.out_w"] + params[f"{prefix}.out_b"]
 
 

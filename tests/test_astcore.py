@@ -180,6 +180,25 @@ class TestInterchange:
             again = ast_from_json(ast_to_json(ast))
             assert again == ast
 
+    @pytest.mark.parametrize("shape", ["chain", "star"])
+    def test_degenerate_trees_load_and_round_trip(self, shape):
+        # a 10,000-deep chain and a 100,000-leaf star: flat node lists, so
+        # loading must not recurse or go quadratic
+        if shape == "chain":
+            n = 10_000
+            nodes = [{"id": i, "type": "Block", "children": [i + 1]} for i in range(n - 1)]
+            nodes.append({"id": n - 1, "type": "Id", "value": "x", "children": []})
+        else:
+            n = 100_001
+            nodes = [{"id": 0, "type": "Root", "children": list(range(1, n))}]
+            nodes += [{"id": i, "type": "Id", "value": f"v{i}", "children": []} for i in range(1, n)]
+        doc = {"nodes": nodes}
+        ast = ast_from_json(doc)
+        assert len(ast) == n
+        assert ast.leaf_order == ((n - 1,) if shape == "chain" else tuple(range(1, n)))
+        assert ast_to_json(ast) == doc
+        assert ast_from_json(ast_to_json(ast)) == ast
+
     def test_minimal_document(self):
         doc = {
             "nodes": [

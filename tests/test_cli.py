@@ -310,6 +310,19 @@ class TestSummarize:
         assert written == printed
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("penalty", ["1e308", "-1e308", "nan"])
+    def test_length_penalty_outside_float_range_is_input_error(
+        self, trained_dir, small_dataset, capsys, penalty
+    ):
+        rc = main(
+            ["summarize", str(trained_dir), str(small_dataset),
+             "--beam", "2", "--max-len", "3", f"--length-penalty={penalty}"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
     def test_vocab_digest_mismatch(self, tmp_path, trained_dir, small_dataset):
         vocab = json.loads((trained_dir / "src_vocab.json").read_text())
         vocab["tokens"][-1] = "zzz_unseen_token"

@@ -184,6 +184,75 @@ class TestRelativeAttentionDegeneracy:
             assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
 
 
+ORACLE_CASES = (
+    "rdw",
+    "srpei_multiply",
+    "srpei_neg_inf",
+    "plain",
+    "decoder_self",
+    "cross_padded",
+    "srpei_dropout",
+)
+
+
+def _oracle_case(case, rng):
+    """The model and the arguments of one attention call as the layer
+    named by case makes it, with full-size random relative tables: returns
+    (model, prefix, x_q, x_kv, relative_attention kwargs, oracle kwargs)."""
+    overrides = {
+        "rdw": dict(srpe_placement="all"),
+        "plain": dict(layer_plan=("PLAIN", "PLAIN")),
+        "srpei_neg_inf": dict(mask_mode="neg_inf"),
+        "srpei_dropout": dict(dropout_p=0.3),
+    }.get(case, {})
+    model = tiny_model(**overrides)
+    for name, t in model.params.items():
+        if name.split(".")[-1] in ("seq_k", "seq_v", "str_k", "str_v"):
+            t.data = rng.standard_normal(t.data.shape)
+    n, m = 6, 4
+    x = rng.standard_normal((n, model.config.d_model))
+    y = rng.standard_normal((m, model.config.d_model))
+    bucket_ids = random_bundle(rng, n).bucket_ids
+    if case in ("rdw", "plain"):
+        str_idx = bucket_ids if case == "rdw" else None
+        kwargs = dict(seq_idx=model._seq_idx(n), str_idx=str_idx)
+        tables = model.rel_tables("enc0", case == "rdw")
+        return model, "enc0.attn", x, x, dict(tables=tables, **kwargs), dict(rel_base="enc0", **kwargs)
+    if case == "decoder_self":
+        causal = np.triu(np.full((m, m), -1e9), k=1)
+        kwargs = dict(seq_idx=model._seq_idx(m), additive_mask=causal)
+        tables = model.rel_tables("dec0", False)
+        return model, "dec0.self", y, y, dict(tables=tables, **kwargs), dict(rel_base="dec0", **kwargs)
+    if case == "cross_padded":
+        padding = np.broadcast_to(np.where(np.arange(n) < 4, 0.0, -1e9), (m, n)).copy()
+        kwargs = dict(additive_mask=padding)
+        return model, "dec0.cross", y, x, kwargs, dict(x_kv=x, **kwargs)
+    gate = rng.uniform(0.5, 2.0, (n, n)) * (rng.random((n, n)) < 0.6)
+    np.fill_diagonal(gate, 1.0)
+    kwargs = dict(seq_idx=model._seq_idx(n), str_idx=bucket_ids, a_mv=gate)
+    mine = dict(tables=model.rel_tables("enc1", True), **kwargs)
+    oracle = dict(rel_base="enc1", mask_mode=model.config.mask_mode, **kwargs)
+    if case == "srpei_dropout":
+        mine.update(training=True, rng=np.random.default_rng(41))
+        oracle.update(dropout_p=0.3, rng=np.random.default_rng(41))
+    return model, "enc1.attn", x, x, mine, oracle
+
+
+class TestRelativeAttentionMatchesPerHeadOracle:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_loop_over_heads(self, case):
+        rng = np.random.default_rng(ORACLE_CASES.index(case))
+        model, prefix, x_q, x_kv, kwargs, oracle_kwargs = _oracle_case(case, rng)
+        captured = []
+        out = model.relative_attention(prefix, Tensor(x_q), Tensor(x_kv), capture=captured, **kwargs)
+        expected = vanilla_attention(
+            model.state_dict(), prefix, x_q, model.config.n_heads, **oracle_kwargs
+        )
+        assert [alpha.shape for alpha in captured] == [(len(x_q), len(x_kv))] * model.config.n_heads
+        rel_err = np.max(np.abs(out.data - expected)) / np.max(np.abs(expected))
+        assert rel_err <= 1e-12, rel_err
+
+
 class TestRdwLayer:
     def test_zeroed_fc2_weights_ignore_distance_matrix(self):
         rng = np.random.default_rng(3)
@@ -533,6 +602,17 @@ class TestGeneration:
         with pytest.raises(ConfigError):
             model.beam_search(state, max_len=0)
 
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 700.0])
+    def test_length_penalty_outside_float_range_rejected(self, penalty):
+        rng = np.random.default_rng(26)
+        model = tiny_model()
+        bundle = random_bundle(rng, 3)
+        state = model.script_encoder(np.array([1, 2, 3]), bundle)
+        with pytest.raises(ConfigError):
+            model.beam_search(state, beam_size=2, max_len=3, length_penalty=penalty)
+        # with one generated token every normalizer is 1 ** penalty
+        if np.isfinite(penalty):
+            model.beam_search(state, beam_size=2, max_len=1, length_penalty=penalty)
 
     def test_summarize_is_encode_then_beam_search(self):
         rng = np.random.default_rng(27)

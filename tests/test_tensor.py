@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,25 @@ class TestForwardValues:
         mask = np.array([[0.0, 0.0, 0.0], [NEG_INF, NEG_INF, NEG_INF]])
         with pytest.raises(NumericsError):
             softmax_masked(logits, additive_mask=mask)
+
+    def test_softmax_3d_is_2d_per_head_with_shared_gate_and_mask(self):
+        rng = np.random.default_rng(4)
+        logits = rng.standard_normal((3, 4, 5))
+        mask = np.zeros((4, 5))
+        mask[1, 2:] = NEG_INF
+        gate = np.abs(rng.standard_normal((4, 5))) + 0.5
+        out = softmax_masked(tensor(logits), additive_mask=mask, scale_matrix=gate)
+        for h in range(3):
+            per_head = softmax_masked(tensor(logits[h]), additive_mask=mask, scale_matrix=gate)
+            assert np.array_equal(out.data[h], per_head.data)
+
+    @pytest.mark.parametrize("bad", [(3, 4, 5), (5, 4), (4,)])
+    def test_softmax_3d_mask_must_be_rows_by_cols(self, bad):
+        logits = tensor(np.zeros((3, 4, 5)))
+        with pytest.raises(ShapeError):
+            softmax_masked(logits, additive_mask=np.zeros(bad))
+        with pytest.raises(ShapeError):
+            softmax_masked(logits, scale_matrix=np.ones(bad))
 
     def test_softmax_scale_matrix_gates_logits(self):
         logits = tensor(np.array([[1.0, 2.0, 3.0]]))
@@ -258,6 +280,19 @@ class TestFiniteDifferences:
 
         assert grad_check(f, rand(rng, 3, 4)).passed
 
+    def test_masked_softmax_3d_grads_with_shared_gate_and_mask(self):
+        rng = np.random.default_rng(14)
+        mask = np.zeros((3, 4))
+        mask[0, 3] = NEG_INF
+        gate = np.abs(rng.standard_normal((3, 4))) + 0.5
+        w = rng.standard_normal((2, 3, 4))
+
+        def f(a):
+            out = softmax_masked(a, additive_mask=mask, scale_matrix=gate)
+            return sum_all(mul(out, tensor(w)))
+
+        assert grad_check(f, rand(rng, 2, 3, 4)).passed
+
 
 class TestGraphMechanics:
     def test_double_backward_rejected(self):
@@ -266,6 +301,33 @@ class TestGraphMechanics:
         backward(loss)
         with pytest.raises(StateError):
             backward(loss)
+
+    def test_backward_frees_the_graph_without_the_cycle_collector(self):
+        x = tensor(np.ones((3, 3)), requires_grad=True)
+        gc.disable()
+        try:
+            hidden = sigmoid(matmul(x, x))
+            freed = weakref.ref(hidden.data)
+            loss = sum_all(relu(hidden))
+            del hidden
+            assert freed() is not None
+            backward(loss)
+            assert freed() is None
+        finally:
+            gc.enable()
+        assert x.grad is not None
+
+    def test_backward_through_consumed_graph_rejected(self):
+        x = tensor(np.ones((2,)), requires_grad=True)
+        hidden = sigmoid(x)
+        backward(sum_all(hidden))
+        first = x.grad.copy()
+        with pytest.raises(StateError):
+            backward(sum_all(scale(hidden, 2.0)))
+        assert np.array_equal(x.grad, first)
+        # leaves are never consumed: a fresh graph over x runs again
+        backward(sum_all(x))
+        assert np.array_equal(x.grad, first + 1.0)
 
     def test_backward_requires_scalar(self):
         x = tensor(np.ones((2,)), requires_grad=True)
