@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +46,8 @@ from .errors import (
 from .manifest import RunManifest
 from .metrics import BucketSpec, EvalPair, corpus_report
 from .minilang import parse_minilang
-from .model import ModelConfig, ScriptModel, ablation_layer_plan
-from .structure import DEFAULT_VIEW_WEIGHTS
+from .model import MASK_MODES, SRPE_PLACEMENTS, ModelConfig, ScriptModel, ablation_layer_plan
+from .structure import DEFAULT_DISTANCE_CLIP, DEFAULT_VIEW_WEIGHTS
 from .tensor import no_grad
 from .training import TrainConfig, load_model_from_dir, train
 
@@ -55,8 +56,9 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_MISMATCH = 4
 
-# Flat config keys and their value types. "optional_int" accepts "none",
-# "floats3" is a comma-separated triple.
+# Flat config keys and their value types, the one list of train settings:
+# each key is also the dest of its train flag. "optional_int" accepts
+# "none", "floats3" is a comma-separated triple.
 _CONFIG_TYPES: dict[str, object] = {
     # model
     "d_model": int,
@@ -87,32 +89,6 @@ _CONFIG_TYPES: dict[str, object] = {
     "view_weights": "floats3",
     "ablation": str,
 }
-
-_MODEL_KEYS = (
-    "d_model",
-    "n_heads",
-    "n_script_modules",
-    "n_decoder_layers",
-    "ffn_dim",
-    "dropout_p",
-    "l",
-    "k",
-    "mask_mode",
-    "srpe_placement",
-)
-_TRAIN_KEYS = (
-    "batch_size",
-    "lr",
-    "warmup_ratio",
-    "weight_decay",
-    "max_epochs",
-    "early_stop_patience",
-    "seed",
-    "validate_by",
-    "bleu_every",
-    "max_steps",
-    "sort_by_length",
-)
 
 _ABLATIONS = {"none": None, "no-rdw": "rdw", "no-srpei": "srpei"}
 
@@ -165,28 +141,16 @@ def read_config_file(path) -> dict:
     return values
 
 
-def _effective_config(args, flag_map: dict[str, str]) -> dict:
+def _effective_config(args) -> dict:
     """File values overridden by any CLI flags that were provided."""
     merged: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         merged.update(read_config_file(args.config))
-    for key, attr in flag_map.items():
-        value = getattr(args, attr, None)
+    for key in _CONFIG_TYPES:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = _coerce(key, value)
     return merged
-
-
-def _json_safe(value):
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
 
 
 def _is_jsonl(path: Path) -> bool:
@@ -289,7 +253,6 @@ def cmd_encode(args) -> int:
         config={
             "dataset": str(in_path),
             "distance_clip": args.clip,
-            "seq_window": args.seq_window,
             "view_weights": list(weights),
         },
         seed=0,
@@ -335,39 +298,10 @@ def cmd_encode(args) -> int:
 
 # -- train ---------------------------------------------------------------
 
-_TRAIN_FLAG_MAP = {
-    "d_model": "d_model",
-    "n_heads": "n_heads",
-    "n_script_modules": "n_script_modules",
-    "n_decoder_layers": "n_decoder_layers",
-    "ffn_dim": "ffn_dim",
-    "dropout_p": "dropout",
-    "l": "distance_clip",
-    "k": "seq_window",
-    "mask_mode": "mask_mode",
-    "srpe_placement": "srpe_placement",
-    "batch_size": "batch_size",
-    "lr": "lr",
-    "warmup_ratio": "warmup_ratio",
-    "weight_decay": "weight_decay",
-    "max_epochs": "max_epochs",
-    "early_stop_patience": "patience",
-    "seed": "seed",
-    "validate_by": "validate_by",
-    "bleu_every": "bleu_every",
-    "max_steps": "max_steps",
-    "sort_by_length": "sort_by_length",
-    "min_freq": "min_freq",
-    "max_vocab": "max_vocab",
-    "view_weights": "view_weights",
-    "ablation": "ablation",
-}
-
-
 def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    merged = _effective_config(args, _TRAIN_FLAG_MAP)
+    merged = _effective_config(args)
 
     ablation = merged.pop("ablation", "none")
     if ablation not in _ABLATIONS:
@@ -376,11 +310,11 @@ def cmd_train(args) -> int:
     max_vocab = merged.pop("max_vocab", None)
     view_weights = tuple(merged.pop("view_weights", DEFAULT_VIEW_WEIGHTS))
 
-    model_kwargs = {k: merged[k] for k in _MODEL_KEYS if k in merged}
-    train_kwargs = {k: merged[k] for k in _TRAIN_KEYS if k in merged}
+    model_kwargs = {f.name: merged[f.name] for f in fields(ModelConfig) if f.name in merged}
+    train_kwargs = {f.name: merged[f.name] for f in fields(TrainConfig) if f.name in merged}
     tcfg = TrainConfig(**train_kwargs)
 
-    distance_clip = model_kwargs.get("l", ModelConfig.__dataclass_fields__["l"].default)
+    distance_clip = model_kwargs.get("l", DEFAULT_DISTANCE_CLIP)
     train_split = load_dataset(args.dataset, distance_clip=distance_clip, view_weights=view_weights)
     valid_split = (
         load_dataset(args.valid, distance_clip=distance_clip, view_weights=view_weights)
@@ -389,15 +323,12 @@ def cmd_train(args) -> int:
     )
     src_vocab, tgt_vocab = build_vocab(train_split, min_freq=min_freq, max_size=max_vocab)
 
-    n_modules = model_kwargs.get(
-        "n_script_modules", ModelConfig.__dataclass_fields__["n_script_modules"].default
-    )
-    drop = _ABLATIONS[ablation]
-    if drop is not None:
-        model_kwargs["layer_plan"] = ablation_layer_plan(n_modules, drop)
     config = ModelConfig(
         src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab), **model_kwargs
     )
+    drop = _ABLATIONS[ablation]
+    if drop is not None:
+        config = replace(config, layer_plan=ablation_layer_plan(config.n_script_modules, drop))
     model = ScriptModel(config, seed=tcfg.seed)
 
     data_config = {
@@ -409,15 +340,13 @@ def cmd_train(args) -> int:
     }
     manifest = RunManifest(
         command="train",
-        config=_json_safe(
-            {
-                "model": config.to_dict(),
-                "train": tcfg.to_dict(),
-                "data": data_config,
-                "dataset": str(args.dataset),
-                "valid": str(args.valid) if args.valid else None,
-            }
-        ),
+        config={
+            "model": config.to_dict(),
+            "train": tcfg.to_dict(),
+            "data": data_config,
+            "dataset": str(args.dataset),
+            "valid": str(args.valid) if args.valid else None,
+        },
         seed=tcfg.seed,
     )
     manifest.add_input(args.dataset)
@@ -475,7 +404,7 @@ def _load_model_dir(
 
 def _data_config(payload: dict) -> tuple[int, tuple[float, float, float]]:
     dc = payload.get("data_config", {})
-    clip = int(dc.get("distance_clip", 8))
+    clip = int(dc.get("distance_clip", DEFAULT_DISTANCE_CLIP))
     weights = tuple(dc.get("view_weights", DEFAULT_VIEW_WEIGHTS))
     return clip, weights
 
@@ -491,6 +420,14 @@ def _examples_for_inference(path: Path, clip: int, weights) -> list[Example]:
 
 
 def cmd_eval(args) -> int:
+    spec = None
+    if args.buckets:
+        try:
+            boundaries = tuple(int(b) for b in args.buckets.replace(" ", "").split(",") if b)
+        except ValueError as exc:
+            raise BucketError(f"bucket boundaries must be integers, got {args.buckets!r}") from exc
+        key = "source_len" if args.bucket_key == "source" else "reference_len"
+        spec = BucketSpec(boundaries=boundaries, key=key)
     model_dir = Path(args.model_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -514,14 +451,9 @@ def cmd_eval(args) -> int:
             }
         )
 
-    spec = None
     values = None
-    if args.buckets:
-        boundaries = tuple(int(b) for b in args.buckets.replace(" ", "").split(",") if b)
-        key = "source_len" if args.bucket_key == "source" else "reference_len"
-        spec = BucketSpec(boundaries=boundaries, key=key)
-        if args.bucket_key == "source":
-            values = [len(ex.code_tokens) for ex in split]
+    if spec is not None and args.bucket_key == "source":
+        values = [len(ex.code_tokens) for ex in split]
     report = corpus_report(pairs, bucket_spec=spec, bucket_values=values)
 
     for row, scores in zip(rows, report.pair_scores):
@@ -677,8 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="structural encodings for each example")
     p.add_argument("dataset", help="JSONL dataset or MiniLang source file")
     p.add_argument("out", help="output directory for bundle files")
-    p.add_argument("--clip", type=int, default=8, help="distance clipping threshold l")
-    p.add_argument("--seq-window", type=int, default=32, help="sequential window k (recorded)")
+    p.add_argument("--clip", type=int, default=DEFAULT_DISTANCE_CLIP,
+                   help="distance clipping threshold l")
     p.add_argument("--weights", default=",".join(str(w) for w in DEFAULT_VIEW_WEIGHTS),
                    help="multi-view weights alpha,beta,gamma")
     p.set_defaults(func=cmd_encode)
@@ -689,34 +621,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valid", default=None, help="validation JSONL dataset (default: train set)")
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--resume", action="store_true", help="resume from out/last.ckpt")
-    p.add_argument("--d-model", type=int, dest="d_model")
-    p.add_argument("--n-heads", type=int, dest="n_heads")
-    p.add_argument("--n-script-modules", type=int, dest="n_script_modules")
-    p.add_argument("--n-decoder-layers", type=int, dest="n_decoder_layers")
-    p.add_argument("--ffn-dim", type=int, dest="ffn_dim")
-    p.add_argument("--dropout", type=float, dest="dropout")
-    p.add_argument("--distance-clip", type=int, dest="distance_clip",
-                   help="structural clipping threshold l")
-    p.add_argument("--seq-window", type=int, dest="seq_window",
-                   help="sequential clipping window k")
-    p.add_argument("--mask-mode", choices=("multiply", "neg_inf"), dest="mask_mode")
-    p.add_argument("--srpe-placement", choices=("SRPEi_only", "RDW_only", "all"),
-                   dest="srpe_placement")
-    p.add_argument("--ablation", choices=tuple(_ABLATIONS), dest="ablation")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float, dest="lr")
-    p.add_argument("--warmup-ratio", type=float, dest="warmup_ratio")
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--patience", type=int, dest="patience")
-    p.add_argument("--seed", type=int, dest="seed")
-    p.add_argument("--validate-by", choices=("loss", "bleu"), dest="validate_by")
-    p.add_argument("--bleu-every", type=int, dest="bleu_every")
-    p.add_argument("--max-steps", dest="max_steps")
-    p.add_argument("--sort-by-length", dest="sort_by_length", action="store_const", const="true")
-    p.add_argument("--min-freq", type=int, dest="min_freq")
-    p.add_argument("--max-vocab", dest="max_vocab")
-    p.add_argument("--view-weights", dest="view_weights")
+    p.add_argument("--d-model", type=int)
+    p.add_argument("--n-heads", type=int)
+    p.add_argument("--n-script-modules", type=int)
+    p.add_argument("--n-decoder-layers", type=int)
+    p.add_argument("--ffn-dim", type=int)
+    p.add_argument("--dropout", type=float, dest="dropout_p")
+    p.add_argument("--distance-clip", type=int, dest="l", help="structural clipping threshold l")
+    p.add_argument("--seq-window", type=int, dest="k", help="sequential clipping window k")
+    p.add_argument("--mask-mode", choices=MASK_MODES)
+    p.add_argument("--srpe-placement", choices=SRPE_PLACEMENTS)
+    p.add_argument("--ablation", choices=tuple(_ABLATIONS))
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--warmup-ratio", type=float)
+    p.add_argument("--weight-decay", type=float)
+    p.add_argument("--max-epochs", type=int)
+    p.add_argument("--patience", type=int, dest="early_stop_patience")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--validate-by", choices=("loss", "bleu"))
+    p.add_argument("--bleu-every", type=int)
+    p.add_argument("--max-steps")
+    p.add_argument("--sort-by-length", action="store_const", const="true")
+    p.add_argument("--min-freq", type=int)
+    p.add_argument("--max-vocab")
+    p.add_argument("--view-weights")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="decode a dataset and score it")

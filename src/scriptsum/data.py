@@ -20,8 +20,13 @@ import numpy as np
 
 from .astcore import Ast, TokenAlignment, ast_from_json, leaf_tokens
 from .minilang import parse_minilang
-from .errors import EmptyCorpusError, FormatError, MiniLangSyntaxError
-from .structure import DEFAULT_VIEW_WEIGHTS, StructuralEncodings, encode_structure
+from .errors import ConfigError, EmptyCorpusError, FormatError, MiniLangSyntaxError
+from .structure import (
+    DEFAULT_DISTANCE_CLIP,
+    DEFAULT_VIEW_WEIGHTS,
+    StructuralEncodings,
+    encode_structure,
+)
 
 PAD_ID, BOS_ID, EOS_ID, UNK_ID, STR_ID, NUM_ID = 0, 1, 2, 3, 4, 5
 PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN = "<pad>", "<bos>", "<eos>", "<unk>"
@@ -120,6 +125,8 @@ def build_vocab(
     max_size bounds the number of non-reserved tokens kept; tokens below
     min_freq encode to UNK.
     """
+    if max_size is not None and max_size < 0:
+        raise ConfigError(f"max_size must be >= 0, got {max_size}")
     if not train_split:
         raise EmptyCorpusError("cannot build vocabularies from an empty split")
     src_counts: Counter = Counter()
@@ -140,7 +147,7 @@ def summary_tokens(text: str) -> tuple[str, ...]:
 
 def example_from_record(
     record: dict,
-    distance_clip: int = 8,
+    distance_clip: int = DEFAULT_DISTANCE_CLIP,
     view_weights: tuple[float, float, float] = DEFAULT_VIEW_WEIGHTS,
 ) -> Example:
     """Build one Example from a parsed dataset line; the source is cut to
@@ -174,7 +181,7 @@ def example_from_record(
 
 def load_dataset(
     path,
-    distance_clip: int = 8,
+    distance_clip: int = DEFAULT_DISTANCE_CLIP,
     view_weights: tuple[float, float, float] = DEFAULT_VIEW_WEIGHTS,
 ) -> list[Example]:
     """Read a JSON Lines dataset; blank lines are skipped."""

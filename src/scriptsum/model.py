@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ArtifactMismatchError, ConfigError, FormatError, ShapeError
-from .structure import StructuralEncodings, sequential_relpos
+from .structure import DEFAULT_DISTANCE_CLIP, StructuralEncodings, sequential_relpos
 from .tensor import (
     NEG_INF,
     Tensor,
@@ -64,7 +64,7 @@ class ModelConfig:
     n_decoder_layers: int = 6
     ffn_dim: int = 2048
     dropout_p: float = 0.2
-    l: int = 8
+    l: int = DEFAULT_DISTANCE_CLIP
     k: int = 32
     mask_mode: str = "multiply"
     layer_plan: tuple[str, ...] = ()

@@ -25,6 +25,8 @@ from .errors import ConfigError
 
 # Default (alpha, beta, gamma) weights of the AST, flow and data-flow views.
 DEFAULT_VIEW_WEIGHTS: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
+# Default structural clipping threshold l (ModelConfig.l, bucket ids in [0, l]).
+DEFAULT_DISTANCE_CLIP = 8
 
 STATEMENT_TYPES = frozenset(
     {
@@ -236,10 +238,13 @@ def multiview(
 ) -> MultiViewMatrix:
     """Weighted sum of the three relation views at token level.
 
-    Weights must be non-negative and not all zero; every view has a unit
-    diagonal, so a_mv's diagonal equals alpha + beta + gamma.
+    Weights must be non-negative, not all zero and of finite sum; every
+    view has a unit diagonal, so a_mv's diagonal equals alpha + beta + gamma
+    and bounds every entry.
     """
     alpha, beta, gamma = (float(w) for w in weights)
+    if not np.isfinite(alpha + beta + gamma):
+        raise ConfigError(f"view weights and their sum must be finite, got {weights!r}")
     if min(alpha, beta, gamma) < 0.0:
         raise ConfigError(f"view weights must be non-negative, got {weights!r}")
     if alpha + beta + gamma == 0.0:
@@ -272,7 +277,7 @@ class StructuralEncodings:
 def encode_structure(
     ast: Ast,
     align: TokenAlignment,
-    distance_clip: int = 8,
+    distance_clip: int = DEFAULT_DISTANCE_CLIP,
     view_weights: tuple[float, float, float] = DEFAULT_VIEW_WEIGHTS,
 ) -> StructuralEncodings:
     """Compute every structural input for one example in token space.

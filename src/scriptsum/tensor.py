@@ -9,8 +9,9 @@ tensor; the closure is handed the output's gradient and holds no reference
 to the output. backward() walks that implicit graph in reverse topological
 order, which doubles as the computation tape, and consumes it: each node
 drops its closure and parent links, so a finished graph is freed by
-reference counting, not the cycle collector. All math is double precision,
-so a fixed seed gives bit-identical results across runs.
+reference counting, not the cycle collector. Constants (no requires_grad,
+not an op output) receive no gradient. All math is double precision, so a
+fixed seed gives bit-identical results across runs.
 """
 
 from __future__ import annotations
@@ -65,7 +66,14 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
+    @property
+    def needs_grad(self) -> bool:
+        """A parameter or a recorded op output; constants get no gradient."""
+        return self.requires_grad or self._backward is not None
+
     def accumulate(self, g: np.ndarray) -> None:
+        if not self.needs_grad:
+            return
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
@@ -134,8 +142,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward_fn(g):
-        a.accumulate(g @ np.swapaxes(b.data, -1, -2))
-        b.accumulate(np.swapaxes(a.data, -1, -2) @ g)
+        if a.needs_grad:
+            a.accumulate(g @ np.swapaxes(b.data, -1, -2))
+        if b.needs_grad:
+            b.accumulate(np.swapaxes(a.data, -1, -2) @ g)
 
     return _make(out_data, (a, b), backward_fn)
 

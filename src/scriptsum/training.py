@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -84,19 +84,7 @@ class TrainConfig:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
 
     def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "warmup_ratio": self.warmup_ratio,
-            "weight_decay": self.weight_decay,
-            "max_epochs": self.max_epochs,
-            "early_stop_patience": self.early_stop_patience,
-            "seed": self.seed,
-            "validate_by": self.validate_by,
-            "bleu_every": self.bleu_every,
-            "max_steps": self.max_steps,
-            "sort_by_length": self.sort_by_length,
-        }
+        return asdict(self)
 
 
 class Adam:

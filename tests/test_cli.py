@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from scriptsum.cli import main, read_config_file
+from scriptsum.cli import _CONFIG_TYPES, build_parser, main, read_config_file
 from scriptsum.errors import ConfigError, NumericsError
 from scriptsum.model import ScriptModel
 from scriptsum.tensor import _grad_enabled
@@ -145,6 +145,17 @@ class TestEncode:
         rc = main(["encode", str(src), str(tmp_path / "enc"), "--weights", "1,2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("weights", ["nan,1,1", "inf,0,0"])
+    def test_non_finite_weights_rejected(self, tmp_path, capsys, weights):
+        src = tmp_path / "prog.ml"
+        src.write_text("a = b;\n")
+        capsys.readouterr()
+        rc = main(["encode", str(src), str(tmp_path / "enc"), "--weights", weights])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not list((tmp_path / "enc").glob("bundle_*.json"))
+
 
 class TestTrainCommand:
     def test_artifacts_and_manifest(self, trained_dir):
@@ -212,6 +223,18 @@ class TestTrainCommand:
         sidecar = json.loads((out / "best.json").read_text())
         assert sidecar["model_config"]["layer_plan"] == ["PLAIN", "SRPEi"]
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--view-weights", "inf,0,0"), ("--view-weights", "nan,1,1"), ("--max-vocab", "-3")],
+    )
+    def test_bad_data_setting_is_input_error(self, tmp_path, small_dataset, capsys, flag, value):
+        capsys.readouterr()
+        rc = main(["train", str(small_dataset), str(tmp_path / "m")] + TRAIN_FLAGS + [flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "m" / "best.ckpt").exists()
+
     def test_numeric_failure_exit_code(self, tmp_path, small_dataset, monkeypatch):
         import scriptsum.cli as cli
 
@@ -255,6 +278,19 @@ class TestEval:
         assert [b["label"] for b in report["buckets"]] == ["<=3", "4-6", ">6"]
         assert all(b["key"] == "source_len" for b in report["buckets"])
         assert sum(b["count"] for b in report["buckets"]) == 8
+
+    @pytest.mark.parametrize("buckets", ["a,b", "3,x", "2.5"])
+    def test_non_integer_buckets_is_input_error(
+        self, tmp_path, trained_dir, small_dataset, capsys, buckets
+    ):
+        capsys.readouterr()
+        rc = main(
+            ["eval", str(trained_dir), str(small_dataset), str(tmp_path / "o"),
+             "--buckets", buckets]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_missing_model_dir(self, tmp_path, small_dataset):
         rc = main(["eval", str(tmp_path / "ghost"), str(small_dataset), str(tmp_path / "o")])
@@ -407,3 +443,64 @@ class TestInferenceRecordsNoGraph:
             assert len(recorded) > before, argv[0]
         assert not any(recorded)
         assert _grad_enabled()
+
+
+class TestConfigRoutes:
+    # one value for every config key: (key, flag, value); the flag route
+    # and the config-file route must configure the same run
+    SETTINGS = [
+        ("d_model", "--d-model", "8"),
+        ("n_heads", "--n-heads", "2"),
+        ("n_script_modules", "--n-script-modules", "2"),
+        ("n_decoder_layers", "--n-decoder-layers", "1"),
+        ("ffn_dim", "--ffn-dim", "16"),
+        ("dropout_p", "--dropout", "0.1"),
+        ("l", "--distance-clip", "3"),
+        ("k", "--seq-window", "4"),
+        ("mask_mode", "--mask-mode", "neg_inf"),
+        ("srpe_placement", "--srpe-placement", "all"),
+        ("batch_size", "--batch-size", "1"),
+        ("lr", "--lr", "2e-3"),
+        ("warmup_ratio", "--warmup-ratio", "0.1"),
+        ("weight_decay", "--weight-decay", "0.02"),
+        ("max_epochs", "--max-epochs", "2"),
+        ("early_stop_patience", "--patience", "1"),
+        ("seed", "--seed", "5"),
+        ("validate_by", "--validate-by", "bleu"),
+        ("bleu_every", "--bleu-every", "1"),
+        ("max_steps", "--max-steps", "3"),
+        ("sort_by_length", "--sort-by-length", None),
+        ("min_freq", "--min-freq", "2"),
+        ("max_vocab", "--max-vocab", "30"),
+        ("view_weights", "--view-weights", "0.5,0.3,0.2"),
+        ("ablation", "--ablation", "no-rdw"),
+    ]
+
+    def test_flags_and_config_file_give_the_same_run(self, tmp_path, small_dataset):
+        assert [key for key, _, _ in self.SETTINGS] == list(_CONFIG_TYPES)
+        flags = []
+        for _, flag, value in self.SETTINGS:
+            flags += [flag] if value is None else [flag, value]
+        valid = tmp_path / "valid.jsonl"
+        valid.write_text("".join(small_dataset.read_text().splitlines(True)[:2]))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value or 'true'}\n" for key, _, value in self.SETTINGS))
+        runs = {"flags": flags, "file": ["--config", str(cfg)]}
+        argv = {
+            name: ["train", str(small_dataset), str(tmp_path / name), "--valid", str(valid)] + extra
+            for name, extra in runs.items()
+        }
+        # each flag's dest is its config key
+        args = build_parser().parse_args(argv["flags"])
+        for key in _CONFIG_TYPES:
+            assert getattr(args, key) is not None, key
+        for name in runs:
+            assert main(argv[name]) == 0, name
+        manifests = {
+            name: json.loads((tmp_path / name / "manifest.json").read_text()) for name in runs
+        }
+        assert manifests["flags"]["config"] == manifests["file"]["config"]
+        assert manifests["flags"]["config"]["model"]["layer_plan"] == ["PLAIN", "SRPEi"] * 2
+        assert manifests["flags"]["config"]["train"]["early_stop_patience"] == 1
+        best = {name: (tmp_path / name / "best.json").read_bytes() for name in runs}
+        assert best["flags"] == best["file"]

@@ -23,7 +23,7 @@ from scriptsum.data import (
     make_batches,
     summary_tokens,
 )
-from scriptsum.errors import EmptyCorpusError, FormatError
+from scriptsum.errors import ConfigError, EmptyCorpusError, FormatError
 from scriptsum.minilang import parse_minilang
 from scriptsum.structure import encode_structure
 
@@ -57,6 +57,13 @@ class TestVocabulary:
         src, tgt = build_vocab(examples, max_size=1)
         assert src.id_to_token[6:] == ["a"]
         assert len(tgt) == 7
+
+    def test_negative_max_size_rejected(self):
+        examples = [Example(("a", "a", "b"), ("x", "y"), None, None)]
+        with pytest.raises(ConfigError, match="max_size"):
+            build_vocab(examples, max_size=-1)
+        src, _ = build_vocab(examples, max_size=0)
+        assert len(src) == 6
 
     def test_min_freq_filters(self):
         examples = [Example(("a", "a", "b"), ("z", "z", "w"), None, None)]

@@ -270,6 +270,15 @@ class TestMultiview:
         with pytest.raises(ConfigError):
             multiview(ast, align, (-0.1, 0.6, 0.5))
 
+    @pytest.mark.parametrize(
+        "weights", [(np.nan, 1.0, 1.0), (np.inf, 0.0, 0.0), (1.0, -np.inf, 1.0), (1e308,) * 3]
+    )
+    def test_non_finite_weights_rejected(self, weights):
+        ast = parse_minilang("x = y;")
+        _, align = leaf_tokens(ast)
+        with pytest.raises(ConfigError, match="finite"):
+            multiview(ast, align, weights)
+
     def test_views_match_pairwise_references(self, toy_corpus_path):
         rng = np.random.default_rng(3)
         codes = [json.loads(line)["code"] for line in toy_corpus_path.read_text().splitlines()]

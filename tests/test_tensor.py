@@ -163,6 +163,14 @@ class TestHandGradients:
         backward(loss)
         assert np.allclose(w.grad, [[3.0, 5.0], [3.0, 5.0]])
 
+    def test_constant_operands_get_no_gradient(self):
+        x = tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        w = tensor(np.ones((2, 2)), requires_grad=True)
+        c = tensor(np.array([[2.0], [-1.0]]))
+        backward(sum_all(matmul(matmul(x, w), c)))
+        assert x.grad is None and c.grad is None
+        assert np.array_equal(w.grad, x.data.T @ np.ones((2, 1)) @ c.data.T)
+
     def test_sigmoid_grad_at_zero(self):
         x = tensor(np.zeros((1,)), requires_grad=True)
         backward(sum_all(sigmoid(x)))
