@@ -57,7 +57,6 @@ from .minilang import parse_minilang
 from .model import (
     EncoderState,
     ModelConfig,
-    RelPosEmbeddings,
     ScriptModel,
     ablation_layer_plan,
     load_model_sidecar,
@@ -111,7 +110,6 @@ __all__ = [
     "grad_check",
     "no_grad",
     "ModelConfig",
-    "RelPosEmbeddings",
     "EncoderState",
     "ScriptModel",
     "ablation_layer_plan",

@@ -404,9 +404,12 @@ def _load_model_dir(
 
 def _data_config(payload: dict) -> tuple[int, tuple[float, float, float]]:
     dc = payload.get("data_config", {})
-    clip = int(dc.get("distance_clip", DEFAULT_DISTANCE_CLIP))
-    weights = tuple(dc.get("view_weights", DEFAULT_VIEW_WEIGHTS))
-    return clip, weights
+    try:
+        clip = int(dc.get("distance_clip", DEFAULT_DISTANCE_CLIP))
+        alpha, beta, gamma = (float(w) for w in dc.get("view_weights", DEFAULT_VIEW_WEIGHTS))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FormatError(f"invalid sidecar data_config: {exc}") from exc
+    return clip, (alpha, beta, gamma)
 
 
 def _examples_for_inference(path: Path, clip: int, weights) -> list[Example]:

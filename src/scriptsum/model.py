@@ -1,13 +1,15 @@
 """Structure-aware encoder-decoder transformer for code summarization.
 
-The encoder stacks modules of two layers each: a distance-weighted layer
-(RDW) that gates a reciprocal-distance mix of the activations into its
-input, followed by a structural relative-position layer (SRPEi) whose
-attention adds clipped sequential and tree-distance embeddings to keys and
-values and is modulated by the multi-view relation matrix. Each module
-outputs the position-wise sum of its two layers' outputs. The decoder is a
-standard masked transformer with cross-attention; its output projection is
-tied to the target embedding.
+The encoder stacks modules of two layers each, and every layer is one
+function, `encoder_layer`, a relative self-attention block plus FFN whose
+tag says what it adds. An RDW layer first gates a reciprocal-distance mix
+of the activations into its input; an SRPEi layer modulates its attention
+by the multi-view relation matrix; a PLAIN layer adds neither. Every layer
+adds clipped sequential embeddings to keys and values, and the layers that
+srpe_placement covers add clipped tree-distance embeddings too (by default
+SRPEi). Each module outputs the position-wise sum of its two layers'
+outputs. The decoder is a standard masked transformer with cross-attention;
+its output projection is tied to the target embedding.
 
 Attention runs all heads in one pass, with heads as the leading axis of the
 scores; each relative-position table is shared by the heads and gathered once.
@@ -48,7 +50,9 @@ from .tensor import (
 
 LAYER_TAGS = ("RDW", "SRPEi", "PLAIN")
 MASK_MODES = ("multiply", "neg_inf")
-SRPE_PLACEMENTS = ("SRPEi_only", "RDW_only", "all")
+# each srpe_placement -> the layer tags whose attention adds the structural tables
+STRUCTURAL_TAGS = {"SRPEi_only": ("SRPEi",), "RDW_only": ("RDW",), "all": ("RDW", "SRPEi")}
+SRPE_PLACEMENTS = tuple(STRUCTURAL_TAGS)
 
 
 @dataclass(frozen=True)
@@ -129,28 +133,17 @@ class ModelConfig:
         unknown = set(obj) - known
         if unknown:
             raise FormatError(f"unknown model config keys: {sorted(unknown)}")
-        kwargs = dict(obj)
-        if "layer_plan" in kwargs and kwargs["layer_plan"] is not None:
-            kwargs["layer_plan"] = tuple(kwargs["layer_plan"])
+        for f in fields(cls):
+            value = obj.get(f.name, 0)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise FormatError(f"model config {f.name!r} must be an integer, got {value!r}")
+        plan = obj.get("layer_plan", [])
+        if not (isinstance(plan, list) and all(isinstance(tag, str) for tag in plan)):
+            raise FormatError(f"model config 'layer_plan' must be a list of strings, got {plan!r}")
         try:
-            return cls(**kwargs)
+            return cls(**dict(obj, layer_plan=tuple(plan)))
         except TypeError as exc:
             raise FormatError(f"invalid model config: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class RelPosEmbeddings:
-    """Per-layer lookup tables for relative attention.
-
-    Sequential tables have 2k+1 rows indexed by clamp(j-i, -k, k)+k;
-    structural tables have l+1 rows indexed by min(d_ij, l), so all pairs
-    at clipped distance share one row. Tables are shared across heads.
-    """
-
-    w_k_seq: Tensor | None
-    w_v_seq: Tensor | None
-    w_k_str: Tensor | None
-    w_v_str: Tensor | None
 
 
 @dataclass
@@ -158,7 +151,6 @@ class EncoderState:
     """Encoder output plus the per-example inputs the decoder needs."""
 
     h: Tensor
-    bundle: StructuralEncodings
     mask: np.ndarray | None  # 1.0 for real positions, 0.0 for padding
 
 
@@ -237,14 +229,6 @@ class ScriptModel:
         self._add(f"{name}_g", np.ones(self.config.d_model))
         self._add(f"{name}_b", np.zeros(self.config.d_model))
 
-    def _layer_uses_structural(self, tag: str) -> bool:
-        placement = self.config.srpe_placement
-        if tag == "SRPEi":
-            return placement in ("SRPEi_only", "all")
-        if tag == "RDW":
-            return placement in ("RDW_only", "all")
-        return False
-
     def _build_params(self) -> None:
         cfg = self.config
         d = cfg.d_model
@@ -261,7 +245,7 @@ class ScriptModel:
             self._add_attention(f"{base}.attn", d)
             self._add(f"{base}.seq_k", self._table_init(2 * cfg.k + 1, cfg.d_head))
             self._add(f"{base}.seq_v", self._table_init(2 * cfg.k + 1, cfg.d_head))
-            if self._layer_uses_structural(tag):
+            if tag in STRUCTURAL_TAGS[cfg.srpe_placement]:
                 self._add(f"{base}.str_k", self._table_init(cfg.l + 1, cfg.d_head))
                 self._add(f"{base}.str_v", self._table_init(cfg.l + 1, cfg.d_head))
             self._add_ffn(f"{base}.ffn")
@@ -278,14 +262,6 @@ class ScriptModel:
             self._add_layernorm(f"{base}.ln1")
             self._add_layernorm(f"{base}.ln2")
             self._add_layernorm(f"{base}.ln3")
-
-    def rel_tables(self, base: str, structural: bool) -> RelPosEmbeddings:
-        return RelPosEmbeddings(
-            w_k_seq=self.params.get(f"{base}.seq_k"),
-            w_v_seq=self.params.get(f"{base}.seq_v"),
-            w_k_str=self.params.get(f"{base}.str_k") if structural else None,
-            w_v_str=self.params.get(f"{base}.str_v") if structural else None,
-        )
 
     # -- state ------------------------------------------------------------
 
@@ -321,9 +297,7 @@ class ScriptModel:
         x_q: Tensor,
         x_kv: Tensor,
         *,
-        tables: RelPosEmbeddings | None = None,
-        seq_idx: np.ndarray | None = None,
-        str_idx: np.ndarray | None = None,
+        rel: tuple[tuple[str, np.ndarray], ...] = (),
         a_mv: np.ndarray | None = None,
         additive_mask: np.ndarray | None = None,
         training: bool = False,
@@ -333,14 +307,16 @@ class ScriptModel:
         """Multi-head attention with optional clipped relative-position
         terms on keys and values and optional relation-matrix masking.
 
-        Per head: e_ij = q_i (k_j + a_k[ij] + b_k[ij])^T / sqrt(d_head),
-        then softmax (gated by a_mv per mask_mode), then
-        z_i = sum_j alpha_ij (v_j + a_v[ij] + b_v[ij]).
+        Each (table_prefix, idx) pair of rel adds row idx[i, j] of
+        "{table_prefix}_k" to key j and of "{table_prefix}_v" to value j for
+        query i; the tables are shared by the heads. Sequential tables have
+        2k+1 rows indexed by clamp(j-i, -k, k)+k, structural tables l+1 rows
+        indexed by min(d_ij, l). Per head: e_ij = q_i (k_j + sum of key
+        rows)^T / sqrt(d_head), then softmax (gated by a_mv per mask_mode),
+        then z_i = sum_j alpha_ij (v_j + sum of value rows).
         """
         cfg = self.config
         heads, dh = cfg.n_heads, cfg.d_head
-        use_seq = tables is not None and tables.w_k_seq is not None and seq_idx is not None
-        use_str = tables is not None and tables.w_k_str is not None and str_idx is not None
         inv_sqrt = 1.0 / math.sqrt(dh)
         gate_additive = additive_mask
         scale_matrix = None
@@ -359,20 +335,16 @@ class ScriptModel:
         k = project(x_kv, "k")
         v = project(x_kv, "v")
         e = matmul(transpose(q, (1, 0, 2)), transpose(k, (1, 2, 0)))  # (heads, n_q, n_k)
-        if use_seq:
-            e = add(e, _rel_scores(q, tables.w_k_seq, seq_idx))
-        if use_str:
-            e = add(e, _rel_scores(q, tables.w_k_str, str_idx))
+        for table, idx in rel:
+            e = add(e, _rel_scores(q, self.params[f"{table}_k"], idx))
         e = scale(e, inv_sqrt)
         alpha = softmax_masked(e, additive_mask=gate_additive, scale_matrix=scale_matrix)
         if capture is not None:
             capture.extend(head.copy() for head in alpha.data)
         alpha = dropout(alpha, cfg.dropout_p, rng, training)
         z = transpose(matmul(alpha, transpose(v, (1, 0, 2))), (1, 0, 2))  # (n_q, heads, dh)
-        if use_seq:
-            z = add(z, _rel_values(alpha, tables.w_v_seq, seq_idx))
-        if use_str:
-            z = add(z, _rel_values(alpha, tables.w_v_str, str_idx))
+        for table, idx in rel:
+            z = add(z, _rel_values(alpha, self.params[f"{table}_v"], idx))
         cat = reshape(z, (x_q.shape[0], heads * dh))
         return _affine(cat, self.params[f"{prefix}.out_w"], self.params[f"{prefix}.out_b"])
 
@@ -381,18 +353,66 @@ class ScriptModel:
         hidden = relu(_affine(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
         return _affine(hidden, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
-    def _block_tail(
+    # -- encoder layers -----------------------------------------------------
+
+    def encoder_layer(
         self,
-        base: str,
+        tag: str,
+        layer_idx: int,
         x: Tensor,
-        attn_out: Tensor,
-        training: bool,
-        rng: np.random.Generator | None,
+        bundle: StructuralEncodings,
+        *,
+        mask: np.ndarray | None = None,
+        training: bool = False,
+        rng: np.random.Generator | None = None,
+        capture: list | None = None,
     ) -> Tensor:
+        """One encoder layer: relative self-attention, then the FFN block.
+
+        RDW first sums a sigmoid gate of FC1(H) + FC2(M_bar H) into H. Every
+        tag adds the sequential tables, the structural tables are added when
+        srpe_placement covers the tag, and SRPEi gates the attention by the
+        multi-view matrix. A padded query row's gate is all ones, so neg_inf
+        masking never empties it; its output is discarded.
+        """
         p = self.params
         cfg = self.config
+        base = f"enc{layer_idx}"
+        n = x.shape[0]
+        if tag == "RDW":
+            m_bar = bundle.distance_weights
+            if m_bar.shape != (n, n):
+                raise ShapeError(f"distance weights shape {m_bar.shape} != ({n}, {n})")
+            mixed = matmul(Tensor(m_bar), x)
+            h_hat = sigmoid(
+                add(
+                    _affine(x, p[f"{base}.fc1_w"], p[f"{base}.fc1_b"]),
+                    _affine(mixed, p[f"{base}.fc2_w"], p[f"{base}.fc2_b"]),
+                )
+            )
+            x = add(x, h_hat)
+        rel = ((f"{base}.seq", self._seq_idx(n)),)
+        if tag in STRUCTURAL_TAGS[cfg.srpe_placement]:
+            rel += ((f"{base}.str", bundle.bucket_ids),)
+        additive_mask = _pad_additive(mask, n, n)
+        a_mv = None
+        if tag == "SRPEi":
+            a_mv = bundle.multiview
+            if mask is not None:
+                a_mv = np.where(np.asarray(mask)[:, None] > 0, a_mv, 1.0)
+        attn = self.relative_attention(
+            f"{base}.attn",
+            x,
+            x,
+            rel=rel,
+            a_mv=a_mv,
+            additive_mask=additive_mask,
+            training=training,
+            rng=rng,
+            capture=capture,
+        )
         x = layernorm(
-            add(x, dropout(attn_out, cfg.dropout_p, rng, training)),
+            add(x, dropout(attn, cfg.dropout_p, rng, training)),
             p[f"{base}.ln1_g"],
             p[f"{base}.ln1_b"],
         )
@@ -402,109 +422,6 @@ class ScriptModel:
             p[f"{base}.ln2_g"],
             p[f"{base}.ln2_b"],
         )
-
-    # -- encoder layers -----------------------------------------------------
-
-    def rdw_layer(
-        self,
-        layer_idx: int,
-        h_prev: Tensor,
-        bundle: StructuralEncodings,
-        *,
-        mask: np.ndarray | None = None,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        capture: list | None = None,
-    ) -> Tensor:
-        """Distance-weighted layer: a sigmoid gate of FC1(H) + FC2(M_bar H)
-        is summed into H, then a standard attention + FFN block runs."""
-        p = self.params
-        base = f"enc{layer_idx}"
-        n = h_prev.shape[0]
-        m_bar = bundle.distance_weights
-        if m_bar.shape != (n, n):
-            raise ShapeError(f"distance weights shape {m_bar.shape} != ({n}, {n})")
-        mixed = matmul(Tensor(m_bar), h_prev)
-        h_hat = sigmoid(
-            add(
-                _affine(h_prev, p[f"{base}.fc1_w"], p[f"{base}.fc1_b"]),
-                _affine(mixed, p[f"{base}.fc2_w"], p[f"{base}.fc2_b"]),
-            )
-        )
-        x = add(h_prev, h_hat)
-        structural = self._layer_uses_structural("RDW")
-        attn = self.relative_attention(
-            f"{base}.attn",
-            x,
-            x,
-            tables=self.rel_tables(base, structural),
-            seq_idx=self._seq_idx(n),
-            str_idx=bundle.bucket_ids if structural else None,
-            additive_mask=_pad_additive(mask, n, n),
-            training=training,
-            rng=rng,
-            capture=capture,
-        )
-        return self._block_tail(base, x, attn, training, rng)
-
-    def srpei_layer(
-        self,
-        layer_idx: int,
-        h: Tensor,
-        bundle: StructuralEncodings,
-        *,
-        mask: np.ndarray | None = None,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        capture: list | None = None,
-    ) -> Tensor:
-        """Relation-gated layer: relative attention with sequential and
-        (by placement) structural terms, modulated by the multi-view
-        matrix, then the FFN block."""
-        base = f"enc{layer_idx}"
-        n = h.shape[0]
-        structural = self._layer_uses_structural("SRPEi")
-        attn = self.relative_attention(
-            f"{base}.attn",
-            h,
-            h,
-            tables=self.rel_tables(base, structural),
-            seq_idx=self._seq_idx(n),
-            str_idx=bundle.bucket_ids if structural else None,
-            a_mv=bundle.multiview,
-            additive_mask=_pad_additive(mask, n, n),
-            training=training,
-            rng=rng,
-            capture=capture,
-        )
-        return self._block_tail(base, h, attn, training, rng)
-
-    def plain_layer(
-        self,
-        layer_idx: int,
-        h: Tensor,
-        *,
-        mask: np.ndarray | None = None,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        capture: list | None = None,
-    ) -> Tensor:
-        """Vanilla transformer block with sequential relative positions
-        only; used by ablation layer plans."""
-        base = f"enc{layer_idx}"
-        n = h.shape[0]
-        attn = self.relative_attention(
-            f"{base}.attn",
-            h,
-            h,
-            tables=self.rel_tables(base, False),
-            seq_idx=self._seq_idx(n),
-            additive_mask=_pad_additive(mask, n, n),
-            training=training,
-            rng=rng,
-            capture=capture,
-        )
-        return self._block_tail(base, h, attn, training, rng)
 
     def _seq_idx(self, n: int) -> np.ndarray:
         return sequential_relpos(n, self.config.k) + self.config.k
@@ -537,25 +454,13 @@ class ScriptModel:
         x = scale(embed(p["src_embed"], src_ids), math.sqrt(cfg.d_model))
         x = dropout(x, cfg.dropout_p, rng, training)
         common = dict(mask=mask, training=training, rng=rng, capture=capture)
-        for module_idx in range(cfg.n_script_modules):
-            first, second = (
-                cfg.layer_plan[2 * module_idx],
-                cfg.layer_plan[2 * module_idx + 1],
-            )
-            h = self._run_layer(first, 2 * module_idx, x, bundle, common)
-            h_prime = self._run_layer(second, 2 * module_idx + 1, h, bundle, common)
+        for first in range(0, cfg.n_encoder_layers, 2):
+            second = first + 1
+            h = self.encoder_layer(cfg.layer_plan[first], first, x, bundle, **common)
+            h_prime = self.encoder_layer(cfg.layer_plan[second], second, h, bundle, **common)
             x = add(h, h_prime)
         x = layernorm(x, p["enc_final_g"], p["enc_final_b"])
-        return EncoderState(h=x, bundle=bundle, mask=mask)
-
-    def _run_layer(
-        self, tag: str, layer_idx: int, x: Tensor, bundle: StructuralEncodings, common: dict
-    ) -> Tensor:
-        if tag == "RDW":
-            return self.rdw_layer(layer_idx, x, bundle, **common)
-        if tag == "SRPEi":
-            return self.srpei_layer(layer_idx, x, bundle, **common)
-        return self.plain_layer(layer_idx, x, **common)
+        return EncoderState(h=x, mask=mask)
 
     def decode(
         self,
@@ -584,8 +489,7 @@ class ScriptModel:
                 f"{base}.self",
                 y,
                 y,
-                tables=self.rel_tables(base, False),
-                seq_idx=seq_idx,
+                rel=((f"{base}.seq", seq_idx),),
                 additive_mask=causal,
                 training=training,
                 rng=rng,
@@ -762,6 +666,8 @@ def load_model_sidecar(path) -> tuple[ModelConfig, dict]:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid sidecar JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError("sidecar must be a JSON object")
     if "model_config" not in payload:
         raise FormatError("sidecar missing 'model_config'")
     return ModelConfig.from_dict(payload["model_config"]), payload
@@ -769,7 +675,6 @@ def load_model_sidecar(path) -> tuple[ModelConfig, dict]:
 
 __all__ = [
     "ModelConfig",
-    "RelPosEmbeddings",
     "EncoderState",
     "ScriptModel",
     "ablation_layer_plan",

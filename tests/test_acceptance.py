@@ -232,7 +232,7 @@ def test_04_gradient_suite():
                 model.params["enc0.seq_k"],
                 model.params["enc0.ffn.w1"],
             ]
-            check(lambda x_, *_: sum_all(model.rdw_layer(0, x_, bundle)), [x, *params], seed)
+            check(lambda x_, *_: sum_all(model.encoder_layer("RDW", 0, x_, bundle)), [x, *params], seed)
 
         for mask_mode in ("multiply", "neg_inf"):
             for seed in range(10):
@@ -246,7 +246,7 @@ def test_04_gradient_suite():
                     model.params["enc1.str_v"],
                     model.params["enc1.ffn.w2"],
                 ]
-                check(lambda x_, *_: sum_all(model.srpei_layer(1, x_, bundle)), [x, *params], seed)
+                check(lambda x_, *_: sum_all(model.encoder_layer("SRPEi", 1, x_, bundle)), [x, *params], seed)
 
         for seed in range(10):
             rng = np.random.default_rng(400 + seed)
@@ -298,9 +298,7 @@ def test_05_degeneracy_equivalences():
                 "enc1.attn",
                 Tensor(x),
                 Tensor(x),
-                tables=model.rel_tables("enc1", True),
-                seq_idx=model._seq_idx(n),
-                str_idx=random_bundle(rng, n).bucket_ids,
+                rel=(("enc1.seq", model._seq_idx(n)), ("enc1.str", random_bundle(rng, n).bucket_ids)),
                 a_mv=np.ones((n, n)),
             )
             oracle = vanilla_attention(model.state_dict(), "enc1.attn", x, model.config.n_heads)

@@ -323,6 +323,35 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda payload: 5,
+            lambda payload: dict(payload, model_config=dict(payload["model_config"], layer_plan=5)),
+            lambda payload: dict(payload, model_config=dict(payload["model_config"], layer_plan=None)),
+            lambda payload: dict(payload, model_config=dict(payload["model_config"], d_model=16.0)),
+            lambda payload: dict(payload, model_config=dict(payload["model_config"], n_decoder_layers=True)),
+            lambda payload: dict(payload, data_config=5),
+            lambda payload: dict(payload, data_config=dict(payload["data_config"], view_weights=[1, 2])),
+        ],
+        ids=[
+            "top-level-int", "plan-int", "plan-null", "float-width", "bool-layer-count",
+            "data-config-int", "two-view-weights",
+        ],
+    )
+    def test_malformed_sidecar_is_input_error(
+        self, tmp_path, trained_dir, small_dataset, capsys, corrupt
+    ):
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained_dir, model_dir)
+        sidecar = model_dir / "best.json"
+        sidecar.write_text(json.dumps(corrupt(json.loads(sidecar.read_text()))))
+        capsys.readouterr()
+        rc = main(["eval", str(model_dir), str(small_dataset), str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestSummarize:
     def test_beam_one_matches_greedy(self, trained_dir, small_dataset, capsys):

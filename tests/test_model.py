@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -12,6 +13,8 @@ from scriptsum.errors import (
 )
 from scriptsum.checkpoint import load_checkpoint, save_checkpoint
 from scriptsum.model import (
+    LAYER_TAGS,
+    SRPE_PLACEMENTS,
     ModelConfig,
     ScriptModel,
     ablation_layer_plan,
@@ -133,14 +136,12 @@ class TestRelativeAttentionDegeneracy:
         zero_rel_tables(model, "enc0")
         n = 6
         x = rng.standard_normal((n, model.config.d_model))
-        bundle = random_bundle(rng, n)
+        # enc0 is RDW, which carries no structural tables under the default placement
         out = model.relative_attention(
             "enc0.attn",
             Tensor(x),
             Tensor(x),
-            tables=model.rel_tables("enc0", True),
-            seq_idx=model._seq_idx(n),
-            str_idx=bundle.bucket_ids,
+            rel=(("enc0.seq", model._seq_idx(n)),),
             a_mv=np.ones((n, n)),
         )
         oracle = vanilla_attention(model.state_dict(), "enc0.attn", x, model.config.n_heads)
@@ -157,8 +158,7 @@ class TestRelativeAttentionDegeneracy:
             "enc0.attn",
             Tensor(x),
             Tensor(x),
-            tables=model.rel_tables("enc0", False),
-            seq_idx=model._seq_idx(n),
+            rel=(("enc0.seq", model._seq_idx(n)),),
             a_mv=np.eye(n),
             capture=captured,
         )
@@ -216,13 +216,13 @@ def _oracle_case(case, rng):
     if case in ("rdw", "plain"):
         str_idx = bucket_ids if case == "rdw" else None
         kwargs = dict(seq_idx=model._seq_idx(n), str_idx=str_idx)
-        tables = model.rel_tables("enc0", case == "rdw")
-        return model, "enc0.attn", x, x, dict(tables=tables, **kwargs), dict(rel_base="enc0", **kwargs)
+        rel = (("enc0.seq", kwargs["seq_idx"]),) + ((("enc0.str", str_idx),) if case == "rdw" else ())
+        return model, "enc0.attn", x, x, dict(rel=rel), dict(rel_base="enc0", **kwargs)
     if case == "decoder_self":
         causal = np.triu(np.full((m, m), -1e9), k=1)
         kwargs = dict(seq_idx=model._seq_idx(m), additive_mask=causal)
-        tables = model.rel_tables("dec0", False)
-        return model, "dec0.self", y, y, dict(tables=tables, **kwargs), dict(rel_base="dec0", **kwargs)
+        mine = dict(rel=(("dec0.seq", kwargs["seq_idx"]),), additive_mask=causal)
+        return model, "dec0.self", y, y, mine, dict(rel_base="dec0", **kwargs)
     if case == "cross_padded":
         padding = np.broadcast_to(np.where(np.arange(n) < 4, 0.0, -1e9), (m, n)).copy()
         kwargs = dict(additive_mask=padding)
@@ -230,7 +230,7 @@ def _oracle_case(case, rng):
     gate = rng.uniform(0.5, 2.0, (n, n)) * (rng.random((n, n)) < 0.6)
     np.fill_diagonal(gate, 1.0)
     kwargs = dict(seq_idx=model._seq_idx(n), str_idx=bucket_ids, a_mv=gate)
-    mine = dict(tables=model.rel_tables("enc1", True), **kwargs)
+    mine = dict(rel=(("enc1.seq", kwargs["seq_idx"]), ("enc1.str", bucket_ids)), a_mv=gate)
     oracle = dict(rel_base="enc1", mask_mode=model.config.mask_mode, **kwargs)
     if case == "srpei_dropout":
         mine.update(training=True, rng=np.random.default_rng(41))
@@ -270,8 +270,8 @@ class TestRdwLayer:
             bucket_ids=bundle.bucket_ids,
             multiview=bundle.multiview,
         )
-        out_a = model.rdw_layer(0, x, bundle)
-        out_b = model.rdw_layer(0, x, perturbed)
+        out_a = model.encoder_layer("RDW", 0, x, bundle)
+        out_b = model.encoder_layer("RDW", 0, x, perturbed)
         assert np.array_equal(out_a.data, out_b.data)
 
     def test_distance_weight_shape_mismatch(self):
@@ -280,7 +280,7 @@ class TestRdwLayer:
         x = Tensor(rng.standard_normal((3, model.config.d_model)))
         bundle = random_bundle(rng, 4)
         with pytest.raises(ShapeError):
-            model.rdw_layer(0, x, bundle)
+            model.encoder_layer("RDW", 0, x, bundle)
 
     def test_gradients(self):
         rng = np.random.default_rng(5)
@@ -297,7 +297,7 @@ class TestRdwLayer:
         ]
 
         def f(x_, *_):
-            return sum_all(model.rdw_layer(0, x_, bundle))
+            return sum_all(model.encoder_layer("RDW", 0, x_, bundle))
 
         report = grad_check(f, [x, *params])
         assert report.passed, report
@@ -327,8 +327,8 @@ class TestSrpeiLayer:
             bucket_ids=buckets.b,
             multiview=bundle.multiview,
         )
-        out_a = model.srpei_layer(1, x, bundle)
-        out_b = model.srpei_layer(1, x, perturbed)
+        out_a = model.encoder_layer("SRPEi", 1, x, bundle)
+        out_b = model.encoder_layer("SRPEi", 1, x, perturbed)
         assert np.array_equal(out_a.data, out_b.data)
 
     def test_equal_views_make_weight_choice_irrelevant(self):
@@ -344,8 +344,8 @@ class TestSrpeiLayer:
         flow_only = encode_structure(ast, align, 4, (0.0, 1.0, 0.0))
         assert np.array_equal(ast_only.multiview, flow_only.multiview)
         x = Tensor(rng.standard_normal((1, model.config.d_model)))
-        out_a = model.srpei_layer(1, x, ast_only)
-        out_b = model.srpei_layer(1, x, flow_only)
+        out_a = model.encoder_layer("SRPEi", 1, x, ast_only)
+        out_b = model.encoder_layer("SRPEi", 1, x, flow_only)
         assert np.array_equal(out_a.data, out_b.data)
 
     def test_gradients(self):
@@ -362,10 +362,31 @@ class TestSrpeiLayer:
         ]
 
         def f(x_, *_):
-            return sum_all(model.srpei_layer(1, x_, bundle))
+            return sum_all(model.encoder_layer("SRPEi", 1, x_, bundle))
 
         report = grad_check(f, [x, *params])
         assert report.passed, report
+
+
+class TestEncoderLayerRouting:
+    @pytest.mark.parametrize("placement", SRPE_PLACEMENTS)
+    @pytest.mark.parametrize("tag", LAYER_TAGS)
+    def test_each_structural_input_reaches_only_its_layers(self, tag, placement):
+        rng = np.random.default_rng(28)
+        model = tiny_model(layer_plan=(tag, tag), srpe_placement=placement)
+        n = 6
+        bundle = random_bundle(rng, n)
+        x = Tensor(rng.standard_normal((n, model.config.d_model)))
+        base = model.encoder_layer(tag, 0, x, bundle).data
+        covered = {"SRPEi_only": {"SRPEi"}, "RDW_only": {"RDW"}, "all": {"RDW", "SRPEi"}}
+        perturbed = {
+            "bucket_ids": ((bundle.bucket_ids + 1) % (model.config.l + 1), tag in covered[placement]),
+            "multiview": (bundle.multiview * rng.uniform(0.5, 2.0, (n, n)), tag == "SRPEi"),
+            "distance_weights": (bundle.distance_weights[::-1].copy(), tag == "RDW"),
+        }
+        for field, (value, used) in perturbed.items():
+            out = model.encoder_layer(tag, 0, x, dataclasses.replace(bundle, **{field: value})).data
+            assert (not np.array_equal(out, base)) == used, field
 
 
 class TestScriptEncoder:
@@ -398,8 +419,8 @@ class TestScriptEncoder:
         recorded = []
 
         class Hooked(ScriptModel):
-            def _run_layer(self, tag, layer_idx, x, bundle, common):
-                out = super()._run_layer(tag, layer_idx, x, bundle, common)
+            def encoder_layer(self, tag, layer_idx, x, bundle, **common):
+                out = super().encoder_layer(tag, layer_idx, x, bundle, **common)
                 recorded.append(out.data.copy())
                 return out
 
@@ -421,10 +442,10 @@ class TestScriptEncoder:
         recorded = []
 
         class ZeroSecond(ScriptModel):
-            def _run_layer(self, tag, layer_idx, x, bundle, common):
+            def encoder_layer(self, tag, layer_idx, x, bundle, **common):
                 if layer_idx % 2 == 1:
                     return Tensor(np.zeros_like(x.data))
-                out = super()._run_layer(tag, layer_idx, x, bundle, common)
+                out = super().encoder_layer(tag, layer_idx, x, bundle, **common)
                 recorded.append(out.data.copy())
                 return out
 

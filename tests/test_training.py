@@ -163,8 +163,10 @@ class TestHistoryFile:
 
 
 class TestEvaluation:
-    def test_padding_never_leaks_into_losses(self, toy_corpus_path):
-        examples, src, tgt, model = training_setup(toy_corpus_path, 3)
+    @pytest.mark.parametrize("mask_mode", ["multiply", "neg_inf"])
+    def test_padding_never_leaks_into_losses(self, toy_corpus_path, mask_mode):
+        # the first three examples all have 7 tokens; the next two pad each layout
+        examples, src, tgt, model = training_setup(toy_corpus_path, 5, mask_mode=mask_mode)
         split = encode_examples(examples, src, tgt)
         direct = [
             float(model.forward_loss(ex.src_ids, ex.bundle, ex.tgt_ids).data)
