@@ -708,6 +708,7 @@ def main(argv=None) -> int:
         FileNotFoundError,
         NotADirectoryError,
         IsADirectoryError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

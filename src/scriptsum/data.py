@@ -55,6 +55,8 @@ class Vocabulary:
 
     def __init__(self, corpus_tokens: Sequence[str]):
         self.id_to_token: list[str] = list(RESERVED_TOKENS) + list(corpus_tokens)
+        if not all(isinstance(tok, str) for tok in self.id_to_token):
+            raise FormatError("vocabulary tokens must be strings")
         if len(set(self.id_to_token)) != len(self.id_to_token):
             raise FormatError("vocabulary contains duplicate tokens")
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
@@ -99,10 +101,7 @@ class Vocabulary:
         tokens = obj.get("tokens") if isinstance(obj, dict) else None
         if not isinstance(tokens, list) or tokens[: len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
             raise FormatError("vocabulary file must list tokens starting with the reserved set")
-        vocab = cls.__new__(cls)
-        vocab.id_to_token = list(tokens)
-        vocab.token_to_id = {tok: i for i, tok in enumerate(tokens)}
-        return vocab
+        return cls(tokens[len(RESERVED_TOKENS):])
 
 
 def _ranked_tokens(counts: Counter, min_freq: int, max_size: int | None) -> list[str]:

@@ -11,8 +11,13 @@ SRPEi). Each module outputs the position-wise sum of its two layers'
 outputs. The decoder is a standard masked transformer with cross-attention;
 its output projection is tied to the target embedding.
 
+Every sublayer, the encoder's attention and FFN blocks and the decoder's
+self-attention, cross-attention and FFN blocks, goes through one rule,
+`_residual`: LayerNorm(x + Dropout(sublayer(x))).
+
 Attention runs all heads in one pass, with heads as the leading axis of the
 scores; each relative-position table is shared by the heads and gathered once.
+Beam search ranks each step's beam x vocabulary candidates as one array.
 
 All forward passes operate on one example (no batch axis) in float64, so
 results are bit-reproducible for a fixed seed.
@@ -22,11 +27,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ArtifactMismatchError, ConfigError, FormatError, ShapeError
+from .errors import ArtifactMismatchError, ConfigError, FormatError, NumericsError, ShapeError
 from .structure import DEFAULT_DISTANCE_CLIP, StructuralEncodings, sequential_relpos
 from .tensor import (
     NEG_INF,
@@ -121,9 +126,7 @@ class ModelConfig:
         return 2 * self.n_script_modules
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["layer_plan"] = list(self.layer_plan)
-        return out
+        return dict(asdict(self), layer_plan=list(self.layer_plan))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelConfig":
@@ -163,7 +166,7 @@ def ablation_layer_plan(n_script_modules: int, drop: str | None) -> tuple[str, .
         "srpei": ("RDW", "PLAIN"),
     }
     if drop not in plans:
-        raise ConfigError(f"unknown ablation {drop!r}; valid: no-rdw, no-srpei")
+        raise ConfigError(f"unknown ablation {drop!r}; valid: {list(plans)}")
     return plans[drop] * n_script_modules
 
 
@@ -353,6 +356,11 @@ class ScriptModel:
         hidden = relu(_affine(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
         return _affine(hidden, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
+    def _residual(self, x: Tensor, out: Tensor, ln: str, training: bool, rng) -> Tensor:
+        """The sublayer rule: LayerNorm(x + Dropout(out)) with "{ln}_g", "{ln}_b"."""
+        out = dropout(out, self.config.dropout_p, rng, training)
+        return layernorm(add(x, out), self.params[f"{ln}_g"], self.params[f"{ln}_b"])
+
     # -- encoder layers -----------------------------------------------------
 
     def encoder_layer(
@@ -411,17 +419,8 @@ class ScriptModel:
             rng=rng,
             capture=capture,
         )
-        x = layernorm(
-            add(x, dropout(attn, cfg.dropout_p, rng, training)),
-            p[f"{base}.ln1_g"],
-            p[f"{base}.ln1_b"],
-        )
-        f = self._ffn(f"{base}.ffn", x)
-        return layernorm(
-            add(x, dropout(f, cfg.dropout_p, rng, training)),
-            p[f"{base}.ln2_g"],
-            p[f"{base}.ln2_b"],
-        )
+        x = self._residual(x, attn, f"{base}.ln1", training, rng)
+        return self._residual(x, self._ffn(f"{base}.ffn", x), f"{base}.ln2", training, rng)
 
     def _seq_idx(self, n: int) -> np.ndarray:
         return sequential_relpos(n, self.config.k) + self.config.k
@@ -494,11 +493,7 @@ class ScriptModel:
                 training=training,
                 rng=rng,
             )
-            y = layernorm(
-                add(y, dropout(sa, cfg.dropout_p, rng, training)),
-                p[f"{base}.ln1_g"],
-                p[f"{base}.ln1_b"],
-            )
+            y = self._residual(y, sa, f"{base}.ln1", training, rng)
             ca = self.relative_attention(
                 f"{base}.cross",
                 y,
@@ -507,17 +502,8 @@ class ScriptModel:
                 training=training,
                 rng=rng,
             )
-            y = layernorm(
-                add(y, dropout(ca, cfg.dropout_p, rng, training)),
-                p[f"{base}.ln2_g"],
-                p[f"{base}.ln2_b"],
-            )
-            f = self._ffn(f"{base}.ffn", y)
-            y = layernorm(
-                add(y, dropout(f, cfg.dropout_p, rng, training)),
-                p[f"{base}.ln3_g"],
-                p[f"{base}.ln3_b"],
-            )
+            y = self._residual(y, ca, f"{base}.ln2", training, rng)
+            y = self._residual(y, self._ffn(f"{base}.ffn", y), f"{base}.ln3", training, rng)
         logits = add(matmul(y, transpose(p["tgt_embed"], (1, 0))), p["out_bias"])
         return logits
 
@@ -552,6 +538,8 @@ class ScriptModel:
     def _next_log_probs(self, prefix_ids: tuple[int, ...], state: EncoderState) -> np.ndarray:
         with no_grad():
             logits = self.decode(np.asarray(prefix_ids, dtype=np.int64), state).data[-1]
+        if not np.isfinite(logits).all():
+            raise NumericsError(f"decoder logits are not finite after prefix {list(prefix_ids)}")
         z = logits - logits.max()
         return z - np.log(np.exp(z).sum())
 
@@ -575,35 +563,27 @@ class ScriptModel:
             longest = math.inf
         if not (math.isfinite(length_penalty) and 0.0 < longest < math.inf):
             raise ConfigError(f"length_penalty {length_penalty!r} overflows max_len ** length_penalty")
-        cfg = self.config
-        bos, eos = cfg.bos_id, cfg.eos_id
-        active: list[tuple[tuple[int, ...], float]] = [((bos,), 0.0)]
+        eos, n_vocab = self.config.eos_id, self.config.tgt_vocab_size
+        active: list[tuple[tuple[int, ...], float]] = [((self.config.bos_id,), 0.0)]
         finished: list[tuple[tuple[int, ...], float]] = []
         for _ in range(max_len):
             if not active:
                 break
-            candidates: list[tuple[tuple[int, ...], float]] = []
-            for seq, lp in active:
-                logp = self._next_log_probs(seq, state)
-                for tid in range(cfg.tgt_vocab_size):
-                    candidates.append((seq + (tid,), lp + float(logp[tid])))
-            candidates.sort(key=lambda c: (-c[1], c[0]))
-            selected = candidates[:beam_size]
-            active = []
-            for seq, lp in selected:
-                if seq[-1] == eos:
-                    finished.append((seq, lp))
-                else:
-                    active.append((seq, lp))
-        finished.extend(active)
+            # Live beams have equal length, so with rows sorted by sequence a
+            # stable sort on -score breaks ties by sequence + token.
+            active.sort(key=lambda item: item[0])
+            scores = np.stack([lp + self._next_log_probs(seq, state) for seq, lp in active])
+            top = np.argsort(-scores.ravel(), kind="stable")[:beam_size].tolist()
+            ranked = [(active[i // n_vocab][0] + (i % n_vocab,), scores.item(i)) for i in top]
+            finished += [item for item in ranked if item[0][-1] == eos]
+            active = [item for item in ranked if item[0][-1] != eos]
 
-        def norm_score(item: tuple[tuple[int, ...], float]) -> float:
+        def rank(item: tuple[tuple[int, ...], float]) -> tuple[float, tuple[int, ...]]:
+            """Best length-normalized score first, ties toward the smaller sequence."""
             seq, lp = item
-            gen_len = len(seq) - 1
-            return lp / (gen_len ** length_penalty)
+            return -(lp / (len(seq) - 1) ** length_penalty), seq
 
-        finished.sort(key=lambda item: (-norm_score(item), item[0]))
-        best = finished[0][0]
+        best = min(finished + active, key=rank)[0]
         out = list(best[1:])
         if out and out[-1] == eos:
             out.pop()

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import _is_count, load_checkpoint, save_checkpoint
 from .data import (
     Batch,
     EncodedExample,
@@ -35,7 +35,7 @@ from .data import (
     encode_examples,
     make_batches,
 )
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, FormatError, NumericsError
 from .metrics import EvalPair, bleu4
 from .model import ModelConfig, ScriptModel, load_model_sidecar, save_model_sidecar
 from .tensor import backward, no_grad, scale
@@ -310,14 +310,11 @@ def train(
         arrays = load_checkpoint(last_path)
         params = {k: v for k, v in arrays.items() if not k.startswith("adam.")}
         model.load_state_dict(params)
-        optimizer.load_state_arrays(arrays)
-        with open(state_path, "r", encoding="utf-8") as fh:
-            saved = json.load(fh)
-        start_epoch = saved["epoch"]
-        global_step = saved["global_step"]
-        best_metric = saved["best_metric"]
-        best_epoch = saved["best_epoch"]
-        bad_epochs = saved["bad_epochs"]
+        try:
+            optimizer.load_state_arrays(arrays)
+        except KeyError as exc:
+            raise FormatError(f"{last_path}: missing optimizer state {exc}") from exc
+        start_epoch, global_step, best_epoch, bad_epochs, best_metric = _read_state(state_path)
         history = _read_history(history_path)
 
     vocab_digests = {
@@ -419,15 +416,34 @@ def train(
     )
 
 
+def _read_state(path) -> tuple[int, int, int, int, float]:
+    """Epoch, global step, best epoch, bad epochs and best metric from a
+    resumed run's state.json; FormatError naming the file unless it is an
+    object of non-negative integer counters and a numeric best_metric."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            saved = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(saved, dict):
+        raise FormatError(f"{path}: must be a JSON object")
+    counters = [saved.get(k) for k in ("epoch", "global_step", "best_epoch", "bad_epochs")]
+    if not all(_is_count(v) for v in counters):
+        raise FormatError(f"{path}: counters must be non-negative integers, got {counters}")
+    best = saved.get("best_metric")
+    if isinstance(best, bool) or not isinstance(best, (int, float)) or math.isnan(best):
+        raise FormatError(f"{path}: best_metric must be a number, got {best!r}")
+    return (*counters, best)
+
+
 def _read_history(path) -> list[HistoryRow]:
-    rows: list[HistoryRow] = []
     path = Path(path)
     if not path.exists():
-        return rows
+        return []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
+        try:
+            return [
                 HistoryRow(
                     epoch=int(rec["epoch"]),
                     train_loss=float(rec["train_loss"]),
@@ -436,8 +452,10 @@ def _read_history(path) -> list[HistoryRow]:
                     lr=float(rec["lr"]),
                     wall_seconds=float(rec["wall_seconds"]),
                 )
-            )
-    return rows
+                for rec in reader
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: invalid row {reader.line_num}: {exc}") from exc
 
 
 def load_model_from_dir(out_dir, which: str = "best") -> tuple[ScriptModel, dict]:

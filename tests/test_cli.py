@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from scriptsum.checkpoint import load_checkpoint, save_checkpoint
 from scriptsum.cli import _CONFIG_TYPES, build_parser, main, read_config_file
 from scriptsum.errors import ConfigError, NumericsError
 from scriptsum.model import ScriptModel
@@ -246,6 +247,36 @@ class TestTrainCommand:
         assert rc == 3
 
 
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("state.json", lambda run: (run / "state.json").write_text("{not json")),
+            ("state.json", lambda run: (run / "state.json").write_text("[1, 2]")),
+            ("state.json", lambda run: (run / "state.json").write_text("{}")),
+            ("last.ckpt", lambda run: shutil.copy(run / "best.ckpt", run / "last.ckpt")),
+            (
+                "history.csv",
+                lambda run: (run / "history.csv").write_text(
+                    (run / "history.csv").read_text() + "3,low,1.0,,0.001,0.5\n"
+                ),
+            ),
+        ],
+        ids=["invalid-json", "list", "no-counters", "no-optimizer-state", "non-numeric-row"],
+    )
+    def test_damaged_run_dir_resume_is_input_error(
+        self, tmp_path, trained_dir, small_dataset, capsys, name, damage
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        damage(run)
+        capsys.readouterr()
+        rc = main(["train", str(small_dataset), str(run), "--resume"] + TRAIN_FLAGS)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert name in err
+
+
 class TestEval:
     def test_report_and_scores(self, tmp_path, trained_dir, small_dataset):
         out = tmp_path / "eval"
@@ -384,6 +415,21 @@ class TestSummarize:
              "--beam", "2", "--max-len", "3", f"--length-penalty={penalty}"]
         )
         assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+    def test_non_finite_checkpoint_is_numeric_error(
+        self, tmp_path, trained_dir, small_dataset, capsys
+    ):
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained_dir, model_dir)
+        params = load_checkpoint(model_dir / "best.ckpt")
+        params["dec0.ffn.w1"][0, 0] = np.nan
+        save_checkpoint(params, model_dir / "best.ckpt")
+        capsys.readouterr()
+        rc = main(["summarize", str(model_dir), str(small_dataset), "--beam", "2"])
+        assert rc == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1

@@ -121,6 +121,15 @@ class TestVocabulary:
         with pytest.raises(FormatError):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize("extra", [["x", "x"], [["x"]], [3]], ids=["duplicate", "list", "int"])
+    def test_load_builds_through_the_constructor(self, tmp_path, extra):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps({"tokens": Vocabulary([]).id_to_token + extra}))
+        with pytest.raises(FormatError):
+            Vocabulary.load(path)
+        with pytest.raises(FormatError):
+            Vocabulary(extra)
+
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpusError):
             build_vocab([])

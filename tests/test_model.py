@@ -9,6 +9,7 @@ from scriptsum.errors import (
     ArtifactMismatchError,
     ConfigError,
     FormatError,
+    NumericsError,
     ShapeError,
 )
 from scriptsum.checkpoint import load_checkpoint, save_checkpoint
@@ -124,7 +125,7 @@ class TestAblationPlan:
         assert ablation_layer_plan(1, "srpei") == ("RDW", "PLAIN")
 
     def test_unknown(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"\[None, 'rdw', 'srpei'\]"):
             ablation_layer_plan(1, "decoder")
 
 
@@ -594,6 +595,42 @@ class TestGeneration:
             got = model.beam_search(state, beam_size=200, max_len=3)
             want = exhaustive_decode(model, state, max_len=3)
             assert got == want
+
+    @pytest.mark.parametrize(
+        "table, want",
+        [
+            # BOS 3 and BOS 4 tie for the second of two slots
+            ({(): {5: -1.0, 3: -2.0, 4: -2.0}, (3,): {2: 0.0}, (4,): {2: -0.5}}, [3]),
+            # BOS 5 7 and BOS 6 1 tie at step 2, from beams ranked 6 before 5
+            (
+                {(): {6: -1.0, 5: -1.5}, (5,): {7: -0.5}, (6,): {3: -0.25, 1: -1.0},
+                 (5, 7): {2: 0.0}, (6, 1): {2: -0.1}},
+                [5, 7],
+            ),
+        ],
+        ids=["same-beam", "across-beams"],
+    )
+    def test_exact_tie_at_pruning_boundary_keeps_smaller_sequence(self, monkeypatch, table, want):
+        """Only the lexicographically smaller of the tied candidates leads to
+        the best summary; every unlisted next token scores -50."""
+        model = tiny_model()
+
+        def next_log_probs(prefix, state):  # prefix[0] is BOS
+            out = np.full(model.config.tgt_vocab_size, -50.0)
+            for tid, lp in table.get(tuple(prefix[1:]), {}).items():
+                out[tid] = lp
+            return out
+
+        monkeypatch.setattr(model, "_next_log_probs", next_log_probs)
+        assert model.beam_search(None, beam_size=2, max_len=3) == want
+
+    def test_non_finite_logits_raise_numerics_error(self):
+        rng = np.random.default_rng(28)
+        model = tiny_model()
+        state = model.script_encoder(np.array([1, 2, 3]), random_bundle(rng, 3))
+        model.params["dec0.ffn.w1"].data[0, 0] = np.nan
+        with pytest.raises(NumericsError, match="not finite"):
+            model.beam_search(state, beam_size=2, max_len=3)
 
     def test_zero_length_penalty_uses_raw_logprob(self):
         rng = np.random.default_rng(24)
