@@ -8,26 +8,38 @@ by the multi-view relation matrix; a PLAIN layer adds neither. Every layer
 adds clipped sequential embeddings to keys and values, and the layers that
 srpe_placement covers add clipped tree-distance embeddings too (by default
 SRPEi). Each module outputs the position-wise sum of its two layers'
-outputs. The decoder is a standard masked transformer with cross-attention;
-its output projection is tied to the target embedding.
+outputs. The decoder is a masked transformer with clipped sequential
+relative positions and cross-attention; its output projection is tied to
+the target embedding.
 
 Every sublayer, the encoder's attention and FFN blocks and the decoder's
 self-attention, cross-attention and FFN blocks, goes through one rule,
 `_residual`: LayerNorm(x + Dropout(sublayer(x))).
 
-Attention runs all heads in one pass, with heads as the leading axis of the
-scores; each relative-position table is shared by the heads and gathered once.
-Beam search ranks each step's beam x vocabulary candidates as one array.
+Attention runs all heads in one pass, with heads as an axis of the scores;
+each relative-position table is shared by the heads and gathered once.
 
-All forward passes operate on one example (no batch axis) in float64, so
-results are bit-reproducible for a fixed seed.
+Decoding is incremental, and `decode` is both the teacher-forced pass and
+the decoding step. A DecoderCache carries each decoder layer's
+cross-attention keys and values of the source, computed once, and its
+self-attention keys and values of the positions decoded so far; `decode`
+runs new positions against the cache and appends theirs. Under the causal
+mask the keys, values and relative offsets of earlier positions never
+change, so the cached step equals a full pass over the prefix. Training
+calls `decode` with an empty cache and every position at once. Beam search
+runs the live beams as one batch, one row per beam, one decoder call per
+step; it ranks the beam x vocabulary candidates as one array and gathers
+the cache's rows by parent beam.
+
+All forward passes operate on one example in float64 (the only batch axis
+is the decoder's beams), so results are bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -157,6 +169,42 @@ class EncoderState:
     mask: np.ndarray | None  # 1.0 for real positions, 0.0 for padding
 
 
+@dataclass
+class DecoderCache:
+    """Keys and values that decoding one source reuses from step to step.
+
+    cross holds each decoder layer's cross-attention keys and values of the
+    encoder output, (n_src, heads, d_head), made by the first decode call.
+    self_kv holds each layer's self-attention keys and values of every
+    target position decoded so far, (positions, beams * heads, d_head),
+    beam-major on the middle axis; each decode call appends its positions.
+    Under the causal mask an earlier position's keys, values and relative
+    offsets never change, so reusing them is exact.
+    """
+
+    cross: list[tuple[Tensor, Tensor]] = field(default_factory=list)
+    self_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
+    beams: int = 0
+
+    @property
+    def length(self) -> int:
+        """Target positions decoded so far."""
+        return self.self_kv[0][0].shape[0] if self.self_kv else 0
+
+    def select(self, rows: list[int]) -> None:
+        """Keep the given beams, in that order; a beam may be kept more than
+        once. The kept keys and values record no graph."""
+
+        def pick(t: Tensor) -> Tensor:
+            n, width, dh = t.shape
+            heads = width // self.beams
+            kept = t.data.reshape(n, self.beams, heads, dh)[:, rows]
+            return Tensor(kept.reshape(n, len(rows) * heads, dh))
+
+        self.self_kv = [(pick(k), pick(v)) for k, v in self.self_kv]
+        self.beams = len(rows)
+
+
 def ablation_layer_plan(n_script_modules: int, drop: str | None) -> tuple[str, ...]:
     """Layer plan for the standard ablations: drop='rdw' replaces RDW
     layers with PLAIN, drop='srpei' replaces SRPEi layers, None is full."""
@@ -272,6 +320,10 @@ class ScriptModel:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Replace every parameter. Names and shapes must match this
+        configuration (ArtifactMismatchError) and every value must be finite
+        (NumericsError, naming the first parameter that is not); on either
+        error no parameter changes."""
         mine = set(self.params)
         theirs = set(state)
         if mine != theirs:
@@ -280,13 +332,18 @@ class ScriptModel:
             raise ArtifactMismatchError(
                 f"parameter names do not match this configuration; missing {missing[:5]}, unexpected {extra[:5]}"
             )
+        arrays = {}
         for name, t in self.params.items():
             arr = np.asarray(state[name], dtype=np.float64)
             if arr.shape != t.data.shape:
                 raise ArtifactMismatchError(
                     f"parameter {name!r} has shape {arr.shape}, expected {t.data.shape}"
                 )
-            t.data = arr.copy()
+            if not np.isfinite(arr).all():
+                raise NumericsError(f"parameter {name!r} holds a value that is not finite")
+            arrays[name] = arr
+        for name, arr in arrays.items():
+            self.params[name].data = arr.copy()
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -294,11 +351,25 @@ class ScriptModel:
 
     # -- attention ---------------------------------------------------------
 
+    def _project(self, prefix: str, kind: str, x: Tensor, groups: int) -> Tensor:
+        """Rows x through every head's "{prefix}.{kind}{h}" weights at once.
+        The rows are `groups` interleaved sequences, row t * groups + g
+        holding position t of sequence g; the result is
+        (positions, groups * heads, d_head), sequence-major on its middle axis."""
+        cfg = self.config
+        w = concat([self.params[f"{prefix}.{kind}{h}"] for h in range(cfg.n_heads)], axis=1)
+        return reshape(matmul(x, w), (x.shape[0] // groups, groups * cfg.n_heads, cfg.d_head))
+
+    def keys_values(self, prefix: str, x: Tensor, groups: int = 1) -> tuple[Tensor, Tensor]:
+        """Keys and values of rows x for the attention at prefix, each
+        (positions, groups * heads, d_head); see _project for the row order."""
+        return self._project(prefix, "k", x, groups), self._project(prefix, "v", x, groups)
+
     def relative_attention(
         self,
         prefix: str,
         x_q: Tensor,
-        x_kv: Tensor,
+        x_kv: Tensor | tuple[Tensor, Tensor],
         *,
         rel: tuple[tuple[str, np.ndarray], ...] = (),
         a_mv: np.ndarray | None = None,
@@ -317,10 +388,19 @@ class ScriptModel:
         indexed by min(d_ij, l). Per head: e_ij = q_i (k_j + sum of key
         rows)^T / sqrt(d_head), then softmax (gated by a_mv per mask_mode),
         then z_i = sum_j alpha_ij (v_j + sum of value rows).
+
+        x_kv is the (n_k, d_model) rows to attend over, or their keys and
+        values from `keys_values`, each (n_k, groups * heads, d_head). With
+        groups > 1 the query rows x_q interleave that many sequences (row
+        t * groups + g is query t of sequence g; see _project), and each
+        sequence attends over its own keys: the sequences are extra heads.
+        The decoder runs one sequence per beam. rel, a_mv and additive_mask
+        are (n_q, n_k) over one sequence's queries and keys.
         """
         cfg = self.config
         heads, dh = cfg.n_heads, cfg.d_head
         inv_sqrt = 1.0 / math.sqrt(dh)
+        k, v = self.keys_values(prefix, x_kv) if isinstance(x_kv, Tensor) else x_kv
         gate_additive = additive_mask
         scale_matrix = None
         if a_mv is not None:
@@ -330,14 +410,8 @@ class ScriptModel:
                 keep = np.where(a_mv > 0, 0.0, NEG_INF)
                 gate_additive = keep if additive_mask is None else keep + additive_mask
 
-        def project(x: Tensor, kind: str) -> Tensor:
-            w = concat([self.params[f"{prefix}.{kind}{h}"] for h in range(heads)], axis=1)
-            return reshape(matmul(x, w), (x.shape[0], heads, dh))
-
-        q = project(x_q, "q")  # (n_q, heads, dh)
-        k = project(x_kv, "k")
-        v = project(x_kv, "v")
-        e = matmul(transpose(q, (1, 0, 2)), transpose(k, (1, 2, 0)))  # (heads, n_q, n_k)
+        q = self._project(prefix, "q", x_q, k.shape[1] // heads)  # (n_q, groups * heads, dh)
+        e = matmul(transpose(q, (1, 0, 2)), transpose(k, (1, 2, 0)))  # (groups * heads, n_q, n_k)
         for table, idx in rel:
             e = add(e, _rel_scores(q, self.params[f"{table}_k"], idx))
         e = scale(e, inv_sqrt)
@@ -345,7 +419,7 @@ class ScriptModel:
         if capture is not None:
             capture.extend(head.copy() for head in alpha.data)
         alpha = dropout(alpha, cfg.dropout_p, rng, training)
-        z = transpose(matmul(alpha, transpose(v, (1, 0, 2))), (1, 0, 2))  # (n_q, heads, dh)
+        z = transpose(matmul(alpha, transpose(v, (1, 0, 2))), (1, 0, 2))  # (n_q, groups * heads, dh)
         for table, idx in rel:
             z = add(z, _rel_values(alpha, self.params[f"{table}_v"], idx))
         cat = reshape(z, (x_q.shape[0], heads * dh))
@@ -466,28 +540,50 @@ class ScriptModel:
         tgt_in_ids: np.ndarray,
         state: EncoderState,
         *,
+        cache: DecoderCache | None = None,
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Teacher-forced decoder pass returning (m, tgt_vocab) logits."""
+        """Decoder logits of new target positions.
+
+        tgt_in_ids is one sequence, (m,), or one row per beam, (beams, m).
+        The logits are (m * beams, tgt_vocab), row t * beams + b for position
+        t of beam b. The new positions follow the cache's: they attend to its
+        keys and values, and their own are appended to it. With no cache (an
+        empty one) the ids are a whole prefix from BOS: the teacher-forced
+        pass.
+        """
         cfg = self.config
         p = self.params
-        tgt_in_ids = np.asarray(tgt_in_ids, dtype=np.int64)
-        m = tgt_in_ids.shape[0]
-        if m == 0:
-            raise ShapeError("decoder prefix must be non-empty")
+        ids = np.asarray(tgt_in_ids, dtype=np.int64)
+        if ids.ndim not in (1, 2) or ids.size == 0:
+            raise ShapeError(f"decoder ids must be a non-empty (m,) or (beams, m) array, got {ids.shape}")
+        ids = ids.reshape(-1, ids.shape[-1])
+        beams, m = ids.shape
+        cache = DecoderCache() if cache is None else cache
+        past = cache.length
+        if past and cache.beams != beams:
+            raise ShapeError(f"{beams} beams of ids for a cache of {cache.beams} beams")
+        if not cache.cross:
+            cache.cross = [self.keys_values(f"dec{ly}.cross", state.h) for ly in range(cfg.n_decoder_layers)]
         n_src = state.h.shape[0]
-        y = scale(embed(p["tgt_embed"], tgt_in_ids), math.sqrt(cfg.d_model))
+        y = scale(embed(p["tgt_embed"], ids.T.reshape(-1)), math.sqrt(cfg.d_model))
         y = dropout(y, cfg.dropout_p, rng, training)
-        causal = _causal_additive(m)
-        cross_mask = _pad_additive(state.mask, m, n_src)
-        seq_idx = self._seq_idx(m)
+        causal = _causal_additive(past + m)[past:]
+        cross_mask = _pad_additive(state.mask, beams * m, n_src)
+        seq_idx = self._seq_idx(past + m)[past:]
+        self_kv = []
         for ly in range(cfg.n_decoder_layers):
             base = f"dec{ly}"
+            k, v = self.keys_values(f"{base}.self", y, beams)
+            if past:
+                k_past, v_past = cache.self_kv[ly]
+                k, v = concat([k_past, k], axis=0), concat([v_past, v], axis=0)
+            self_kv.append((k, v))
             sa = self.relative_attention(
                 f"{base}.self",
                 y,
-                y,
+                (k, v),
                 rel=((f"{base}.seq", seq_idx),),
                 additive_mask=causal,
                 training=training,
@@ -497,13 +593,14 @@ class ScriptModel:
             ca = self.relative_attention(
                 f"{base}.cross",
                 y,
-                state.h,
+                cache.cross[ly],
                 additive_mask=cross_mask,
                 training=training,
                 rng=rng,
             )
             y = self._residual(y, ca, f"{base}.ln2", training, rng)
             y = self._residual(y, self._ffn(f"{base}.ffn", y), f"{base}.ln3", training, rng)
+        cache.self_kv, cache.beams = self_kv, beams
         logits = add(matmul(y, transpose(p["tgt_embed"], (1, 0))), p["out_bias"])
         return logits
 
@@ -532,16 +629,24 @@ class ScriptModel:
     # -- generation ------------------------------------------------------------
 
     def decoder_step(self, prefix_ids, state: EncoderState) -> np.ndarray:
-        """Probability distribution over the next token after the prefix."""
+        """Probability distribution over the next token after the prefix,
+        from a full decoder pass over the prefix: the reference that the
+        cached steps of beam_search are tested against."""
         return np.exp(self._next_log_probs(tuple(prefix_ids), state))
 
     def _next_log_probs(self, prefix_ids: tuple[int, ...], state: EncoderState) -> np.ndarray:
         with no_grad():
-            logits = self.decode(np.asarray(prefix_ids, dtype=np.int64), state).data[-1]
-        if not np.isfinite(logits).all():
-            raise NumericsError(f"decoder logits are not finite after prefix {list(prefix_ids)}")
-        z = logits - logits.max()
-        return z - np.log(np.exp(z).sum())
+            logits = self.decode(np.asarray(prefix_ids, dtype=np.int64), state).data[-1:]
+        return _log_softmax(logits, [prefix_ids])[0]
+
+    def _beam_log_probs(
+        self, seqs: list[tuple[int, ...]], state: EncoderState, cache: DecoderCache
+    ) -> np.ndarray:
+        """Next-token log-probabilities of every live beam, (beams, tgt_vocab),
+        from one cached decoder step on each beam's newest token."""
+        with no_grad():
+            logits = self.decode(np.array([seq[-1:] for seq in seqs]), state, cache=cache).data
+        return _log_softmax(logits, seqs)
 
     def beam_search(
         self,
@@ -552,7 +657,15 @@ class ScriptModel:
     ) -> list[int]:
         """Length-normalized beam search; returns generated ids without
         BOS/EOS. Ties in score are broken toward the smaller token ids, so
-        decoding is fully deterministic. beam_size=1 is greedy decoding."""
+        decoding is fully deterministic. beam_size=1 is greedy decoding.
+
+        Decoding is incremental: the live beams are the rows of one batch,
+        and each step runs the decoder once, on every beam's newest token. A
+        DecoderCache holds the source's cross-attention keys and values,
+        computed once, and each beam's self-attention keys and values of the
+        earlier positions; when the beams are re-ranked, its rows are
+        gathered by parent beam.
+        """
         if beam_size < 1:
             raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
         if max_len < 1:
@@ -564,6 +677,8 @@ class ScriptModel:
         if not (math.isfinite(length_penalty) and 0.0 < longest < math.inf):
             raise ConfigError(f"length_penalty {length_penalty!r} overflows max_len ** length_penalty")
         eos, n_vocab = self.config.eos_id, self.config.tgt_vocab_size
+        cache = DecoderCache()
+        # active[i] is the cache's row i; rows stay sorted by sequence
         active: list[tuple[tuple[int, ...], float]] = [((self.config.bos_id,), 0.0)]
         finished: list[tuple[tuple[int, ...], float]] = []
         for _ in range(max_len):
@@ -571,12 +686,14 @@ class ScriptModel:
                 break
             # Live beams have equal length, so with rows sorted by sequence a
             # stable sort on -score breaks ties by sequence + token.
-            active.sort(key=lambda item: item[0])
-            scores = np.stack([lp + self._next_log_probs(seq, state) for seq, lp in active])
+            seqs = [seq for seq, _ in active]
+            scores = np.array([lp for _, lp in active])[:, None] + self._beam_log_probs(seqs, state, cache)
             top = np.argsort(-scores.ravel(), kind="stable")[:beam_size].tolist()
-            ranked = [(active[i // n_vocab][0] + (i % n_vocab,), scores.item(i)) for i in top]
-            finished += [item for item in ranked if item[0][-1] == eos]
-            active = [item for item in ranked if item[0][-1] != eos]
+            ranked = [(i // n_vocab, seqs[i // n_vocab] + (i % n_vocab,), scores.item(i)) for i in top]
+            finished += [(seq, lp) for _, seq, lp in ranked if seq[-1] == eos]
+            live = sorted((item for item in ranked if item[1][-1] != eos), key=lambda item: item[1])
+            cache.select([parent for parent, _, _ in live])
+            active = [(seq, lp) for _, seq, lp in live]
 
         def rank(item: tuple[tuple[int, ...], float]) -> tuple[float, tuple[int, ...]]:
             """Best length-normalized score first, ties toward the smaller sequence."""
@@ -608,6 +725,17 @@ class ScriptModel:
 
 
 # -- module-level helpers ----------------------------------------------------
+
+
+def _log_softmax(logits: np.ndarray, prefixes) -> np.ndarray:
+    """Row-wise log-softmax of (rows, vocab) decoder logits; row i follows
+    prefixes[i], which a NumericsError names when the row is not finite."""
+    finite = np.isfinite(logits).all(axis=1)
+    if not finite.all():
+        bad = list(prefixes[int(np.argmin(finite))])
+        raise NumericsError(f"decoder logits are not finite after prefix {bad}")
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -656,6 +784,7 @@ def load_model_sidecar(path) -> tuple[ModelConfig, dict]:
 __all__ = [
     "ModelConfig",
     "EncoderState",
+    "DecoderCache",
     "ScriptModel",
     "ablation_layer_plan",
     "save_model_sidecar",

@@ -480,6 +480,23 @@ class TestExportAttention:
             outs.append((out / "attention_l1_h0.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_non_finite_checkpoint_is_numeric_error(self, tmp_path, trained_dir, capsys):
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained_dir, model_dir)
+        params = load_checkpoint(model_dir / "best.ckpt")
+        params["enc0.attn.q0"][0, 0] = np.nan
+        save_checkpoint(params, model_dir / "best.ckpt")
+        src = tmp_path / "prog.ml"
+        src.write_text("x = y;\n")
+        capsys.readouterr()
+        rc = main(["export-attention", str(model_dir), str(src), str(tmp_path / "attn"),
+                   "--layer", "0", "--head", "0", "--index", "0"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "enc0.attn.q0" in err
+        assert not (tmp_path / "attn").exists()
+
     def test_out_of_range_indices(self, tmp_path, trained_dir):
         src = tmp_path / "prog.ml"
         src.write_text("x = y;\n")

@@ -16,6 +16,7 @@ from scriptsum.checkpoint import load_checkpoint, save_checkpoint
 from scriptsum.model import (
     LAYER_TAGS,
     SRPE_PLACEMENTS,
+    DecoderCache,
     ModelConfig,
     ScriptModel,
     ablation_layer_plan,
@@ -23,7 +24,7 @@ from scriptsum.model import (
     save_model_sidecar,
 )
 from scriptsum.structure import StructuralEncodings
-from scriptsum.tensor import Tensor, _grad_enabled, grad_check, sum_all, tensor
+from scriptsum.tensor import Tensor, _grad_enabled, grad_check, no_grad, sum_all, tensor
 
 from conftest import make_example, random_bundle, tiny_config, tiny_model
 from oracles import exhaustive_decode, greedy_oracle, vanilla_attention
@@ -621,7 +622,10 @@ class TestGeneration:
                 out[tid] = lp
             return out
 
-        monkeypatch.setattr(model, "_next_log_probs", next_log_probs)
+        def beam_log_probs(seqs, state, cache):
+            return np.stack([next_log_probs(seq, state) for seq in seqs])
+
+        monkeypatch.setattr(model, "_beam_log_probs", beam_log_probs)
         assert model.beam_search(None, beam_size=2, max_len=3) == want
 
     def test_non_finite_logits_raise_numerics_error(self):
@@ -688,6 +692,86 @@ class TestGeneration:
         assert _grad_enabled()
 
 
+CACHE_CASES = {
+    # k=2 < max_len, so later steps use clipped sequential offsets
+    "clipped_offsets": (dict(k=2), dict(beam_size=3, max_len=7), 0),
+    "padded_source": (dict(), dict(beam_size=3, max_len=5), 2),
+    "beam_wider_than_vocab": (dict(tgt_vocab_size=5), dict(beam_size=8, max_len=4), 0),
+    "dropout_eval": (dict(dropout_p=0.3), dict(beam_size=3, max_len=5), 0),
+}
+
+
+class TestCachedDecoding:
+    @pytest.mark.parametrize("case", CACHE_CASES)
+    def test_cached_steps_match_full_decode(self, case):
+        """At every step, each live beam's cached logits equal the last row
+        of a full decoder pass over its prefix."""
+        overrides, search, extra = CACHE_CASES[case]
+        rng = np.random.default_rng(list(CACHE_CASES).index(case))
+        compared = 0
+        for seed in range(3):
+            model = tiny_model(seed=seed, n_decoder_layers=2, **overrides)
+            n = 4
+            ids = np.concatenate([rng.integers(3, 13, n), np.zeros(extra, dtype=np.int64)])
+            mask = np.concatenate([np.ones(n), np.zeros(extra)]) if extra else None
+            state = model.script_encoder(ids, pad_bundle(random_bundle(rng, n), extra), mask)
+            assert (state.mask is not None) == (case == "padded_source")
+            steps = []
+            decode, seam = model.decode, model._beam_log_probs
+
+            def beam_log_probs(seqs, state, cache):
+                steps.append((list(seqs), cache.length))
+                return seam(seqs, state, cache)
+
+            def cached_decode(tgt_in_ids, state, **kwargs):
+                out = decode(tgt_in_ids, state, **kwargs)
+                steps[-1] += (out.data.copy(),)
+                return out
+
+            model._beam_log_probs, model.decode = beam_log_probs, cached_decode
+            model.beam_search(state, **search)
+            del model._beam_log_probs, model.decode
+            for step, (seqs, past, logits) in enumerate(steps):
+                assert past == step and logits.shape == (len(seqs), model.config.tgt_vocab_size)
+                for seq, row in zip(seqs, logits):
+                    with no_grad():
+                        full = model.decode(np.array(seq), state).data[-1]
+                    assert np.max(np.abs(row - full)) <= 1e-12
+                    compared += 1
+        assert compared >= 3 * search["max_len"]
+
+    def test_cache_rows_must_match_beams(self):
+        rng = np.random.default_rng(29)
+        model = tiny_model()
+        state = model.script_encoder(np.array([1, 2, 3]), random_bundle(rng, 3))
+        cache = DecoderCache()
+        model.decode(np.array([[1], [1]]), state, cache=cache)
+        assert (cache.beams, cache.length) == (2, 1)
+        with pytest.raises(ShapeError):
+            model.decode(np.array([[4], [5], [6]]), state, cache=cache)
+        cache.select([1, 1, 0])
+        assert model.decode(np.array([[4], [5], [6]]), state, cache=cache).shape == (3, 11)
+        assert (cache.beams, cache.length) == (3, 2)
+        cache.select([])
+        assert (cache.beams, cache.length) == (0, 2)
+
+    def test_several_beams_and_positions_per_call(self):
+        """Row t * beams + b holds position t of beam b, with or without
+        earlier positions in the cache."""
+        rng = np.random.default_rng(30)
+        model = tiny_model(n_decoder_layers=2, k=2)
+        state = model.script_encoder(np.array([4, 5, 6, 7]), random_bundle(rng, 4))
+        seqs = np.array([[1, 4, 5, 6, 3], [1, 7, 7, 8, 9]])
+        with no_grad():
+            full = [model.decode(seq, state).data for seq in seqs]
+            cache = DecoderCache()
+            head = model.decode(seqs[:, :2], state, cache=cache).data
+            tail = model.decode(seqs[:, 2:], state, cache=cache).data
+        for b in range(2):
+            assert np.max(np.abs(head[b::2] - full[b][:2])) <= 1e-12
+            assert np.max(np.abs(tail[b::2] - full[b][2:])) <= 1e-12
+
+
 def write_raw_checkpoint(path, params, data: bytes) -> None:
     header = json.dumps({"params": params}).encode("utf-8")
     path.write_bytes(struct.pack("<Q", len(header)) + header + data)
@@ -736,6 +820,15 @@ class TestCheckpointAndSidecar:
         state["out_bias"] = np.zeros(3)
         with pytest.raises(ArtifactMismatchError):
             model.load_state_dict(state)
+
+    def test_non_finite_parameter_rejected(self):
+        model = tiny_model()
+        state = model.state_dict()
+        state["enc0.attn.q0"][1, 0] = np.nan
+        state["dec0.ffn.w1"][0, 0] = np.inf
+        with pytest.raises(NumericsError, match="'enc0.attn.q0'"):
+            model.load_state_dict(state)
+        assert all(np.isfinite(t.data).all() for t in model.params.values())
 
     def test_corrupt_checkpoint_file(self, tmp_path):
         path = tmp_path / "bad.ckpt"
