@@ -46,7 +46,7 @@ from .errors import (
 from .manifest import RunManifest
 from .metrics import BucketSpec, EvalPair, corpus_report
 from .minilang import parse_minilang
-from .model import MASK_MODES, SRPE_PLACEMENTS, ModelConfig, ScriptModel, ablation_layer_plan
+from .model import MASK_MODES, SRPE_PLACEMENTS, ModelConfig, ScriptModel, ablation_layer_plan, inference_numerics
 from .structure import DEFAULT_DISTANCE_CLIP, DEFAULT_VIEW_WEIGHTS
 from .tensor import no_grad
 from .training import TrainConfig, load_model_from_dir, train
@@ -563,7 +563,7 @@ def cmd_export_attention(args) -> int:
     ex = examples[args.index]
 
     capture: list[np.ndarray] = []
-    with no_grad():
+    with no_grad(), inference_numerics():
         model.script_encoder(src_vocab.encode(ex.code_tokens), ex.bundle, capture=capture)
     matrix = capture[args.layer * cfg.n_heads + args.head]
 

@@ -31,6 +31,10 @@ runs the live beams as one batch, one row per beam, one decoder call per
 step; it ranks the beam x vocabulary candidates as one array and gathers
 the cache's rows by parent beam.
 
+Every parameter is declared once, in `param_schema`: the constructor draws
+from it in order, and loading checks names and shapes against it without
+drawing anything.
+
 All forward passes operate on one example in float64 (the only batch axis
 is the decoder's beams), so results are bit-reproducible for a fixed seed.
 """
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -235,84 +240,81 @@ def _causal_additive(n: int) -> np.ndarray:
     return out
 
 
+def param_schema(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Every parameter of a configuration, in draw order: name -> (shape,
+    init). init is "glorot" (uniform), "embedding" (normal, std 1/sqrt(d)),
+    "table" (normal, std 0.02), "zeros" or "ones"; see _draw."""
+    d, dh, f = config.d_model, config.d_head, config.ffn_dim
+    seq_rows, str_rows = 2 * config.k + 1, config.l + 1
+
+    def attention(p: str) -> dict:
+        heads = {f"{p}.{kind}{h}": ((d, dh), "glorot") for h in range(config.n_heads) for kind in "qkv"}
+        return heads | {f"{p}.out_w": ((d, d), "glorot"), f"{p}.out_b": ((d,), "zeros")}
+
+    def tables(p: str, rows: int) -> dict:  # relative-position tables, shared by the heads
+        return {f"{p}_k": ((rows, dh), "table"), f"{p}_v": ((rows, dh), "table")}
+
+    def ffn(p: str) -> dict:
+        return {f"{p}.w1": ((d, f), "glorot"), f"{p}.b1": ((f,), "zeros"),
+                f"{p}.w2": ((f, d), "glorot"), f"{p}.b2": ((d,), "zeros")}
+
+    def layernorms(*names: str) -> dict:
+        return {f"{n}_{part}": ((d,), init) for n in names for part, init in (("g", "ones"), ("b", "zeros"))}
+
+    schema = {
+        "src_embed": ((config.src_vocab_size, d), "embedding"),
+        "tgt_embed": ((config.tgt_vocab_size, d), "embedding"),
+        "out_bias": ((config.tgt_vocab_size,), "zeros"),
+    }
+    for ly, tag in enumerate(config.layer_plan):
+        base = f"enc{ly}"
+        if tag == "RDW":
+            for fc in ("fc1", "fc2"):
+                schema |= {f"{base}.{fc}_w": ((d, d), "glorot"), f"{base}.{fc}_b": ((d,), "zeros")}
+        schema |= attention(f"{base}.attn") | tables(f"{base}.seq", seq_rows)
+        if tag in STRUCTURAL_TAGS[config.srpe_placement]:
+            schema |= tables(f"{base}.str", str_rows)
+        schema |= ffn(f"{base}.ffn") | layernorms(f"{base}.ln1", f"{base}.ln2")
+    schema |= layernorms("enc_final")
+    for ly in range(config.n_decoder_layers):
+        base = f"dec{ly}"
+        schema |= attention(f"{base}.self") | tables(f"{base}.seq", seq_rows) | attention(f"{base}.cross")
+        schema |= ffn(f"{base}.ffn") | layernorms(f"{base}.ln1", f"{base}.ln2", f"{base}.ln3")
+    return schema
+
+
+def _draw(rng: np.random.Generator, shape: tuple[int, ...], init: str) -> np.ndarray:
+    """One initial parameter array; each random init takes one draw."""
+    if init == "glorot":
+        limit = math.sqrt(6.0 / sum(shape))
+        return rng.uniform(-limit, limit, size=shape)
+    if init == "embedding":
+        return rng.normal(0.0, shape[1] ** -0.5, size=shape)
+    if init == "table":
+        return rng.normal(0.0, 0.02, size=shape)
+    return np.ones(shape) if init == "ones" else np.zeros(shape)
+
+
 class ScriptModel:
     """The full network: parameters, per-example forward passes, decoding."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
+        """Draw param_schema(config) in order from one generator seeded by seed."""
+        rng = np.random.default_rng(seed)
         self.config = config
-        self.params: dict[str, Tensor] = {}
-        self._rng = np.random.default_rng(seed)
-        self._build_params()
+        self.params = {
+            name: Tensor(_draw(rng, shape, init), requires_grad=True)
+            for name, (shape, init) in param_schema(config).items()
+        }
 
-    # -- parameter construction ------------------------------------------
-
-    def _add(self, name: str, data: np.ndarray) -> Tensor:
-        if name in self.params:
-            raise ConfigError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, requires_grad=True)
-        self.params[name] = t
-        return t
-
-    def _linear_init(self, fan_in: int, fan_out: int) -> np.ndarray:
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return self._rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-    def _table_init(self, rows: int, cols: int) -> np.ndarray:
-        return self._rng.normal(0.0, 0.02, size=(rows, cols))
-
-    def _add_attention(self, prefix: str, kv_dim: int) -> None:
-        cfg = self.config
-        for h in range(cfg.n_heads):
-            self._add(f"{prefix}.q{h}", self._linear_init(cfg.d_model, cfg.d_head))
-            self._add(f"{prefix}.k{h}", self._linear_init(kv_dim, cfg.d_head))
-            self._add(f"{prefix}.v{h}", self._linear_init(kv_dim, cfg.d_head))
-        self._add(f"{prefix}.out_w", self._linear_init(cfg.d_model, cfg.d_model))
-        self._add(f"{prefix}.out_b", np.zeros(cfg.d_model))
-
-    def _add_ffn(self, prefix: str) -> None:
-        cfg = self.config
-        self._add(f"{prefix}.w1", self._linear_init(cfg.d_model, cfg.ffn_dim))
-        self._add(f"{prefix}.b1", np.zeros(cfg.ffn_dim))
-        self._add(f"{prefix}.w2", self._linear_init(cfg.ffn_dim, cfg.d_model))
-        self._add(f"{prefix}.b2", np.zeros(cfg.d_model))
-
-    def _add_layernorm(self, name: str) -> None:
-        self._add(f"{name}_g", np.ones(self.config.d_model))
-        self._add(f"{name}_b", np.zeros(self.config.d_model))
-
-    def _build_params(self) -> None:
-        cfg = self.config
-        d = cfg.d_model
-        self._add("src_embed", self._rng.normal(0.0, d ** -0.5, size=(cfg.src_vocab_size, d)))
-        self._add("tgt_embed", self._rng.normal(0.0, d ** -0.5, size=(cfg.tgt_vocab_size, d)))
-        self._add("out_bias", np.zeros(cfg.tgt_vocab_size))
-        for ly, tag in enumerate(cfg.layer_plan):
-            base = f"enc{ly}"
-            if tag == "RDW":
-                self._add(f"{base}.fc1_w", self._linear_init(d, d))
-                self._add(f"{base}.fc1_b", np.zeros(d))
-                self._add(f"{base}.fc2_w", self._linear_init(d, d))
-                self._add(f"{base}.fc2_b", np.zeros(d))
-            self._add_attention(f"{base}.attn", d)
-            self._add(f"{base}.seq_k", self._table_init(2 * cfg.k + 1, cfg.d_head))
-            self._add(f"{base}.seq_v", self._table_init(2 * cfg.k + 1, cfg.d_head))
-            if tag in STRUCTURAL_TAGS[cfg.srpe_placement]:
-                self._add(f"{base}.str_k", self._table_init(cfg.l + 1, cfg.d_head))
-                self._add(f"{base}.str_v", self._table_init(cfg.l + 1, cfg.d_head))
-            self._add_ffn(f"{base}.ffn")
-            self._add_layernorm(f"{base}.ln1")
-            self._add_layernorm(f"{base}.ln2")
-        self._add_layernorm("enc_final")
-        for ly in range(cfg.n_decoder_layers):
-            base = f"dec{ly}"
-            self._add_attention(f"{base}.self", d)
-            self._add(f"{base}.seq_k", self._table_init(2 * cfg.k + 1, cfg.d_head))
-            self._add(f"{base}.seq_v", self._table_init(2 * cfg.k + 1, cfg.d_head))
-            self._add_attention(f"{base}.cross", d)
-            self._add_ffn(f"{base}.ffn")
-            self._add_layernorm(f"{base}.ln1")
-            self._add_layernorm(f"{base}.ln2")
-            self._add_layernorm(f"{base}.ln3")
+    @classmethod
+    def from_state_dict(cls, config: ModelConfig, state: dict[str, np.ndarray]) -> "ScriptModel":
+        """A model holding state's arrays, drawing none; state is checked as
+        load_state_dict checks it before any parameter is made."""
+        model = cls.__new__(cls)
+        model.config = config
+        model.load_state_dict(state)
+        return model
 
     # -- state ------------------------------------------------------------
 
@@ -320,30 +322,26 @@ class ScriptModel:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Replace every parameter. Names and shapes must match this
-        configuration (ArtifactMismatchError) and every value must be finite
-        (NumericsError, naming the first parameter that is not); on either
-        error no parameter changes."""
-        mine = set(self.params)
-        theirs = set(state)
-        if mine != theirs:
-            missing = sorted(mine - theirs)
-            extra = sorted(theirs - mine)
+        """Replace every parameter. Names and shapes must match
+        param_schema(self.config) (ArtifactMismatchError) and every value
+        must be finite (NumericsError, naming the first parameter that is
+        not); on either error no parameter changes."""
+        schema = param_schema(self.config)
+        if set(schema) != set(state):
+            missing = sorted(set(schema) - set(state))
+            extra = sorted(set(state) - set(schema))
             raise ArtifactMismatchError(
                 f"parameter names do not match this configuration; missing {missing[:5]}, unexpected {extra[:5]}"
             )
         arrays = {}
-        for name, t in self.params.items():
+        for name, (shape, _) in schema.items():
             arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ArtifactMismatchError(
-                    f"parameter {name!r} has shape {arr.shape}, expected {t.data.shape}"
-                )
+            if arr.shape != shape:
+                raise ArtifactMismatchError(f"parameter {name!r} has shape {arr.shape}, expected {shape}")
             if not np.isfinite(arr).all():
                 raise NumericsError(f"parameter {name!r} holds a value that is not finite")
             arrays[name] = arr
-        for name, arr in arrays.items():
-            self.params[name].data = arr.copy()
+        self.params = {name: Tensor(arr.copy(), requires_grad=True) for name, arr in arrays.items()}
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -718,13 +716,25 @@ class ScriptModel:
         length_penalty: float = 1.0,
     ) -> list[int]:
         """Encode one source and beam-decode its summary ids, recording no
-        graph. Every inference caller decodes through here."""
-        with no_grad():
+        graph, under inference_numerics. Every inference caller decodes
+        through here."""
+        with no_grad(), inference_numerics():
             state = self.script_encoder(src_ids, bundle)
             return self.beam_search(state, beam_size, max_len, length_penalty)
 
 
 # -- module-level helpers ----------------------------------------------------
+
+
+@contextmanager
+def inference_numerics():
+    """Floating-point overflow or an invalid operation raises a one-line
+    NumericsError instead of a numpy warning; finite results are unchanged."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise NumericsError(f"{exc} during inference") from exc
 
 
 def _log_softmax(logits: np.ndarray, prefixes) -> np.ndarray:
@@ -787,6 +797,8 @@ __all__ = [
     "DecoderCache",
     "ScriptModel",
     "ablation_layer_plan",
+    "inference_numerics",
+    "param_schema",
     "save_model_sidecar",
     "load_model_sidecar",
 ]

@@ -125,17 +125,37 @@ class Adam:
             p.data = p.data - lr * update
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {"adam.step": np.asarray(float(self.step_count))}
+        out: dict[str, np.ndarray] = {"adam.step": np.array([float(self.step_count)])}
         for name in self.m:
             out[f"adam.m.{name}"] = self.m[name]
             out[f"adam.v.{name}"] = self.v[name]
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.step_count = int(np.asarray(arrays["adam.step"]).ravel()[0])
-        for name in self.m:
-            self.m[name] = np.asarray(arrays[f"adam.m.{name}"], dtype=np.float64).copy()
-            self.v[name] = np.asarray(arrays[f"adam.v.{name}"], dtype=np.float64).copy()
+        """Restore the step count and moments; FormatError, changing nothing,
+        unless adam.step holds one non-negative integer and every moment
+        is finite with its parameter's shape, and v >= 0."""
+
+        def array(key: str, shape: tuple[int, ...]) -> np.ndarray:
+            if key not in arrays:
+                raise FormatError(f"missing optimizer state {key!r}")
+            arr = np.asarray(arrays[key], dtype=np.float64)
+            if arr.shape != shape:
+                raise FormatError(f"optimizer state {key!r} has shape {arr.shape}, expected {shape}")
+            if not np.isfinite(arr).all():
+                raise FormatError(f"optimizer state {key!r} holds a value that is not finite")
+            return arr.copy()
+
+        step = float(array("adam.step", (1,))[0])
+        if step < 0 or step != math.floor(step):
+            raise FormatError(f"optimizer state 'adam.step' must be a non-negative integer, got {step!r}")
+        m, v = {}, {}
+        for name, p in self.model.params.items():
+            m[name] = array(f"adam.m.{name}", p.data.shape)
+            v[name] = array(f"adam.v.{name}", p.data.shape)
+            if (v[name] < 0).any():
+                raise FormatError(f"optimizer state 'adam.v.{name}' holds a negative value")
+        self.step_count, self.m, self.v = int(step), m, v
 
 
 def lr_at_step(step: int, total_steps: int, base_lr: float, warmup_ratio: float) -> float:
@@ -312,8 +332,8 @@ def train(
         model.load_state_dict(params)
         try:
             optimizer.load_state_arrays(arrays)
-        except KeyError as exc:
-            raise FormatError(f"{last_path}: missing optimizer state {exc}") from exc
+        except FormatError as exc:
+            raise FormatError(f"{last_path}: {exc}") from exc
         start_epoch, global_step, best_epoch, bad_epochs, best_metric = _read_state(state_path)
         history = _read_history(history_path)
 
@@ -459,14 +479,14 @@ def _read_history(path) -> list[HistoryRow]:
 
 
 def load_model_from_dir(out_dir, which: str = "best") -> tuple[ScriptModel, dict]:
-    """Rebuild a model from a training directory's sidecar + checkpoint."""
+    """Rebuild a model from a training directory's sidecar + checkpoint. The
+    checkpoint's names and shapes are checked against the sidecar's config
+    before any parameter is made, and no weights are drawn."""
     out_dir = Path(out_dir)
     config, payload = load_model_sidecar(out_dir / "best.json")
-    model = ScriptModel(config, seed=0)
     arrays = load_checkpoint(out_dir / f"{which}.ckpt")
     params = {k: v for k, v in arrays.items() if not k.startswith("adam.")}
-    model.load_state_dict(params)
-    return model, payload
+    return ScriptModel.from_state_dict(config, params), payload
 
 
 __all__ = [

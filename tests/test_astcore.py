@@ -17,7 +17,7 @@ from scriptsum.astcore import (
 from scriptsum.errors import FormatError, TreeError
 from scriptsum.minilang import parse_minilang
 
-from oracles import random_tree
+from oracles import random_minilang, random_tree
 
 
 def leaf(i, value):
@@ -175,10 +175,11 @@ class TestLeafTokens:
 class TestInterchange:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            ast = random_tree(rng, int(rng.integers(1, 40)))
-            again = ast_from_json(ast_to_json(ast))
-            assert again == ast
+        trees = [random_tree(rng, int(rng.integers(1, 40))) for _ in range(20)]
+        # parsed programs: typed nodes, literal values and nested statements
+        trees += [parse_minilang(random_minilang(rng, int(rng.integers(1, 8)))) for _ in range(300)]
+        for ast in trees:
+            assert ast_from_json(ast_to_json(ast)) == ast
 
     @pytest.mark.parametrize("shape", ["chain", "star"])
     def test_degenerate_trees_load_and_round_trip(self, shape):

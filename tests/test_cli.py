@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import shutil
 import struct
 
@@ -28,6 +29,21 @@ TRAIN_FLAGS = [
     "--bleu-every", "0",
     "--seed", "0",
 ]
+
+
+def damage_optimizer_state(name, change):
+    """A damage that rewrites one optimizer array of a run's last.ckpt."""
+
+    def damage(run):
+        arrays = load_checkpoint(run / "last.ckpt")
+        arrays[name] = change(arrays[name])
+        save_checkpoint(arrays, run / "last.ckpt")
+
+    return damage
+
+
+def set_first(value):
+    return lambda arr: np.where(np.arange(arr.size).reshape(arr.shape) == 0, value, arr)
 
 
 @pytest.fixture(scope="session")
@@ -260,8 +276,19 @@ class TestTrainCommand:
                     (run / "history.csv").read_text() + "3,low,1.0,,0.001,0.5\n"
                 ),
             ),
+            ("last.ckpt", damage_optimizer_state("adam.m.out_bias", lambda a: np.zeros(a.size + 1))),
+            ("last.ckpt", damage_optimizer_state("adam.step", set_first(np.nan))),
+            ("last.ckpt", damage_optimizer_state("adam.step", lambda a: a[:0])),
+            ("last.ckpt", damage_optimizer_state("adam.step", set_first(-3.0))),
+            ("last.ckpt", damage_optimizer_state("adam.step", set_first(2.5))),
+            ("last.ckpt", damage_optimizer_state("adam.v.out_bias", set_first(np.nan))),
+            ("last.ckpt", damage_optimizer_state("adam.v.out_bias", set_first(-1.0))),
         ],
-        ids=["invalid-json", "list", "no-counters", "no-optimizer-state", "non-numeric-row"],
+        ids=[
+            "invalid-json", "list", "no-counters", "no-optimizer-state", "non-numeric-row",
+            "moment-shape", "nan-step", "empty-step", "negative-step", "fractional-step",
+            "nan-second-moment", "negative-second-moment",
+        ],
     )
     def test_damaged_run_dir_resume_is_input_error(
         self, tmp_path, trained_dir, small_dataset, capsys, name, damage
@@ -434,6 +461,34 @@ class TestSummarize:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
+    def test_overflowing_checkpoint_is_numeric_error(
+        self, tmp_path, trained_dir, small_dataset, capsys
+    ):
+        # finite weights so large that the decoder's FFN overflows
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained_dir, model_dir)
+        params = load_checkpoint(model_dir / "best.ckpt")
+        params["dec0.ffn.w1"][:] = 1e300
+        save_checkpoint(params, model_dir / "best.ckpt")
+        capsys.readouterr()
+        rc = main(["summarize", str(model_dir), str(small_dataset), "--beam", "2"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: overflow") and len(captured.err.splitlines()) == 1
+
+    def test_sidecar_config_mismatch_exits_4(self, tmp_path, trained_dir, small_dataset, capsys):
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained_dir, model_dir)
+        sidecar = json.loads((model_dir / "best.json").read_text())
+        sidecar["model_config"].update(d_model=2048, ffn_dim=8192)
+        (model_dir / "best.json").write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        rc = main(["summarize", str(model_dir), str(small_dataset)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: parameter 'src_embed' has shape \((\d+), 16\), expected \(\1, 2048\)\n", err)
+
     def test_vocab_digest_mismatch(self, tmp_path, trained_dir, small_dataset):
         vocab = json.loads((trained_dir / "src_vocab.json").read_text())
         vocab["tokens"][-1] = "zzz_unseen_token"
@@ -495,6 +550,22 @@ class TestExportAttention:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "enc0.attn.q0" in err
+        assert not (tmp_path / "attn").exists()
+
+    def test_overflowing_checkpoint_is_numeric_error(self, tmp_path, trained_dir, capsys):
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained_dir, model_dir)
+        params = load_checkpoint(model_dir / "best.ckpt")
+        params["enc0.ffn.w1"][:] = 1e300
+        save_checkpoint(params, model_dir / "best.ckpt")
+        src = tmp_path / "prog.ml"
+        src.write_text("x = y;\n")
+        capsys.readouterr()
+        rc = main(["export-attention", str(model_dir), str(src), str(tmp_path / "attn"),
+                   "--layer", "0", "--head", "0"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: overflow") and len(err.splitlines()) == 1
         assert not (tmp_path / "attn").exists()
 
     def test_out_of_range_indices(self, tmp_path, trained_dir):

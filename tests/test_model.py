@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import struct
 
@@ -12,6 +13,7 @@ from scriptsum.errors import (
     NumericsError,
     ShapeError,
 )
+import scriptsum.model
 from scriptsum.checkpoint import load_checkpoint, save_checkpoint
 from scriptsum.model import (
     LAYER_TAGS,
@@ -778,6 +780,51 @@ def write_raw_checkpoint(path, params, data: bytes) -> None:
 
 
 GOOD_ENTRY = {"name": "w", "shape": [2], "dtype": "<f8", "offset": 0}
+
+GOLDEN_CONFIG = ModelConfig(
+    src_vocab_size=13, tgt_vocab_size=11, d_model=8, n_heads=2,
+    n_script_modules=2, n_decoder_layers=2, ffn_dim=16,
+)
+
+
+class TestParamSchema:
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            ({}, "f42557b9213709f82cdc1b81e3b3d2b7a30e0971a872345a8bbedd32723f0950"),
+            (
+                dict(n_script_modules=1, n_decoder_layers=1, srpe_placement="all",
+                     layer_plan=("PLAIN", "SRPEi")),
+                "33f870b1e5dc4029b1b4c33cf02d2bbbbb05743b63c1bd332bf0572ff9bd37bd",
+            ),
+        ],
+        ids=["rdw-srpei", "plain-srpei-all"],
+    )
+    def test_initial_checkpoint_digest(self, tmp_path, overrides, digest):
+        # pins the draw order: one draw per parameter, in schema order
+        path = tmp_path / "init.ckpt"
+        config = dataclasses.replace(GOLDEN_CONFIG, **overrides)
+        save_checkpoint(ScriptModel(config, seed=3).state_dict(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_from_state_dict_draws_nothing(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        source = tiny_model(seed=11)
+        bundle = random_bundle(rng, 6)
+        ids = rng.integers(0, 13, 6)
+
+        def no_draws(*args):
+            raise AssertionError("a weight was drawn")
+
+        monkeypatch.setattr(scriptsum.model, "_draw", no_draws)
+        rebuilt = ScriptModel.from_state_dict(source.config, source.state_dict())
+        assert np.array_equal(
+            rebuilt.script_encoder(ids, bundle).h.data, source.script_encoder(ids, bundle).h.data
+        )
+        state = source.state_dict()
+        state["enc0.attn.q1"] = state["enc0.attn.q1"][:, :1]
+        with pytest.raises(ArtifactMismatchError, match="'enc0.attn.q1' has shape"):
+            ScriptModel.from_state_dict(source.config, state)
 
 
 class TestCheckpointAndSidecar:

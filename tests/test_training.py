@@ -1,13 +1,15 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from scriptsum.checkpoint import save_checkpoint
 from scriptsum.data import build_vocab, encode_examples, load_dataset, make_batches
-from scriptsum.errors import ConfigError, NumericsError
-from scriptsum.model import ModelConfig, ScriptModel
+from scriptsum.errors import ArtifactMismatchError, ConfigError, NumericsError
+from scriptsum.model import ModelConfig, ScriptModel, save_model_sidecar
 from scriptsum.training import (
     Adam,
     HistoryRow,
@@ -323,6 +325,20 @@ class TestTrainLoop:
         best_model, payload = load_model_from_dir(tmp_path, which="best")
         split = encode_examples(examples, src, tgt)
         assert evaluate_loss(best_model, split) == pytest.approx(result.best_metric, abs=1e-12)
+
+    def test_sidecar_mismatch_refused_before_building(self, tmp_path):
+        # a best.json edited to a wide model must fail on the checkpoint's
+        # shapes, not after making a model of that width
+        save_checkpoint(ScriptModel(tiny_config(), seed=0).state_dict(), tmp_path / "best.ckpt")
+        save_model_sidecar(tmp_path / "best.json", tiny_config(d_model=2048, ffn_dim=8192))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArtifactMismatchError, match="'src_embed' has shape"):
+                load_model_from_dir(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_max_steps_caps_run(self, toy_corpus_path, tmp_path):
         examples, src, tgt, model = training_setup(toy_corpus_path)
