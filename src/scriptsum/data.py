@@ -1,4 +1,4 @@
-"""Dataset loading, vocabularies, and deterministic padded batching.
+"""Dataset loading, vocabularies, and deterministic batching.
 
 Datasets are JSON Lines files, one example per line, holding either
 MiniLang source under "code" or an interchange tree under "ast", plus a
@@ -238,35 +238,20 @@ def encode_examples(
 
 @dataclass(frozen=True)
 class Batch:
-    """Padded id matrices, masks, and zero-padded structural blocks.
-
-    Padded rows/columns of every structural matrix are zero, so padded
-    positions receive no structural weight; masks are 1.0 at real
-    positions.
-    """
+    """A chunk of encoded examples: PAD-filled id matrices and each
+    example's own structural bundle. Training reads row i as
+    src_ids[i, :src_lens[i]] and tgt_ids[i, :tgt_lens[i]] with bundles[i],
+    so no example ever sees padding."""
 
     src_ids: np.ndarray  # (B, n_max)
-    src_mask: np.ndarray  # (B, n_max) floats in {0, 1}
     src_lens: tuple[int, ...]
     tgt_ids: np.ndarray  # (B, m_max)
     tgt_lens: tuple[int, ...]
-    m_bar: np.ndarray  # (B, n_max, n_max)
-    buckets: np.ndarray  # (B, n_max, n_max) int
-    a_mv: np.ndarray  # (B, n_max, n_max)
-    example_indices: tuple[int, ...]
+    bundles: tuple[StructuralEncodings, ...]
+    example_indices: tuple[int, ...]  # positions in the split
 
     def __len__(self) -> int:
         return self.src_ids.shape[0]
-
-    def example_bundle(self, i: int) -> StructuralEncodings:
-        """Padded-size structural bundle for one row of the batch."""
-        n = self.src_ids.shape[1]
-        return StructuralEncodings(
-            distances=np.zeros((n, n), dtype=np.int64),
-            distance_weights=self.m_bar[i],
-            bucket_ids=self.buckets[i],
-            multiview=self.a_mv[i],
-        )
 
 
 def make_batches(
@@ -275,7 +260,7 @@ def make_batches(
     sort_by_length: bool = False,
     shuffle_seed: int | None = None,
 ) -> list[Batch]:
-    """Chunk encoded examples into padded batches.
+    """Chunk encoded examples into batches.
 
     Order is deterministic: an optional seeded shuffle, then an optional
     stable sort by source length, then contiguous chunks.
@@ -297,36 +282,18 @@ def make_batches(
 
 def _pad_batch(split: Sequence[EncodedExample], indices: list[int]) -> Batch:
     rows = [split[i] for i in indices]
-    n_max = max(len(r.src_ids) for r in rows)
-    m_max = max(len(r.tgt_ids) for r in rows)
-    b = len(rows)
-    src_ids = np.full((b, n_max), PAD_ID, dtype=np.int64)
-    src_mask = np.zeros((b, n_max))
-    tgt_ids = np.full((b, m_max), PAD_ID, dtype=np.int64)
-    m_bar = np.zeros((b, n_max, n_max))
-    buckets = np.zeros((b, n_max, n_max), dtype=np.int64)
-    a_mv = np.zeros((b, n_max, n_max))
-    src_lens = []
-    tgt_lens = []
-    for i, r in enumerate(rows):
-        n = len(r.src_ids)
-        m = len(r.tgt_ids)
-        src_ids[i, :n] = r.src_ids
-        src_mask[i, :n] = 1.0
-        tgt_ids[i, :m] = r.tgt_ids
-        m_bar[i, :n, :n] = r.bundle.distance_weights
-        buckets[i, :n, :n] = r.bundle.bucket_ids
-        a_mv[i, :n, :n] = r.bundle.multiview
-        src_lens.append(n)
-        tgt_lens.append(m)
+
+    def pad(seqs: list[np.ndarray]) -> np.ndarray:
+        out = np.full((len(seqs), max(len(s) for s in seqs)), PAD_ID, dtype=np.int64)
+        for i, s in enumerate(seqs):
+            out[i, : len(s)] = s
+        return out
+
     return Batch(
-        src_ids=src_ids,
-        src_mask=src_mask,
-        src_lens=tuple(src_lens),
-        tgt_ids=tgt_ids,
-        tgt_lens=tuple(tgt_lens),
-        m_bar=m_bar,
-        buckets=buckets,
-        a_mv=a_mv,
+        src_ids=pad([r.src_ids for r in rows]),
+        src_lens=tuple(len(r.src_ids) for r in rows),
+        tgt_ids=pad([r.tgt_ids for r in rows]),
+        tgt_lens=tuple(len(r.tgt_ids) for r in rows),
+        bundles=tuple(r.bundle for r in rows),
         example_indices=tuple(indices),
     )

@@ -168,10 +168,9 @@ class ModelConfig:
 
 @dataclass
 class EncoderState:
-    """Encoder output plus the per-example inputs the decoder needs."""
+    """Encoder output of one source, (n, d_model), for the decoder."""
 
     h: Tensor
-    mask: np.ndarray | None  # 1.0 for real positions, 0.0 for padding
 
 
 @dataclass
@@ -221,17 +220,6 @@ def ablation_layer_plan(n_script_modules: int, drop: str | None) -> tuple[str, .
     if drop not in plans:
         raise ConfigError(f"unknown ablation {drop!r}; valid: {list(plans)}")
     return plans[drop] * n_script_modules
-
-
-def _pad_additive(mask: np.ndarray | None, n_queries: int, n_keys: int) -> np.ndarray | None:
-    """Additive attention mask dropping padded key columns."""
-    if mask is None:
-        return None
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (n_keys,):
-        raise ShapeError(f"padding mask shape {mask.shape} != ({n_keys},)")
-    row = np.where(mask > 0, 0.0, NEG_INF)
-    return np.broadcast_to(row[None, :], (n_queries, n_keys)).copy()
 
 
 def _causal_additive(n: int) -> np.ndarray:
@@ -442,7 +430,6 @@ class ScriptModel:
         x: Tensor,
         bundle: StructuralEncodings,
         *,
-        mask: np.ndarray | None = None,
         training: bool = False,
         rng: np.random.Generator | None = None,
         capture: list | None = None,
@@ -452,8 +439,7 @@ class ScriptModel:
         RDW first sums a sigmoid gate of FC1(H) + FC2(M_bar H) into H. Every
         tag adds the sequential tables, the structural tables are added when
         srpe_placement covers the tag, and SRPEi gates the attention by the
-        multi-view matrix. A padded query row's gate is all ones, so neg_inf
-        masking never empties it; its output is discarded.
+        multi-view matrix.
         """
         p = self.params
         cfg = self.config
@@ -474,19 +460,12 @@ class ScriptModel:
         rel = ((f"{base}.seq", self._seq_idx(n)),)
         if tag in STRUCTURAL_TAGS[cfg.srpe_placement]:
             rel += ((f"{base}.str", bundle.bucket_ids),)
-        additive_mask = _pad_additive(mask, n, n)
-        a_mv = None
-        if tag == "SRPEi":
-            a_mv = bundle.multiview
-            if mask is not None:
-                a_mv = np.where(np.asarray(mask)[:, None] > 0, a_mv, 1.0)
         attn = self.relative_attention(
             f"{base}.attn",
             x,
             x,
             rel=rel,
-            a_mv=a_mv,
-            additive_mask=additive_mask,
+            a_mv=bundle.multiview if tag == "SRPEi" else None,
             training=training,
             rng=rng,
             capture=capture,
@@ -503,7 +482,6 @@ class ScriptModel:
         self,
         src_ids: np.ndarray,
         bundle: StructuralEncodings,
-        mask: np.ndarray | None = None,
         *,
         training: bool = False,
         rng: np.random.Generator | None = None,
@@ -524,14 +502,14 @@ class ScriptModel:
                 raise ShapeError(f"{name} shape {arr.shape} != ({n}, {n})")
         x = scale(embed(p["src_embed"], src_ids), math.sqrt(cfg.d_model))
         x = dropout(x, cfg.dropout_p, rng, training)
-        common = dict(mask=mask, training=training, rng=rng, capture=capture)
+        common = dict(training=training, rng=rng, capture=capture)
         for first in range(0, cfg.n_encoder_layers, 2):
             second = first + 1
             h = self.encoder_layer(cfg.layer_plan[first], first, x, bundle, **common)
             h_prime = self.encoder_layer(cfg.layer_plan[second], second, h, bundle, **common)
             x = add(h, h_prime)
         x = layernorm(x, p["enc_final_g"], p["enc_final_b"])
-        return EncoderState(h=x, mask=mask)
+        return EncoderState(h=x)
 
     def decode(
         self,
@@ -564,11 +542,9 @@ class ScriptModel:
             raise ShapeError(f"{beams} beams of ids for a cache of {cache.beams} beams")
         if not cache.cross:
             cache.cross = [self.keys_values(f"dec{ly}.cross", state.h) for ly in range(cfg.n_decoder_layers)]
-        n_src = state.h.shape[0]
         y = scale(embed(p["tgt_embed"], ids.T.reshape(-1)), math.sqrt(cfg.d_model))
         y = dropout(y, cfg.dropout_p, rng, training)
         causal = _causal_additive(past + m)[past:]
-        cross_mask = _pad_additive(state.mask, beams * m, n_src)
         seq_idx = self._seq_idx(past + m)[past:]
         self_kv = []
         for ly in range(cfg.n_decoder_layers):
@@ -592,7 +568,6 @@ class ScriptModel:
                 f"{base}.cross",
                 y,
                 cache.cross[ly],
-                additive_mask=cross_mask,
                 training=training,
                 rng=rng,
             )
@@ -608,7 +583,6 @@ class ScriptModel:
         bundle: StructuralEncodings,
         tgt_ids: np.ndarray,
         *,
-        mask: np.ndarray | None = None,
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
@@ -620,22 +594,11 @@ class ScriptModel:
         tgt_ids = np.asarray(tgt_ids, dtype=np.int64)
         if tgt_ids.shape[0] < 2:
             raise ShapeError("summary encoding must contain at least BOS and EOS")
-        state = self.script_encoder(src_ids, bundle, mask, training=training, rng=rng)
+        state = self.script_encoder(src_ids, bundle, training=training, rng=rng)
         logits = self.decode(tgt_ids[:-1], state, training=training, rng=rng)
         return cross_entropy(logits, tgt_ids[1:])
 
     # -- generation ------------------------------------------------------------
-
-    def decoder_step(self, prefix_ids, state: EncoderState) -> np.ndarray:
-        """Probability distribution over the next token after the prefix,
-        from a full decoder pass over the prefix: the reference that the
-        cached steps of beam_search are tested against."""
-        return np.exp(self._next_log_probs(tuple(prefix_ids), state))
-
-    def _next_log_probs(self, prefix_ids: tuple[int, ...], state: EncoderState) -> np.ndarray:
-        with no_grad():
-            logits = self.decode(np.asarray(prefix_ids, dtype=np.int64), state).data[-1:]
-        return _log_softmax(logits, [prefix_ids])[0]
 
     def _beam_log_probs(
         self, seqs: list[tuple[int, ...]], state: EncoderState, cache: DecoderCache

@@ -8,10 +8,10 @@ patience counter; the best checkpoint and a resumable last checkpoint are
 written every epoch together with a CSV history.
 
 All randomness is counter-based: the shuffle order is seeded by (seed,
-epoch) and every dropout pass by (seed, step, batch row), so an
+epoch) and every dropout pass by (seed, step, example index), so an
 interrupted run resumed from the last checkpoint retraces the exact same
-computation. Masks are drawn at the padded length, so an example's dropout
-depends on its batch partners (ROADMAP open item 5).
+computation. Each example trains at its own length, so neither its loss
+nor its gradient depends on its batch partners or its row.
 """
 
 from __future__ import annotations
@@ -268,21 +268,18 @@ def _train_one_batch(
     model.zero_grad()
     b = len(batch)
     batch_loss = 0.0
-    for i in range(b):
-        rng = _example_rng(cfg.seed, global_step, i)
-        tgt = batch.tgt_ids[i, : batch.tgt_lens[i]]
+    for i, index in enumerate(batch.example_indices):
         loss = model.forward_loss(
-            batch.src_ids[i],
-            batch.example_bundle(i),
-            tgt,
-            mask=batch.src_mask[i],
+            batch.src_ids[i, : batch.src_lens[i]],
+            batch.bundles[i],
+            batch.tgt_ids[i, : batch.tgt_lens[i]],
             training=True,
-            rng=rng,
+            rng=_example_rng(cfg.seed, global_step, index),
         )
         value = float(loss.data)
         if not math.isfinite(value):
             raise NumericsError(
-                f"non-finite training loss {value!r} at step {global_step}, batch row {i}"
+                f"non-finite training loss {value!r} at step {global_step}, example {index}"
             )
         backward(scale(loss, 1.0 / b))
         batch_loss += value / b

@@ -13,7 +13,9 @@ from itertools import product
 import numpy as np
 
 from scriptsum.astcore import Ast, AstNode, TokenAlignment
+from scriptsum.model import _log_softmax
 from scriptsum.structure import _flow_edges, _statement_of
+from scriptsum.tensor import no_grad
 
 
 def random_tree(rng: np.random.Generator, n_nodes: int) -> Ast:
@@ -236,12 +238,22 @@ def vanilla_attention(
     return np.concatenate(heads, axis=1) @ params[f"{prefix}.out_w"] + params[f"{prefix}.out_b"]
 
 
+def full_decode_log_probs(model, prefix, state) -> np.ndarray:
+    """Log-probabilities of the token after prefix (which starts at BOS),
+    from a full decoder pass over the whole prefix, normalised by the
+    library's own rule: the reference for beam_search's cached steps."""
+    prefix = tuple(int(t) for t in prefix)
+    with no_grad():
+        logits = model.decode(np.asarray(prefix, dtype=np.int64), state).data[-1:]
+    return _log_softmax(logits, [prefix])[0]
+
+
 def greedy_oracle(model, state, max_len: int) -> list[int]:
     """Step-by-step argmax decoding, ties to the smallest token id."""
     eos = model.config.eos_id
     seq = [model.config.bos_id]
     for _ in range(max_len):
-        logp = model._next_log_probs(tuple(seq), state)
+        logp = full_decode_log_probs(model, seq, state)
         nxt = int(np.argmax(logp))
         seq.append(nxt)
         if nxt == eos:
@@ -256,7 +268,7 @@ def _sequence_logprob(model, state, emitted: tuple[int, ...]) -> float:
     prefix = (model.config.bos_id,)
     total = 0.0
     for tok in emitted:
-        logp = model._next_log_probs(prefix, state)
+        logp = full_decode_log_probs(model, prefix, state)
         total += float(logp[tok])
         prefix = prefix + (tok,)
     return total

@@ -29,7 +29,7 @@ from scriptsum.structure import StructuralEncodings
 from scriptsum.tensor import Tensor, _grad_enabled, grad_check, no_grad, sum_all, tensor
 
 from conftest import make_example, random_bundle, tiny_config, tiny_model
-from oracles import exhaustive_decode, greedy_oracle, vanilla_attention
+from oracles import exhaustive_decode, full_decode_log_probs, greedy_oracle, vanilla_attention
 
 
 def embed_input(model, src_ids):
@@ -45,27 +45,6 @@ def zero_rel_tables(model, base):
         name = f"{base}.{suffix}"
         if name in model.params:
             model.params[name].data = np.zeros_like(model.params[name].data)
-
-
-def pad_bundle(bundle, extra):
-    n = bundle.distances.shape[0]
-    m = n + extra
-
-    def pad(mat):
-        out = np.zeros((m, m), dtype=mat.dtype)
-        out[:n, :n] = mat
-        return out
-
-    mv = pad(bundle.multiview)
-    # padded query rows keep real keys unmasked so the row stays viable
-    # (their outputs are discarded; real rows never see padded keys)
-    mv[n:, :] = 1.0
-    return StructuralEncodings(
-        distances=pad(bundle.distances),
-        distance_weights=pad(bundle.distance_weights),
-        bucket_ids=pad(bundle.bucket_ids),
-        multiview=mv,
-    )
 
 
 class TestModelConfig:
@@ -472,32 +451,6 @@ class TestScriptEncoder:
         with pytest.raises(ShapeError):
             model.script_encoder(np.array([1, 2, 3]), bundle)
 
-    def test_padding_invariance(self):
-        rng = np.random.default_rng(14)
-        for mask_mode in ("multiply", "neg_inf"):
-            model = tiny_model(mask_mode=mask_mode)
-            n = 5
-            bundle = random_bundle(rng, n)
-            ids = rng.integers(3, 13, n)
-            base = model.script_encoder(ids, bundle).h.data
-            extra = 3
-            padded_ids = np.concatenate([ids, np.zeros(extra, dtype=np.int64)])
-            mask = np.concatenate([np.ones(n), np.zeros(extra)])
-            padded = model.script_encoder(padded_ids, pad_bundle(bundle, extra), mask)
-            assert np.allclose(padded.h.data[:n], base, atol=1e-9)
-
-    def test_padded_keys_get_zero_attention(self):
-        rng = np.random.default_rng(15)
-        model = tiny_model()
-        n, extra = 4, 2
-        bundle = random_bundle(rng, n)
-        ids = np.concatenate([rng.integers(3, 13, n), np.zeros(extra, dtype=np.int64)])
-        mask = np.concatenate([np.ones(n), np.zeros(extra)])
-        captured = []
-        model.script_encoder(ids, pad_bundle(bundle, extra), mask, capture=captured)
-        for alpha in captured:
-            assert np.all(alpha[:n, n:] == 0.0)
-
 
 class TestDecoder:
     def test_causal_mask_blocks_future(self):
@@ -520,7 +473,7 @@ class TestDecoder:
         n = 4
         bundle = random_bundle(rng, n)
         state = model.script_encoder(rng.integers(0, 13, n), bundle)
-        probs = model.decoder_step([1, 3], state)
+        probs = np.exp(full_decode_log_probs(model, [1, 3], state))
         assert probs.shape == (model.config.tgt_vocab_size,)
         assert np.isclose(probs.sum(), 1.0)
         assert np.all(probs >= 0)
@@ -696,10 +649,9 @@ class TestGeneration:
 
 CACHE_CASES = {
     # k=2 < max_len, so later steps use clipped sequential offsets
-    "clipped_offsets": (dict(k=2), dict(beam_size=3, max_len=7), 0),
-    "padded_source": (dict(), dict(beam_size=3, max_len=5), 2),
-    "beam_wider_than_vocab": (dict(tgt_vocab_size=5), dict(beam_size=8, max_len=4), 0),
-    "dropout_eval": (dict(dropout_p=0.3), dict(beam_size=3, max_len=5), 0),
+    "clipped_offsets": (dict(k=2), dict(beam_size=3, max_len=7)),
+    "beam_wider_than_vocab": (dict(tgt_vocab_size=5), dict(beam_size=8, max_len=4)),
+    "dropout_eval": (dict(dropout_p=0.3), dict(beam_size=3, max_len=5)),
 }
 
 
@@ -708,16 +660,14 @@ class TestCachedDecoding:
     def test_cached_steps_match_full_decode(self, case):
         """At every step, each live beam's cached logits equal the last row
         of a full decoder pass over its prefix."""
-        overrides, search, extra = CACHE_CASES[case]
+        overrides, search = CACHE_CASES[case]
         rng = np.random.default_rng(list(CACHE_CASES).index(case))
         compared = 0
         for seed in range(3):
             model = tiny_model(seed=seed, n_decoder_layers=2, **overrides)
             n = 4
-            ids = np.concatenate([rng.integers(3, 13, n), np.zeros(extra, dtype=np.int64)])
-            mask = np.concatenate([np.ones(n), np.zeros(extra)]) if extra else None
-            state = model.script_encoder(ids, pad_bundle(random_bundle(rng, n), extra), mask)
-            assert (state.mask is not None) == (case == "padded_source")
+            ids = rng.integers(3, 13, n)
+            state = model.script_encoder(ids, random_bundle(rng, n))
             steps = []
             decode, seam = model.decode, model._beam_log_probs
 

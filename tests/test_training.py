@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scriptsum import training
 from scriptsum.checkpoint import save_checkpoint
-from scriptsum.data import build_vocab, encode_examples, load_dataset, make_batches
+from scriptsum.data import _pad_batch, build_vocab, encode_examples, load_dataset, make_batches
 from scriptsum.errors import ArtifactMismatchError, ConfigError, NumericsError
 from scriptsum.model import ModelConfig, ScriptModel, save_model_sidecar
 from scriptsum.training import (
@@ -22,7 +23,8 @@ from scriptsum.training import (
     train,
     write_history,
 )
-from scriptsum.training import _read_history
+from scriptsum.tensor import backward
+from scriptsum.training import _read_history, _train_one_batch
 
 from conftest import tiny_config
 
@@ -178,14 +180,12 @@ class TestEvaluation:
         for batch_size in (2, 3):
             for batch in make_batches(split, batch_size):
                 for row, ex_idx in enumerate(batch.example_indices):
-                    tgt_ids = batch.tgt_ids[row, : batch.tgt_lens[row]]
                     loss = model.forward_loss(
-                        batch.src_ids[row],
-                        batch.example_bundle(row),
-                        tgt_ids,
-                        mask=batch.src_mask[row],
+                        batch.src_ids[row, : batch.src_lens[row]],
+                        batch.bundles[row],
+                        batch.tgt_ids[row, : batch.tgt_lens[row]],
                     )
-                    assert abs(float(loss.data) - direct[ex_idx]) <= 1e-9
+                    assert float(loss.data) == direct[ex_idx]
 
     def test_evaluate_loss_matches_forward(self, toy_corpus_path):
         examples, src, tgt, model = training_setup(toy_corpus_path, 4)
@@ -206,6 +206,38 @@ class TestEvaluation:
         split = encode_examples(examples, src, tgt)
         acc = evaluate_token_accuracy(model, split)
         assert 0.0 <= acc <= 1.0
+
+
+class TestPartnerIndependence:
+    def test_loss_and_gradient_ignore_partners_and_row(self, toy_corpus_path, monkeypatch):
+        """Example 0's training loss and the gradient it adds at a step are
+        the same alone, next to the longest toy example, and in row 1."""
+        examples, src, tgt, model = training_setup(toy_corpus_path, 32, d_model=16, dropout_p=0.2)
+        split = encode_examples(examples, src, tgt)
+        longest = max(range(len(split)), key=lambda i: len(split[i].src_ids))
+        assert len(split[longest].src_ids) > len(split[0].src_ids)
+        added = []
+        for rows in ([0], [0, longest], [longest, 0]):
+            batch = _pad_batch(split, rows)
+            seen = []
+
+            def record(scaled_loss):  # the loop backpropagates loss / len(batch)
+                model.zero_grad()
+                backward(scaled_loss)
+                b = len(batch)
+                grads = {k: None if p.grad is None else p.grad * b for k, p in model.params.items()}
+                seen.append((float(scaled_loss.data) * b, grads))
+
+            monkeypatch.setattr(training, "backward", record)
+            _train_one_batch(model, batch, TrainConfig(seed=0), 0)
+            added.append(seen[rows.index(0)])
+        (loss, grads), others = added[0], added[1:]
+        assert any(g is not None and np.any(g) for g in grads.values())
+        for other_loss, other_grads in others:
+            assert other_loss == loss
+            for name, g in grads.items():
+                assert (g is None) == (other_grads[name] is None), name
+                assert g is None or np.array_equal(g, other_grads[name]), name
 
 
 class TestTrainLoop:
@@ -303,8 +335,9 @@ class TestTrainLoop:
     def test_non_finite_loss_aborts(self, toy_corpus_path, tmp_path):
         examples, src, tgt, model = training_setup(toy_corpus_path, 3)
         model.params["src_embed"].data[:] = np.nan
-        with pytest.raises(NumericsError):
-            train(model, examples, examples[:1], self.quick_cfg(), src, tgt, tmp_path)
+        # seed 1 shuffles example 1 into the first batch's first row
+        with pytest.raises(NumericsError, match=r"^non-finite training loss nan at step 0, example 1$"):
+            train(model, examples, examples[:1], self.quick_cfg(seed=1), src, tgt, tmp_path)
 
     def test_best_checkpoint_tracks_minimum_validation_loss(
         self, toy_corpus_path, tmp_path
