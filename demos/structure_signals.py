@@ -33,7 +33,7 @@ m = token_distance_matrix(node_d, align)
 print(m.d.astype(int), "\n")
 
 # nearer tokens get more weight; each live row sums to one
-m_bar = normalize(m).m_bar
+m_bar = normalize(m)
 print("normalized position weights (rows sum to 1):")
 print(m_bar)
 print("row sums:", m_bar.sum(axis=1), "\n")
@@ -41,7 +41,7 @@ print("row sums:", m_bar.sum(axis=1), "\n")
 for clip in (2, 4):
     buckets = bucketize(m, clip)
     print(f"buckets at clip {clip} (everything >= {clip} shares one id):")
-    print(buckets.b, "\n")
+    print(buckets, "\n")
 
 # the three binary relation views, then their weighted combination
 mv = multiview(ast, align, (1 / 3, 1 / 3, 1 / 3))

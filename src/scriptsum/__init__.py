@@ -63,10 +63,8 @@ from .model import (
     save_model_sidecar,
 )
 from .structure import (
-    BucketMatrix,
     DistanceMatrix,
     MultiViewMatrix,
-    NormalizedPositionMatrix,
     StructuralEncodings,
     bucketize,
     encode_structure,
@@ -93,8 +91,6 @@ __all__ = [
     "split_identifier",
     "parse_minilang",
     "DistanceMatrix",
-    "NormalizedPositionMatrix",
-    "BucketMatrix",
     "MultiViewMatrix",
     "StructuralEncodings",
     "floyd_apsp",

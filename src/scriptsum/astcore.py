@@ -62,9 +62,9 @@ class Ast:
             _check_preorder(nodes)
         for node in nodes:
             if node.is_leaf and node.value is None:
-                raise ValueError(f"leaf node {node.id} has no value")
+                raise TreeError(f"leaf node {node.id} has no value")
             if not node.is_leaf and node.value is not None:
-                raise ValueError(f"interior node {node.id} carries a value")
+                raise TreeError(f"interior node {node.id} carries a value")
         self.nodes = nodes
         self.leaf_order = tuple(n.id for n in nodes if n.is_leaf)
 
@@ -86,17 +86,6 @@ class Ast:
             for child in node.children:
                 parents[child] = node.id
         return parents
-
-    def depths(self) -> list[int]:
-        """Hop count from the root, per node id."""
-        depth = [0] * len(self.nodes)
-        stack = [0]
-        while stack:
-            nid = stack.pop()
-            for child in self.nodes[nid].children:
-                depth[child] = depth[nid] + 1
-                stack.append(child)
-        return depth
 
 
 def _validate_tree(nodes: tuple[AstNode, ...]) -> None:

@@ -19,6 +19,7 @@ import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -157,26 +158,32 @@ def _is_jsonl(path: Path) -> bool:
     return path.suffix.lower() in (".jsonl", ".ndjson")
 
 
-def _read_records(path: Path) -> list[dict]:
-    """Dataset records from a JSONL file, or a single record from a
-    MiniLang source file (summary left empty)."""
-    if _is_jsonl(path):
-        records = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                if not isinstance(rec, dict):
-                    raise FormatError(f"{path}:{lineno}: record must be a JSON object")
-                rec.setdefault("summary", "")
-                records.append(rec)
-        return records
-    return [{"code": path.read_text(encoding="utf-8"), "summary": ""}]
+def _read_examples(path: Path, clip: int, weights) -> Iterator[Example]:
+    """Examples from a JSONL dataset, or the one example of a MiniLang
+    source file (summary left empty). A JSONL record that fails names its
+    line, as load_dataset does."""
+    if not _is_jsonl(path):
+        yield example_from_record(
+            {"code": path.read_text(encoding="utf-8"), "summary": ""}, clip, weights
+        )
+        return
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise FormatError(f"line {lineno}: record must be a JSON object")
+            rec.setdefault("summary", "")
+            try:
+                ex = example_from_record(rec, clip, weights)
+            except (FormatError, MiniLangSyntaxError, TreeError) as exc:
+                raise FormatError(f"line {lineno}: {exc}") from exc
+            yield ex
 
 
 # -- parse ---------------------------------------------------------------
@@ -259,11 +266,9 @@ def cmd_encode(args) -> int:
     )
     manifest.add_input(in_path)
 
-    records = _read_records(in_path)
     max_distance = 0
     entropies: list[float] = []
-    for idx, rec in enumerate(records):
-        ex = example_from_record(rec, distance_clip=args.clip, view_weights=weights)
+    for idx, ex in enumerate(_read_examples(in_path, args.clip, weights)):
         b = ex.bundle
         payload = {
             "tokens": list(ex.code_tokens),
@@ -280,7 +285,7 @@ def cmd_encode(args) -> int:
         entropies.append(_row_entropy(b.distance_weights))
 
     stats = {
-        "n_examples": len(records),
+        "n_examples": len(entropies),
         "max_distance": max_distance,
         "mean_mbar_entropy": float(np.mean(entropies)) if entropies else 0.0,
     }
@@ -412,13 +417,6 @@ def _data_config(payload: dict) -> tuple[int, tuple[float, float, float]]:
     return clip, (alpha, beta, gamma)
 
 
-def _examples_for_inference(path: Path, clip: int, weights) -> list[Example]:
-    return [
-        example_from_record(rec, distance_clip=clip, view_weights=weights)
-        for rec in _read_records(path)
-    ]
-
-
 # -- eval ----------------------------------------------------------------
 
 
@@ -508,7 +506,7 @@ def cmd_summarize(args) -> int:
         tgt_vocab_path=args.tgt_vocab,
     )
     clip, weights = _data_config(payload)
-    examples = _examples_for_inference(Path(args.input), clip, weights)
+    examples = list(_read_examples(Path(args.input), clip, weights))
 
     beam = 1 if args.greedy else args.beam
     lines: list[str] = []
@@ -557,7 +555,7 @@ def cmd_export_attention(args) -> int:
     if not 0 <= args.head < cfg.n_heads:
         raise ConfigError(f"head {args.head} out of range for {cfg.n_heads} heads")
     clip, weights = _data_config(payload)
-    examples = _examples_for_inference(Path(args.input), clip, weights)
+    examples = list(_read_examples(Path(args.input), clip, weights))
     if not 0 <= args.index < len(examples):
         raise ConfigError(f"example index {args.index} out of range for {len(examples)} example(s)")
     ex = examples[args.index]

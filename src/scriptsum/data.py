@@ -20,7 +20,7 @@ import numpy as np
 
 from .astcore import Ast, TokenAlignment, ast_from_json, leaf_tokens
 from .minilang import parse_minilang
-from .errors import ConfigError, EmptyCorpusError, FormatError, MiniLangSyntaxError
+from .errors import ConfigError, EmptyCorpusError, FormatError, MiniLangSyntaxError, TreeError
 from .structure import (
     DEFAULT_DISTANCE_CLIP,
     DEFAULT_VIEW_WEIGHTS,
@@ -198,7 +198,7 @@ def load_dataset(
                 examples.append(
                     example_from_record(record, distance_clip, view_weights)
                 )
-            except (FormatError, MiniLangSyntaxError) as exc:
+            except (FormatError, MiniLangSyntaxError, TreeError) as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
     return examples
 

@@ -15,7 +15,8 @@ class FormatError(ValueError):
 
 
 class TreeError(ValueError):
-    """Node list does not form a tree (cycle, multiple parents, orphan)."""
+    """Node list does not form a tree (cycle, multiple parents, orphan) or
+    breaks the value rule (a leaf without a value, an interior node with one)."""
 
 
 class ConfigError(ValueError):

@@ -96,6 +96,8 @@ def load_manifest(out_dir) -> RunManifest:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid manifest JSON in {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"manifest {path} must be a JSON object")
     required = {"command", "config", "seed"}
     missing = required - payload.keys()
     if missing:

@@ -1,22 +1,24 @@
 """Structural position signals derived from the tree.
 
 Everything the encoder needs about structure is computed here as numpy
-arrays wrapped in small typed records: all-pairs tree distances, the
-row-normalized reciprocal weighting used by the distance-weighted layer,
-clipped distance buckets and clipped sequential offsets for relative
-attention, and the weighted multi-view relation matrix that gates
-attention.
+arrays: tree distances, the row-normalized reciprocal weighting used by
+the distance-weighted layer, clipped distance buckets and clipped
+sequential offsets for relative attention, and the weighted multi-view
+relation matrix that gates attention.
 
-Node-level distances are expanded to token level through the leaf
-alignment, so subtokens of one identifier share that leaf's structural
-relations and sit at distance 0 from each other. Tree distances take one
-O(n^2) pass over the canonical preorder ids; the relation views are
-gathers and equality tests over per-token parent, statement and name ids.
+Work is done in token space: distances are computed among the distinct
+leaves of the kept tokens only, then expanded to token level through the
+leaf alignment, so subtokens of one identifier share that leaf's
+structural relations and sit at distance 0 from each other.
+`encode_structure` never builds a matrix sized by the whole tree, so its
+memory is O(len(ast) + tokens^2). The relation views are gathers and
+equality tests over per-token parent, statement and name ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -59,21 +61,6 @@ class DistanceMatrix:
 
 
 @dataclass(frozen=True)
-class NormalizedPositionMatrix:
-    """Row-normalized reciprocal distances; zero-distance pairs get 0."""
-
-    m_bar: np.ndarray
-
-
-@dataclass(frozen=True)
-class BucketMatrix:
-    """Distances clipped at threshold l; integer ids in [0, l]."""
-
-    l: int
-    b: np.ndarray
-
-
-@dataclass(frozen=True)
 class MultiViewMatrix:
     """Three binary relation views and their weighted combination."""
 
@@ -86,31 +73,46 @@ class MultiViewMatrix:
     a_mv: np.ndarray
 
 
-def floyd_apsp(ast: Ast) -> DistanceMatrix:
-    """All-pairs hop counts over tree nodes in O(n^2).
+def floyd_apsp(ast: Ast, nodes: Sequence[int] | np.ndarray | None = None) -> DistanceMatrix:
+    """Hop counts among the given node ids, every node by default.
 
-    Rows follow canonical node ids. The root's row is its depth vector; a
-    child's row is its parent's row plus one, minus two on the child's own
-    subtree, which preorder ids make the contiguous range [c, end(c)).
-    Integer arithmetic in float64 keeps the result exact. The name is kept
-    from the Floyd-Warshall pass this replaced, since callers and tools
-    refer to it.
+    Ids must be strictly increasing, that is, in preorder. d(a, b) is
+    depth(a) + depth(b) - 2 depth(lca(a, b)), and preorder gives the lca
+    depths: over the sorted ids, the lca depth of ids[i] and ids[j] is the
+    minimum over the adjacent pairs between them, and the lca of an
+    adjacent pair a < b is b's nearest ancestor with id <= a. The parent
+    walks that find them cover each tree edge at most once, so the pass
+    costs O(len(ast) + k^2) for k ids. Integer arithmetic in float64 keeps
+    the result exact. The name is kept from the Floyd-Warshall pass this
+    replaced, since callers and tools refer to it.
     """
     n = len(ast)
+    ids = np.arange(n) if nodes is None else np.asarray(nodes, dtype=np.int64)
+    if ids.ndim != 1 or np.any(np.diff(ids) <= 0) or (ids.size and (ids[0] < 0 or ids[-1] >= n)):
+        raise ValueError("node ids must be strictly increasing ids of the tree")
     parent = ast.parent_map()
-    end = np.arange(1, n + 1)
-    for c in range(n - 1, 0, -1):
-        end[parent[c]] = max(end[parent[c]], end[c])
-    dist = np.empty((n, n))
-    dist[0] = ast.depths()
+    depth = [0] * n
     for c in range(1, n):
-        dist[c] = dist[parent[c]] + 1.0
-        dist[c, c : end[c]] -= 2.0
-    return DistanceMatrix(n=n, d=dist)
+        depth[c] = depth[parent[c]] + 1
+    meet = []
+    for a, b in zip(ids[:-1].tolist(), ids[1:].tolist()):
+        while b > a:
+            b = parent[b]
+        meet.append(depth[b])
+    k = ids.size
+    own = np.asarray(depth, dtype=np.float64)[ids]
+    # row i holds own[i] on the diagonal and meet[j-1] right of it; running
+    # minima then give the lca depth of every pair i <= j
+    lca = np.where(np.arange(k)[:, None] < np.arange(k), np.r_[np.inf, meet], np.inf)
+    np.fill_diagonal(lca, own)
+    lca = np.minimum.accumulate(lca, axis=1)
+    lca = np.minimum(lca, lca.T)
+    return DistanceMatrix(n=k, d=own[:, None] + own[None, :] - 2.0 * lca)
 
 
 def token_distance_matrix(node_d: DistanceMatrix, align: TokenAlignment) -> DistanceMatrix:
-    """Gather node distances onto token positions via the leaf alignment.
+    """Gather node distances onto token positions via the leaf alignment,
+    which maps each token to a row of node_d.
 
     Tokens aligned to the same leaf sit at distance 0 even off-diagonal.
     """
@@ -120,7 +122,7 @@ def token_distance_matrix(node_d: DistanceMatrix, align: TokenAlignment) -> Dist
     return DistanceMatrix(n=len(align), d=node_d.d[np.ix_(idx, idx)])
 
 
-def normalize(m: DistanceMatrix) -> NormalizedPositionMatrix:
+def normalize(m: DistanceMatrix) -> np.ndarray:
     """Reciprocal distances, normalized per row over non-zero entries.
 
     m_bar(i,j) = (1/d(i,j)) / sum_z over {z: d(i,z) != 0} (1/d(i,z)) when
@@ -131,15 +133,14 @@ def normalize(m: DistanceMatrix) -> NormalizedPositionMatrix:
     weights = np.zeros_like(m.d, dtype=np.float64)
     np.divide(1.0, m.d, out=weights, where=positive)
     row_sums = weights.sum(axis=1, keepdims=True)
-    m_bar = np.divide(weights, row_sums, out=np.zeros_like(weights), where=row_sums > 0)
-    return NormalizedPositionMatrix(m_bar=m_bar)
+    return np.divide(weights, row_sums, out=np.zeros_like(weights), where=row_sums > 0)
 
 
-def bucketize(m: DistanceMatrix, l: int) -> BucketMatrix:
-    """Clip distances elementwise to min(d, l)."""
+def bucketize(m: DistanceMatrix, l: int) -> np.ndarray:
+    """Clip distances elementwise to integer ids min(d, l) in [0, l]."""
     if not isinstance(l, int) or isinstance(l, bool) or l < 1:
         raise ConfigError(f"clip threshold must be a positive integer, got {l!r}")
-    return BucketMatrix(l=l, b=np.minimum(m.d, l).astype(np.int64))
+    return np.minimum(m.d, l).astype(np.int64)
 
 
 def sequential_relpos(n: int, k: int) -> np.ndarray:
@@ -177,22 +178,24 @@ def _flow_edges(ast: Ast) -> set[tuple[int, int]]:
 
     def entry(branch_id: int) -> int:
         node = ast.nodes[branch_id]
-        if node.node_type == "Block":
+        if node.node_type == "Block" and node.children:
             return node.children[0]
         return branch_id
 
+    # interchange trees may use these types with any shape: a missing
+    # branch or body slot adds no edge
     for node in ast.nodes:
         if node.node_type in ("Block", "Program"):
             for left, right in zip(node.children, node.children[1:]):
                 add(left, right)
         elif node.node_type == "IfStatement":
-            add(node.id, entry(node.children[1]))
-            if len(node.children) == 3:
-                add(node.id, entry(node.children[2]))
+            for branch in node.children[1:3]:
+                add(node.id, entry(branch))
         elif node.node_type == "WhileStatement":
-            body = node.children[1]
-            add(node.id, entry(body))
-            add(ast.nodes[body].children[-1], node.id)
+            for body in node.children[1:2]:
+                add(node.id, entry(body))
+                tail = ast.nodes[body].children[-1] if ast.nodes[body].children else body
+                add(tail, node.id)
     return edges
 
 
@@ -207,12 +210,15 @@ def ast_view(ast: Ast, align: TokenAlignment) -> np.ndarray:
 def flow_view(ast: Ast, align: TokenAlignment) -> np.ndarray:
     """Token-pair relation: 1 when the owning statements are control-flow
     adjacent; the diagonal is forced to 1."""
-    adjacent = np.zeros((len(ast), len(ast)))
+    owner = _statement_of(ast)
+    stmts = [owner[nid] for nid in align.token_to_node]
+    position = {s: i for i, s in enumerate(dict.fromkeys(stmts))}
+    adjacent = np.zeros((len(position), len(position)))
     for a, b in _flow_edges(ast):
-        adjacent[a, b] = adjacent[b, a] = 1.0
-    owner = np.asarray(_statement_of(ast), dtype=np.int64)
-    stmts = owner[np.asarray(align.token_to_node, dtype=np.int64)]
-    out = adjacent[np.ix_(stmts, stmts)]
+        if a in position and b in position:
+            adjacent[position[a], position[b]] = adjacent[position[b], position[a]] = 1.0
+    idx = np.asarray([position[s] for s in stmts], dtype=np.int64)
+    out = adjacent[np.ix_(idx, idx)]
     np.fill_diagonal(out, 1.0)
     return out
 
@@ -287,12 +293,13 @@ def encode_structure(
     min(d, distance_clip); distances at or beyond the threshold are
     interchangeable.
     """
-    token_d = token_distance_matrix(floyd_apsp(ast), align)
+    leaves, rows = np.unique(np.asarray(align.token_to_node, dtype=np.int64), return_inverse=True)
+    token_d = token_distance_matrix(floyd_apsp(ast, leaves), TokenAlignment(tuple(rows.tolist())))
     buckets = bucketize(token_d, distance_clip)
-    clipped = DistanceMatrix(n=token_d.n, d=buckets.b.astype(np.float64))
+    clipped = DistanceMatrix(n=token_d.n, d=buckets.astype(np.float64))
     return StructuralEncodings(
         distances=token_d.d.astype(np.int64),
-        distance_weights=normalize(clipped).m_bar,
-        bucket_ids=buckets.b,
+        distance_weights=normalize(clipped),
+        bucket_ids=buckets,
         multiview=multiview(ast, align, view_weights).a_mv,
     )

@@ -1,7 +1,7 @@
 """Independent reference implementations used to verify the package.
 
 Everything here is deliberately written with different algorithms than the
-library (BFS instead of the preorder distance recurrence, pairwise loops
+library (BFS instead of preorder lca depths, pairwise loops
 instead of vectorised relation views, explicit subsequence enumeration
 instead of DP, step-by-step argmax instead of beam bookkeeping) so
 agreement is meaningful.

@@ -111,7 +111,7 @@ def test_02_normalized_position_matrix_properties():
             n_tok = int(rng.integers(1, 9))
             align = TokenAlignment(tuple(int(rng.choice(leaves)) for _ in range(n_tok)))
             m = token_distance_matrix(floyd_apsp(ast), align)
-            m_bar = normalize(m).m_bar
+            m_bar = normalize(m)
             for i in range(n_tok):
                 row_d = m.d[i]
                 row_w = m_bar[i]
@@ -125,7 +125,7 @@ def test_02_normalized_position_matrix_properties():
                     for b in pos:
                         if row_d[a] < row_d[b]:
                             assert row_w[a] > row_w[b]
-        single = normalize(DistanceMatrix(n=1, d=np.zeros((1, 1)))).m_bar
+        single = normalize(DistanceMatrix(n=1, d=np.zeros((1, 1))))
         assert np.all(single == 0.0)
 
 
@@ -156,9 +156,9 @@ def test_03_clipping_invariance_is_bit_exact():
                 perturbed = StructuralEncodings(
                     distances=raw.astype(np.int64),
                     distance_weights=normalize(
-                        DistanceMatrix(n=n, d=buckets.b.astype(np.float64))
-                    ).m_bar,
-                    bucket_ids=buckets.b,
+                        DistanceMatrix(n=n, d=buckets.astype(np.float64))
+                    ),
+                    bucket_ids=buckets,
                     multiview=bundle.multiview,
                 )
                 out = model.script_encoder(ids, perturbed).h.data

@@ -174,6 +174,46 @@ class TestEncode:
         assert not list((tmp_path / "enc").glob("bundle_*.json"))
 
 
+    def test_interchange_statement_shapes(self, tmp_path):
+        # statement types whose branch or body slots are missing or leaves
+        records = [
+            [
+                {"id": 0, "type": "IfStatement", "children": [1]},
+                {"id": 1, "type": "Identifier", "value": "x", "children": []},
+            ],
+            [
+                {"id": 0, "type": "WhileStatement", "children": [1, 2]},
+                {"id": 1, "type": "Identifier", "value": "x", "children": []},
+                {"id": 2, "type": "Block", "value": "y", "children": []},
+            ],
+        ]
+        data = tmp_path / "ast.jsonl"
+        lines = [json.dumps({"ast": {"nodes": nodes}, "summary": "a b"}) for nodes in records]
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["encode", str(data), str(tmp_path / "enc")]) == 0
+        assert json.loads((tmp_path / "enc" / "stats.json").read_text())["n_examples"] == 2
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"code": "x = ;"}', "line 2: expected expression, found ';' (line 1, col 5)"),
+            (
+                '{"ast": {"nodes": [{"id": 0, "type": "Identifier", "children": []}]}}',
+                "line 2: leaf node 0 has no value",
+            ),
+            ("[1]", "line 2: record must be a JSON object"),
+            ("{", "line 2: invalid JSON: "),
+        ],
+    )
+    def test_bad_record_names_its_line(self, tmp_path, capsys, record, message):
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"code": "x = a;"}\n' + record + "\n")
+        capsys.readouterr()
+        assert main(["encode", str(data), str(tmp_path / "enc")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+
 class TestTrainCommand:
     def test_artifacts_and_manifest(self, trained_dir):
         for name in ("best.ckpt", "best.json", "last.ckpt", "history.csv",
@@ -499,6 +539,16 @@ class TestSummarize:
              "--src-vocab", str(tampered)]
         )
         assert rc == 4
+
+
+    def test_bad_record_names_its_line(self, tmp_path, trained_dir, capsys):
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"code": "x = a;"}\n{"code": "x = ;"}\n')
+        capsys.readouterr()
+        assert main(["summarize", str(trained_dir), str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: expected expression, found ';' (line 1, col 5)\n"
 
 
 class TestExportAttention:

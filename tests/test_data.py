@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,50 @@ class TestExampleFromRecord:
             assert np.array_equal(getattr(ex.bundle, field), getattr(full, field)[cut])
 
 
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            [
+                {"id": 0, "type": "IfStatement", "children": [1]},
+                {"id": 1, "type": "Identifier", "value": "x", "children": []},
+            ],
+            [
+                {"id": 0, "type": "WhileStatement", "children": [1, 2]},
+                {"id": 1, "type": "Identifier", "value": "x", "children": []},
+                {"id": 2, "type": "Block", "value": "y", "children": []},
+            ],
+        ],
+        ids=["if-without-branch", "while-with-leaf-body"],
+    )
+    def test_statement_types_of_any_shape(self, nodes):
+        ex = example_from_record({"ast": {"nodes": nodes}, "summary": "a b"})
+        n = len(ex.code_tokens)
+        assert ex.bundle.multiview.shape == (n, n)
+
+    @pytest.mark.parametrize("shape, size", [("star", 50_001), ("chain", 20_000)])
+    def test_large_tree_memory_is_bounded(self, shape, size):
+        # only the kept tokens' leaves enter the distance pass, so memory
+        # stays far below a len(ast)^2 matrix (20 GB for the star)
+        if shape == "star":
+            nodes = [{"id": 0, "type": "Program", "children": list(range(1, size))}]
+            nodes += [
+                {"id": i, "type": "Identifier", "value": f"v{i}", "children": []}
+                for i in range(1, size)
+            ]
+        else:
+            nodes = [{"id": i, "type": "Block", "children": [i + 1]} for i in range(size - 1)]
+            nodes += [{"id": size - 1, "type": "Identifier", "value": "x", "children": []}]
+        record = {"ast": {"nodes": nodes}, "summary": "a b"}
+        tracemalloc.start()
+        try:
+            ex = example_from_record(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ex.code_tokens) == (MAX_SOURCE_TOKENS if shape == "star" else 1)
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 class TestLoadDataset:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -238,6 +283,14 @@ class TestLoadDataset:
         path = tmp_path / "data.jsonl"
         path.write_text('{"code": "x = a;", "summary": "ok"}\n{"code": "if (", "summary": "bad"}\n')
         with pytest.raises(FormatError, match="line 2"):
+            load_dataset(path)
+
+    def test_tree_error_reports_line_number(self, tmp_path):
+        orphan = [{"id": 0, "type": "R", "children": []}, {"id": 1, "type": "R", "children": []}]
+        rows = [{"code": "x = a;", "summary": "ok"}, {"ast": {"nodes": orphan}, "summary": "s"}]
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(FormatError, match="^line 2: "):
             load_dataset(path)
 
     def test_toy_corpus_loads(self, toy_corpus_path):

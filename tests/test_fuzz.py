@@ -2,7 +2,8 @@
 
 Each case flips, inserts or deletes a few bytes of one input file (a JSONL
 dataset, a dataset holding an "ast" record, or a trained model's
-src_vocab.json, best.json or best.ckpt) and runs a subcommand on it in
+src_vocab.json, best.json or best.ckpt), or relabels a few nodes of an
+"ast" record with statement types, and runs a subcommand on it in
 process. Whatever the bytes, the command must return a documented exit code
 (0, 2, 3 or 4) and raise nothing.
 """
@@ -100,6 +101,22 @@ def test_mutated_ast_record(tmp_path, model_dir):
     data = tmp_path / "ast.jsonl"
     for case in range(30):
         data.write_bytes(mutate(rng, original))
+        run_case(case, ["encode", data, tmp_path / "encode"])
+        run_case(case, ["summarize", model_dir, data] + DECODE)
+
+
+def test_relabelled_statement_types(tmp_path, model_dir):
+    # interchange node types are free-form, so statement types can label
+    # nodes of any shape; relabelling keeps the tree valid
+    code = "function f(a, b) { if (a > b) { return a; } while (b > 0) { b = b - 1; } return b; }"
+    tree = ast_to_json(parse_minilang(code))
+    rng = random.Random(0)
+    data = tmp_path / "ast.jsonl"
+    for case in range(30):
+        nodes = json.loads(json.dumps(tree["nodes"]))
+        for node in rng.sample(nodes, rng.randint(1, 3)):
+            node["type"] = rng.choice(["IfStatement", "WhileStatement", "Block", "Program"])
+        data.write_text(json.dumps({"ast": {"nodes": nodes}, "summary": "a b"}) + "\n")
         run_case(case, ["encode", data, tmp_path / "encode"])
         run_case(case, ["summarize", model_dir, data] + DECODE)
 

@@ -305,9 +305,9 @@ class TestSrpeiLayer:
         perturbed = StructuralEncodings(
             distances=raw.astype(np.int64),
             distance_weights=normalize(
-                DistanceMatrix(n=n, d=buckets.b.astype(np.float64))
-            ).m_bar,
-            bucket_ids=buckets.b,
+                DistanceMatrix(n=n, d=buckets.astype(np.float64))
+            ),
+            bucket_ids=buckets,
             multiview=bundle.multiview,
         )
         out_a = model.encoder_layer("SRPEi", 1, x, bundle)

@@ -7,7 +7,6 @@ from scriptsum.astcore import Ast, AstNode, TokenAlignment, leaf_tokens
 from scriptsum.errors import ConfigError
 from scriptsum.minilang import parse_minilang
 from scriptsum.structure import (
-    BucketMatrix,
     DistanceMatrix,
     MultiViewMatrix,
     bucketize,
@@ -65,6 +64,22 @@ class TestFloydApsp:
         trees += [chain, star] + [random_tree(rng, int(rng.integers(280, 320))) for _ in range(3)]
         for ast in trees:
             assert np.array_equal(floyd_apsp(ast).d, bfs_apsp(ast))
+
+    def test_node_subsets_match_bfs_oracle(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            ast = random_tree(rng, int(rng.integers(1, 40)))
+            full = bfs_apsp(ast)
+            for size in (0, 1, int(rng.integers(0, len(ast) + 1))):
+                nodes = np.sort(rng.choice(len(ast), size=min(size, len(ast)), replace=False))
+                d = floyd_apsp(ast, nodes)
+                assert d.n == len(nodes)
+                assert np.array_equal(d.d, full[np.ix_(nodes, nodes)])
+
+    @pytest.mark.parametrize("nodes", [[2, 1], [1, 1], [-1, 2], [0, 4], [[0, 1]]])
+    def test_invalid_node_ids_rejected(self, nodes):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            floyd_apsp(star_ast(), nodes)
 
     def test_lca_depth_identity(self):
         rng = np.random.default_rng(1)
@@ -129,17 +144,17 @@ class TestTokenDistanceMatrix:
 class TestNormalize:
     def test_reciprocal_row(self):
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-        m_bar = normalize(DistanceMatrix(n=3, d=d)).m_bar
+        m_bar = normalize(DistanceMatrix(n=3, d=d))
         assert np.allclose(m_bar[0], [0.0, 2 / 3, 1 / 3])
 
     def test_single_token(self):
-        m_bar = normalize(DistanceMatrix(n=1, d=np.zeros((1, 1)))).m_bar
+        m_bar = normalize(DistanceMatrix(n=1, d=np.zeros((1, 1))))
         assert np.array_equal(m_bar, np.zeros((1, 1)))
 
     def test_degenerate_rows_stay_zero(self):
         # two subtokens of one identifier: all pairwise distances are zero
         d = np.zeros((2, 2))
-        m_bar = normalize(DistanceMatrix(n=2, d=d)).m_bar
+        m_bar = normalize(DistanceMatrix(n=2, d=d))
         assert np.array_equal(m_bar, np.zeros((2, 2)))
 
     def test_rows_sum_to_one(self):
@@ -148,7 +163,7 @@ class TestNormalize:
             ast = random_tree(rng, int(rng.integers(2, 30)))
             _, align = leaf_tokens(ast)
             m = token_distance_matrix(floyd_apsp(ast), align)
-            m_bar = normalize(m).m_bar
+            m_bar = normalize(m)
             sums = m_bar.sum(axis=1)
             nonzero_rows = (m.d > 0).any(axis=1)
             assert np.allclose(sums[nonzero_rows], 1.0, atol=1e-9)
@@ -159,7 +174,7 @@ class TestNormalize:
         ast = random_tree(rng, 25)
         _, align = leaf_tokens(ast)
         m = token_distance_matrix(floyd_apsp(ast), align)
-        m_bar = normalize(m).m_bar
+        m_bar = normalize(m)
         n = m.n
         for i in range(n):
             for j in range(n):
@@ -172,8 +187,8 @@ class TestNormalize:
         ast = random_tree(rng, 20)
         _, align = leaf_tokens(ast)
         m = token_distance_matrix(floyd_apsp(ast), align)
-        base = normalize(m).m_bar
-        scaled = normalize(DistanceMatrix(n=m.n, d=m.d * 7.0)).m_bar
+        base = normalize(m)
+        scaled = normalize(DistanceMatrix(n=m.n, d=m.d * 7.0))
         for i in range(m.n):
             assert np.array_equal(
                 np.argsort(-base[i], kind="stable"), np.argsort(-scaled[i], kind="stable")
@@ -184,27 +199,27 @@ class TestBucketize:
     def test_clip_examples(self):
         d = np.array([[0.0, 5.0], [5.0, 0.0]])
         b = bucketize(DistanceMatrix(n=2, d=d), 3)
-        assert b.b[0, 1] == 3
-        assert b.b[0, 0] == 0
+        assert b[0, 1] == 3
+        assert b[0, 0] == 0
 
     def test_boundary(self):
         d = np.array([[0.0, 3.0], [3.0, 0.0]])
-        assert bucketize(DistanceMatrix(n=2, d=d), 3).b[0, 1] == 3
+        assert bucketize(DistanceMatrix(n=2, d=d), 3)[0, 1] == 3
 
     def test_idempotent(self):
         rng = np.random.default_rng(6)
         ast = random_tree(rng, 20)
         m = floyd_apsp(ast)
         once = bucketize(m, 4)
-        twice = bucketize(DistanceMatrix(n=m.n, d=once.b.astype(np.float64)), 4)
-        assert np.array_equal(once.b, twice.b)
+        twice = bucketize(DistanceMatrix(n=m.n, d=once.astype(np.float64)), 4)
+        assert np.array_equal(once, twice)
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(7)
         ast = random_tree(rng, 30)
         b = bucketize(floyd_apsp(ast), 5)
-        assert np.array_equal(b.b, b.b.T)
-        assert b.b.min() >= 0 and b.b.max() <= 5
+        assert np.array_equal(b, b.T)
+        assert b.min() >= 0 and b.max() <= 5
 
     def test_invalid_threshold(self):
         m = DistanceMatrix(n=1, d=np.zeros((1, 1)))
@@ -346,7 +361,7 @@ class TestEncodeStructure:
         _, align = leaf_tokens(ast)
         enc = encode_structure(ast, align, distance_clip=2)
         clipped = DistanceMatrix(n=enc.bucket_ids.shape[0], d=enc.bucket_ids.astype(np.float64))
-        assert np.array_equal(enc.distance_weights, normalize(clipped).m_bar)
+        assert np.array_equal(enc.distance_weights, normalize(clipped))
 
     def test_distances_at_or_beyond_clip_are_interchangeable(self):
         # raising any already-clipped distance must not change a single bit
@@ -364,9 +379,9 @@ class TestEncodeStructure:
         perturbed[j, i] += 5
         buckets = bucketize(DistanceMatrix(n=raw.shape[0], d=perturbed), clip)
         weights = normalize(
-            DistanceMatrix(n=raw.shape[0], d=buckets.b.astype(np.float64))
-        ).m_bar
-        assert np.array_equal(buckets.b, base.bucket_ids)
+            DistanceMatrix(n=raw.shape[0], d=buckets.astype(np.float64))
+        )
+        assert np.array_equal(buckets, base.bucket_ids)
         assert np.array_equal(weights, base.distance_weights)
 
     def test_returns_types(self):
