@@ -16,8 +16,11 @@ Every sublayer, the encoder's attention and FFN blocks and the decoder's
 self-attention, cross-attention and FFN blocks, goes through one rule,
 `_residual`: LayerNorm(x + Dropout(sublayer(x))).
 
-Attention runs all heads in one pass, with heads as an axis of the scores;
-each relative-position table is shared by the heads and gathered once.
+Attention runs all heads in one pass, with heads as an axis of the scores.
+Each relative-position table is shared by the heads, and its terms never
+gather a row per query-key pair: tensor.relative_scores picks from the
+queries times the table, and tensor.relative_values sums the attention
+weights per table row, then multiplies by the table.
 
 Decoding is incremental, and `decode` is both the teacher-forced pass and
 the decoding step. A DecoderCache carries each decoder layer's
@@ -58,10 +61,11 @@ from .tensor import (
     cross_entropy,
     dropout,
     embed,
-    gather,
     layernorm,
     matmul,
     no_grad,
+    relative_scores,
+    relative_values,
     relu,
     reshape,
     scale,
@@ -183,12 +187,15 @@ class DecoderCache:
     target position decoded so far, (positions, beams * heads, d_head),
     beam-major on the middle axis; each decode call appends its positions.
     Under the causal mask an earlier position's keys, values and relative
-    offsets never change, so reusing them is exact.
+    offsets never change, so reusing them is exact. head_weights holds the
+    self-attention q, k, v and cross-attention q weights of every head
+    concatenated, by "{prefix}.{kind}", made once for all decode calls.
     """
 
     cross: list[tuple[Tensor, Tensor]] = field(default_factory=list)
     self_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
     beams: int = 0
+    head_weights: dict[str, Tensor] = field(default_factory=dict)
 
     @property
     def length(self) -> int:
@@ -337,19 +344,25 @@ class ScriptModel:
 
     # -- attention ---------------------------------------------------------
 
-    def _project(self, prefix: str, kind: str, x: Tensor, groups: int) -> Tensor:
+    def _project(self, prefix: str, kind: str, x: Tensor, groups: int, head_weights: dict | None = None) -> Tensor:
         """Rows x through every head's "{prefix}.{kind}{h}" weights at once.
         The rows are `groups` interleaved sequences, row t * groups + g
         holding position t of sequence g; the result is
-        (positions, groups * heads, d_head), sequence-major on its middle axis."""
+        (positions, groups * heads, d_head), sequence-major on its middle axis.
+        head_weights, if given, keeps the concatenated weights by "{prefix}.{kind}"."""
         cfg = self.config
-        w = concat([self.params[f"{prefix}.{kind}{h}"] for h in range(cfg.n_heads)], axis=1)
-        return reshape(matmul(x, w), (x.shape[0] // groups, groups * cfg.n_heads, cfg.d_head))
+        memo = {} if head_weights is None else head_weights
+        name = f"{prefix}.{kind}"
+        if name not in memo:
+            memo[name] = concat([self.params[f"{name}{h}"] for h in range(cfg.n_heads)], axis=1)
+        return reshape(matmul(x, memo[name]), (x.shape[0] // groups, groups * cfg.n_heads, cfg.d_head))
 
-    def keys_values(self, prefix: str, x: Tensor, groups: int = 1) -> tuple[Tensor, Tensor]:
+    def keys_values(
+        self, prefix: str, x: Tensor, groups: int = 1, head_weights: dict | None = None
+    ) -> tuple[Tensor, Tensor]:
         """Keys and values of rows x for the attention at prefix, each
-        (positions, groups * heads, d_head); see _project for the row order."""
-        return self._project(prefix, "k", x, groups), self._project(prefix, "v", x, groups)
+        (positions, groups * heads, d_head); see _project."""
+        return tuple(self._project(prefix, kind, x, groups, head_weights) for kind in "kv")
 
     def relative_attention(
         self,
@@ -363,6 +376,7 @@ class ScriptModel:
         training: bool = False,
         rng: np.random.Generator | None = None,
         capture: list | None = None,
+        head_weights: dict | None = None,
     ) -> Tensor:
         """Multi-head attention with optional clipped relative-position
         terms on keys and values and optional relation-matrix masking.
@@ -373,7 +387,9 @@ class ScriptModel:
         2k+1 rows indexed by clamp(j-i, -k, k)+k, structural tables l+1 rows
         indexed by min(d_ij, l). Per head: e_ij = q_i (k_j + sum of key
         rows)^T / sqrt(d_head), then softmax (gated by a_mv per mask_mode),
-        then z_i = sum_j alpha_ij (v_j + sum of value rows).
+        then z_i = sum_j alpha_ij (v_j + sum of value rows). The key-row
+        terms are relative_scores of the queries and the value-row terms
+        relative_values of the weights alpha, one op per table.
 
         x_kv is the (n_k, d_model) rows to attend over, or their keys and
         values from `keys_values`, each (n_k, groups * heads, d_head). With
@@ -381,7 +397,8 @@ class ScriptModel:
         t * groups + g is query t of sequence g; see _project), and each
         sequence attends over its own keys: the sequences are extra heads.
         The decoder runs one sequence per beam. rel, a_mv and additive_mask
-        are (n_q, n_k) over one sequence's queries and keys.
+        are (n_q, n_k) over one sequence's queries and keys. head_weights is
+        passed to _project for the queries.
         """
         cfg = self.config
         heads, dh = cfg.n_heads, cfg.d_head
@@ -396,10 +413,10 @@ class ScriptModel:
                 keep = np.where(a_mv > 0, 0.0, NEG_INF)
                 gate_additive = keep if additive_mask is None else keep + additive_mask
 
-        q = self._project(prefix, "q", x_q, k.shape[1] // heads)  # (n_q, groups * heads, dh)
+        q = self._project(prefix, "q", x_q, k.shape[1] // heads, head_weights)  # (n_q, groups * heads, dh)
         e = matmul(transpose(q, (1, 0, 2)), transpose(k, (1, 2, 0)))  # (groups * heads, n_q, n_k)
         for table, idx in rel:
-            e = add(e, _rel_scores(q, self.params[f"{table}_k"], idx))
+            e = add(e, relative_scores(q, self.params[f"{table}_k"], idx))
         e = scale(e, inv_sqrt)
         alpha = softmax_masked(e, additive_mask=gate_additive, scale_matrix=scale_matrix)
         if capture is not None:
@@ -407,7 +424,7 @@ class ScriptModel:
         alpha = dropout(alpha, cfg.dropout_p, rng, training)
         z = transpose(matmul(alpha, transpose(v, (1, 0, 2))), (1, 0, 2))  # (n_q, groups * heads, dh)
         for table, idx in rel:
-            z = add(z, _rel_values(alpha, self.params[f"{table}_v"], idx))
+            z = add(z, relative_values(alpha, self.params[f"{table}_v"], idx))
         cat = reshape(z, (x_q.shape[0], heads * dh))
         return _affine(cat, self.params[f"{prefix}.out_w"], self.params[f"{prefix}.out_b"])
 
@@ -549,7 +566,7 @@ class ScriptModel:
         self_kv = []
         for ly in range(cfg.n_decoder_layers):
             base = f"dec{ly}"
-            k, v = self.keys_values(f"{base}.self", y, beams)
+            k, v = self.keys_values(f"{base}.self", y, beams, cache.head_weights)
             if past:
                 k_past, v_past = cache.self_kv[ly]
                 k, v = concat([k_past, k], axis=0), concat([v_past, v], axis=0)
@@ -562,6 +579,7 @@ class ScriptModel:
                 additive_mask=causal,
                 training=training,
                 rng=rng,
+                head_weights=cache.head_weights,
             )
             y = self._residual(y, sa, f"{base}.ln1", training, rng)
             ca = self.relative_attention(
@@ -570,6 +588,7 @@ class ScriptModel:
                 cache.cross[ly],
                 training=training,
                 rng=rng,
+                head_weights=cache.head_weights,
             )
             y = self._residual(y, ca, f"{base}.ln2", training, rng)
             y = self._residual(y, self._ffn(f"{base}.ffn", y), f"{base}.ln3", training, rng)
@@ -713,21 +732,6 @@ def _log_softmax(logits: np.ndarray, prefixes) -> np.ndarray:
 
 def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
-
-
-def _rel_scores(q: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
-    """Pairwise scores q_hi . table[idx[i, j]] for every head h, from one
-    gather: (n_q, heads, dh) @ (n_q, dh, n_k), returned as (heads, n_q, n_k)."""
-    r = gather(table, idx)  # (n_q, n_k, dh)
-    e = matmul(q, transpose(r, (0, 2, 1)))  # (n_q, heads, n_k)
-    return transpose(e, (1, 0, 2))
-
-
-def _rel_values(alpha: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
-    """Attention-weighted sums of table rows, sum_j alpha_hij table[idx[i, j]],
-    for every head from one gather: (n_q, heads, n_k) @ (n_q, n_k, dh)."""
-    r = gather(table, idx)  # (n_q, n_k, dh)
-    return matmul(transpose(alpha, (1, 0, 2)), r)  # (n_q, heads, dh)
 
 
 def save_model_sidecar(path, config: ModelConfig, extra: dict | None = None) -> None:

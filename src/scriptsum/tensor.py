@@ -2,7 +2,9 @@
 
 Just enough operations to express the model: matmul (2-D and batched 3-D),
 elementwise add/mul, sigmoid, relu, masked softmax, layer normalization,
-dropout, embedding/gather lookups, cross-entropy, and a few shape utilities.
+dropout, embedding/gather lookups, relative-position scores and values
+(relative_scores, relative_values), cross-entropy, and a few shape
+utilities.
 
 Every operation records its parents and a backward closure on the output
 tensor; the closure is handed the output's gradient and holds no reference
@@ -291,15 +293,19 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool
     return _make(out_data, (x,), backward_fn)
 
 
-def embed(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup: (vocab, d) table indexed by integer ids of any shape."""
+def _check_ids(ids, rows: int, what: str) -> np.ndarray:
+    """ids as an integer array, every entry a row of a table of rows rows."""
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
-        raise ShapeError("embedding ids must be integers")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ShapeError(
-            f"embedding id out of range [0, {table.shape[0]}): min {ids.min()}, max {ids.max()}"
-        )
+        raise ShapeError(f"{what} ids must be integers")
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+        raise ShapeError(f"{what} id out of range [0, {rows}): min {ids.min()}, max {ids.max()}")
+    return ids
+
+
+def embed(table: Tensor, ids: np.ndarray) -> Tensor:
+    """Row lookup: (vocab, d) table indexed by integer ids of any shape."""
+    ids = _check_ids(ids, table.shape[0], "embedding")
     out_data = table.data[ids]
 
     def backward_fn(g):
@@ -313,6 +319,86 @@ def embed(table: Tensor, ids: np.ndarray) -> Tensor:
 def gather(table: Tensor, idx: np.ndarray) -> Tensor:
     """Alias of embed for pairwise index matrices: (n, m) ids -> (n, m, d)."""
     return embed(table, idx)
+
+
+# -- relative-position terms ---------------------------------------------
+# A relative-position table has 9 to 65 rows, and an (n_q, n_k) index picks
+# one per query-key pair. Both ops work on (n_q * groups, rows) arrays, row
+# i * groups + h, instead of gathering (n_q, n_k, d) copies of the rows;
+# _row_sums and _pick are each other's adjoint.
+
+
+def _row_sums(w: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
+    """(groups, n_q, n_k) weights summed per table row: row i * groups + h,
+    column r sums w[h, i, j] over the keys j with idx[i, j] == r."""
+    groups, n_q, _ = w.shape
+    offsets = (np.arange(n_q) * groups + np.arange(groups)[:, None]) * rows  # (groups, n_q)
+    keys = (idx + offsets[:, :, None]).ravel()
+    return np.bincount(keys, weights=w.ravel(), minlength=n_q * groups * rows).reshape(-1, rows)
+
+
+def _pick(m: np.ndarray, idx: np.ndarray, groups: int) -> np.ndarray:
+    """(n_q * groups, rows) picked by idx: out[h, i, j] = m[i * groups + h, idx[i, j]]."""
+    n_q, n_k = idx.shape
+    by_group = np.ascontiguousarray(m.reshape(n_q, groups, -1).transpose(1, 0, 2)).reshape(groups, -1)
+    flat = (idx + (np.arange(n_q) * m.shape[1])[:, None]).ravel()
+    return np.take(by_group, flat, axis=1).reshape(groups, n_q, n_k)
+
+
+def relative_scores(q: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
+    """Query-table scores out[h, i, j] = q[i, h] . table[idx[i, j]].
+
+    q is (n_q, groups, d), table (rows, d) and idx (n_q, n_k) ids in
+    [0, rows); the result is (groups, n_q, n_k). Forward picks from
+    q @ table^T; backward sums the gradient per table row, then takes one
+    matmul each for q and table.
+    """
+    if q.data.ndim != 3 or table.data.ndim != 2 or q.shape[2] != table.shape[1]:
+        raise ShapeError(f"relative_scores needs (n_q, groups, d) and (rows, d): {q.shape}, {table.shape}")
+    n_q, groups, d = q.shape
+    rows = table.shape[0]
+    idx = _check_ids(idx, rows, "relative-position")
+    if idx.ndim != 2 or idx.shape[0] != n_q:
+        raise ShapeError(f"relative index {idx.shape} does not have {n_q} query rows")
+    q_rows = q.data.reshape(-1, d)
+    out_data = _pick(q_rows @ table.data.T, idx, groups)
+
+    def backward_fn(g):
+        sums = _row_sums(g, idx, rows)
+        if q.needs_grad:
+            q.accumulate((sums @ table.data).reshape(q.shape))
+        if table.needs_grad:
+            table.accumulate(sums.T @ q_rows)
+
+    return _make(out_data, (q, table), backward_fn)
+
+
+def relative_values(alpha: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
+    """Weighted table rows out[i, h] = sum_j alpha[h, i, j] table[idx[i, j]].
+
+    alpha is (groups, n_q, n_k), table (rows, d) and idx (n_q, n_k) ids in
+    [0, rows); the result is (n_q, groups, d). Forward sums alpha per table
+    row, then multiplies by the table; backward picks from the gradient
+    times table^T.
+    """
+    if alpha.data.ndim != 3 or table.data.ndim != 2:
+        raise ShapeError(f"relative_values needs (groups, n_q, n_k) and (rows, d): {alpha.shape}, {table.shape}")
+    groups, n_q, n_k = alpha.shape
+    rows, d = table.shape
+    idx = _check_ids(idx, rows, "relative-position")
+    if idx.shape != (n_q, n_k):
+        raise ShapeError(f"relative index {idx.shape} != weights' ({n_q}, {n_k})")
+    sums = _row_sums(alpha.data, idx, rows)
+    out_data = (sums @ table.data).reshape(n_q, groups, d)
+
+    def backward_fn(g):
+        g_rows = g.reshape(-1, d)
+        if alpha.needs_grad:
+            alpha.accumulate(_pick(g_rows @ table.data.T, idx, groups))
+        if table.needs_grad:
+            table.accumulate(sums.T @ g_rows)
+
+    return _make(out_data, (alpha, table), backward_fn)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:

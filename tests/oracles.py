@@ -15,7 +15,7 @@ import numpy as np
 from scriptsum.astcore import Ast, AstNode, TokenAlignment
 from scriptsum.model import _log_softmax
 from scriptsum.structure import _flow_edges, _statement_of
-from scriptsum.tensor import no_grad
+from scriptsum.tensor import gather, matmul, no_grad, transpose
 
 
 def random_tree(rng: np.random.Generator, n_nodes: int) -> Ast:
@@ -236,6 +236,22 @@ def vanilla_attention(
             z = z + np.einsum("ij,ijd->id", alpha, table_v[idx])
         heads.append(z)
     return np.concatenate(heads, axis=1) @ params[f"{prefix}.out_w"] + params[f"{prefix}.out_b"]
+
+
+def gather_relative_scores(q, table, idx):
+    """The gather formulation of tensor.relative_scores, built from autodiff
+    ops: every query row gets its own (n_k, d) copy of the table rows it
+    indexes, so out[h, i, j] = q[i, h] . table[idx[i, j]] is one batched
+    matmul, (n_q, groups, d) @ (n_q, d, n_k), returned as (groups, n_q, n_k)."""
+    r = gather(table, idx)  # (n_q, n_k, d)
+    return transpose(matmul(q, transpose(r, (0, 2, 1))), (1, 0, 2))
+
+
+def gather_relative_values(alpha, table, idx):
+    """The gather formulation of tensor.relative_values: (groups, n_q, n_k)
+    weights times each query row's gathered (n_k, d) table rows, as one
+    batched matmul returning (n_q, groups, d)."""
+    return matmul(transpose(alpha, (1, 0, 2)), gather(table, idx))
 
 
 def full_decode_log_probs(model, prefix, state) -> np.ndarray:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,10 +27,28 @@ from scriptsum.model import (
     save_model_sidecar,
 )
 from scriptsum.structure import StructuralEncodings
-from scriptsum.tensor import Tensor, _grad_enabled, grad_check, no_grad, sum_all, tensor
+from scriptsum.tensor import (
+    Tensor,
+    _grad_enabled,
+    backward,
+    grad_check,
+    mul,
+    no_grad,
+    relative_scores,
+    relative_values,
+    sum_all,
+    tensor,
+)
 
 from conftest import make_example, random_bundle, tiny_config, tiny_model
-from oracles import exhaustive_decode, full_decode_log_probs, greedy_oracle, vanilla_attention
+from oracles import (
+    exhaustive_decode,
+    full_decode_log_probs,
+    gather_relative_scores,
+    gather_relative_values,
+    greedy_oracle,
+    vanilla_attention,
+)
 
 
 def embed_input(model, src_ids):
@@ -165,6 +184,82 @@ class TestRelativeAttentionDegeneracy:
         assert len(captured) == model.config.n_encoder_layers * model.config.n_heads
         for alpha in captured:
             assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
+
+
+def _relative_op_case(case, rng):
+    """(groups, d_head, rows, idx) of one relative-position table as a
+    model call site uses it; idx is (n_q, n_k)."""
+    model = tiny_model(n_heads=2, l=4, k=3)
+    cfg = model.config
+    heads, dh = cfg.n_heads, cfg.d_head
+    if case == "encoder":  # n_q = n_k, groups = heads
+        return heads, dh, 2 * cfg.k + 1, model._seq_idx(9)
+    if case == "cached_decoder_step":  # one new position, groups = beams * heads
+        return 3 * heads, dh, 2 * cfg.k + 1, model._seq_idx(8)[-1:]
+    if case == "teacher_forced_decoder":  # Toeplitz sequential ids over a whole prefix
+        return heads, dh, 2 * cfg.k + 1, model._seq_idx(7)
+    # structural ids, clipped at l, over l + 1 rows
+    return heads, dh, cfg.l + 1, random_bundle(rng, 8, clip=cfg.l).bucket_ids
+
+
+class TestRelativeOpsMatchGatherReference:
+    """relative_scores and relative_values against the gather formulation
+    in oracles.py: outputs and gradients agree to 1e-12 relative (the max
+    absolute difference over the max absolute reference value)."""
+
+    CASES = ("encoder", "cached_decoder_step", "teacher_forced_decoder", "structural")
+
+    @staticmethod
+    def _run(op, x0, table0, idx, w):
+        x = Tensor(x0.copy(), requires_grad=True)
+        table = Tensor(table0.copy(), requires_grad=True)
+        out = op(x, table, idx)
+        backward(sum_all(mul(out, Tensor(w))))
+        return out.data, x.grad, table.grad
+
+    def _compare(self, fast, slow, x0, table0, idx, rng):
+        w = rng.standard_normal(fast(Tensor(x0), Tensor(table0), idx).shape)
+        for mine, ref in zip(self._run(fast, x0, table0, idx, w), self._run(slow, x0, table0, idx, w)):
+            assert mine.shape == ref.shape
+            rel_err = np.max(np.abs(mine - ref)) / np.max(np.abs(ref))
+            assert rel_err <= 1e-12, rel_err
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_scores(self, case):
+        rng = np.random.default_rng(self.CASES.index(case))
+        groups, dh, rows, idx = _relative_op_case(case, rng)
+        q0 = rng.standard_normal((idx.shape[0], groups, dh))
+        self._compare(relative_scores, gather_relative_scores, q0, rng.standard_normal((rows, dh)), idx, rng)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_values(self, case):
+        rng = np.random.default_rng(10 + self.CASES.index(case))
+        groups, dh, rows, idx = _relative_op_case(case, rng)
+        alpha0 = rng.random((groups,) + idx.shape)
+        self._compare(relative_values, gather_relative_values, alpha0, rng.standard_normal((rows, dh)), idx, rng)
+
+
+class TestRelativeTermMemory:
+    def test_srpei_layer_at_400_tokens_stays_under_bound(self):
+        """One toy-width (d_model 64, 4 heads) SRPEi encoder layer forward +
+        backward at n = 400, under tracemalloc. Gathering the (n, n, d_head)
+        relative rows of its two tables peaked at about 174 MiB; the
+        gather-free relative ops peak at about 61 MiB."""
+        cfg = tiny_config(d_model=64, n_heads=4, ffn_dim=256, dropout_p=0.2, l=8, k=16)
+        model = ScriptModel(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        n = 400
+        bundle = random_bundle(rng, n, clip=cfg.l)
+        x = Tensor(rng.standard_normal((n, cfg.d_model)))
+        tracemalloc.start()
+        try:
+            out = model.encoder_layer("SRPEi", 1, x, bundle, training=True, rng=np.random.default_rng(1))
+            backward(sum_all(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.params["enc1.str_k"].grad is not None
+        assert peak < 110 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 ORACLE_CASES = (
@@ -451,6 +546,20 @@ class TestScriptEncoder:
         with pytest.raises(ShapeError):
             model.script_encoder(np.array([1, 2, 3]), bundle)
 
+    @pytest.mark.parametrize("bad", ["l_plus_one", "negative"])
+    def test_bucket_id_out_of_range(self, bad):
+        """A structural id outside [0, l] names no table row; it raises
+        instead of being read as a row of another query."""
+        rng = np.random.default_rng(14)
+        model = tiny_model()
+        n = 5
+        bundle = random_bundle(rng, n, clip=model.config.l)
+        bucket_ids = bundle.bucket_ids.copy()
+        bucket_ids[1, 3] = model.config.l + 1 if bad == "l_plus_one" else -1
+        broken = dataclasses.replace(bundle, bucket_ids=bucket_ids)
+        with pytest.raises(ShapeError, match="out of range"):
+            model.script_encoder(rng.integers(0, 13, n), broken)
+
 
 class TestDecoder:
     def test_causal_mask_blocks_future(self):
@@ -706,6 +815,21 @@ class TestCachedDecoding:
         assert (cache.beams, cache.length) == (3, 2)
         cache.select([])
         assert (cache.beams, cache.length) == (0, 2)
+
+    def test_head_weights_concatenated_once_per_cache(self):
+        rng = np.random.default_rng(31)
+        model = tiny_model(n_decoder_layers=2)
+        state = model.script_encoder(np.array([1, 2, 3]), random_bundle(rng, 3))
+        cache = DecoderCache()
+        with no_grad():
+            model.decode(np.array([[1], [1]]), state, cache=cache)
+            kept = dict(cache.head_weights)
+            model.decode(np.array([[4], [5]]), state, cache=cache)
+        expected = {f"dec{ly}.{name}" for ly in range(2) for name in ("self.q", "self.k", "self.v", "cross.q")}
+        assert set(kept) == expected
+        assert all(cache.head_weights[name] is w for name, w in kept.items())
+        heads = [model.params[f"dec1.self.v{h}"].data for h in range(model.config.n_heads)]
+        assert np.array_equal(kept["dec1.self.v"].data, np.concatenate(heads, axis=1))
 
     def test_several_beams_and_positions_per_call(self):
         """Row t * beams + b holds position t of beam b, with or without

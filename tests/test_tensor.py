@@ -20,6 +20,8 @@ from scriptsum.tensor import (
     mean_all,
     mul,
     no_grad,
+    relative_scores,
+    relative_values,
     relu,
     reshape,
     scale,
@@ -152,6 +154,35 @@ class TestForwardValues:
         out = gather(table, idx)
         assert out.shape == (2, 2, 2)
         assert np.allclose(out.data[1, 0], [4.0, 5.0])
+
+    def test_relative_scores_and_values_by_hand(self):
+        # 1 query, 2 groups, 3 keys over a 2-row table; keys 0 and 2 share row 1
+        table = tensor(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        idx = np.array([[1, 0, 1]])
+        q = tensor(np.array([[[3.0, 5.0], [-1.0, 1.0]]]))
+        assert np.array_equal(relative_scores(q, table, idx).data, [[[10.0, 3.0, 10.0]], [[2.0, -1.0, 2.0]]])
+        alpha = tensor(np.array([[[0.5, 0.25, 0.25]], [[0.0, 1.0, 0.0]]]))
+        assert np.array_equal(relative_values(alpha, table, idx).data, [[[0.25, 1.5], [1.0, 0.0]]])
+
+    @pytest.mark.parametrize("bad", [np.array([[0, 2]]), np.array([[-1, 0]]), np.array([[0.0, 1.0]])])
+    def test_relative_ops_reject_bad_ids(self, bad):
+        table = tensor(np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            relative_scores(tensor(np.zeros((1, 4, 3))), table, bad)
+        with pytest.raises(ShapeError):
+            relative_values(tensor(np.zeros((4, 1, 2))), table, bad)
+
+    def test_relative_ops_reject_bad_shapes(self):
+        table = tensor(np.zeros((2, 3)))
+        idx = np.zeros((2, 2), dtype=np.int64)
+        with pytest.raises(ShapeError):  # query rows != index rows
+            relative_scores(tensor(np.zeros((3, 1, 3))), table, idx)
+        with pytest.raises(ShapeError):  # query width != table width
+            relative_scores(tensor(np.zeros((2, 1, 4))), table, idx)
+        with pytest.raises(ShapeError):  # weights (1, 2, 3) over a (2, 2) index
+            relative_values(tensor(np.zeros((1, 2, 3))), table, idx)
+        with pytest.raises(ShapeError):
+            relative_values(tensor(np.zeros((2, 2))), table, idx)
 
 
 class TestHandGradients:
@@ -300,6 +331,28 @@ class TestFiniteDifferences:
             return sum_all(mul(out, tensor(w)))
 
         assert grad_check(f, rand(rng, 2, 3, 4)).passed
+
+    def test_relative_scores_grads(self):
+        rng = np.random.default_rng(15)
+        idx = rng.integers(0, 3, (4, 5))  # 20 pairs over 3 rows: rows repeat
+        w = rng.standard_normal((2, 4, 5))
+
+        def f(q_, table_):
+            return sum_all(mul(relative_scores(q_, table_, idx), tensor(w)))
+
+        report = grad_check(f, [rand(rng, 4, 2, 3), rand(rng, 3, 3)])
+        assert report.passed, report
+
+    def test_relative_values_grads(self):
+        rng = np.random.default_rng(16)
+        idx = rng.integers(0, 3, (4, 5))
+        w = rng.standard_normal((4, 2, 3))
+
+        def f(alpha_, table_):
+            return sum_all(mul(relative_values(alpha_, table_, idx), tensor(w)))
+
+        report = grad_check(f, [rand(rng, 2, 4, 5), rand(rng, 3, 3)])
+        assert report.passed, report
 
 
 class TestGraphMechanics:
