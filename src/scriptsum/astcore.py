@@ -48,18 +48,22 @@ class Ast:
 
     Node 0 is the root, ids are dense, and id order equals the first-visit
     order of the bracketed traversal, so every derived matrix shares one
-    canonical node ordering.
+    canonical node ordering. The constructor validates the tree and walks
+    it once, recording each node's parent id (-1 for the root) in `parent`
+    and its distance from the root in `depth`. Ids out of preorder raise
+    TreeError unless renumber=True; given nodes already in preorder are
+    kept as they are.
     """
 
-    __slots__ = ("nodes", "leaf_order")
+    __slots__ = ("nodes", "leaf_order", "parent", "depth")
 
     def __init__(self, nodes: Sequence[AstNode], renumber: bool = False):
         nodes = tuple(nodes)
-        _validate_tree(nodes)
-        if renumber:
-            nodes = _renumber_preorder(nodes)
-        else:
-            _check_preorder(nodes)
+        order, parent, depth = _walk(nodes)
+        if order != list(range(len(nodes))):
+            if not renumber:
+                raise TreeError("node ids are not in first-visit (preorder) order")
+            nodes, parent, depth = _renumber(nodes, order, parent, depth)
         for node in nodes:
             if node.is_leaf and node.value is None:
                 raise TreeError(f"leaf node {node.id} has no value")
@@ -67,6 +71,8 @@ class Ast:
                 raise TreeError(f"interior node {node.id} carries a value")
         self.nodes = nodes
         self.leaf_order = tuple(n.id for n in nodes if n.is_leaf)
+        self.parent = tuple(parent)
+        self.depth = tuple(depth)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -79,32 +85,31 @@ class Ast:
     def __hash__(self) -> int:
         return hash(self.nodes)
 
-    def parent_map(self) -> dict[int, int]:
-        """Child id -> parent id (root absent)."""
-        parents: dict[int, int] = {}
-        for node in self.nodes:
-            for child in node.children:
-                parents[child] = node.id
-        return parents
 
+def _walk(nodes: tuple[AstNode, ...]) -> tuple[list[int], list[int], list[int]]:
+    """Check dense ids and parent counts, then walk from the root once.
 
-def _validate_tree(nodes: tuple[AstNode, ...]) -> None:
+    Returns the preorder of the ids and each node's parent (-1 for the
+    root) and depth. The root has no parent and every other node exactly
+    one, so the walk pushes each node at most once and ends; a node it
+    misses, a cycle detached from the root included, is unreachable.
+    """
     if not nodes:
         raise TreeError("empty node list")
     n = len(nodes)
     for i, node in enumerate(nodes):
         if node.id != i:
             raise TreeError(f"node ids are not dense from 0 (position {i} has id {node.id})")
+    parent = [-1] * n
     parent_count = [0] * n
-    edges = 0
     for node in nodes:
         for child in node.children:
             if not 0 <= child < n:
                 raise TreeError(f"node {node.id} references missing child {child}")
             if child == node.id:
                 raise TreeError(f"node {node.id} lists itself as a child")
+            parent[child] = node.id
             parent_count[child] += 1
-            edges += 1
     if parent_count[0] != 0:
         raise TreeError("node 0 must be the root but has a parent")
     for nid in range(1, n):
@@ -112,54 +117,40 @@ def _validate_tree(nodes: tuple[AstNode, ...]) -> None:
             raise TreeError(f"node {nid} is an orphan")
         if parent_count[nid] > 1:
             raise TreeError(f"node {nid} has multiple parents")
-    if edges != n - 1:
-        raise TreeError(f"expected {n - 1} edges, found {edges}")
-    # n-1 edges + every non-root having one parent + root reachable from
-    # itself guarantees connectivity, but check by traversal as well so a
-    # cycle detached from the root cannot slip through.
-    seen = [False] * n
-    stack = [0]
-    while stack:
-        nid = stack.pop()
-        if seen[nid]:
-            raise TreeError(f"cycle detected at node {nid}")
-        seen[nid] = True
-        stack.extend(nodes[nid].children)
-    if not all(seen):
-        missing = seen.index(False)
-        raise TreeError(f"node {missing} is unreachable from the root")
-
-
-def _preorder_ids(nodes: tuple[AstNode, ...]) -> list[int]:
     order: list[int] = []
+    depth = [0] * n
     stack = [0]
     while stack:
         nid = stack.pop()
         order.append(nid)
+        for child in nodes[nid].children:
+            depth[child] = depth[nid] + 1
         stack.extend(reversed(nodes[nid].children))
-    return order
+    if len(order) < n:
+        missing = min(set(range(n)).difference(order))
+        raise TreeError(f"node {missing} is unreachable from the root")
+    return order, parent, depth
 
 
-def _check_preorder(nodes: tuple[AstNode, ...]) -> None:
-    order = _preorder_ids(nodes)
-    if order != list(range(len(nodes))):
-        raise TreeError("node ids are not in first-visit (preorder) order")
-
-
-def _renumber_preorder(nodes: tuple[AstNode, ...]) -> tuple[AstNode, ...]:
-    order = _preorder_ids(nodes)
-    new_id = {old: new for new, old in enumerate(order)}
-    renumbered = [
+def _renumber(
+    nodes: tuple[AstNode, ...], order: list[int], parent: list[int], depth: list[int]
+) -> tuple[tuple[AstNode, ...], list[int], list[int]]:
+    """Nodes, parents and depths with ids reassigned in the given order."""
+    new_id = [0] * len(order)
+    for new, old in enumerate(order):
+        new_id[old] = new
+    renumbered = tuple(
         AstNode(
-            id=new_id[node.id],
-            node_type=node.node_type,
-            value=node.value,
-            children=tuple(new_id[c] for c in node.children),
+            id=new,
+            node_type=nodes[old].node_type,
+            value=nodes[old].value,
+            children=tuple(new_id[c] for c in nodes[old].children),
         )
-        for node in nodes
-    ]
-    renumbered.sort(key=lambda node: node.id)
-    return tuple(renumbered)
+        for new, old in enumerate(order)
+    )
+    # order[0] is the root, whose parent stays -1
+    new_parent = [-1] + [new_id[parent[old]] for old in order[1:]]
+    return renumbered, new_parent, [depth[old] for old in order]
 
 
 @dataclass(frozen=True)
@@ -193,7 +184,7 @@ def ast_from_json(obj: object) -> Ast:
     """Build an Ast from an interchange document, re-validating everything.
 
     Ids in the file must be dense from 0 but may be in any order; they are
-    renumbered to canonical preorder if needed.
+    renumbered to canonical preorder only when they are not already in it.
     """
     if not isinstance(obj, dict) or set(obj.keys()) != {"nodes"}:
         raise FormatError("interchange document must be an object with a single 'nodes' key")

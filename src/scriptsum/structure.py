@@ -90,10 +90,7 @@ def floyd_apsp(ast: Ast, nodes: Sequence[int] | np.ndarray | None = None) -> Dis
     ids = np.arange(n) if nodes is None else np.asarray(nodes, dtype=np.int64)
     if ids.ndim != 1 or np.any(np.diff(ids) <= 0) or (ids.size and (ids[0] < 0 or ids[-1] >= n)):
         raise ValueError("node ids must be strictly increasing ids of the tree")
-    parent = ast.parent_map()
-    depth = [0] * n
-    for c in range(1, n):
-        depth[c] = depth[parent[c]] + 1
+    parent, depth = ast.parent, ast.depth
     meet = []
     for a, b in zip(ids[:-1].tolist(), ids[1:].tolist()):
         while b > a:
@@ -153,16 +150,14 @@ def sequential_relpos(n: int, k: int) -> np.ndarray:
 
 def _statement_of(ast: Ast) -> list[int]:
     """Nearest enclosing statement-like node per node (self counts); the
-    root is the fallback owner for top-level constructs."""
+    root is the fallback owner for top-level constructs. In preorder a
+    parent's owner is set before its children's."""
     owner = [0] * len(ast)
-    stack = [(0, 0)]
-    while stack:
-        nid, current = stack.pop()
-        node = ast.nodes[nid]
+    for node, parent in zip(ast.nodes, ast.parent):
         if node.node_type in STATEMENT_TYPES:
-            current = nid
-        owner[nid] = current
-        stack.extend((child, current) for child in node.children)
+            owner[node.id] = node.id
+        elif parent >= 0:
+            owner[node.id] = owner[parent]
     return owner
 
 
@@ -202,8 +197,7 @@ def _flow_edges(ast: Ast) -> set[tuple[int, int]]:
 def ast_view(ast: Ast, align: TokenAlignment) -> np.ndarray:
     """Token-pair relation: 1 when the aligned leaves are at most two hops
     apart in the tree (same leaf, or siblings under one parent)."""
-    parent = ast.parent_map()
-    leaf_parents = np.asarray([parent.get(nid, -1) for nid in align.token_to_node])
+    leaf_parents = np.asarray([ast.parent[nid] for nid in align.token_to_node])
     return np.equal.outer(leaf_parents, leaf_parents).astype(np.float64)
 
 

@@ -41,6 +41,10 @@ from .model import ModelConfig, ScriptModel, load_model_sidecar, save_model_side
 from .tensor import backward, no_grad, scale
 
 HISTORY_COLUMNS = ("epoch", "train_loss", "valid_loss", "valid_bleu", "lr", "wall_seconds")
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -90,36 +94,26 @@ class TrainConfig:
 class Adam:
     """Adam with decoupled weight decay on parameters of rank >= 2."""
 
-    def __init__(
-        self,
-        model: ScriptModel,
-        weight_decay: float = 0.01,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, model: ScriptModel, weight_decay: float = 0.01):
         self.model = model
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in model.params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in model.params.items()}
 
     def step(self, lr: float) -> None:
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - ADAM_BETA1 ** self.step_count
+        bc2 = 1.0 - ADAM_BETA2 ** self.step_count
         for name, p in self.model.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             if self.weight_decay and p.data.ndim >= 2:
                 update = update + self.weight_decay * p.data
             p.data = p.data - lr * update
@@ -344,8 +338,11 @@ def train(
     tgt_vocab.save(out_dir / "tgt_vocab.json")
 
     stopped_early = False
-    reached_step_cap = False
     for epoch in range(start_epoch + 1, cfg.max_epochs + 1):
+        # a resumed run may already be at its step budget: it takes no step
+        # and writes nothing
+        if global_step >= total_steps:
+            break
         t0 = time.perf_counter()
         batches = make_batches(
             enc_train,
@@ -362,8 +359,7 @@ def train(
             optimizer.step(last_lr)
             global_step += 1
             n_batches += 1
-            if cfg.max_steps is not None and global_step >= cfg.max_steps:
-                reached_step_cap = True
+            if global_step >= total_steps:
                 break
         valid_loss = evaluate_loss(model, enc_valid)
         run_bleu = cfg.bleu_every > 0 and epoch % cfg.bleu_every == 0
@@ -417,8 +413,6 @@ def train(
 
         if bad_epochs >= cfg.early_stop_patience:
             stopped_early = True
-            break
-        if reached_step_cap:
             break
 
     return TrainResult(

@@ -17,7 +17,7 @@ from scriptsum.astcore import (
 from scriptsum.errors import FormatError, TreeError
 from scriptsum.minilang import parse_minilang
 
-from oracles import random_minilang, random_tree
+from oracles import node_depths, random_minilang, random_tree
 
 
 def leaf(i, value):
@@ -26,6 +26,16 @@ def leaf(i, value):
 
 def interior(i, node_type, children):
     return AstNode(id=i, node_type=node_type, value=None, children=tuple(children))
+
+
+def shuffled_ids(ast, rng):
+    """The tree's nodes under a random id permutation that keeps the root 0."""
+    new_id = np.r_[0, 1 + rng.permutation(len(ast) - 1)].tolist()
+    nodes = [
+        AstNode(new_id[n.id], n.node_type, n.value, tuple(new_id[c] for c in n.children))
+        for n in ast.nodes
+    ]
+    return sorted(nodes, key=lambda node: node.id)
 
 
 class TestAstInvariants:
@@ -66,6 +76,40 @@ class TestAstInvariants:
         renumbered = Ast(nodes, renumber=True)
         assert [n.node_type for n in renumbered.nodes] == ["Root", "Id", "Id"]
         assert [n.value for n in renumbered.nodes] == [None, "a", "b"]
+
+    def test_detached_cycle_rejected(self):
+        # every node has one parent, but 2 and 3 only reach each other
+        nodes = [
+            interior(0, "Root", [1]),
+            leaf(1, "x"),
+            interior(2, "Mid", [3]),
+            interior(3, "Mid", [2]),
+        ]
+        with pytest.raises(TreeError, match="node 2 is unreachable"):
+            Ast(nodes)
+        with pytest.raises(TreeError, match="node 2 is unreachable"):
+            Ast(nodes, renumber=True)
+
+    def test_renumber_keeps_nodes_already_in_preorder(self):
+        nodes = [interior(0, "Root", [1, 2]), leaf(1, "a"), leaf(2, "b")]
+        ast = Ast(nodes, renumber=True)
+        assert all(kept is given for kept, given in zip(ast.nodes, nodes))
+
+    def test_parent_and_depth_match_oracle(self):
+        rng = np.random.default_rng(11)
+        trees = [random_tree(rng, int(rng.integers(1, 80))) for _ in range(30)]
+        trees += [parse_minilang(random_minilang(rng, int(rng.integers(1, 6)))) for _ in range(30)]
+        # the same trees again, renumbered from shuffled ids
+        renumbered = [Ast(shuffled_ids(ast, rng), renumber=True) for ast in trees]
+        assert renumbered == trees
+        trees += renumbered
+        for ast in trees:
+            parent = [-1] * len(ast)
+            for node in ast.nodes:
+                for child in node.children:
+                    parent[child] = node.id
+            assert ast.parent == tuple(parent)
+            assert ast.depth == tuple(node_depths(ast))
 
     def test_edge_count_equals_nodes_minus_one(self):
         rng = np.random.default_rng(7)

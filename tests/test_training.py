@@ -386,6 +386,30 @@ class TestTrainLoop:
         )
         assert result.global_step == 3
 
+    @pytest.mark.parametrize("resume_steps", [3, 2])
+    def test_resume_at_step_budget_takes_no_step(self, toy_corpus_path, tmp_path, resume_steps):
+        # 6 examples in batches of 3: the 3-step run ends one step into epoch 2
+        examples, src, tgt, model = training_setup(toy_corpus_path)
+        cfg = self.quick_cfg(max_epochs=50, max_steps=3)
+        train(model, examples, examples[:2], cfg, src, tgt, tmp_path)
+        names = ("last.ckpt", "best.ckpt", "state.json", "history.csv")
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+
+        _, _, _, fresh = training_setup(toy_corpus_path)
+        result = train(
+            fresh,
+            examples,
+            examples[:2],
+            replace(cfg, max_steps=resume_steps),
+            src,
+            tgt,
+            tmp_path,
+            resume=True,
+        )
+        assert result.global_step == 3
+        assert [row.epoch for row in result.history] == [1, 2]
+        assert {name: (tmp_path / name).read_bytes() for name in names} == before
+
     def test_validate_by_bleu_negates_metric(self, toy_corpus_path, tmp_path):
         examples, src, tgt, model = training_setup(toy_corpus_path, 3)
         result = train(
