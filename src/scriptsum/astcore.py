@@ -8,12 +8,11 @@ leaves so that every token maps back to exactly one tree node.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import FormatError, TreeError
+from .errors import FormatError, TreeError, parse_json
 
 STRING_LEAF_TYPES = frozenset({"StringLiteral"})
 NUMBER_LEAF_TYPES = frozenset({"NumberLiteral"})
@@ -226,11 +225,7 @@ def ast_from_json(obj: object) -> Ast:
 def load_ast_json(path) -> Ast:
     """Read one interchange JSON document from a file path."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
-    return ast_from_json(obj)
+        return ast_from_json(parse_json(fh.read()))
 
 
 def sbt_sequence(ast: Ast) -> list[str]:

@@ -5,7 +5,7 @@ Layout: 8-byte little-endian unsigned header length, then a JSON header
 little-endian float64 array bytes concatenated in name order. Offsets are
 relative to the start of the data section. Writing the same parameters
 always produces byte-identical files. The reader accepts only `<f8`
-entries with unique names and non-negative integer dims.
+entries with unique names and at most 32 non-negative integer dims.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, parse_json
 
 _DTYPE = "<f8"
 _ITEMSIZE = np.dtype(_DTYPE).itemsize
+# numpy 1.x holds arrays of at most 32 dimensions
+_MAX_DIMS = 32
 
 
 def save_checkpoint(params: dict[str, np.ndarray], path) -> None:
@@ -49,14 +51,15 @@ def _is_count(value) -> bool:
 
 def _entry_fields(entry) -> tuple[str, tuple[int, ...], int]:
     """Name, shape and offset of one header entry; FormatError unless the
-    entry is a `<f8` array with a string name and non-negative integer
-    dims and offset."""
+    entry is a `<f8` array with a string name, at most 32 non-negative
+    integer dims and a non-negative integer offset."""
     if not isinstance(entry, dict):
         raise FormatError(f"malformed checkpoint entry: {entry!r}")
     name, shape, offset = entry.get("name"), entry.get("shape"), entry.get("offset")
     if not (
         isinstance(name, str)
         and isinstance(shape, list)
+        and len(shape) <= _MAX_DIMS
         and all(_is_count(dim) for dim in shape)
         and _is_count(offset)
     ):
@@ -82,9 +85,9 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     if len(blob) < base:
         raise FormatError("checkpoint header truncated")
     try:
-        header = json.loads(blob[8:base].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"checkpoint header is not valid JSON: {exc}") from exc
+        header = parse_json(blob[8:base].decode("utf-8"))
+    except (UnicodeDecodeError, FormatError) as exc:
+        raise FormatError(f"{path}: checkpoint header: {exc}") from exc
     if not isinstance(header, dict) or not isinstance(header.get("params"), list):
         raise FormatError("checkpoint header needs a 'params' list")
     out: dict[str, np.ndarray] = {}

@@ -32,6 +32,7 @@ from .data import (
     encode_examples,
     example_from_record,
     load_dataset,
+    read_jsonl,
 )
 from .errors import (
     ArtifactMismatchError,
@@ -43,6 +44,7 @@ from .errors import (
     NumericsError,
     ShapeError,
     TreeError,
+    parse_json,
 )
 from .manifest import RunManifest
 from .metrics import BucketSpec, EvalPair, corpus_report
@@ -167,23 +169,13 @@ def _read_examples(path: Path, clip: int, weights) -> Iterator[Example]:
             {"code": path.read_text(encoding="utf-8"), "summary": ""}, clip, weights
         )
         return
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise FormatError(f"line {lineno}: record must be a JSON object")
-            rec.setdefault("summary", "")
-            try:
-                ex = example_from_record(rec, clip, weights)
-            except (FormatError, MiniLangSyntaxError, TreeError) as exc:
-                raise FormatError(f"line {lineno}: {exc}") from exc
-            yield ex
+
+    def build(rec) -> Example:
+        if not isinstance(rec, dict):
+            raise FormatError("record must be a JSON object")
+        return example_from_record({"summary": "", **rec}, clip, weights)
+
+    yield from read_jsonl(path, build)
 
 
 # -- parse ---------------------------------------------------------------
@@ -196,38 +188,34 @@ def cmd_parse(args) -> int:
     manifest = RunManifest(command="parse", config={"input": str(in_path)}, seed=0)
     manifest.add_input(in_path)
 
+    # (line, text) per source: each non-blank JSONL line, or the whole file
+    jsonl = _is_jsonl(in_path)
+    if jsonl:
+        with open(in_path, "r", encoding="utf-8") as fh:
+            sources = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    else:
+        sources = [(1, in_path.read_text(encoding="utf-8"))]
     report: list[dict] = []
     n_ok = 0
-    if _is_jsonl(in_path):
-        with open(in_path, "r", encoding="utf-8") as fh:
-            lines = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
-        for lineno, line in lines:
-            try:
-                rec = json.loads(line)
+    for lineno, text in sources:
+        try:
+            if jsonl:
+                rec = parse_json(text)
                 if not isinstance(rec, dict) or not isinstance(rec.get("code"), str):
                     raise FormatError("record must be an object with a string 'code'")
-                ast = parse_minilang(rec["code"])
-            except (json.JSONDecodeError, FormatError, MiniLangSyntaxError) as exc:
-                report.append({"line": lineno, "status": "error", "error": str(exc)})
-                continue
-            name = f"example_{n_ok:04d}.ast.json"
-            with open(out_dir / name, "w", encoding="utf-8") as fh:
-                json.dump(ast_to_json(ast), fh, indent=2)
-                fh.write("\n")
-            report.append({"line": lineno, "status": "ok", "output": name})
-            n_ok += 1
-    else:
-        try:
-            ast = parse_minilang(in_path.read_text(encoding="utf-8"))
-        except MiniLangSyntaxError as exc:
-            report.append({"line": exc.line, "status": "error", "error": str(exc)})
-        else:
-            name = f"{in_path.stem}.ast.json"
-            with open(out_dir / name, "w", encoding="utf-8") as fh:
-                json.dump(ast_to_json(ast), fh, indent=2)
-                fh.write("\n")
-            report.append({"line": 1, "status": "ok", "output": name})
-            n_ok += 1
+                text = rec["code"]
+            ast = parse_minilang(text)
+        except (FormatError, MiniLangSyntaxError) as exc:
+            # a source file's syntax error names its line within the file
+            line = lineno if jsonl else exc.line
+            report.append({"line": line, "status": "error", "error": str(exc)})
+            continue
+        name = f"example_{n_ok:04d}.ast.json" if jsonl else f"{in_path.stem}.ast.json"
+        with open(out_dir / name, "w", encoding="utf-8") as fh:
+            json.dump(ast_to_json(ast), fh, indent=2)
+            fh.write("\n")
+        report.append({"line": lineno, "status": "ok", "output": name})
+        n_ok += 1
 
     failures = [r for r in report if r["status"] == "error"]
     with open(out_dir / "parse_report.json", "w", encoding="utf-8") as fh:
@@ -354,11 +342,12 @@ def cmd_train(args) -> int:
         },
         seed=tcfg.seed,
     )
-    manifest.add_input(args.dataset)
-    if args.valid:
-        manifest.add_input(args.valid)
-    if args.config:
-        manifest.add_input(args.config)
+    # a resumed run's files are digested before training rewrites them; one
+    # that is missing is left for train() to report
+    resumed = ("last.ckpt", "state.json", "history.csv") if args.resume else ()
+    for path in [args.dataset, args.valid, args.config, *(out_dir / name for name in resumed)]:
+        if path and Path(path).exists():
+            manifest.add_input(path)
 
     result = train(
         model,
@@ -386,14 +375,15 @@ def cmd_train(args) -> int:
 
 
 def _load_model_dir(
-    model_dir: Path,
-    which: str = "best",
-    src_vocab_path=None,
-    tgt_vocab_path=None,
-) -> tuple[ScriptModel, dict, Vocabulary, Vocabulary]:
-    model, payload = load_model_from_dir(model_dir, which)
-    src_vocab = Vocabulary.load(src_vocab_path or model_dir / "src_vocab.json")
-    tgt_vocab = Vocabulary.load(tgt_vocab_path or model_dir / "tgt_vocab.json")
+    model_dir: Path, src_vocab_path=None, tgt_vocab_path=None
+) -> tuple[ScriptModel, Vocabulary, Vocabulary, int, tuple[float, float, float], list[Path]]:
+    """The best model of a training directory, its vocabularies, the
+    distance clip and view weights it was trained with, and the files read
+    to get them."""
+    model, payload = load_model_from_dir(model_dir)
+    src_path = Path(src_vocab_path or model_dir / "src_vocab.json")
+    tgt_path = Path(tgt_vocab_path or model_dir / "tgt_vocab.json")
+    src_vocab, tgt_vocab = Vocabulary.load(src_path), Vocabulary.load(tgt_path)
     for label, vocab, key in (
         ("source", src_vocab, "src_vocab_digest"),
         ("target", tgt_vocab, "tgt_vocab_digest"),
@@ -404,17 +394,24 @@ def _load_model_dir(
                 f"{label} vocabulary digest {vocab.digest()[:12]}... does not match "
                 f"checkpoint sidecar {want[:12]}..."
             )
-    return model, payload, src_vocab, tgt_vocab
-
-
-def _data_config(payload: dict) -> tuple[int, tuple[float, float, float]]:
     dc = payload.get("data_config", {})
-    try:
-        clip = int(dc.get("distance_clip", DEFAULT_DISTANCE_CLIP))
-        alpha, beta, gamma = (float(w) for w in dc.get("view_weights", DEFAULT_VIEW_WEIGHTS))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise FormatError(f"invalid sidecar data_config: {exc}") from exc
-    return clip, (alpha, beta, gamma)
+    if not isinstance(dc, dict):
+        raise FormatError("sidecar data_config must be a JSON object")
+    # training buckets distances at the model's l; any other clip decodes
+    # with positions the model never saw
+    l = model.config.l
+    clip = dc.get("distance_clip", l)
+    if type(clip) is not int or clip != l:
+        raise FormatError(f"sidecar data_config 'distance_clip' must be the model's l = {l}, got {clip!r}")
+    weights = dc.get("view_weights", DEFAULT_VIEW_WEIGHTS)
+    if not (
+        isinstance(weights, (list, tuple))
+        and len(weights) == 3
+        and all(type(w) in (int, float) and abs(w) <= sys.float_info.max for w in weights)
+    ):
+        raise FormatError(f"sidecar data_config 'view_weights' must be three finite numbers, got {weights!r}")
+    inputs = [model_dir / "best.json", model_dir / "best.ckpt", src_path, tgt_path]
+    return model, src_vocab, tgt_vocab, clip, tuple(float(w) for w in weights), inputs
 
 
 # -- eval ----------------------------------------------------------------
@@ -432,8 +429,7 @@ def cmd_eval(args) -> int:
     model_dir = Path(args.model_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model, payload, src_vocab, tgt_vocab = _load_model_dir(model_dir)
-    clip, weights = _data_config(payload)
+    model, src_vocab, tgt_vocab, clip, weights, inputs = _load_model_dir(model_dir)
     split = load_dataset(args.dataset, distance_clip=clip, view_weights=weights)
     encoded = encode_examples(split, src_vocab, tgt_vocab)
 
@@ -483,9 +479,8 @@ def cmd_eval(args) -> int:
         },
         seed=0,
     )
-    manifest.add_input(args.dataset)
-    manifest.add_input(model_dir / "best.ckpt")
-    manifest.add_input(model_dir / "best.json")
+    for path in [args.dataset, *inputs]:
+        manifest.add_input(path)
     manifest.save(out_dir)
     o = report.overall
     print(
@@ -500,12 +495,9 @@ def cmd_eval(args) -> int:
 
 def cmd_summarize(args) -> int:
     model_dir = Path(args.model_dir)
-    model, payload, src_vocab, tgt_vocab = _load_model_dir(
-        model_dir,
-        src_vocab_path=args.src_vocab,
-        tgt_vocab_path=args.tgt_vocab,
+    model, src_vocab, tgt_vocab, clip, weights, inputs = _load_model_dir(
+        model_dir, args.src_vocab, args.tgt_vocab
     )
-    clip, weights = _data_config(payload)
     examples = list(_read_examples(Path(args.input), clip, weights))
 
     beam = 1 if args.greedy else args.beam
@@ -534,8 +526,8 @@ def cmd_summarize(args) -> int:
             },
             seed=0,
         )
-        manifest.add_input(args.input)
-        manifest.add_input(model_dir / "best.ckpt")
+        for path in [args.input, *inputs]:
+            manifest.add_input(path)
         manifest.save(out_dir)
     return EXIT_OK
 
@@ -546,7 +538,7 @@ def cmd_summarize(args) -> int:
 def cmd_export_attention(args) -> int:
     model_dir = Path(args.model_dir)
     out_dir = Path(args.out)
-    model, payload, src_vocab, _ = _load_model_dir(model_dir)
+    model, src_vocab, _, clip, weights, inputs = _load_model_dir(model_dir)
     cfg = model.config
     if not 0 <= args.layer < cfg.n_encoder_layers:
         raise ConfigError(
@@ -554,7 +546,6 @@ def cmd_export_attention(args) -> int:
         )
     if not 0 <= args.head < cfg.n_heads:
         raise ConfigError(f"head {args.head} out of range for {cfg.n_heads} heads")
-    clip, weights = _data_config(payload)
     examples = list(_read_examples(Path(args.input), clip, weights))
     if not 0 <= args.index < len(examples):
         raise ConfigError(f"example index {args.index} out of range for {len(examples)} example(s)")
@@ -585,8 +576,8 @@ def cmd_export_attention(args) -> int:
         },
         seed=0,
     )
-    manifest.add_input(args.input)
-    manifest.add_input(model_dir / "best.ckpt")
+    for path in [args.input, *inputs]:
+        manifest.add_input(path)
     manifest.save(out_dir)
     print(f"wrote {matrix.shape[0]}x{matrix.shape[1]} attention matrix -> {csv_path}")
     return EXIT_OK

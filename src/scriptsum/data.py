@@ -14,13 +14,14 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .astcore import Ast, TokenAlignment, ast_from_json, leaf_tokens
 from .minilang import parse_minilang
 from .errors import ConfigError, EmptyCorpusError, FormatError, MiniLangSyntaxError, TreeError
+from .errors import parse_json, read_json_object
 from .structure import (
     DEFAULT_DISTANCE_CLIP,
     DEFAULT_VIEW_WEIGHTS,
@@ -93,12 +94,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid vocabulary JSON: {exc}") from exc
-        tokens = obj.get("tokens") if isinstance(obj, dict) else None
+        tokens = read_json_object(path).get("tokens")
         if not isinstance(tokens, list) or tokens[: len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
             raise FormatError("vocabulary file must list tokens starting with the reserved set")
         return cls(tokens[len(RESERVED_TOKENS):])
@@ -178,29 +174,30 @@ def example_from_record(
     )
 
 
-def load_dataset(
-    path,
-    distance_clip: int = DEFAULT_DISTANCE_CLIP,
-    view_weights: tuple[float, float, float] = DEFAULT_VIEW_WEIGHTS,
-) -> list[Example]:
-    """Read a JSON Lines dataset; blank lines are skipped."""
-    examples: list[Example] = []
+def read_jsonl(path, build: Callable) -> Iterator:
+    """build(record) for each non-blank line of a JSON Lines file. A line
+    that does not decode, or whose record build rejects, is a FormatError
+    naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                examples.append(
-                    example_from_record(record, distance_clip, view_weights)
-                )
+                yield build(parse_json(line))
             except (FormatError, MiniLangSyntaxError, TreeError) as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
-    return examples
+
+
+def load_dataset(
+    path,
+    distance_clip: int = DEFAULT_DISTANCE_CLIP,
+    view_weights: tuple[float, float, float] = DEFAULT_VIEW_WEIGHTS,
+) -> list[Example]:
+    """Read a JSON Lines dataset; blank lines are skipped."""
+    return list(
+        read_jsonl(path, lambda record: example_from_record(record, distance_clip, view_weights))
+    )
 
 
 def toy_corpus_path():

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one JSON decoder
+every reader goes through."""
+
+import json
 
 
 class MiniLangSyntaxError(SyntaxError):
@@ -45,3 +48,27 @@ class BucketError(ValueError):
 
 class ArtifactMismatchError(RuntimeError):
     """Checkpoint, config and vocabulary artifacts do not belong together."""
+
+
+def parse_json(text: str):
+    """Decode one JSON document. Anything the decoder refuses is a
+    FormatError, including nesting past the interpreter's recursion limit
+    and an integer past its digit limit."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"invalid JSON: {exc}") from exc
+
+
+def read_json_object(path) -> dict:
+    """The JSON object stored in a UTF-8 file; FormatError naming the file
+    if it does not decode or holds another kind of value."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        value = parse_json(text)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise FormatError(f"{path}: must be a JSON object")
+    return value

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import FormatError, read_json_object
 
 MANIFEST_NAME = "manifest.json"
 
@@ -91,13 +91,7 @@ class RunManifest:
 
 def load_manifest(out_dir) -> RunManifest:
     path = Path(out_dir) / MANIFEST_NAME
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid manifest JSON in {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"manifest {path} must be a JSON object")
+    payload = read_json_object(path)
     required = {"command", "config", "seed"}
     missing = required - payload.keys()
     if missing:

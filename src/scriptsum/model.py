@@ -51,7 +51,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ArtifactMismatchError, ConfigError, FormatError, NumericsError, ShapeError
+from .errors import ArtifactMismatchError, ConfigError, FormatError, NumericsError, ShapeError, read_json_object
 from .structure import DEFAULT_DISTANCE_CLIP, StructuralEncodings, sequential_relpos
 from .tensor import (
     NEG_INF,
@@ -746,13 +746,7 @@ def save_model_sidecar(path, config: ModelConfig, extra: dict | None = None) -> 
 
 def load_model_sidecar(path) -> tuple[ModelConfig, dict]:
     """Read a sidecar back; returns the config and the full payload."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid sidecar JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FormatError("sidecar must be a JSON object")
+    payload = read_json_object(path)
     if "model_config" not in payload:
         raise FormatError("sidecar missing 'model_config'")
     return ModelConfig.from_dict(payload["model_config"]), payload

@@ -35,7 +35,7 @@ from .data import (
     encode_examples,
     make_batches,
 )
-from .errors import ConfigError, FormatError, NumericsError
+from .errors import ConfigError, FormatError, NumericsError, read_json_object
 from .metrics import EvalPair, bleu4
 from .model import ModelConfig, ScriptModel, load_model_sidecar, save_model_sidecar
 from .tensor import backward, no_grad, scale
@@ -431,13 +431,7 @@ def _read_state(path) -> tuple[int, int, int, int, float]:
     """Epoch, global step, best epoch, bad epochs and best metric from a
     resumed run's state.json; FormatError naming the file unless it is an
     object of non-negative integer counters and a numeric best_metric."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            saved = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(saved, dict):
-        raise FormatError(f"{path}: must be a JSON object")
+    saved = read_json_object(path)
     counters = [saved.get(k) for k in ("epoch", "global_step", "best_epoch", "bad_epochs")]
     if not all(_is_count(v) for v in counters):
         raise FormatError(f"{path}: counters must be non-negative integers, got {counters}")
@@ -465,7 +459,7 @@ def _read_history(path) -> list[HistoryRow]:
                 )
                 for rec in reader
             ]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, csv.Error) as exc:
             raise FormatError(f"{path}: invalid row {reader.line_num}: {exc}") from exc
 
 

@@ -3,13 +3,17 @@ import json
 import re
 import shutil
 import struct
+import sys
 
 import numpy as np
 import pytest
 
+from scriptsum.astcore import load_ast_json
 from scriptsum.checkpoint import load_checkpoint, save_checkpoint
 from scriptsum.cli import _CONFIG_TYPES, build_parser, main, read_config_file
-from scriptsum.errors import ConfigError, NumericsError
+from scriptsum.data import load_dataset
+from scriptsum.errors import ConfigError, FormatError, NumericsError
+from scriptsum.manifest import load_manifest, sha256_file
 from scriptsum.model import ScriptModel
 from scriptsum.tensor import _grad_enabled
 
@@ -323,11 +327,17 @@ class TestTrainCommand:
             ("last.ckpt", damage_optimizer_state("adam.step", set_first(2.5))),
             ("last.ckpt", damage_optimizer_state("adam.v.out_bias", set_first(np.nan))),
             ("last.ckpt", damage_optimizer_state("adam.v.out_bias", set_first(-1.0))),
+            (
+                "history.csv",
+                lambda run: (run / "history.csv").write_text(
+                    (run / "history.csv").read_text() + "3," + "9" * 200_000 + ",1.0,,0.001,0.5\n"
+                ),
+            ),
         ],
         ids=[
             "invalid-json", "list", "no-counters", "no-optimizer-state", "non-numeric-row",
             "moment-shape", "nan-step", "empty-step", "negative-step", "fractional-step",
-            "nan-second-moment", "negative-second-moment",
+            "nan-second-moment", "negative-second-moment", "field-past-csv-limit",
         ],
     )
     def test_damaged_run_dir_resume_is_input_error(
@@ -431,10 +441,20 @@ class TestEval:
             lambda payload: dict(payload, model_config=dict(payload["model_config"], n_decoder_layers=True)),
             lambda payload: dict(payload, data_config=5),
             lambda payload: dict(payload, data_config=dict(payload["data_config"], view_weights=[1, 2])),
+            lambda payload: dict(payload, data_config=dict(payload["data_config"], distance_clip=float("inf"))),
+            lambda payload: dict(payload, data_config=dict(payload["data_config"], distance_clip=2.7)),
+            lambda payload: dict(payload, data_config=dict(payload["data_config"], distance_clip=True)),
+            lambda payload: dict(payload, data_config=dict(payload["data_config"], distance_clip="4")),
+            lambda payload: dict(payload, data_config=dict(payload["data_config"], view_weights=["1", "1", "1"])),
+            lambda payload: dict(payload, data_config=dict(payload["data_config"], view_weights=[10**400, 1, 1])),
+            lambda payload: dict(payload, data_config=dict(payload["data_config"], distance_clip=10**400)),
+            lambda payload: dict(payload, data_config=dict(payload["data_config"], distance_clip=3)),
         ],
         ids=[
             "top-level-int", "plan-int", "plan-null", "float-width", "bool-layer-count",
-            "data-config-int", "two-view-weights",
+            "data-config-int", "two-view-weights", "infinite-clip", "fractional-clip",
+            "bool-clip", "string-clip", "string-view-weights", "huge-view-weight", "huge-clip",
+            "clip-other-than-l",
         ],
     )
     def test_malformed_sidecar_is_input_error(
@@ -626,6 +646,111 @@ class TestExportAttention:
         assert main(base + ["--layer", "5", "--head", "0"]) == 2
         assert main(base + ["--layer", "0", "--head", "9"]) == 2
         assert main(base + ["--layer", "0", "--head", "0", "--index", "3"]) == 2
+
+
+class TestManifestInputs:
+    """input_digests holds exactly the files a command read."""
+
+    @pytest.mark.parametrize("command", ["eval", "summarize", "export-attention"])
+    def test_decoding_commands_digest_model_files(
+        self, tmp_path, trained_dir, small_dataset, command
+    ):
+        out = tmp_path / "out"
+        src_vocab = tmp_path / "src_vocab.json"
+        shutil.copy(trained_dir / "src_vocab.json", src_vocab)
+        argv = {
+            "eval": ["eval", trained_dir, small_dataset, out, "--beam", "1", "--max-len", "2"],
+            "summarize": ["summarize", trained_dir, small_dataset, "--beam", "1",
+                          "--max-len", "2", "--src-vocab", src_vocab, "--out", out],
+            "export-attention": ["export-attention", trained_dir, small_dataset, out,
+                                 "--layer", "0", "--head", "0"],
+        }[command]
+        assert main([str(a) for a in argv]) == 0
+        read = [small_dataset, trained_dir / "best.json", trained_dir / "best.ckpt",
+                src_vocab if command == "summarize" else trained_dir / "src_vocab.json",
+                trained_dir / "tgt_vocab.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["input_digests"] == {str(path): sha256_file(path) for path in read}
+
+    def test_resume_manifest_digests_the_files_it_resumed_from(
+        self, tmp_path, trained_dir, small_dataset
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        resumed = [run / name for name in ("last.ckpt", "state.json", "history.csv")]
+        before = {str(path): sha256_file(path) for path in [small_dataset, *resumed]}
+        rc = main(["train", str(small_dataset), str(run), "--resume"]
+                  + TRAIN_FLAGS + ["--max-epochs", "3"])
+        assert rc == 0
+        assert json.loads((run / "manifest.json").read_text())["input_digests"] == before
+        assert all(sha256_file(path) != before[str(path)] for path in resumed)
+
+
+OVERSIZED_JSON = [pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting")]
+if hasattr(sys, "get_int_max_str_digits"):  # the interpreter caps int literals
+    OVERSIZED_JSON.append(pytest.param("7" * 5_000, id="long-integer"))
+
+
+def write_checkpoint_header(path, text):
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[:8])
+    path.write_bytes(struct.pack("<Q", len(text)) + text.encode() + blob[8 + header_len :])
+
+
+class TestOversizedJson:
+    """JSON past the decoder's nesting or digit limit, in any file scriptsum
+    reads, is a FormatError from the library, and from the CLI exit 2 with
+    one line naming the file or dataset line."""
+
+    @pytest.mark.parametrize("text", OVERSIZED_JSON)
+    @pytest.mark.parametrize(
+        "reader, name",
+        [
+            ("load_dataset", "line 2"),
+            ("encode", "line 2"),
+            ("parse", "line 2"),
+            ("vocabulary", "src_vocab.json"),
+            ("sidecar", "best.json"),
+            ("state", "state.json"),
+            ("manifest", "manifest.json"),
+            ("ast", "tree.ast.json"),
+            ("checkpoint-header", "best.ckpt"),
+        ],
+    )
+    def test_reader_refuses_in_one_line(
+        self, tmp_path, trained_dir, small_dataset, capsys, reader, name, text
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"code": "x = a;", "summary": "b"}\n{"code": "x = 1;", "k": %s}\n' % text)
+        if reader == "checkpoint-header":
+            write_checkpoint_header(run / name, text)
+        elif name.endswith(".json"):
+            (run / name).write_text(text)
+        call = {
+            "load_dataset": lambda: load_dataset(data),
+            "encode": ["encode", data, tmp_path / "enc"],
+            "parse": ["parse", data, tmp_path / "ast"],
+            "vocabulary": ["summarize", run, small_dataset],
+            "sidecar": ["summarize", run, small_dataset],
+            "state": ["train", small_dataset, run, "--resume"] + TRAIN_FLAGS,
+            "manifest": lambda: load_manifest(run),
+            "ast": lambda: load_ast_json(run / name),
+            "checkpoint-header": ["summarize", run, small_dataset],
+        }[reader]
+        if callable(call):
+            with pytest.raises(FormatError) as info:
+                call()
+            message = str(info.value)
+            # a library reader given one document names no file
+            name = None if reader == "ast" else name
+        else:
+            capsys.readouterr()
+            assert main([str(a) for a in call]) == 2
+            message = capsys.readouterr().err
+        assert "invalid JSON: " in message and len(message.splitlines()) == 1
+        assert name is None or name in message
 
 
 class TestInferenceRecordsNoGraph:

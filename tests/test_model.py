@@ -980,13 +980,15 @@ class TestCheckpointAndSidecar:
             [dict(GOOD_ENTRY, offset=-8)],
             [dict(GOOD_ENTRY, name=7)],
             [dict(GOOD_ENTRY, shape=[2**40, 2**40])],
+            [dict(GOOD_ENTRY, shape=[2] + [1] * 32)],
+            [dict(GOOD_ENTRY, shape=[2] + [1] * 99)],
             ["w"],
             5,
         ],
         ids=[
             "object-dtype", "int-dtype", "dtype-alias", "duplicate-name", "negative-dim",
             "float-dim", "scalar-shape", "negative-offset", "non-string-name",
-            "huge-shape", "entry-not-object", "params-not-a-list",
+            "huge-shape", "33-dims", "100-dims", "entry-not-object", "params-not-a-list",
         ],
     )
     def test_malformed_header_rejected(self, tmp_path, params):
