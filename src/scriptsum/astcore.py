@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import FormatError, TreeError, parse_json
+from .errors import FormatError, TreeError, parse_json, read_text
 
 STRING_LEAF_TYPES = frozenset({"StringLiteral"})
 NUMBER_LEAF_TYPES = frozenset({"NumberLiteral"})
@@ -224,8 +224,7 @@ def ast_from_json(obj: object) -> Ast:
 
 def load_ast_json(path) -> Ast:
     """Read one interchange JSON document from a file path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return ast_from_json(parse_json(fh.read()))
+    return ast_from_json(parse_json(read_text(path)))
 
 
 def sbt_sequence(ast: Ast) -> list[str]:

@@ -19,7 +19,7 @@ import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -45,11 +45,12 @@ from .errors import (
     ShapeError,
     TreeError,
     parse_json,
+    read_text,
 )
 from .manifest import RunManifest
 from .metrics import BucketSpec, EvalPair, corpus_report
 from .minilang import parse_minilang
-from .model import MASK_MODES, SRPE_PLACEMENTS, ModelConfig, ScriptModel, ablation_layer_plan, inference_numerics
+from .model import ModelConfig, ScriptModel, ablation_layer_plan, inference_numerics
 from .structure import DEFAULT_DISTANCE_CLIP, DEFAULT_VIEW_WEIGHTS
 from .tensor import no_grad
 from .training import TrainConfig, load_model_from_dir, train
@@ -59,69 +60,46 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_MISMATCH = 4
 
-# Flat config keys and their value types, the one list of train settings:
-# each key is also the dest of its train flag. "optional_int" accepts
-# "none", "floats3" is a comma-separated triple.
+# The train settings, each a config key and a train flag: the ModelConfig and
+# TrainConfig fields a run can set, with their types, then the data settings
+_FIXED_FIELDS = {"src_vocab_size", "tgt_vocab_size", "layer_plan", "pad_id", "bos_id", "eos_id"}
 _CONFIG_TYPES: dict[str, object] = {
-    # model
-    "d_model": int,
-    "n_heads": int,
-    "n_script_modules": int,
-    "n_decoder_layers": int,
-    "ffn_dim": int,
-    "dropout_p": float,
-    "l": int,
-    "k": int,
-    "mask_mode": str,
-    "srpe_placement": str,
-    # training
-    "batch_size": int,
-    "lr": float,
-    "warmup_ratio": float,
-    "weight_decay": float,
-    "max_epochs": int,
-    "early_stop_patience": int,
-    "seed": int,
-    "validate_by": str,
-    "bleu_every": int,
-    "max_steps": "optional_int",
-    "sort_by_length": bool,
-    # data and ablation
+    key: kind
+    for cls in (ModelConfig, TrainConfig)
+    for key, kind in get_type_hints(cls).items()
+    if key not in _FIXED_FIELDS
+} | {
     "min_freq": int,
-    "max_vocab": "optional_int",
-    "view_weights": "floats3",
+    "max_vocab": int | None,
+    "view_weights": tuple[float, float, float],
     "ablation": str,
+}
+
+# a setting's flag is "--" plus its key with "-" for "_", but for these
+_FLAG_NAMES = {
+    "dropout_p": "--dropout",
+    "l": "--distance-clip",
+    "k": "--seq-window",
+    "early_stop_patience": "--patience",
 }
 
 _ABLATIONS = {"none": None, "no-rdw": "rdw", "no-srpei": "srpei"}
 
 
-def _coerce(key: str, raw) -> object:
-    """Coerce a raw config value (string from file or CLI) to its type."""
-    if not isinstance(raw, str):
-        return raw
+def _coerce(key: str, raw: str) -> object:
+    """A setting's value, given as text in a config file or a flag, as its
+    type: optional ints take "none", "null" or "" for unset, view_weights
+    three comma-separated numbers."""
     kind = _CONFIG_TYPES[key]
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is bool:
-            low = raw.strip().lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "optional_int":
-            low = raw.strip().lower()
-            return None if low in ("none", "null", "") else int(raw)
-        if kind == "floats3":
+        if kind == int | None:
+            return None if raw.strip().lower() in ("none", "null", "") else int(raw)
+        if kind == tuple[float, float, float]:
             parts = [p for p in raw.replace(" ", "").split(",") if p]
             if len(parts) != 3:
                 raise ValueError("expected three comma-separated numbers")
             return tuple(float(p) for p in parts)
-        return raw.strip()
+        return kind(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
@@ -129,26 +107,23 @@ def _coerce(key: str, raw) -> object:
 def read_config_file(path) -> dict:
     """Parse a flat key=value config file; '#' starts a comment."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line.rstrip()!r}")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw.strip())
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line.rstrip()!r}")
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_TYPES:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _coerce(key, raw.strip())
     return values
 
 
 def _effective_config(args) -> dict:
     """File values overridden by any CLI flags that were provided."""
-    merged: dict = {}
-    if args.config:
-        merged.update(read_config_file(args.config))
+    merged = read_config_file(args.config) if args.config else {}
     for key in _CONFIG_TYPES:
         value = getattr(args, key)
         if value is not None:
@@ -165,9 +140,7 @@ def _read_examples(path: Path, clip: int, weights) -> Iterator[Example]:
     source file (summary left empty). A JSONL record that fails names its
     line, as load_dataset does."""
     if not _is_jsonl(path):
-        yield example_from_record(
-            {"code": path.read_text(encoding="utf-8"), "summary": ""}, clip, weights
-        )
+        yield example_from_record({"code": read_text(path), "summary": ""}, clip, weights)
         return
 
     def build(rec) -> Example:
@@ -181,31 +154,35 @@ def _read_examples(path: Path, clip: int, weights) -> Iterator[Example]:
 # -- parse ---------------------------------------------------------------
 
 
-def cmd_parse(args) -> int:
+def cmd_parse(args, manifest: RunManifest) -> int:
     in_path = Path(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(command="parse", config={"input": str(in_path)}, seed=0)
+    manifest.config = {"input": str(in_path)}
     manifest.add_input(in_path)
 
-    # (line, text) per source: each non-blank JSONL line, or the whole file
+    # (line, source): each JSONL line as bytes, decoded on its own so that a
+    # line which is not UTF-8 fails alone; or the whole file's text
     jsonl = _is_jsonl(in_path)
     if jsonl:
-        with open(in_path, "r", encoding="utf-8") as fh:
-            sources = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
+        with open(in_path, "rb") as fh:
+            sources = list(enumerate(fh, start=1))
     else:
-        sources = [(1, in_path.read_text(encoding="utf-8"))]
+        sources = [(1, read_text(in_path))]
     report: list[dict] = []
     n_ok = 0
-    for lineno, text in sources:
+    for lineno, source in sources:
         try:
             if jsonl:
+                text = source.decode("utf-8").strip()
+                if not text:
+                    continue
                 rec = parse_json(text)
                 if not isinstance(rec, dict) or not isinstance(rec.get("code"), str):
                     raise FormatError("record must be an object with a string 'code'")
-                text = rec["code"]
-            ast = parse_minilang(text)
-        except (FormatError, MiniLangSyntaxError) as exc:
+                source = rec["code"]
+            ast = parse_minilang(source)
+        except (FormatError, MiniLangSyntaxError, UnicodeDecodeError) as exc:
             # a source file's syntax error names its line within the file
             line = lineno if jsonl else exc.line
             report.append({"line": line, "status": "error", "error": str(exc)})
@@ -238,20 +215,16 @@ def _row_entropy(m_bar: np.ndarray) -> float:
     return float(-(m_bar * logs).sum(axis=1).mean()) if m_bar.size else 0.0
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args, manifest: RunManifest) -> int:
     in_path = Path(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     weights = _coerce("view_weights", args.weights)
-    manifest = RunManifest(
-        command="encode",
-        config={
-            "dataset": str(in_path),
-            "distance_clip": args.clip,
-            "view_weights": list(weights),
-        },
-        seed=0,
-    )
+    manifest.config = {
+        "dataset": str(in_path),
+        "distance_clip": args.clip,
+        "view_weights": list(weights),
+    }
     manifest.add_input(in_path)
 
     max_distance = 0
@@ -291,7 +264,7 @@ def cmd_encode(args) -> int:
 
 # -- train ---------------------------------------------------------------
 
-def cmd_train(args) -> int:
+def cmd_train(args, manifest: RunManifest) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     merged = _effective_config(args)
@@ -331,17 +304,14 @@ def cmd_train(args) -> int:
         "max_vocab": max_vocab,
         "ablation": ablation,
     }
-    manifest = RunManifest(
-        command="train",
-        config={
-            "model": config.to_dict(),
-            "train": tcfg.to_dict(),
-            "data": data_config,
-            "dataset": str(args.dataset),
-            "valid": str(args.valid) if args.valid else None,
-        },
-        seed=tcfg.seed,
-    )
+    manifest.config = {
+        "model": config.to_dict(),
+        "train": tcfg.to_dict(),
+        "data": data_config,
+        "dataset": str(args.dataset),
+        "valid": str(args.valid) if args.valid else None,
+    }
+    manifest.seed = tcfg.seed
     # a resumed run's files are digested before training rewrites them; one
     # that is missing is left for train() to report
     resumed = ("last.ckpt", "state.json", "history.csv") if args.resume else ()
@@ -417,7 +387,7 @@ def _load_model_dir(
 # -- eval ----------------------------------------------------------------
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, manifest: RunManifest) -> int:
     spec = None
     if args.buckets:
         try:
@@ -466,19 +436,15 @@ def cmd_eval(args) -> int:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
 
-    manifest = RunManifest(
-        command="eval",
-        config={
-            "model_dir": str(model_dir),
-            "dataset": str(args.dataset),
-            "beam": args.beam,
-            "max_len": args.max_len,
-            "length_penalty": args.length_penalty,
-            "buckets": args.buckets,
-            "bucket_key": args.bucket_key,
-        },
-        seed=0,
-    )
+    manifest.config = {
+        "model_dir": str(model_dir),
+        "dataset": str(args.dataset),
+        "beam": args.beam,
+        "max_len": args.max_len,
+        "length_penalty": args.length_penalty,
+        "buckets": args.buckets,
+        "bucket_key": args.bucket_key,
+    }
     for path in [args.dataset, *inputs]:
         manifest.add_input(path)
     manifest.save(out_dir)
@@ -493,7 +459,7 @@ def cmd_eval(args) -> int:
 # -- summarize -------------------------------------------------------------
 
 
-def cmd_summarize(args) -> int:
+def cmd_summarize(args, manifest: RunManifest) -> int:
     model_dir = Path(args.model_dir)
     model, src_vocab, tgt_vocab, clip, weights, inputs = _load_model_dir(
         model_dir, args.src_vocab, args.tgt_vocab
@@ -514,18 +480,14 @@ def cmd_summarize(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "summaries.txt", "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
-        manifest = RunManifest(
-            command="summarize",
-            config={
-                "model_dir": str(model_dir),
-                "input": str(args.input),
-                "beam": args.beam,
-                "greedy": args.greedy,
-                "max_len": args.max_len,
-                "length_penalty": args.length_penalty,
-            },
-            seed=0,
-        )
+        manifest.config = {
+            "model_dir": str(model_dir),
+            "input": str(args.input),
+            "beam": args.beam,
+            "greedy": args.greedy,
+            "max_len": args.max_len,
+            "length_penalty": args.length_penalty,
+        }
         for path in [args.input, *inputs]:
             manifest.add_input(path)
         manifest.save(out_dir)
@@ -535,7 +497,7 @@ def cmd_summarize(args) -> int:
 # -- export-attention -------------------------------------------------------
 
 
-def cmd_export_attention(args) -> int:
+def cmd_export_attention(args, manifest: RunManifest) -> int:
     model_dir = Path(args.model_dir)
     out_dir = Path(args.out)
     model, src_vocab, _, clip, weights, inputs = _load_model_dir(model_dir)
@@ -565,17 +527,13 @@ def cmd_export_attention(args) -> int:
         for label, row in zip(labels, matrix):
             writer.writerow([label] + [repr(float(v)) for v in row])
 
-    manifest = RunManifest(
-        command="export-attention",
-        config={
-            "model_dir": str(model_dir),
-            "input": str(args.input),
-            "index": args.index,
-            "layer": args.layer,
-            "head": args.head,
-        },
-        seed=0,
-    )
+    manifest.config = {
+        "model_dir": str(model_dir),
+        "input": str(args.input),
+        "index": args.index,
+        "layer": args.layer,
+        "head": args.head,
+    }
     for path in [args.input, *inputs]:
         manifest.add_input(path)
     manifest.save(out_dir)
@@ -613,31 +571,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valid", default=None, help="validation JSONL dataset (default: train set)")
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--resume", action="store_true", help="resume from out/last.ckpt")
-    p.add_argument("--d-model", type=int)
-    p.add_argument("--n-heads", type=int)
-    p.add_argument("--n-script-modules", type=int)
-    p.add_argument("--n-decoder-layers", type=int)
-    p.add_argument("--ffn-dim", type=int)
-    p.add_argument("--dropout", type=float, dest="dropout_p")
-    p.add_argument("--distance-clip", type=int, dest="l", help="structural clipping threshold l")
-    p.add_argument("--seq-window", type=int, dest="k", help="sequential clipping window k")
-    p.add_argument("--mask-mode", choices=MASK_MODES)
-    p.add_argument("--srpe-placement", choices=SRPE_PLACEMENTS)
-    p.add_argument("--ablation", choices=tuple(_ABLATIONS))
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--warmup-ratio", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--patience", type=int, dest="early_stop_patience")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--validate-by", choices=("loss", "bleu"))
-    p.add_argument("--bleu-every", type=int)
-    p.add_argument("--max-steps")
-    p.add_argument("--sort-by-length", action="store_const", const="true")
-    p.add_argument("--min-freq", type=int)
-    p.add_argument("--max-vocab")
-    p.add_argument("--view-weights")
+    # one flag per config key, its metavar the key; values stay text, read
+    # by _coerce and the config checks as a config file's are
+    for key in _CONFIG_TYPES:
+        p.add_argument(_FLAG_NAMES.get(key, "--" + key.replace("_", "-")), dest=key)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="decode a dataset and score it")
@@ -676,10 +613,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # made before the command runs, so that started_at is its start
+    manifest = RunManifest(command=args.command)
     try:
-        return args.func(args)
+        return args.func(args, manifest)
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -697,7 +635,6 @@ def main(argv=None) -> int:
         FileNotFoundError,
         NotADirectoryError,
         IsADirectoryError,
-        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

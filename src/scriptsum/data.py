@@ -176,16 +176,15 @@ def example_from_record(
 
 def read_jsonl(path, build: Callable) -> Iterator:
     """build(record) for each non-blank line of a JSON Lines file. A line
-    that does not decode, or whose record build rejects, is a FormatError
-    naming the line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    that is not UTF-8 or does not decode, or whose record build rejects, is
+    a FormatError naming the line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                yield build(parse_json(line))
-            except (FormatError, MiniLangSyntaxError, TreeError) as exc:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    yield build(parse_json(line))
+            except (FormatError, MiniLangSyntaxError, TreeError, UnicodeDecodeError) as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
 
 
@@ -254,13 +253,12 @@ class Batch:
 def make_batches(
     split: Sequence[EncodedExample],
     batch_size: int,
-    sort_by_length: bool = False,
     shuffle_seed: int | None = None,
 ) -> list[Batch]:
     """Chunk encoded examples into batches.
 
-    Order is deterministic: an optional seeded shuffle, then an optional
-    stable sort by source length, then contiguous chunks.
+    Order is deterministic: an optional seeded shuffle, then contiguous
+    chunks.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -268,8 +266,6 @@ def make_batches(
     if shuffle_seed is not None:
         rng = np.random.default_rng(shuffle_seed)
         rng.shuffle(order)
-    if sort_by_length:
-        order.sort(key=lambda i: len(split[i].src_ids))
     batches = []
     for start in range(0, len(order), batch_size):
         chunk = order[start : start + batch_size]

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the one JSON decoder
-every reader goes through."""
+"""Exception types shared across the toolkit, the UTF-8 text-file reader,
+and the one JSON decoder every reader goes through."""
 
 import json
 
@@ -60,11 +60,22 @@ def parse_json(text: str):
         raise FormatError(f"invalid JSON: {exc}") from exc
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, with newlines translated as text-mode
+    open() does; FormatError naming the file if it is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_json_object(path) -> dict:
     """The JSON object stored in a UTF-8 file; FormatError naming the file
     if it does not decode or holds another kind of value."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     try:
         value = parse_json(text)
     except FormatError as exc:

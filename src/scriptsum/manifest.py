@@ -55,8 +55,8 @@ class RunManifest:
     """Provenance for one artifact directory."""
 
     command: str
-    config: dict
-    seed: int
+    config: dict = field(default_factory=dict)
+    seed: int = 0
     git: str = field(default_factory=git_describe)
     input_digests: dict = field(default_factory=dict)
     started_at: str = field(default_factory=_now_iso)

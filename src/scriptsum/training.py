@@ -17,6 +17,7 @@ nor its gradient depends on its batch partners or its row.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import time
@@ -35,7 +36,7 @@ from .data import (
     encode_examples,
     make_batches,
 )
-from .errors import ConfigError, FormatError, NumericsError, read_json_object
+from .errors import ConfigError, FormatError, NumericsError, read_json_object, read_text
 from .metrics import EvalPair, bleu4
 from .model import ModelConfig, ScriptModel, load_model_sidecar, save_model_sidecar
 from .tensor import backward, no_grad, scale
@@ -61,7 +62,6 @@ class TrainConfig:
     validate_by: str = "loss"  # or "bleu"
     bleu_every: int = 1  # epochs between BLEU evaluations; 0 disables
     max_steps: int | None = None  # optional hard step cap for short runs
-    sort_by_length: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -347,7 +347,6 @@ def train(
         batches = make_batches(
             enc_train,
             cfg.batch_size,
-            sort_by_length=cfg.sort_by_length,
             shuffle_seed=_derived_seed(cfg.seed, epoch),
         )
         epoch_loss = 0.0
@@ -445,22 +444,21 @@ def _read_history(path) -> list[HistoryRow]:
     path = Path(path)
     if not path.exists():
         return []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            return [
-                HistoryRow(
-                    epoch=int(rec["epoch"]),
-                    train_loss=float(rec["train_loss"]),
-                    valid_loss=float(rec["valid_loss"]),
-                    valid_bleu=float(rec["valid_bleu"]) if rec["valid_bleu"] else None,
-                    lr=float(rec["lr"]),
-                    wall_seconds=float(rec["wall_seconds"]),
-                )
-                for rec in reader
-            ]
-        except (KeyError, TypeError, ValueError, csv.Error) as exc:
-            raise FormatError(f"{path}: invalid row {reader.line_num}: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(read_text(path)))
+    try:
+        return [
+            HistoryRow(
+                epoch=int(rec["epoch"]),
+                train_loss=float(rec["train_loss"]),
+                valid_loss=float(rec["valid_loss"]),
+                valid_bleu=float(rec["valid_bleu"]) if rec["valid_bleu"] else None,
+                lr=float(rec["lr"]),
+                wall_seconds=float(rec["wall_seconds"]),
+            )
+            for rec in reader
+        ]
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise FormatError(f"{path}: invalid row {reader.line_num}: {exc}") from exc
 
 
 def load_model_from_dir(out_dir, which: str = "best") -> tuple[ScriptModel, dict]:

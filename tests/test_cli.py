@@ -4,6 +4,7 @@ import re
 import shutil
 import struct
 import sys
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -259,14 +260,13 @@ class TestTrainCommand:
     def test_read_config_file_coercions(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            "lr = 3e-4  # peak\nmax_steps = none\nsort_by_length = true\n"
+            "lr = 3e-4  # peak\nmax_steps = none\n"
             "view_weights = 0.5, 0.25, 0.25\n"
         )
         values = read_config_file(cfg)
         assert values == {
             "lr": 3e-4,
             "max_steps": None,
-            "sort_by_length": True,
             "view_weights": (0.5, 0.25, 0.25),
         }
         cfg.write_text("lr\n")
@@ -286,7 +286,17 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--view-weights", "inf,0,0"), ("--view-weights", "nan,1,1"), ("--max-vocab", "-3")],
+        [
+            ("--view-weights", "inf,0,0"),
+            ("--view-weights", "nan,1,1"),
+            ("--max-vocab", "-3"),
+            ("--lr", "abc"),
+            ("--max-steps", "x"),
+            ("--mask-mode", "foo"),
+            ("--srpe-placement", "everywhere"),
+            ("--validate-by", "rouge"),
+            ("--ablation", "no-decoder"),
+        ],
     )
     def test_bad_data_setting_is_input_error(self, tmp_path, small_dataset, capsys, flag, value):
         capsys.readouterr()
@@ -648,6 +658,20 @@ class TestExportAttention:
         assert main(base + ["--layer", "0", "--head", "0", "--index", "3"]) == 2
 
 
+def decoding_argv(command, model_dir, data, out, src_vocab=None):
+    """A short run of a command that decodes with a trained model and
+    writes a manifest into out."""
+    vocab = ["--src-vocab", src_vocab] if src_vocab else []
+    argv = {
+        "eval": ["eval", model_dir, data, out, "--beam", "1", "--max-len", "2"],
+        "summarize": ["summarize", model_dir, data, "--beam", "1", "--max-len", "2",
+                      *vocab, "--out", out],
+        "export-attention": ["export-attention", model_dir, data, out,
+                             "--layer", "0", "--head", "0"],
+    }[command]
+    return [str(a) for a in argv]
+
+
 class TestManifestInputs:
     """input_digests holds exactly the files a command read."""
 
@@ -658,14 +682,7 @@ class TestManifestInputs:
         out = tmp_path / "out"
         src_vocab = tmp_path / "src_vocab.json"
         shutil.copy(trained_dir / "src_vocab.json", src_vocab)
-        argv = {
-            "eval": ["eval", trained_dir, small_dataset, out, "--beam", "1", "--max-len", "2"],
-            "summarize": ["summarize", trained_dir, small_dataset, "--beam", "1",
-                          "--max-len", "2", "--src-vocab", src_vocab, "--out", out],
-            "export-attention": ["export-attention", trained_dir, small_dataset, out,
-                                 "--layer", "0", "--head", "0"],
-        }[command]
-        assert main([str(a) for a in argv]) == 0
+        assert main(decoding_argv(command, trained_dir, small_dataset, out, src_vocab)) == 0
         read = [small_dataset, trained_dir / "best.json", trained_dir / "best.ckpt",
                 src_vocab if command == "summarize" else trained_dir / "src_vocab.json",
                 trained_dir / "tgt_vocab.json"]
@@ -684,6 +701,38 @@ class TestManifestInputs:
         assert rc == 0
         assert json.loads((run / "manifest.json").read_text())["input_digests"] == before
         assert all(sha256_file(path) != before[str(path)] for path in resumed)
+
+
+class TestManifestTimes:
+    @pytest.mark.parametrize("command", ["eval", "summarize", "export-attention"])
+    def test_times_span_the_command(
+        self, tmp_path, trained_dir, small_dataset, monkeypatch, command
+    ):
+        import scriptsum.cli as cli
+        import scriptsum.manifest as manifest_module
+
+        start = datetime(2026, 1, 1, tzinfo=timezone.utc)
+        clock = [start]
+
+        class Clock:
+            @staticmethod
+            def now(tz=None):
+                return clock[0]
+
+        load = cli._load_model_dir
+
+        def slow_load(*args):
+            # loading the model takes one minute on the fake clock
+            clock[0] += timedelta(minutes=1)
+            return load(*args)
+
+        monkeypatch.setattr(manifest_module, "datetime", Clock)
+        monkeypatch.setattr(cli, "_load_model_dir", slow_load)
+        out = tmp_path / "out"
+        assert main(decoding_argv(command, trained_dir, small_dataset, out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["started_at"] == start.isoformat(timespec="seconds")
+        assert manifest["finished_at"] == (start + timedelta(minutes=1)).isoformat(timespec="seconds")
 
 
 OVERSIZED_JSON = [pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting")]
@@ -753,6 +802,72 @@ class TestOversizedJson:
         assert name is None or name in message
 
 
+class TestNonUtf8Input:
+    """Bytes that are not UTF-8, in any text file scriptsum reads, are a
+    FormatError from the library, and from the CLI exit 2 with one line
+    naming the file or dataset line."""
+
+    @pytest.mark.parametrize(
+        "reader, name",
+        [
+            ("load_dataset", "line 2"),
+            ("encode", "line 2"),
+            ("summarize", "line 2"),
+            ("parse", "line 2"),
+            ("encode-source", "prog.ml"),
+            ("parse-source", "prog.ml"),
+            ("config", "run.cfg"),
+            ("vocabulary", "src_vocab.json"),
+            ("sidecar", "best.json"),
+            ("state", "state.json"),
+            ("history", "history.csv"),
+            ("manifest", "manifest.json"),
+            ("ast", "tree.ast.json"),
+        ],
+    )
+    def test_reader_names_file_or_line(
+        self, tmp_path, trained_dir, small_dataset, capsys, reader, name
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(b'{"code": "x = a;", "summary": "b"}\n{"code": "x = 1;", "summary": "\xff"}\n')
+        source = tmp_path / "prog.ml"
+        source.write_bytes(b"x = \xff;\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 0\nlr = \xff\n")
+        if name.endswith((".json", ".csv")):
+            path = run / name
+            path.write_bytes(b"\xff" + (path.read_bytes() if path.exists() else b"{}"))
+        call = {
+            "load_dataset": lambda: load_dataset(data),
+            "encode": ["encode", data, tmp_path / "enc"],
+            "summarize": ["summarize", run, data],
+            "parse": ["parse", data, tmp_path / "ast"],
+            "encode-source": ["encode", source, tmp_path / "enc"],
+            "parse-source": ["parse", source, tmp_path / "ast"],
+            "config": ["train", small_dataset, tmp_path / "m", "--config", cfg],
+            "vocabulary": ["summarize", run, small_dataset],
+            "sidecar": ["summarize", run, small_dataset],
+            "state": ["train", small_dataset, run, "--resume"] + TRAIN_FLAGS,
+            "history": ["train", small_dataset, run, "--resume"] + TRAIN_FLAGS,
+            "manifest": lambda: load_manifest(run),
+            "ast": lambda: load_ast_json(run / name),
+        }[reader]
+        if callable(call):
+            with pytest.raises(FormatError) as info:
+                call()
+            message = str(info.value)
+        else:
+            capsys.readouterr()
+            assert main([str(a) for a in call]) == 2
+            message = capsys.readouterr().err
+        assert "can't decode byte 0xff" in message and len(message.splitlines()) == 1
+        assert name in message
+        if reader == "parse":  # the other line still parses
+            assert (tmp_path / "ast" / "example_0000.ast.json").exists()
+
+
 class TestInferenceRecordsNoGraph:
     def test_encoder_runs_with_graph_recording_off(
         self, tmp_path, trained_dir, small_dataset, monkeypatch, capsys
@@ -807,7 +922,6 @@ class TestConfigRoutes:
         ("validate_by", "--validate-by", "bleu"),
         ("bleu_every", "--bleu-every", "1"),
         ("max_steps", "--max-steps", "3"),
-        ("sort_by_length", "--sort-by-length", None),
         ("min_freq", "--min-freq", "2"),
         ("max_vocab", "--max-vocab", "30"),
         ("view_weights", "--view-weights", "0.5,0.3,0.2"),
@@ -818,11 +932,11 @@ class TestConfigRoutes:
         assert [key for key, _, _ in self.SETTINGS] == list(_CONFIG_TYPES)
         flags = []
         for _, flag, value in self.SETTINGS:
-            flags += [flag] if value is None else [flag, value]
+            flags += [flag, value]
         valid = tmp_path / "valid.jsonl"
         valid.write_text("".join(small_dataset.read_text().splitlines(True)[:2]))
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"{key} = {value or 'true'}\n" for key, _, value in self.SETTINGS))
+        cfg.write_text("".join(f"{key} = {value}\n" for key, _, value in self.SETTINGS))
         runs = {"flags": flags, "file": ["--config", str(cfg)]}
         argv = {
             name: ["train", str(small_dataset), str(tmp_path / name), "--valid", str(valid)] + extra

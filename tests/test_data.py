@@ -355,16 +355,6 @@ class TestEncodeAndBatch:
         assert order(a) != order(c)
         assert sorted(order(c)) == list(range(7))
 
-    def test_sort_by_length_groups_short_first(self):
-        examples = [
-            mini_example("x = a + b + c + d;", "long"),
-            mini_example("x = a;", "short"),
-        ]
-        src, tgt = build_vocab(examples)
-        split = encode_examples(examples, src, tgt)
-        batches = make_batches(split, 1, sort_by_length=True)
-        assert batches[0].example_indices == (1,)
-
     def test_batch_size_validation(self):
         split, _, _ = self.make_split()
         with pytest.raises(ValueError):
