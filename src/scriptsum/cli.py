@@ -266,7 +266,6 @@ def cmd_encode(args, manifest: RunManifest) -> int:
 
 def cmd_train(args, manifest: RunManifest) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     merged = _effective_config(args)
 
     ablation = merged.pop("ablation", "none")
@@ -279,8 +278,14 @@ def cmd_train(args, manifest: RunManifest) -> int:
     model_kwargs = {f.name: merged[f.name] for f in fields(ModelConfig) if f.name in merged}
     train_kwargs = {f.name: merged[f.name] for f in fields(TrainConfig) if f.name in merged}
     tcfg = TrainConfig(**train_kwargs)
+    # every setting is checked before ingest; the vocabulary sizes are
+    # filled in once the vocabularies are built
+    config = ModelConfig(src_vocab_size=1, tgt_vocab_size=1, **model_kwargs)
+    drop = _ABLATIONS[ablation]
+    if drop is not None:
+        config = replace(config, layer_plan=ablation_layer_plan(config.n_script_modules, drop))
 
-    distance_clip = model_kwargs.get("l", DEFAULT_DISTANCE_CLIP)
+    distance_clip = config.l
     train_split = load_dataset(args.dataset, distance_clip=distance_clip, view_weights=view_weights)
     valid_split = (
         load_dataset(args.valid, distance_clip=distance_clip, view_weights=view_weights)
@@ -289,12 +294,7 @@ def cmd_train(args, manifest: RunManifest) -> int:
     )
     src_vocab, tgt_vocab = build_vocab(train_split, min_freq=min_freq, max_size=max_vocab)
 
-    config = ModelConfig(
-        src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab), **model_kwargs
-    )
-    drop = _ABLATIONS[ablation]
-    if drop is not None:
-        config = replace(config, layer_plan=ablation_layer_plan(config.n_script_modules, drop))
+    config = replace(config, src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab))
     model = ScriptModel(config, seed=tcfg.seed)
 
     data_config = {
@@ -314,7 +314,7 @@ def cmd_train(args, manifest: RunManifest) -> int:
     manifest.seed = tcfg.seed
     # a resumed run's files are digested before training rewrites them; one
     # that is missing is left for train() to report
-    resumed = ("last.ckpt", "state.json", "history.csv") if args.resume else ()
+    resumed = ("last.ckpt", "history.csv") if args.resume else ()
     for path in [args.dataset, args.valid, args.config, *(out_dir / name for name in resumed)]:
         if path and Path(path).exists():
             manifest.add_input(path)

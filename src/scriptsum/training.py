@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import _is_count, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     Batch,
     EncodedExample,
@@ -36,7 +36,7 @@ from .data import (
     encode_examples,
     make_batches,
 )
-from .errors import ConfigError, FormatError, NumericsError, read_json_object, read_text
+from .errors import ConfigError, FormatError, NumericsError, read_text
 from .metrics import EvalPair, bleu4
 from .model import ModelConfig, ScriptModel, load_model_sidecar, save_model_sidecar
 from .tensor import backward, no_grad, scale
@@ -46,6 +46,8 @@ HISTORY_COLUMNS = ("epoch", "train_loss", "valid_loss", "valid_bleu", "lr", "wal
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# last.ckpt's entry for the epoch it ends: run state, like the adam.* entries
+EPOCH_KEY = "train.epoch"
 
 
 @dataclass(frozen=True)
@@ -66,12 +68,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be non-negative, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and non-negative, got {self.lr}")
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise ConfigError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be finite and non-negative, got {self.weight_decay}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.early_stop_patience < 0:
@@ -89,6 +91,26 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _state_array(arrays: dict[str, np.ndarray], key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A copy of one run-state array; FormatError unless it is there, has
+    the given shape and is finite."""
+    if key not in arrays:
+        raise FormatError(f"missing run state {key!r}")
+    arr = np.asarray(arrays[key], dtype=np.float64)
+    if arr.shape != shape:
+        raise FormatError(f"run state {key!r} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise FormatError(f"run state {key!r} holds a value that is not finite")
+    return arr.copy()
+
+
+def _state_count(arrays: dict[str, np.ndarray], key: str) -> int:
+    value = float(_state_array(arrays, key, (1,))[0])
+    if value < 0 or not value.is_integer():
+        raise FormatError(f"run state {key!r} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 class Adam:
@@ -129,27 +151,14 @@ class Adam:
         """Restore the step count and moments; FormatError, changing nothing,
         unless adam.step holds one non-negative integer and every moment
         is finite with its parameter's shape, and v >= 0."""
-
-        def array(key: str, shape: tuple[int, ...]) -> np.ndarray:
-            if key not in arrays:
-                raise FormatError(f"missing optimizer state {key!r}")
-            arr = np.asarray(arrays[key], dtype=np.float64)
-            if arr.shape != shape:
-                raise FormatError(f"optimizer state {key!r} has shape {arr.shape}, expected {shape}")
-            if not np.isfinite(arr).all():
-                raise FormatError(f"optimizer state {key!r} holds a value that is not finite")
-            return arr.copy()
-
-        step = float(array("adam.step", (1,))[0])
-        if step < 0 or step != math.floor(step):
-            raise FormatError(f"optimizer state 'adam.step' must be a non-negative integer, got {step!r}")
+        step = _state_count(arrays, "adam.step")
         m, v = {}, {}
         for name, p in self.model.params.items():
-            m[name] = array(f"adam.m.{name}", p.data.shape)
-            v[name] = array(f"adam.v.{name}", p.data.shape)
+            m[name] = _state_array(arrays, f"adam.m.{name}", p.data.shape)
+            v[name] = _state_array(arrays, f"adam.v.{name}", p.data.shape)
             if (v[name] < 0).any():
-                raise FormatError(f"optimizer state 'adam.v.{name}' holds a negative value")
-        self.step_count, self.m, self.v = int(step), m, v
+                raise FormatError(f"run state 'adam.v.{name}' holds a negative value")
+        self.step_count, self.m, self.v = step, m, v
 
 
 def lr_at_step(step: int, total_steps: int, base_lr: float, warmup_ratio: float) -> float:
@@ -195,6 +204,35 @@ def write_history(path, rows: Sequence[HistoryRow]) -> None:
                     repr(r.wall_seconds),
                 ]
             )
+
+
+def _replace_file(path: Path, write) -> None:
+    """Make path with write(tmp) under a temporary name in its directory,
+    then rename it over path, so a process killed mid-write leaves the
+    previous complete file."""
+    tmp = path.with_name(path.name + ".tmp")
+    write(tmp)
+    os.replace(tmp, path)
+
+
+def _model_params(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {k: v for k, v in arrays.items() if not k.startswith(("adam.", "train."))}
+
+
+def _rank(history: Sequence[HistoryRow], validate_by: str) -> tuple[float, int, int]:
+    """Best metric, best epoch and bad epochs since it, over history in
+    order. The metric is validation loss or negated BLEU, NaN ranking as
+    inf; an epoch is best only when it beats every earlier one."""
+    best_metric, best_epoch, bad_epochs = math.inf, 0, 0
+    for row in history:
+        metric = row.valid_loss if validate_by == "loss" else -(row.valid_bleu or 0.0)
+        if math.isnan(metric):
+            metric = math.inf
+        if metric < best_metric:
+            best_metric, best_epoch, bad_epochs = metric, row.epoch, 0
+        else:
+            bad_epochs += 1
+    return best_metric, best_epoch, bad_epochs
 
 
 @dataclass
@@ -294,15 +332,16 @@ def train(
     """Run the full optimization loop, writing artifacts into out_dir.
 
     Artifacts: best.ckpt (+ best.json sidecar), last.ckpt (parameters plus
-    optimizer state for resuming), state.json, history.csv, and both
-    vocabulary files. Raises NumericsError on a NaN/Inf loss.
+    optimizer state for resuming), history.csv, and both vocabulary files,
+    each replaced whole. A resume takes the step and epoch counts from
+    last.ckpt and the best/bad-epoch counters from history.csv. Raises
+    NumericsError on a NaN/Inf loss.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     best_path = out_dir / "best.ckpt"
     last_path = out_dir / "last.ckpt"
     history_path = out_dir / "history.csv"
-    state_path = out_dir / "state.json"
 
     enc_train = encode_examples(train_split, src_vocab, tgt_vocab)
     enc_valid = encode_examples(valid_split, src_vocab, tgt_vocab)
@@ -311,31 +350,37 @@ def train(
 
     optimizer = Adam(model, weight_decay=cfg.weight_decay)
     history: list[HistoryRow] = []
-    global_step = 0
     start_epoch = 0
-    best_metric = math.inf
-    best_epoch = 0
-    bad_epochs = 0
 
     if resume:
         arrays = load_checkpoint(last_path)
-        params = {k: v for k, v in arrays.items() if not k.startswith("adam.")}
-        model.load_state_dict(params)
+        model.load_state_dict(_model_params(arrays))
         try:
             optimizer.load_state_arrays(arrays)
+            start_epoch = _state_count(arrays, EPOCH_KEY)
         except FormatError as exc:
             raise FormatError(f"{last_path}: {exc}") from exc
-        start_epoch, global_step, best_epoch, bad_epochs, best_metric = _read_state(state_path)
         history = _read_history(history_path)
+        # one row past last.ckpt is an epoch killed before its last.ckpt
+        # write: it is dropped and trained again
+        epochs = [r.epoch for r in history]
+        if epochs not in (list(range(1, start_epoch + 1)), list(range(1, start_epoch + 2))):
+            raise FormatError(
+                f"{history_path}: expected epochs 1 to {start_epoch} (or {start_epoch + 1}) "
+                f"after last.ckpt's epoch {start_epoch}, got {epochs}"
+            )
+        history = history[:start_epoch]
+    global_step = optimizer.step_count
+    best_metric, best_epoch, bad_epochs = _rank(history, cfg.validate_by)
 
-    vocab_digests = {
+    sidecar = {
+        **(sidecar_extra or {}),
         "src_vocab_digest": src_vocab.digest(),
         "tgt_vocab_digest": tgt_vocab.digest(),
+        "train_config": cfg.to_dict(),
     }
-    if sidecar_extra:
-        vocab_digests = {**sidecar_extra, **vocab_digests}
-    src_vocab.save(out_dir / "src_vocab.json")
-    tgt_vocab.save(out_dir / "tgt_vocab.json")
+    _replace_file(out_dir / "src_vocab.json", src_vocab.save)
+    _replace_file(out_dir / "tgt_vocab.json", tgt_vocab.save)
 
     stopped_early = False
     for epoch in range(start_epoch + 1, cfg.max_epochs + 1):
@@ -374,41 +419,18 @@ def train(
                 wall_seconds=wall,
             )
         )
-        write_history(history_path, history)
+        _replace_file(history_path, lambda tmp: write_history(tmp, history))
 
-        if cfg.validate_by == "loss":
-            metric = valid_loss
-        else:
-            metric = -(valid_bleu if valid_bleu is not None else 0.0)
-        if math.isnan(metric):
-            metric = math.inf
-        if metric < best_metric:
-            best_metric = metric
-            best_epoch = epoch
-            bad_epochs = 0
-            save_checkpoint(model.state_dict(), best_path)
-            save_model_sidecar(
+        best_metric, best_epoch, bad_epochs = _rank(history, cfg.validate_by)
+        if best_epoch == epoch:
+            _replace_file(best_path, lambda tmp: save_checkpoint(model.state_dict(), tmp))
+            _replace_file(
                 out_dir / "best.json",
-                model.config,
-                extra={**vocab_digests, "train_config": cfg.to_dict(), "epoch": epoch},
+                lambda tmp: save_model_sidecar(tmp, model.config, {**sidecar, "epoch": epoch}),
             )
-        else:
-            bad_epochs += 1
-
-        save_checkpoint({**model.state_dict(), **optimizer.state_arrays()}, last_path)
-        with open(state_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "epoch": epoch,
-                    "global_step": global_step,
-                    "best_metric": best_metric,
-                    "best_epoch": best_epoch,
-                    "bad_epochs": bad_epochs,
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        last = {**model.state_dict(), **optimizer.state_arrays(), EPOCH_KEY: np.array([epoch])}
+        _replace_file(last_path, lambda tmp: save_checkpoint(last, tmp))
+        del last  # a copy of every parameter, not to be held through the next epoch
 
         if bad_epochs >= cfg.early_stop_patience:
             stopped_early = True
@@ -424,20 +446,6 @@ def train(
         stopped_early=stopped_early,
         global_step=global_step,
     )
-
-
-def _read_state(path) -> tuple[int, int, int, int, float]:
-    """Epoch, global step, best epoch, bad epochs and best metric from a
-    resumed run's state.json; FormatError naming the file unless it is an
-    object of non-negative integer counters and a numeric best_metric."""
-    saved = read_json_object(path)
-    counters = [saved.get(k) for k in ("epoch", "global_step", "best_epoch", "bad_epochs")]
-    if not all(_is_count(v) for v in counters):
-        raise FormatError(f"{path}: counters must be non-negative integers, got {counters}")
-    best = saved.get("best_metric")
-    if isinstance(best, bool) or not isinstance(best, (int, float)) or math.isnan(best):
-        raise FormatError(f"{path}: best_metric must be a number, got {best!r}")
-    return (*counters, best)
 
 
 def _read_history(path) -> list[HistoryRow]:
@@ -468,8 +476,7 @@ def load_model_from_dir(out_dir, which: str = "best") -> tuple[ScriptModel, dict
     out_dir = Path(out_dir)
     config, payload = load_model_sidecar(out_dir / "best.json")
     arrays = load_checkpoint(out_dir / f"{which}.ckpt")
-    params = {k: v for k, v in arrays.items() if not k.startswith("adam.")}
-    return ScriptModel.from_state_dict(config, params), payload
+    return ScriptModel.from_state_dict(config, _model_params(arrays)), payload
 
 
 __all__ = [

@@ -36,13 +36,23 @@ TRAIN_FLAGS = [
 ]
 
 
-def damage_optimizer_state(name, change):
-    """A damage that rewrites one optimizer array of a run's last.ckpt."""
+def damage_last_ckpt(name, change):
+    """A damage that rewrites one array of a run's last.ckpt."""
 
     def damage(run):
         arrays = load_checkpoint(run / "last.ckpt")
         arrays[name] = change(arrays[name])
         save_checkpoint(arrays, run / "last.ckpt")
+
+    return damage
+
+
+def damage_history(change):
+    """A damage that rewrites the rows of a run's history.csv."""
+
+    def damage(run):
+        header, *rows = (run / "history.csv").read_text().splitlines()
+        (run / "history.csv").write_text("\n".join([header, *change(rows)]) + "\n")
 
     return damage
 
@@ -221,9 +231,10 @@ class TestEncode:
 
 class TestTrainCommand:
     def test_artifacts_and_manifest(self, trained_dir):
-        for name in ("best.ckpt", "best.json", "last.ckpt", "history.csv",
-                     "src_vocab.json", "tgt_vocab.json", "state.json", "manifest.json"):
-            assert (trained_dir / name).exists(), name
+        assert sorted(path.name for path in trained_dir.iterdir()) == [
+            "best.ckpt", "best.json", "history.csv", "last.ckpt", "manifest.json",
+            "src_vocab.json", "tgt_vocab.json",
+        ]
         manifest = json.loads((trained_dir / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["config"]["model"]["d_model"] == 16
@@ -306,6 +317,26 @@ class TestTrainCommand:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "m" / "best.ckpt").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [
+            ("--lr", "inf", "lr"),
+            ("--lr", "nan", "lr"),
+            ("--weight-decay", "nan", "weight_decay"),
+            ("--mask-mode", "foo", "mask_mode"),
+        ],
+    )
+    def test_bad_setting_is_reported_before_ingest(self, tmp_path, capsys, flag, value, key):
+        # line 2 does not parse: a setting checked after ingest reports it instead
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"code": "x = a;", "summary": "b"}\n{"code": "x = ;", "summary": "c"}\n')
+        capsys.readouterr()
+        rc = main(["train", str(data), str(tmp_path / "m")] + TRAIN_FLAGS + [flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "m").exists()
+
     def test_numeric_failure_exit_code(self, tmp_path, small_dataset, monkeypatch):
         import scriptsum.cli as cli
 
@@ -320,9 +351,10 @@ class TestTrainCommand:
     @pytest.mark.parametrize(
         "name, damage",
         [
-            ("state.json", lambda run: (run / "state.json").write_text("{not json")),
-            ("state.json", lambda run: (run / "state.json").write_text("[1, 2]")),
-            ("state.json", lambda run: (run / "state.json").write_text("{}")),
+            # last.ckpt ends epoch 2, so history.csv must hold epochs 1-2 or 1-3
+            ("history.csv", damage_history(lambda rows: rows[:1])),
+            ("history.csv", damage_history(lambda rows: rows + rows[-1:])),
+            ("history.csv", damage_history(lambda rows: [rows[0], "3" + rows[1][1:]])),
             ("last.ckpt", lambda run: shutil.copy(run / "best.ckpt", run / "last.ckpt")),
             (
                 "history.csv",
@@ -330,13 +362,25 @@ class TestTrainCommand:
                     (run / "history.csv").read_text() + "3,low,1.0,,0.001,0.5\n"
                 ),
             ),
-            ("last.ckpt", damage_optimizer_state("adam.m.out_bias", lambda a: np.zeros(a.size + 1))),
-            ("last.ckpt", damage_optimizer_state("adam.step", set_first(np.nan))),
-            ("last.ckpt", damage_optimizer_state("adam.step", lambda a: a[:0])),
-            ("last.ckpt", damage_optimizer_state("adam.step", set_first(-3.0))),
-            ("last.ckpt", damage_optimizer_state("adam.step", set_first(2.5))),
-            ("last.ckpt", damage_optimizer_state("adam.v.out_bias", set_first(np.nan))),
-            ("last.ckpt", damage_optimizer_state("adam.v.out_bias", set_first(-1.0))),
+            ("last.ckpt", damage_last_ckpt("adam.m.out_bias", lambda a: np.zeros(a.size + 1))),
+            ("last.ckpt", damage_last_ckpt("adam.step", set_first(np.nan))),
+            ("last.ckpt", damage_last_ckpt("adam.step", lambda a: a[:0])),
+            ("last.ckpt", damage_last_ckpt("adam.step", set_first(-3.0))),
+            ("last.ckpt", damage_last_ckpt("adam.step", set_first(2.5))),
+            ("last.ckpt", damage_last_ckpt("adam.v.out_bias", set_first(np.nan))),
+            ("last.ckpt", damage_last_ckpt("adam.v.out_bias", set_first(-1.0))),
+            (
+                "last.ckpt",
+                lambda run: save_checkpoint(
+                    {
+                        k: v
+                        for k, v in load_checkpoint(run / "last.ckpt").items()
+                        if k != "train.epoch"
+                    },
+                    run / "last.ckpt",
+                ),
+            ),
+            ("last.ckpt", damage_last_ckpt("train.epoch", set_first(1.5))),
             (
                 "history.csv",
                 lambda run: (run / "history.csv").write_text(
@@ -345,9 +389,11 @@ class TestTrainCommand:
             ),
         ],
         ids=[
-            "invalid-json", "list", "no-counters", "no-optimizer-state", "non-numeric-row",
+            "missing-epoch", "repeated-epoch", "skipped-epoch", "no-optimizer-state",
+            "non-numeric-row",
             "moment-shape", "nan-step", "empty-step", "negative-step", "fractional-step",
-            "nan-second-moment", "negative-second-moment", "field-past-csv-limit",
+            "nan-second-moment", "negative-second-moment", "no-epoch", "fractional-epoch",
+            "field-past-csv-limit",
         ],
     )
     def test_damaged_run_dir_resume_is_input_error(
@@ -694,7 +740,7 @@ class TestManifestInputs:
     ):
         run = tmp_path / "run"
         shutil.copytree(trained_dir, run)
-        resumed = [run / name for name in ("last.ckpt", "state.json", "history.csv")]
+        resumed = [run / name for name in ("last.ckpt", "history.csv")]
         before = {str(path): sha256_file(path) for path in [small_dataset, *resumed]}
         rc = main(["train", str(small_dataset), str(run), "--resume"]
                   + TRAIN_FLAGS + ["--max-epochs", "3"])
@@ -760,7 +806,7 @@ class TestOversizedJson:
             ("parse", "line 2"),
             ("vocabulary", "src_vocab.json"),
             ("sidecar", "best.json"),
-            ("state", "state.json"),
+            ("resume", "last.ckpt"),
             ("manifest", "manifest.json"),
             ("ast", "tree.ast.json"),
             ("checkpoint-header", "best.ckpt"),
@@ -773,7 +819,7 @@ class TestOversizedJson:
         shutil.copytree(trained_dir, run)
         data = tmp_path / "data.jsonl"
         data.write_text('{"code": "x = a;", "summary": "b"}\n{"code": "x = 1;", "k": %s}\n' % text)
-        if reader == "checkpoint-header":
+        if name.endswith(".ckpt"):
             write_checkpoint_header(run / name, text)
         elif name.endswith(".json"):
             (run / name).write_text(text)
@@ -783,7 +829,7 @@ class TestOversizedJson:
             "parse": ["parse", data, tmp_path / "ast"],
             "vocabulary": ["summarize", run, small_dataset],
             "sidecar": ["summarize", run, small_dataset],
-            "state": ["train", small_dataset, run, "--resume"] + TRAIN_FLAGS,
+            "resume": ["train", small_dataset, run, "--resume"] + TRAIN_FLAGS,
             "manifest": lambda: load_manifest(run),
             "ast": lambda: load_ast_json(run / name),
             "checkpoint-header": ["summarize", run, small_dataset],
@@ -819,7 +865,6 @@ class TestNonUtf8Input:
             ("config", "run.cfg"),
             ("vocabulary", "src_vocab.json"),
             ("sidecar", "best.json"),
-            ("state", "state.json"),
             ("history", "history.csv"),
             ("manifest", "manifest.json"),
             ("ast", "tree.ast.json"),
@@ -849,7 +894,6 @@ class TestNonUtf8Input:
             "config": ["train", small_dataset, tmp_path / "m", "--config", cfg],
             "vocabulary": ["summarize", run, small_dataset],
             "sidecar": ["summarize", run, small_dataset],
-            "state": ["train", small_dataset, run, "--resume"] + TRAIN_FLAGS,
             "history": ["train", small_dataset, run, "--resume"] + TRAIN_FLAGS,
             "manifest": lambda: load_manifest(run),
             "ast": lambda: load_ast_json(run / name),

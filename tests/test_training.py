@@ -256,25 +256,22 @@ class TestTrainLoop:
     def test_artifacts_written(self, toy_corpus_path, tmp_path):
         examples, src, tgt, model = training_setup(toy_corpus_path)
         result = train(model, examples, examples[:2], self.quick_cfg(), src, tgt, tmp_path)
-        for name in (
+        # every file is in place under its own name: no temporary is left
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
             "best.ckpt",
             "best.json",
-            "last.ckpt",
-            "state.json",
             "history.csv",
+            "last.ckpt",
             "src_vocab.json",
             "tgt_vocab.json",
-        ):
-            assert (tmp_path / name).exists(), name
+        ]
         assert [r.epoch for r in result.history] == [1, 2]
         sidecar = json.loads((tmp_path / "best.json").read_text())
         assert sidecar["src_vocab_digest"] == src.digest()
         assert sidecar["tgt_vocab_digest"] == tgt.digest()
         assert sidecar["train_config"]["batch_size"] == 3
         assert sidecar["model_config"]["layer_plan"] == ["RDW", "SRPEi"]
-        state = json.loads((tmp_path / "state.json").read_text())
-        assert state["epoch"] == 2
-        assert state["global_step"] == result.global_step
+        assert result.global_step == 4
 
     def test_zero_lr_leaves_parameters_untouched(self, toy_corpus_path, tmp_path):
         examples, src, tgt, model = training_setup(toy_corpus_path, 4)
@@ -392,7 +389,7 @@ class TestTrainLoop:
         examples, src, tgt, model = training_setup(toy_corpus_path)
         cfg = self.quick_cfg(max_epochs=50, max_steps=3)
         train(model, examples, examples[:2], cfg, src, tgt, tmp_path)
-        names = ("last.ckpt", "best.ckpt", "state.json", "history.csv")
+        names = ("last.ckpt", "best.ckpt", "history.csv")
         before = {name: (tmp_path / name).read_bytes() for name in names}
 
         _, _, _, fresh = training_setup(toy_corpus_path)
@@ -409,6 +406,35 @@ class TestTrainLoop:
         assert result.global_step == 3
         assert [row.epoch for row in result.history] == [1, 2]
         assert {name: (tmp_path / name).read_bytes() for name in names} == before
+
+    def test_resumes_after_cut_epochs_keep_every_finished_epoch(self, toy_corpus_path, tmp_path):
+        # 6 examples in batches of 3: each run stops one step into an epoch,
+        # so epochs 2 to 4 take one step each
+        examples, src, tgt, _ = training_setup(toy_corpus_path)
+        rows = []
+        for max_steps in (3, 4, 5):
+            _, _, _, model = training_setup(toy_corpus_path)
+            cfg = self.quick_cfg(max_epochs=50, max_steps=max_steps)
+            result = train(
+                model, examples, examples[:2], cfg, src, tgt, tmp_path, resume=max_steps > 3
+            )
+            assert result.history[: len(rows)] == rows
+            rows = result.history
+        assert [row.epoch for row in rows] == [1, 2, 3, 4]
+        assert result.global_step == 5
+
+    def test_resume_with_another_batch_size_trains_the_next_epoch(self, toy_corpus_path, tmp_path):
+        # in batches of 3 the 3-step run ends one step into epoch 2; in
+        # batches of 2 epoch 3 then takes steps 4 to 6
+        examples, src, tgt, model = training_setup(toy_corpus_path)
+        cfg = self.quick_cfg(max_epochs=50, max_steps=3)
+        first = train(model, examples, examples[:2], cfg, src, tgt, tmp_path)
+        _, _, _, model = training_setup(toy_corpus_path)
+        cfg = replace(cfg, batch_size=2, max_steps=6)
+        result = train(model, examples, examples[:2], cfg, src, tgt, tmp_path, resume=True)
+        assert result.history[:2] == first.history
+        assert [row.epoch for row in result.history] == [1, 2, 3]
+        assert result.global_step == 6
 
     def test_validate_by_bleu_negates_metric(self, toy_corpus_path, tmp_path):
         examples, src, tgt, model = training_setup(toy_corpus_path, 3)
@@ -442,7 +468,7 @@ class TestTrainLoop:
         train(model_b, examples, examples[:2], stop_cfg, src, tgt, phased_dir)
         for _ in range(total_epochs - 1):
             _, _, _, fresh = training_setup(toy_corpus_path)
-            train(
+            result_b = train(
                 fresh,
                 examples,
                 examples[:2],
@@ -468,9 +494,71 @@ class TestTrainLoop:
         assert (straight_dir / "last.ckpt").read_bytes() == (
             phased_dir / "last.ckpt"
         ).read_bytes()
-        state_a = json.loads((straight_dir / "state.json").read_text())
-        state_b = json.loads((phased_dir / "state.json").read_text())
-        assert state_a == state_b
+        for field in ("global_step", "best_epoch", "best_metric"):
+            assert getattr(result_a, field) == getattr(result_b, field), field
+
+    @pytest.mark.parametrize(
+        "target, halfway",
+        [
+            ("history.csv", False),
+            ("best.ckpt", False),
+            ("best.json", False),
+            ("last.ckpt", False),
+            ("last.ckpt", True),
+        ],
+        ids=["after-history", "after-best-ckpt", "after-best-json", "after-last-ckpt",
+             "halfway-through-last-ckpt"],
+    )
+    def test_killed_run_resumes_to_the_uninterrupted_run(
+        self, toy_corpus_path, tmp_path, monkeypatch, target, halfway
+    ):
+        class Killed(BaseException):
+            """Stands in for the process being killed: train catches nothing of it."""
+
+        cfg = self.quick_cfg(max_epochs=3)
+        examples, src, tgt, model = training_setup(toy_corpus_path)
+        straight = train(model, examples, examples[:2], cfg, src, tgt, tmp_path / "straight")
+        # epoch 2 improves on epoch 1, so it writes best.ckpt and best.json
+        assert [r.epoch for r in straight.history] == [1, 2, 3]
+        assert straight.history[1].valid_loss < straight.history[0].valid_loss
+
+        history_writes = 0
+        replace_file, save = training._replace_file, training.save_checkpoint
+
+        def replace_then_kill(path, write):
+            nonlocal history_writes
+            replace_file(path, write)
+            history_writes += path.name == "history.csv"
+            if not halfway and path.name == target and history_writes == 2:
+                raise Killed
+
+        def save_half_then_kill(params, path):
+            save(params, path)
+            # epoch 2's last.ckpt: the one checkpoint with optimizer state
+            if halfway and "adam.step" in params and history_writes == 2:
+                blob = path.read_bytes()
+                path.write_bytes(blob[: len(blob) // 2])
+                raise Killed
+
+        run = tmp_path / "killed"
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "_replace_file", replace_then_kill)
+            patch.setattr(training, "save_checkpoint", save_half_then_kill)
+            _, _, _, model = training_setup(toy_corpus_path)
+            with pytest.raises(Killed):
+                train(model, examples, examples[:2], cfg, src, tgt, run)
+        _, _, _, model = training_setup(toy_corpus_path)
+        resumed = train(model, examples, examples[:2], cfg, src, tgt, run, resume=True)
+
+        for name in ("best.ckpt", "best.json", "last.ckpt"):
+            assert (run / name).read_bytes() == (tmp_path / "straight" / name).read_bytes(), name
+
+        def rows(path):
+            return [replace(r, wall_seconds=0.0) for r in _read_history(path / "history.csv")]
+
+        assert rows(run) == rows(tmp_path / "straight")
+        for field in ("global_step", "best_epoch", "best_metric"):
+            assert getattr(resumed, field) == getattr(straight, field), field
 
     def test_fixed_seed_reproduces_checkpoint_bytes(self, toy_corpus_path, tmp_path):
         cfg = self.quick_cfg(max_epochs=2)
