@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import FormatError, TreeError, parse_json, read_text
 
@@ -24,9 +24,6 @@ _NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 _CAMEL_RE = re.compile(
     r".+?(?:(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])|\Z)"
 )
-
-SubtokenRule = Callable[[str], list[str]]
-
 
 @dataclass(frozen=True)
 class AstNode:
@@ -49,25 +46,24 @@ class Ast:
     order of the bracketed traversal, so every derived matrix shares one
     canonical node ordering. The constructor validates the tree and walks
     it once, recording each node's parent id (-1 for the root) in `parent`
-    and its distance from the root in `depth`. Ids out of preorder raise
-    TreeError unless renumber=True; given nodes already in preorder are
+    and its distance from the root in `depth`. Ids out of preorder are
+    reassigned in the walk's order; given nodes already in preorder are
     kept as they are.
     """
 
     __slots__ = ("nodes", "leaf_order", "parent", "depth")
 
-    def __init__(self, nodes: Sequence[AstNode], renumber: bool = False):
+    def __init__(self, nodes: Sequence[AstNode]):
         nodes = tuple(nodes)
         order, parent, depth = _walk(nodes)
-        if order != list(range(len(nodes))):
-            if not renumber:
-                raise TreeError("node ids are not in first-visit (preorder) order")
-            nodes, parent, depth = _renumber(nodes, order, parent, depth)
+        # checked before renumbering, so that a message names the given id
         for node in nodes:
             if node.is_leaf and node.value is None:
                 raise TreeError(f"leaf node {node.id} has no value")
             if not node.is_leaf and node.value is not None:
                 raise TreeError(f"interior node {node.id} carries a value")
+        if order != list(range(len(nodes))):
+            nodes, parent, depth = _renumber(nodes, order, parent, depth)
         self.nodes = nodes
         self.leaf_order = tuple(n.id for n in nodes if n.is_leaf)
         self.parent = tuple(parent)
@@ -219,7 +215,7 @@ def ast_from_json(obj: object) -> Ast:
     if seen_ids != set(range(len(parsed))):
         raise FormatError("node ids must be dense from 0")
     parsed.sort(key=lambda node: node.id)
-    return Ast(parsed, renumber=True)
+    return Ast(parsed)
 
 
 def load_ast_json(path) -> Ast:
@@ -279,9 +275,7 @@ def _leaf_sentinel(node: AstNode) -> str | None:
     return None
 
 
-def leaf_tokens(
-    ast: Ast, splitter: SubtokenRule = split_identifier
-) -> tuple[list[str], TokenAlignment]:
+def leaf_tokens(ast: Ast) -> tuple[list[str], TokenAlignment]:
     """Token stream from leaves in document order, plus its alignment.
 
     String/number leaves become the STR/NUM sentinels; identifier leaves are
@@ -292,9 +286,7 @@ def leaf_tokens(
     for leaf_id in ast.leaf_order:
         node = ast.nodes[leaf_id]
         sentinel = _leaf_sentinel(node)
-        parts = [sentinel] if sentinel is not None else splitter(node.value or "")
-        if not parts:
-            parts = [(node.value or "").lower()]
+        parts = [sentinel] if sentinel is not None else split_identifier(node.value or "")
         tokens.extend(parts)
         mapping.extend([leaf_id] * len(parts))
     return tokens, TokenAlignment(tuple(mapping))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -272,7 +273,11 @@ def cmd_train(args, manifest: RunManifest) -> int:
     if ablation not in _ABLATIONS:
         raise ConfigError(f"ablation must be one of {sorted(_ABLATIONS)}, got {ablation!r}")
     min_freq = merged.pop("min_freq", 1)
+    if min_freq < 1:
+        raise ConfigError(f"min_freq must be >= 1, got {min_freq}")
     max_vocab = merged.pop("max_vocab", None)
+    if max_vocab is not None and max_vocab < 0:
+        raise ConfigError(f"max_vocab must be >= 0, got {max_vocab}")
     view_weights = tuple(merged.pop("view_weights", DEFAULT_VIEW_WEIGHTS))
 
     model_kwargs = {f.name: merged[f.name] for f in fields(ModelConfig) if f.name in merged}
@@ -544,8 +549,19 @@ def cmd_export_attention(args, manifest: RunManifest) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser, its subparsers included, that takes a word starting
+    with "-" and a digit or "." ("-1,1,1", "-1e-3") as an option's value,
+    where argparse takes only a plain negative number and reads any other
+    such word as an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="scriptsum",
         description="Structure-aware code summarization pipeline.",
     )

@@ -27,344 +27,246 @@ Grammar (EBNF):
     primary     = NUMBER | STRING | call | IDENT | "(", expr, ")" ;
     call        = IDENT, "(", [ expr, { ",", expr } ], ")" ;
 
-Comments run from '//' to end of line. Blocks are non-empty and return
-takes an expression, so interior nodes always have children. Operator
-tokens fold into the node type (BinaryOp(+), UnaryOp(-)); only
-identifiers and literals become leaves. Blocks, `else if` links,
-parenthesised expressions, call argument lists and unary operators
-together nest at most MAX_NESTING_DEPTH levels deep.
+Tokens are the matches of one regular expression over the ASCII classes of
+docs/minilang.md; any other character is a syntax error. Comments run from
+'//' to end of line. Blocks are non-empty and return takes an expression,
+so interior nodes always have children. Operator tokens fold into the node
+type (BinaryOp(+), UnaryOp(-)); only identifiers and literals become
+leaves. Each grammar rule appends its node after its children's to one
+list and returns its id, with id 0 kept for Program; Ast renumbers that
+list to preorder. Blocks, `else if` links, parenthesised expressions, call
+argument lists and unary operators together nest at most MAX_NESTING_DEPTH
+levels deep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from typing import Sequence
 
 from .astcore import Ast, AstNode
 from .errors import MiniLangSyntaxError
 
+# one named group per token kind, tried in order; "bad" takes any character
+# that starts no token
+_TOKEN_RE = re.compile(
+    r"(?P<skip>[ \t\r\n]+|//[^\n]*)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<NUMBER>[0-9]+(?:\.[0-9]+)?)"
+    r'|(?P<STRING>"(?:[^"\\\n]|\\[^\n])*")'
+    r"|(?P<OP>[<>=!]=|[(){},;=<>+\-*/%])"
+    r"|(?P<bad>.)"
+)
 _KEYWORDS = frozenset({"function", "if", "else", "while", "return"})
-_TWO_CHAR_OPS = ("<=", ">=", "==", "!=")
-_ONE_CHAR = "(){},;=<>+-*/%"
-_CMP_OPS = frozenset({"<", ">", "<=", ">=", "==", "!="})
+_LITERALS = {"NUMBER": "NumberLiteral", "STRING": "StringLiteral"}
+# binary operators by precedence level, loosest first
+_BINARY_OPS = (
+    frozenset({"<", ">", "<=", ">=", "==", "!="}),
+    frozenset({"+", "-"}),
+    frozenset({"*", "/", "%"}),
+)
 
-# Each nesting level costs the parser at most six Python frames, so a
-# source within this limit stays far below the interpreter's default
-# recursion limit of 1000 frames.
+# Each nesting level costs the parser at most six Python frames (a call
+# argument list: primary, items, expr at each of the three precedence
+# levels, unary; a parenthesis takes five, a block three, an `else if` link
+# and a unary minus one), so a source within this limit stays far below
+# the interpreter's default recursion limit of 1000 frames.
 MAX_NESTING_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT, NUMBER, STRING, KEYWORD, OP, EOF
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+def _tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, column) of each token, keywords as KEYWORD, then
+    of one EOF token."""
+    tokens = []
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(source):
+        kind, text = match.lastgroup, match.group()
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = match.start() + text.rindex("\n") + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "KEYWORD" if text in _KEYWORDS else "IDENT"
-            tokens.append(_Token(kind, text, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            tokens.append(_Token("NUMBER", source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise MiniLangSyntaxError("unterminated string", start_line, start_col)
-                if source[j] == "\\" and j + 1 < n:
-                    j += 1
-                j += 1
-            if j >= n:
-                raise MiniLangSyntaxError("unterminated string", start_line, start_col)
-            j += 1
-            tokens.append(_Token("STRING", source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = source[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(_Token("OP", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(_Token("OP", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise MiniLangSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+        col = match.start() - line_start + 1
+        if kind == "bad":
+            message = "unterminated string" if text == '"' else f"unexpected character {text!r}"
+            raise MiniLangSyntaxError(message, line, col)
+        if kind == "IDENT" and text in _KEYWORDS:
+            kind = "KEYWORD"
+        tokens.append((kind, text, line, col))
+    tokens.append(("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
 
-@dataclass
-class _Tmp:
-    """Parser-internal node; ids are assigned afterwards in preorder."""
-
-    node_type: str
-    value: str | None = None
-    children: list["_Tmp"] = field(default_factory=list)
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, str, int, int]]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        # id 0 is kept for Program, which program() fills in last
+        self.nodes = [AstNode(0, "Program", None, ())]
 
-    def peek(self, offset: int = 0) -> _Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+    def peek(self, offset: int = 0) -> tuple[str, str, int, int]:
+        # never past EOF: only a token other than EOF is ever consumed
+        return self.tokens[self.pos + offset]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos][1] == text
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            got = tok.text if tok.text else "end of input"
-            raise MiniLangSyntaxError(f"expected {want!r}, found {got!r}", tok.line, tok.col)
-        return self.advance()
+    def error(self, message: str) -> MiniLangSyntaxError:
+        _, _, line, col = self.peek()
+        return MiniLangSyntaxError(message, line, col)
 
-    def at_op(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "OP" and tok.text == text
+    def expect(self, want: str) -> str:
+        """Consume the token with text `want`, or any identifier if `want`
+        is "IDENT", and return its text."""
+        kind, text, _, _ = self.peek()
+        if (kind if want == "IDENT" else text) != want:
+            raise self.error(f"expected {want!r}, found {text or 'end of input'!r}")
+        self.pos += 1
+        return text
 
     def enter(self) -> None:
         """Open one nesting level at the current token."""
         self.depth += 1
         if self.depth > MAX_NESTING_DEPTH:
-            tok = self.peek()
-            raise MiniLangSyntaxError(
-                f"nesting deeper than {MAX_NESTING_DEPTH} levels", tok.line, tok.col
-            )
+            raise self.error(f"nesting deeper than {MAX_NESTING_DEPTH} levels")
+
+    def node(self, node_type: str, children: Sequence[int] = (), value: str | None = None) -> int:
+        self.nodes.append(AstNode(len(self.nodes), node_type, value, tuple(children)))
+        return len(self.nodes) - 1
 
     # -- grammar --------------------------------------------------------
 
-    def program(self) -> _Tmp:
+    def program(self) -> None:
         stmts = []
-        while self.peek().kind != "EOF":
+        while self.peek()[0] != "EOF":
             stmts.append(self.statement())
         if not stmts:
-            tok = self.peek()
-            raise MiniLangSyntaxError("empty program", tok.line, tok.col)
-        return _Tmp("Program", children=stmts)
+            raise self.error("empty program")
+        self.nodes[0] = AstNode(0, "Program", None, tuple(stmts))
 
-    def statement(self) -> _Tmp:
-        tok = self.peek()
-        if tok.kind == "KEYWORD":
-            if tok.text == "function":
-                return self.func_decl()
-            if tok.text == "if":
-                return self.if_stmt()
-            if tok.text == "while":
-                return self.while_stmt()
-            if tok.text == "return":
-                return self.return_stmt()
-            raise MiniLangSyntaxError(f"unexpected keyword {tok.text!r}", tok.line, tok.col)
-        if tok.kind == "IDENT" and self.peek(1).kind == "OP" and self.peek(1).text == "=":
-            return self.assignment()
-        return self.expr_stmt()
+    def statement(self) -> int:
+        kind, text, _, _ = self.peek()
+        if text == "function":
+            return self.func_decl()
+        if text == "if":
+            return self.if_stmt()
+        if text == "while":
+            return self.while_stmt()
+        if text == "else":
+            raise self.error("unexpected keyword 'else'")
+        if text == "return":
+            self.pos += 1
+            node_type, children = "ReturnStatement", []
+        elif kind == "IDENT" and self.peek(1)[1] == "=":
+            node_type, children = "Assignment", [self.ident()]
+            self.pos += 1  # "="
+        else:
+            node_type, children = "ExpressionStatement", []
+        children.append(self.expr())
+        self.expect(";")
+        return self.node(node_type, children)
 
-    def func_decl(self) -> _Tmp:
-        self.expect("KEYWORD", "function")
-        name = self.expect("IDENT")
-        children = [_Tmp("Identifier", name.text)]
-        self.expect("OP", "(")
-        if not self.at_op(")"):
-            children.append(_Tmp("Identifier", self.expect("IDENT").text))
-            while self.at_op(","):
-                self.advance()
-                children.append(_Tmp("Identifier", self.expect("IDENT").text))
-        self.expect("OP", ")")
+    def func_decl(self) -> int:
+        self.pos += 1  # "function"
+        children = [self.ident()]
+        self.expect("(")
+        children += self.items(self.ident)
         children.append(self.block())
-        return _Tmp("FunctionDecl", children=children)
+        return self.node("FunctionDecl", children)
 
-    def if_stmt(self) -> _Tmp:
-        self.expect("KEYWORD", "if")
-        self.expect("OP", "(")
-        children = [self.expr()]
-        self.expect("OP", ")")
-        children.append(self.block())
-        if self.peek().kind == "KEYWORD" and self.peek().text == "else":
-            self.advance()
-            if self.peek().kind == "KEYWORD" and self.peek().text == "if":
+    def if_stmt(self) -> int:
+        self.pos += 1  # "if"
+        children = [self.condition(), self.block()]
+        if self.at("else"):
+            self.pos += 1
+            if self.at("if"):
                 self.enter()
                 children.append(self.if_stmt())
                 self.depth -= 1
             else:
                 children.append(self.block())
-        return _Tmp("IfStatement", children=children)
+        return self.node("IfStatement", children)
 
-    def while_stmt(self) -> _Tmp:
-        self.expect("KEYWORD", "while")
-        self.expect("OP", "(")
-        children = [self.expr()]
-        self.expect("OP", ")")
-        children.append(self.block())
-        return _Tmp("WhileStatement", children=children)
+    def while_stmt(self) -> int:
+        self.pos += 1  # "while"
+        return self.node("WhileStatement", [self.condition(), self.block()])
 
-    def return_stmt(self) -> _Tmp:
-        self.expect("KEYWORD", "return")
-        children = [self.expr()]
-        self.expect("OP", ";")
-        return _Tmp("ReturnStatement", children=children)
+    def condition(self) -> int:
+        self.expect("(")
+        cond = self.expr()
+        self.expect(")")
+        return cond
 
-    def assignment(self) -> _Tmp:
-        target = self.expect("IDENT")
-        self.expect("OP", "=")
-        children = [_Tmp("Identifier", target.text), self.expr()]
-        self.expect("OP", ";")
-        return _Tmp("Assignment", children=children)
-
-    def expr_stmt(self) -> _Tmp:
-        children = [self.expr()]
-        self.expect("OP", ";")
-        return _Tmp("ExpressionStatement", children=children)
-
-    def block(self) -> _Tmp:
+    def block(self) -> int:
         self.enter()
-        self.expect("OP", "{")
+        self.expect("{")
         stmts = [self.statement()]
-        while not self.at_op("}"):
-            if self.peek().kind == "EOF":
-                tok = self.peek()
-                raise MiniLangSyntaxError("unterminated block", tok.line, tok.col)
+        while not self.at("}"):
+            if self.peek()[0] == "EOF":
+                raise self.error("unterminated block")
             stmts.append(self.statement())
-        self.expect("OP", "}")
+        self.pos += 1
         self.depth -= 1
-        return _Tmp("Block", children=stmts)
+        return self.node("Block", stmts)
 
-    def expr(self) -> _Tmp:
-        left = self.additive()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text in _CMP_OPS:
-            self.advance()
-            right = self.additive()
-            return _Tmp(f"BinaryOp({tok.text})", children=[left, right])
-        return left
+    def items(self, item) -> list[int]:
+        """Comma-separated items up to a closing ')', which is consumed."""
+        items = []
+        if not self.at(")"):
+            items.append(item())
+            while self.at(","):
+                self.pos += 1
+                items.append(item())
+        self.expect(")")
+        return items
 
-    def additive(self) -> _Tmp:
-        node = self.term()
-        while self.peek().kind == "OP" and self.peek().text in ("+", "-"):
-            op = self.advance().text
-            node = _Tmp(f"BinaryOp({op})", children=[node, self.term()])
+    def expr(self, level: int = 0) -> int:
+        """An expression of _BINARY_OPS[level] or a tighter level; binary
+        operators associate left, but a comparison takes no second one."""
+        node = self.expr(level + 1) if level < 2 else self.unary()
+        while (op := self.peek()[1]) in _BINARY_OPS[level]:
+            self.pos += 1
+            right = self.expr(level + 1) if level < 2 else self.unary()
+            node = self.node(f"BinaryOp({op})", [node, right])
+            if level == 0:
+                break
         return node
 
-    def term(self) -> _Tmp:
-        node = self.unary()
-        while self.peek().kind == "OP" and self.peek().text in ("*", "/", "%"):
-            op = self.advance().text
-            node = _Tmp(f"BinaryOp({op})", children=[node, self.unary()])
-        return node
-
-    def unary(self) -> _Tmp:
-        if self.at_op("-"):
-            self.enter()
-            self.advance()
-            node = _Tmp("UnaryOp(-)", children=[self.unary()])
-            self.depth -= 1
-            return node
-        return self.primary()
-
-    def primary(self) -> _Tmp:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            return _Tmp("NumberLiteral", tok.text)
-        if tok.kind == "STRING":
-            self.advance()
-            return _Tmp("StringLiteral", tok.text)
-        if tok.kind == "IDENT":
-            if self.peek(1).kind == "OP" and self.peek(1).text == "(":
-                return self.call()
-            self.advance()
-            return _Tmp("Identifier", tok.text)
-        if self.at_op("("):
-            self.enter()
-            self.advance()
-            node = self.expr()
-            self.expect("OP", ")")
-            self.depth -= 1
-            return node
-        got = tok.text if tok.text else "end of input"
-        raise MiniLangSyntaxError(f"expected expression, found {got!r}", tok.line, tok.col)
-
-    def call(self) -> _Tmp:
-        callee = self.expect("IDENT")
-        children = [_Tmp("Identifier", callee.text)]
+    def unary(self) -> int:
+        if not self.at("-"):
+            return self.primary()
         self.enter()
-        self.expect("OP", "(")
-        if not self.at_op(")"):
-            children.append(self.expr())
-            while self.at_op(","):
-                self.advance()
-                children.append(self.expr())
-        self.expect("OP", ")")
+        self.pos += 1
+        node = self.node("UnaryOp(-)", [self.unary()])
         self.depth -= 1
-        return _Tmp("Call", children=children)
+        return node
 
+    def primary(self) -> int:
+        kind, text, _, _ = self.peek()
+        if kind in _LITERALS:
+            self.pos += 1
+            return self.node(_LITERALS[kind], value=text)
+        if kind == "IDENT" and self.peek(1)[1] == "(":
+            children = [self.ident()]
+            self.enter()
+            self.pos += 1  # "("
+            children += self.items(self.expr)
+            self.depth -= 1
+            return self.node("Call", children)
+        if kind == "IDENT":
+            return self.ident()
+        if text == "(":
+            self.enter()
+            self.pos += 1
+            node = self.expr()
+            self.expect(")")
+            self.depth -= 1
+            return node
+        raise self.error(f"expected expression, found {text or 'end of input'!r}")
 
-def _emit(root: _Tmp) -> list[AstNode]:
-    """Assign dense preorder ids in a single first-visit walk."""
-    nodes: list[AstNode] = []
-    children_of: list[list[int]] = []
-    stack: list[tuple[_Tmp, int]] = [(root, -1)]
-    while stack:
-        tmp, parent = stack.pop()
-        nid = len(nodes)
-        nodes.append(AstNode(nid, tmp.node_type, tmp.value, ()))
-        children_of.append([])
-        if parent >= 0:
-            children_of[parent].append(nid)
-        stack.extend((child, nid) for child in reversed(tmp.children))
-    return [
-        AstNode(node.id, node.node_type, node.value, tuple(children_of[node.id]))
-        for node in nodes
-    ]
+    def ident(self) -> int:
+        return self.node("Identifier", value=self.expect("IDENT"))
 
 
 def parse_minilang(source: str) -> Ast:
@@ -374,10 +276,6 @@ def parse_minilang(source: str) -> Ast:
     violation, including empty programs and nesting deeper than
     MAX_NESTING_DEPTH.
     """
-    tokens = _tokenize(source)
-    parser = _Parser(tokens)
-    root = parser.program()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise MiniLangSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return Ast(_emit(root))
+    parser = _Parser(_tokenize(source))
+    parser.program()
+    return Ast(parser.nodes)

@@ -401,8 +401,8 @@ def relative_values(alpha: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
     return _make(out_data, (alpha, table), backward_fn)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Mean (or sum) negative log-likelihood of integer targets, (n, V) logits."""
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of integer targets, (n, V) logits."""
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects (n, vocab) logits, got {logits.shape}")
     targets = np.asarray(targets)
@@ -412,21 +412,17 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
         raise ShapeError("targets must be integers")
     if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
         raise ShapeError("target id out of vocabulary range")
-    if reduction not in ("mean", "sum"):
-        raise ConfigError(f"unknown reduction {reduction!r}")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - logsumexp
     n = logits.shape[0]
     picked = logp[np.arange(n), targets]
-    total = -picked.sum()
-    out_data = np.asarray(total / n if reduction == "mean" else total)
+    out_data = np.asarray(-picked.sum() / n)
 
     def backward_fn(g):
         soft = np.exp(logp)
         soft[np.arange(n), targets] -= 1.0
-        if reduction == "mean":
-            soft /= n
+        soft /= n
         logits.accumulate(soft * float(g))
 
     return _make(out_data, (logits,), backward_fn)

@@ -73,7 +73,7 @@ def tree_with_n_leaves(rng: np.random.Generator, n: int):
             prev = nodes[parent]
             nodes[parent] = AstNode(prev.id, prev.node_type, None, (nid,))
     nodes[0] = AstNode(0, "Root", None, tuple(root_children))
-    return Ast(nodes, renumber=True)
+    return Ast(nodes)
 
 
 def random_bundle(rng: np.random.Generator, n: int, clip: int = 4):

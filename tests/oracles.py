@@ -34,7 +34,7 @@ def random_tree(rng: np.random.Generator, n_nodes: int) -> Ast:
         )
         for i in range(n_nodes)
     ]
-    return Ast(nodes, renumber=True)
+    return Ast(nodes)
 
 
 def bfs_apsp(ast: Ast) -> np.ndarray:

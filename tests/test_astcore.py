@@ -68,14 +68,13 @@ class TestAstInvariants:
         with pytest.raises(TreeError):
             Ast(nodes)
 
-    def test_non_preorder_ids_rejected_without_renumber(self):
+    def test_non_preorder_ids_are_renumbered(self):
         # root 0 -> [2, 1]: preorder would visit 2 before 1
         nodes = [interior(0, "Root", [2, 1]), leaf(1, "b"), leaf(2, "a")]
-        with pytest.raises(TreeError):
-            Ast(nodes)
-        renumbered = Ast(nodes, renumber=True)
+        renumbered = Ast(nodes)
         assert [n.node_type for n in renumbered.nodes] == ["Root", "Id", "Id"]
         assert [n.value for n in renumbered.nodes] == [None, "a", "b"]
+        assert renumbered.nodes[0].children == (1, 2)
 
     def test_detached_cycle_rejected(self):
         # every node has one parent, but 2 and 3 only reach each other
@@ -87,12 +86,10 @@ class TestAstInvariants:
         ]
         with pytest.raises(TreeError, match="node 2 is unreachable"):
             Ast(nodes)
-        with pytest.raises(TreeError, match="node 2 is unreachable"):
-            Ast(nodes, renumber=True)
 
     def test_renumber_keeps_nodes_already_in_preorder(self):
         nodes = [interior(0, "Root", [1, 2]), leaf(1, "a"), leaf(2, "b")]
-        ast = Ast(nodes, renumber=True)
+        ast = Ast(nodes)
         assert all(kept is given for kept, given in zip(ast.nodes, nodes))
 
     def test_parent_and_depth_match_oracle(self):
@@ -100,7 +97,7 @@ class TestAstInvariants:
         trees = [random_tree(rng, int(rng.integers(1, 80))) for _ in range(30)]
         trees += [parse_minilang(random_minilang(rng, int(rng.integers(1, 6)))) for _ in range(30)]
         # the same trees again, renumbered from shuffled ids
-        renumbered = [Ast(shuffled_ids(ast, rng), renumber=True) for ast in trees]
+        renumbered = [Ast(shuffled_ids(ast, rng)) for ast in trees]
         assert renumbered == trees
         trees += renumbered
         for ast in trees:
@@ -301,6 +298,17 @@ class TestInterchange:
         }
         ast = ast_from_json(doc)
         assert [n.value for n in ast.nodes] == [None, "a", "b"]
+
+    def test_value_error_names_the_documents_id(self):
+        doc = {
+            "nodes": [
+                {"id": 0, "type": "Root", "children": [2, 1]},
+                {"id": 1, "type": "Id", "value": "b", "children": []},
+                {"id": 2, "type": "Id", "children": []},
+            ]
+        }
+        with pytest.raises(TreeError, match="leaf node 2 has no value"):
+            ast_from_json(doc)
 
 
 class TestTokenAlignment:

@@ -300,7 +300,11 @@ class TestTrainCommand:
         [
             ("--view-weights", "inf,0,0"),
             ("--view-weights", "nan,1,1"),
+            # a value that starts with "-" but is no plain negative number
+            ("--lr", "-1e-3"),
             ("--max-vocab", "-3"),
+            ("--min-freq", "-5"),
+            ("--min-freq", "0"),
             ("--lr", "abc"),
             ("--max-steps", "x"),
             ("--mask-mode", "foo"),
@@ -317,6 +321,13 @@ class TestTrainCommand:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "m" / "best.ckpt").exists()
 
+    def test_negative_view_weight_is_one_line_error(self, tmp_path, small_dataset, capsys):
+        capsys.readouterr()
+        argv = ["train", str(small_dataset), str(tmp_path / "m")] + TRAIN_FLAGS
+        assert main(argv + ["--view-weights", "-1,1,1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: view weights must be non-negative") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "flag, value, key",
         [
@@ -324,6 +335,8 @@ class TestTrainCommand:
             ("--lr", "nan", "lr"),
             ("--weight-decay", "nan", "weight_decay"),
             ("--mask-mode", "foo", "mask_mode"),
+            ("--min-freq", "-5", "min_freq"),
+            ("--max-vocab", "-3", "max_vocab"),
         ],
     )
     def test_bad_setting_is_reported_before_ingest(self, tmp_path, capsys, flag, value, key):

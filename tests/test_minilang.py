@@ -202,6 +202,37 @@ class TestErrors:
         with pytest.raises(MiniLangSyntaxError):
             parse_minilang("return = 1;")
 
+    @pytest.mark.parametrize(
+        "source, char, line, col",
+        [
+            ("x = 1;\né = 1;", "é", 2, 1),
+            ("x = 1;\ny = ²;", "²", 2, 5),
+            ("x = a٣4;", "٣", 1, 6),
+        ],
+        ids=["letter", "superscript_digit", "arabic_digit_in_name"],
+    )
+    def test_non_ascii_character_is_rejected(self, source, char, line, col):
+        with pytest.raises(MiniLangSyntaxError, match=f"unexpected character '{char}'") as exc_info:
+            parse_minilang(source)
+        assert (exc_info.value.line, exc_info.value.col) == (line, col)
+
+    def test_backslash_newline_in_string_is_unterminated(self):
+        with pytest.raises(MiniLangSyntaxError, match="unterminated string") as exc_info:
+            parse_minilang('x = "a\\\nb";\ny = $;')
+        assert (exc_info.value.line, exc_info.value.col) == (1, 5)
+
+    def test_error_after_escaped_string_keeps_its_line(self):
+        with pytest.raises(MiniLangSyntaxError, match="unexpected character") as exc_info:
+            parse_minilang('x = "a\\"b\\\\";\n\ny = $;')
+        assert (exc_info.value.line, exc_info.value.col) == (3, 5)
+
+    @pytest.mark.parametrize("end, position", [("", (2, 22)), ("\n", (3, 1))], ids=["eof", "newline"])
+    def test_end_of_input_after_trailing_comment(self, end, position):
+        # the end of input is past the comment
+        with pytest.raises(MiniLangSyntaxError, match="found 'end of input'") as exc_info:
+            parse_minilang("x = 1;\nx = a // no semicolon" + end)
+        assert (exc_info.value.line, exc_info.value.col) == position
+
 
 class TestNestingLimit:
     @pytest.mark.parametrize(

@@ -111,21 +111,11 @@ class TestForwardValues:
         loss = cross_entropy(tensor(np.zeros((1, 2))), np.array([0]))
         assert np.isclose(float(loss.data), np.log(2.0))
 
-    def test_cross_entropy_sum_vs_mean(self):
-        rng = np.random.default_rng(2)
-        logits = rng.standard_normal((4, 5))
-        targets = np.array([0, 1, 2, 3])
-        mean = cross_entropy(tensor(logits), targets, reduction="mean")
-        total = cross_entropy(tensor(logits), targets, reduction="sum")
-        assert np.isclose(float(total.data), 4.0 * float(mean.data))
-
     def test_cross_entropy_validation(self):
         with pytest.raises(ShapeError):
             cross_entropy(tensor(np.zeros((2, 3))), np.array([0, 5]))
         with pytest.raises(ShapeError):
             cross_entropy(tensor(np.zeros((2, 3))), np.array([0.5, 1.5]))
-        with pytest.raises(ConfigError):
-            cross_entropy(tensor(np.zeros((2, 3))), np.array([0, 1]), reduction="max")
 
     def test_layernorm_standardizes(self):
         rng = np.random.default_rng(3)
