@@ -2,23 +2,30 @@
 
 Each command that writes artifacts drops exactly one manifest.json next to
 them, holding the effective configuration, the seed, a git-describe string
-for the working tree, sha256 digests of every input file, and start/end
-timestamps. Reruns with identical manifest inputs reproduce the artifacts
-in double precision.
+for the working tree, sha256 digests of every input file, start/end
+timestamps, and the numpy version, BLAS library and BLAS thread settings
+the process ran with. Reruns with identical manifest inputs, under the same
+numpy, BLAS library and BLAS thread count, reproduce the artifacts in
+double precision.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .errors import FormatError, read_json_object
 
 MANIFEST_NAME = "manifest.json"
+# environment variables that set the BLAS thread count, recorded as set
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def sha256_file(path) -> str:
@@ -46,6 +53,21 @@ def git_describe(cwd=None) -> str:
     return out.stdout.strip() or "unknown"
 
 
+def blas_name() -> str:
+    """The BLAS library numpy was built with, as "name version", or
+    'unknown' when numpy's build configuration does not say."""
+    try:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{info.get('name')} {info.get('version')}"
+    except (TypeError, KeyError, AttributeError):
+        return "unknown"
+
+
+def blas_threads() -> dict:
+    """Each of BLAS_THREAD_VARIABLES to its value, or None where it is unset."""
+    return {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+
+
 def _now_iso() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -61,6 +83,10 @@ class RunManifest:
     input_digests: dict = field(default_factory=dict)
     started_at: str = field(default_factory=_now_iso)
     finished_at: str = ""
+    # None when read from a manifest written before these were recorded
+    numpy: str | None = np.__version__
+    blas: str | None = field(default_factory=blas_name)
+    blas_threads: dict | None = field(default_factory=blas_threads)
 
     def add_input(self, path) -> None:
         self.input_digests[str(path)] = sha256_file(path)
@@ -77,6 +103,9 @@ class RunManifest:
             "input_digests": dict(self.input_digests),
             "started_at": self.started_at,
             "finished_at": self.finished_at,
+            "numpy": self.numpy,
+            "blas": self.blas,
+            "blas_threads": self.blas_threads,
         }
 
     def save(self, out_dir) -> Path:
@@ -104,6 +133,9 @@ def load_manifest(out_dir) -> RunManifest:
         input_digests=payload.get("input_digests", {}),
         started_at=payload.get("started_at", ""),
         finished_at=payload.get("finished_at", ""),
+        numpy=payload.get("numpy"),
+        blas=payload.get("blas"),
+        blas_threads=payload.get("blas_threads"),
     )
 
 

@@ -17,10 +17,13 @@ self-attention, cross-attention and FFN blocks, goes through one rule,
 `_residual`: LayerNorm(x + Dropout(sublayer(x))).
 
 Attention runs all heads in one pass, with heads as an axis of the scores.
-Each relative-position table is shared by the heads, and its terms never
-gather a row per query-key pair: tensor.relative_scores picks from the
-queries times the table, and tensor.relative_values sums the attention
-weights per table row, then multiplies by the table.
+Between the per-head projections and the output affine, everything is one
+tensor.attention op with one hand-written backward: QK^T, each relative
+table's score term, the scale, the gate or mask, softmax, dropout, alpha V
+and each table's value term. Each relative-position table is shared by the
+heads, and its terms never gather a row per query-key pair: the scores
+pick from the queries times the table, and the values sum the attention
+weights per table row, then multiply by the table.
 
 Decoding is incremental, and `decode` is both the teacher-forced pass and
 the decoding step. A DecoderCache carries each decoder layer's
@@ -28,11 +31,13 @@ cross-attention keys and values of the source, computed once, and its
 self-attention keys and values of the positions decoded so far; `decode`
 runs new positions against the cache and appends theirs. Under the causal
 mask the keys, values and relative offsets of earlier positions never
-change, so the cached step equals a full pass over the prefix. Training
-calls `decode` with an empty cache and every position at once. Beam search
-runs the live beams as one batch, one row per beam, one decoder call per
-step; it ranks the beam x vocabulary candidates as one array and gathers
-the cache's rows by parent beam.
+change, so the cached step equals a full pass over the prefix. A step
+builds the causal-mask and sequential-offset rows of its new positions
+only, and a single new position needs no mask. Training calls `decode`
+with an empty cache and every position at once. Beam search runs the live
+beams as one batch, one row per beam, one decoder call per step; it ranks
+the beam x vocabulary candidates as one array and gathers the cache's rows
+by parent beam, unless every beam stays in place, as in each greedy step.
 
 Every parameter is declared once, in `param_schema`: the constructor draws
 from it in order, and loading checks names and shapes against it without
@@ -57,6 +62,7 @@ from .tensor import (
     NEG_INF,
     Tensor,
     add,
+    attention,
     concat,
     cross_entropy,
     dropout,
@@ -64,13 +70,10 @@ from .tensor import (
     layernorm,
     matmul,
     no_grad,
-    relative_scores,
-    relative_values,
     relu,
     reshape,
     scale,
     sigmoid,
-    softmax_masked,
     transpose,
 )
 
@@ -204,7 +207,10 @@ class DecoderCache:
 
     def select(self, rows: list[int]) -> None:
         """Keep the given beams, in that order; a beam may be kept more than
-        once. The kept keys and values record no graph."""
+        once. The kept keys and values record no graph. Keeping every beam
+        in place, as each greedy step does, copies nothing."""
+        if rows == list(range(self.beams)):
+            return
 
         def pick(t: Tensor) -> Tensor:
             n, width, dh = t.shape
@@ -227,12 +233,6 @@ def ablation_layer_plan(n_script_modules: int, drop: str | None) -> tuple[str, .
     if drop not in plans:
         raise ConfigError(f"unknown ablation {drop!r}; valid: {list(plans)}")
     return plans[drop] * n_script_modules
-
-
-def _causal_additive(n: int) -> np.ndarray:
-    out = np.zeros((n, n))
-    out[np.triu_indices(n, k=1)] = NEG_INF
-    return out
 
 
 def param_schema(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
@@ -387,9 +387,10 @@ class ScriptModel:
         2k+1 rows indexed by clamp(j-i, -k, k)+k, structural tables l+1 rows
         indexed by min(d_ij, l). Per head: e_ij = q_i (k_j + sum of key
         rows)^T / sqrt(d_head), then softmax (gated by a_mv per mask_mode),
-        then z_i = sum_j alpha_ij (v_j + sum of value rows). The key-row
-        terms are relative_scores of the queries and the value-row terms
-        relative_values of the weights alpha, one op per table.
+        then z_i = sum_j alpha_ij (v_j + sum of value rows). Everything
+        from q k^T to z, the table terms, gate, softmax and dropout
+        included, is one tensor.attention op between the per-head
+        projections and the output affine.
 
         x_kv is the (n_k, d_model) rows to attend over, or their keys and
         values from `keys_values`, each (n_k, groups * heads, d_head). With
@@ -401,31 +402,19 @@ class ScriptModel:
         passed to _project for the queries.
         """
         cfg = self.config
-        heads, dh = cfg.n_heads, cfg.d_head
-        inv_sqrt = 1.0 / math.sqrt(dh)
         k, v = self.keys_values(prefix, x_kv) if isinstance(x_kv, Tensor) else x_kv
-        gate_additive = additive_mask
         scale_matrix = None
         if a_mv is not None:
             if cfg.mask_mode == "multiply":
                 scale_matrix = a_mv
             else:
                 keep = np.where(a_mv > 0, 0.0, NEG_INF)
-                gate_additive = keep if additive_mask is None else keep + additive_mask
-
-        q = self._project(prefix, "q", x_q, k.shape[1] // heads, head_weights)  # (n_q, groups * heads, dh)
-        e = matmul(transpose(q, (1, 0, 2)), transpose(k, (1, 2, 0)))  # (groups * heads, n_q, n_k)
-        for table, idx in rel:
-            e = add(e, relative_scores(q, self.params[f"{table}_k"], idx))
-        e = scale(e, inv_sqrt)
-        alpha = softmax_masked(e, additive_mask=gate_additive, scale_matrix=scale_matrix)
-        if capture is not None:
-            capture.extend(head.copy() for head in alpha.data)
-        alpha = dropout(alpha, cfg.dropout_p, rng, training)
-        z = transpose(matmul(alpha, transpose(v, (1, 0, 2))), (1, 0, 2))  # (n_q, groups * heads, dh)
-        for table, idx in rel:
-            z = add(z, relative_values(alpha, self.params[f"{table}_v"], idx))
-        cat = reshape(z, (x_q.shape[0], heads * dh))
+                additive_mask = keep if additive_mask is None else keep + additive_mask
+        q = self._project(prefix, "q", x_q, k.shape[1] // cfg.n_heads, head_weights)  # (n_q, groups * heads, dh)
+        tables = tuple((self.params[f"{table}_k"], self.params[f"{table}_v"], idx) for table, idx in rel)
+        z = attention(q, k, v, tables, additive_mask=additive_mask, scale_matrix=scale_matrix,
+                      dropout_p=cfg.dropout_p, rng=rng, training=training, capture=capture)
+        cat = reshape(z, (x_q.shape[0], cfg.d_model))
         return _affine(cat, self.params[f"{prefix}.out_w"], self.params[f"{prefix}.out_b"])
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
@@ -561,8 +550,11 @@ class ScriptModel:
             cache.cross = [self.keys_values(f"dec{ly}.cross", state.h) for ly in range(cfg.n_decoder_layers)]
         y = scale(embed(p["tgt_embed"], ids.T.reshape(-1)), math.sqrt(cfg.d_model))
         y = dropout(y, cfg.dropout_p, rng, training)
-        causal = _causal_additive(past + m)[past:]
-        seq_idx = self._seq_idx(past + m)[past:]
+        # rows of the new positions only, over every key so far; one new
+        # position sees every key, so its causal row masks nothing
+        pos, keys = np.arange(past, past + m)[:, None], np.arange(past + m)
+        causal = np.where(keys > pos, NEG_INF, 0.0) if m > 1 else None
+        seq_idx = np.clip(keys - pos, -cfg.k, cfg.k) + cfg.k
         self_kv = []
         for ly in range(cfg.n_decoder_layers):
             base = f"dec{ly}"

@@ -2,9 +2,9 @@
 
 Just enough operations to express the model: matmul (2-D and batched 3-D),
 elementwise add/mul, sigmoid, relu, masked softmax, layer normalization,
-dropout, embedding/gather lookups, relative-position scores and values
-(relative_scores, relative_values), cross-entropy, and a few shape
-utilities.
+dropout, embedding/gather lookups, scaled dot-product attention with
+relative-position terms as one op (attention), cross-entropy, and a few
+shape utilities.
 
 Every operation records its parents and a backward closure on the output
 tensor; the closure is handed the output's gradient and holds no reference
@@ -18,6 +18,7 @@ fixed seed gives bit-identical results across runs.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -230,7 +231,16 @@ def softmax_masked(
     """
     if logits.data.ndim not in (2, 3):
         raise ShapeError(f"softmax expects a 2-D or 3-D tensor, got {logits.shape}")
-    z = logits.data
+    s = _masked_softmax(logits.data, additive_mask, scale_matrix)
+
+    def backward_fn(g):
+        logits.accumulate(_masked_softmax_grad(g, s, scale_matrix))
+
+    return _make(s, (logits,), backward_fn)
+
+
+def _masked_softmax(z: np.ndarray, additive_mask: np.ndarray | None, scale_matrix: np.ndarray | None) -> np.ndarray:
+    """softmax_masked's forward on an array whose last two axes are (rows, cols)."""
     rows_cols = z.shape[-2:]
     if scale_matrix is not None:
         if scale_matrix.shape != rows_cols:
@@ -244,15 +254,13 @@ def softmax_masked(
         z = z + additive_mask
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
-    def backward_fn(g):
-        gz = (g - (g * s).sum(axis=-1, keepdims=True)) * s
-        if scale_matrix is not None:
-            gz = gz * scale_matrix
-        logits.accumulate(gz)
 
-    return _make(s, (logits,), backward_fn)
+def _masked_softmax_grad(g: np.ndarray, s: np.ndarray, scale_matrix: np.ndarray | None) -> np.ndarray:
+    """Gradient of the logits given the gradient g of softmax weights s."""
+    gz = (g - (g * s).sum(axis=-1, keepdims=True)) * s
+    return gz if scale_matrix is None else gz * scale_matrix
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -260,17 +268,18 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layernorm affine shapes {gain.shape}/{bias.shape} != ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    # a sum divided by d is np.mean's arithmetic, and the mean of the squared
+    # centred values is np.var's, so the result is bit-identical to theirs
+    centred = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = centred * inv
     out_data = xhat * gain.data + bias.data
 
     def backward_fn(g):
         gain.accumulate((g * xhat).reshape(-1, d).sum(axis=0))
         bias.accumulate(g.reshape(-1, d).sum(axis=0))
         gx = g * gain.data
-        term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+        term = gx - gx.sum(axis=-1, keepdims=True) / d - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / d)
         x.accumulate(term * inv)
 
     return _make(out_data, (x, gain, bias), backward_fn)
@@ -278,19 +287,27 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool) -> Tensor:
     """Inverted dropout; identity in eval mode or at p=0."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout probability must be in [0, 1), got {p!r}")
-    if not training or p == 0.0:
+    keep = _dropout_keep(x.shape, p, rng, training)
+    if keep is None:
         return x
-    if rng is None:
-        raise ConfigError("dropout in training mode requires a random generator")
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
     out_data = x.data * keep
 
     def backward_fn(g):
         x.accumulate(g * keep)
 
     return _make(out_data, (x,), backward_fn)
+
+
+def _dropout_keep(shape, p: float, rng: np.random.Generator | None, training: bool) -> np.ndarray | None:
+    """Inverted-dropout multipliers of the given shape, or None when dropout
+    is the identity (eval mode or p=0)."""
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"dropout probability must be in [0, 1), got {p!r}")
+    if not training or p == 0.0:
+        return None
+    if rng is None:
+        raise ConfigError("dropout in training mode requires a random generator")
+    return (rng.random(shape) >= p) / (1.0 - p)
 
 
 def _check_ids(ids, rows: int, what: str) -> np.ndarray:
@@ -321,11 +338,11 @@ def gather(table: Tensor, idx: np.ndarray) -> Tensor:
     return embed(table, idx)
 
 
-# -- relative-position terms ---------------------------------------------
+# -- attention -------------------------------------------------------------
 # A relative-position table has 9 to 65 rows, and an (n_q, n_k) index picks
-# one per query-key pair. Both ops work on (n_q * groups, rows) arrays, row
-# i * groups + h, instead of gathering (n_q, n_k, d) copies of the rows;
-# _row_sums and _pick are each other's adjoint.
+# one per query-key pair. The table terms work on (n_q * groups, rows)
+# arrays, row i * groups + h, instead of gathering (n_q, n_k, d) copies of
+# the rows; _row_sums and _pick are each other's adjoint.
 
 
 def _row_sums(w: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
@@ -345,60 +362,93 @@ def _pick(m: np.ndarray, idx: np.ndarray, groups: int) -> np.ndarray:
     return np.take(by_group, flat, axis=1).reshape(groups, n_q, n_k)
 
 
-def relative_scores(q: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
-    """Query-table scores out[h, i, j] = q[i, h] . table[idx[i, j]].
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    tables: Sequence[tuple[Tensor, Tensor, np.ndarray]] = (),
+    *,
+    additive_mask: np.ndarray | None = None,
+    scale_matrix: np.ndarray | None = None,
+    dropout_p: float = 0.0,
+    rng: np.random.Generator | None = None,
+    training: bool = False,
+    capture: list | None = None,
+) -> Tensor:
+    """Scaled dot-product attention with relative-position terms, one op.
 
-    q is (n_q, groups, d), table (rows, d) and idx (n_q, n_k) ids in
-    [0, rows); the result is (groups, n_q, n_k). Forward picks from
-    q @ table^T; backward sums the gradient per table row, then takes one
-    matmul each for q and table.
+    q is (n_q, groups, d), k and v (n_k, groups, d); each group attends
+    over its own keys. Each (table_k, table_v, idx) of tables holds two
+    (rows, d) tables and (n_q, n_k) ids in [0, rows): query i's score for
+    key j gains q_i . table_k[idx[i, j]], and its output gains
+    alpha_ij table_v[idx[i, j]]. Per group:
+
+        e = (q k^T + table scores) / sqrt(d)
+        alpha = dropout(softmax_masked(e, additive_mask, scale_matrix))
+        out = alpha v + table values
+
+    returned as (n_q, groups, d). The table scores pick from q times the
+    table; the table values sum alpha per table row, then multiply by the
+    table. capture, if given, receives each group's (n_q, n_k) softmax
+    weights, before dropout.
+
+    Gradients are bit-identical to composing one op per step: each partial
+    gradient is that op's expression, summed in that graph's order (into
+    alpha the alpha v term, then each table's; into q the q k^T term, then
+    each table's), and the parents are ordered so that backward() reaches
+    q, k and v in that graph's order too.
     """
-    if q.data.ndim != 3 or table.data.ndim != 2 or q.shape[2] != table.shape[1]:
-        raise ShapeError(f"relative_scores needs (n_q, groups, d) and (rows, d): {q.shape}, {table.shape}")
+    if q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape or q.shape[1:] != k.shape[1:]:
+        raise ShapeError(f"attention needs (n_q, groups, d) queries and equal (n_k, groups, d) keys and values: "
+                         f"{q.shape}, {k.shape}, {v.shape}")
     n_q, groups, d = q.shape
-    rows = table.shape[0]
-    idx = _check_ids(idx, rows, "relative-position")
-    if idx.ndim != 2 or idx.shape[0] != n_q:
-        raise ShapeError(f"relative index {idx.shape} does not have {n_q} query rows")
+    n_k = k.shape[0]
+    checked = []
+    for table_k, table_v, idx in tables:
+        if table_k.data.ndim != 2 or table_k.shape[1] != d or table_v.shape != table_k.shape:
+            raise ShapeError(f"relative tables {table_k.shape}, {table_v.shape} are not (rows, {d})")
+        idx = _check_ids(idx, table_k.shape[0], "relative-position")
+        if idx.shape != (n_q, n_k):
+            raise ShapeError(f"relative index {idx.shape} != scores' ({n_q}, {n_k})")
+        checked.append((table_k, table_v, idx))
+    tables = checked
     q_rows = q.data.reshape(-1, d)
-    out_data = _pick(q_rows @ table.data.T, idx, groups)
-
-    def backward_fn(g):
-        sums = _row_sums(g, idx, rows)
-        if q.needs_grad:
-            q.accumulate((sums @ table.data).reshape(q.shape))
-        if table.needs_grad:
-            table.accumulate(sums.T @ q_rows)
-
-    return _make(out_data, (q, table), backward_fn)
-
-
-def relative_values(alpha: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
-    """Weighted table rows out[i, h] = sum_j alpha[h, i, j] table[idx[i, j]].
-
-    alpha is (groups, n_q, n_k), table (rows, d) and idx (n_q, n_k) ids in
-    [0, rows); the result is (n_q, groups, d). Forward sums alpha per table
-    row, then multiplies by the table; backward picks from the gradient
-    times table^T.
-    """
-    if alpha.data.ndim != 3 or table.data.ndim != 2:
-        raise ShapeError(f"relative_values needs (groups, n_q, n_k) and (rows, d): {alpha.shape}, {table.shape}")
-    groups, n_q, n_k = alpha.shape
-    rows, d = table.shape
-    idx = _check_ids(idx, rows, "relative-position")
-    if idx.shape != (n_q, n_k):
-        raise ShapeError(f"relative index {idx.shape} != weights' ({n_q}, {n_k})")
-    sums = _row_sums(alpha.data, idx, rows)
-    out_data = (sums @ table.data).reshape(n_q, groups, d)
+    q_t = q.data.transpose(1, 0, 2)
+    e = q_t @ k.data.transpose(1, 2, 0)  # (groups, n_q, n_k)
+    for table_k, _, idx in tables:
+        e = e + _pick(q_rows @ table_k.data.T, idx, groups)
+    c = 1.0 / math.sqrt(d)
+    s = _masked_softmax(e * c, additive_mask, scale_matrix)
+    if capture is not None:
+        capture.extend(head.copy() for head in s)
+    keep = _dropout_keep(s.shape, dropout_p, rng, training)
+    alpha = s if keep is None else s * keep
+    out_data = (alpha @ v.data.transpose(1, 0, 2)).transpose(1, 0, 2)
+    sums = [_row_sums(alpha, idx, table_v.shape[0]) for _, table_v, idx in tables]
+    for (_, table_v, _), rows in zip(tables, sums):
+        out_data = out_data + (rows @ table_v.data).reshape(n_q, groups, d)
 
     def backward_fn(g):
         g_rows = g.reshape(-1, d)
-        if alpha.needs_grad:
-            alpha.accumulate(_pick(g_rows @ table.data.T, idx, groups))
-        if table.needs_grad:
-            table.accumulate(sums.T @ g_rows)
+        g_av = np.ascontiguousarray(g.transpose(1, 0, 2))
+        g_alpha = g_av @ v.data.transpose(1, 2, 0)
+        v.accumulate((alpha.swapaxes(-1, -2) @ g_av).transpose(1, 0, 2))
+        for (_, table_v, idx), rows in zip(tables, sums):
+            g_alpha += _pick(g_rows @ table_v.data.T, idx, groups)
+            table_v.accumulate(rows.T @ g_rows)
+        if keep is not None:
+            g_alpha = g_alpha * keep
+        g_e = _masked_softmax_grad(g_alpha, s, scale_matrix) * c
+        g_q = (g_e @ k.data.transpose(1, 0, 2)).transpose(1, 0, 2)
+        k.accumulate((q_t.swapaxes(-1, -2) @ g_e).transpose(2, 0, 1))
+        for table_k, _, idx in tables:
+            rows = _row_sums(g_e, idx, table_k.shape[0])
+            g_q = g_q + (rows @ table_k.data).reshape(q.shape)
+            table_k.accumulate(rows.T @ q_rows)
+        q.accumulate(g_q)
 
-    return _make(out_data, (alpha, table), backward_fn)
+    table_parents = tuple(t for table_k, table_v, _ in tables for t in (table_k, table_v))
+    return _make(out_data, table_parents + ((v, k, q) if tables else (q, k, v)), backward_fn)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -442,10 +492,9 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     out_data = np.transpose(a.data, axes)
-    inverse = tuple(np.argsort(axes))
 
     def backward_fn(g):
-        a.accumulate(np.transpose(g, inverse))
+        a.accumulate(np.transpose(g, tuple(np.argsort(axes))))
 
     return _make(out_data, (a,), backward_fn)
 
@@ -454,10 +503,9 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     if not parts:
         raise ShapeError("concat of zero tensors")
     out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
 
     def backward_fn(g):
+        offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
         for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)

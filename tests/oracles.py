@@ -4,18 +4,38 @@ Everything here is deliberately written with different algorithms than the
 library (BFS instead of preorder lca depths, pairwise loops
 instead of vectorised relation views, explicit subsequence enumeration
 instead of DP, step-by-step argmax instead of beam bookkeeping) so
-agreement is meaningful.
+agreement is meaningful. The exception is attention: composed_attention
+builds tensor.attention from one autodiff op per step, with
+relative_scores and relative_values for the table terms, and the fused op
+must equal it bit for bit, gradients included.
 """
 
+import math
 from collections import deque
 from itertools import product
 
 import numpy as np
 
 from scriptsum.astcore import Ast, AstNode, TokenAlignment
-from scriptsum.model import _log_softmax
+from scriptsum.errors import ShapeError
+from scriptsum.model import NEG_INF, _affine, _log_softmax
 from scriptsum.structure import _flow_edges, _statement_of
-from scriptsum.tensor import gather, matmul, no_grad, transpose
+from scriptsum.tensor import (
+    Tensor,
+    _check_ids,
+    _make,
+    _pick,
+    _row_sums,
+    add,
+    dropout,
+    gather,
+    matmul,
+    no_grad,
+    reshape,
+    scale,
+    softmax_masked,
+    transpose,
+)
 
 
 def random_tree(rng: np.random.Generator, n_nodes: int) -> Ast:
@@ -238,8 +258,119 @@ def vanilla_attention(
     return np.concatenate(heads, axis=1) @ params[f"{prefix}.out_w"] + params[f"{prefix}.out_b"]
 
 
+def relative_scores(q: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
+    """Query-table scores out[h, i, j] = q[i, h] . table[idx[i, j]] as one
+    autodiff op: the key-table term of tensor.attention on its own.
+
+    q is (n_q, groups, d), table (rows, d) and idx (n_q, n_k) ids in
+    [0, rows); the result is (groups, n_q, n_k). Forward picks from
+    q @ table^T; backward sums the gradient per table row, then takes one
+    matmul each for q and table.
+    """
+    if q.data.ndim != 3 or table.data.ndim != 2 or q.shape[2] != table.shape[1]:
+        raise ShapeError(f"relative_scores needs (n_q, groups, d) and (rows, d): {q.shape}, {table.shape}")
+    n_q, groups, d = q.shape
+    rows = table.shape[0]
+    idx = _check_ids(idx, rows, "relative-position")
+    if idx.ndim != 2 or idx.shape[0] != n_q:
+        raise ShapeError(f"relative index {idx.shape} does not have {n_q} query rows")
+    q_rows = q.data.reshape(-1, d)
+    out_data = _pick(q_rows @ table.data.T, idx, groups)
+
+    def backward_fn(g):
+        sums = _row_sums(g, idx, rows)
+        if q.needs_grad:
+            q.accumulate((sums @ table.data).reshape(q.shape))
+        if table.needs_grad:
+            table.accumulate(sums.T @ q_rows)
+
+    return _make(out_data, (q, table), backward_fn)
+
+
+def relative_values(alpha: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
+    """Weighted table rows out[i, h] = sum_j alpha[h, i, j] table[idx[i, j]]
+    as one autodiff op: the value-table term of tensor.attention on its own.
+
+    alpha is (groups, n_q, n_k), table (rows, d) and idx (n_q, n_k) ids in
+    [0, rows); the result is (n_q, groups, d). Forward sums alpha per table
+    row, then multiplies by the table; backward picks from the gradient
+    times table^T.
+    """
+    if alpha.data.ndim != 3 or table.data.ndim != 2:
+        raise ShapeError(f"relative_values needs (groups, n_q, n_k) and (rows, d): {alpha.shape}, {table.shape}")
+    groups, n_q, n_k = alpha.shape
+    rows, d = table.shape
+    idx = _check_ids(idx, rows, "relative-position")
+    if idx.shape != (n_q, n_k):
+        raise ShapeError(f"relative index {idx.shape} != weights' ({n_q}, {n_k})")
+    sums = _row_sums(alpha.data, idx, rows)
+    out_data = (sums @ table.data).reshape(n_q, groups, d)
+
+    def backward_fn(g):
+        g_rows = g.reshape(-1, d)
+        if alpha.needs_grad:
+            alpha.accumulate(_pick(g_rows @ table.data.T, idx, groups))
+        if table.needs_grad:
+            table.accumulate(sums.T @ g_rows)
+
+    return _make(out_data, (alpha, table), backward_fn)
+
+
+def composed_attention(q, k, v, tables=(), *, additive_mask=None, scale_matrix=None,
+                       dropout_p=0.0, rng=None, training=False, capture=None):
+    """tensor.attention composed from one autodiff op per step: QK^T,
+    relative_scores per table, the scale, softmax_masked, dropout, alpha V
+    and relative_values per table. The reference its outputs and gradients
+    must equal bit for bit."""
+    e = matmul(transpose(q, (1, 0, 2)), transpose(k, (1, 2, 0)))  # (groups, n_q, n_k)
+    for table_k, _, idx in tables:
+        e = add(e, relative_scores(q, table_k, idx))
+    e = scale(e, 1.0 / math.sqrt(q.shape[2]))
+    alpha = softmax_masked(e, additive_mask=additive_mask, scale_matrix=scale_matrix)
+    if capture is not None:
+        capture.extend(head.copy() for head in alpha.data)
+    alpha = dropout(alpha, dropout_p, rng, training)
+    z = transpose(matmul(alpha, transpose(v, (1, 0, 2))), (1, 0, 2))  # (n_q, groups, d)
+    for _, table_v, idx in tables:
+        z = add(z, relative_values(alpha, table_v, idx))
+    return z
+
+
+def composed_relative_attention(
+    model,
+    prefix,
+    x_q,
+    x_kv,
+    *,
+    rel=(),
+    a_mv=None,
+    additive_mask=None,
+    training=False,
+    rng=None,
+    capture=None,
+    head_weights=None,
+):
+    """ScriptModel.relative_attention with composed_attention in place of
+    tensor.attention; same signature, so a test can patch it in."""
+    cfg = model.config
+    k, v = model.keys_values(prefix, x_kv) if isinstance(x_kv, Tensor) else x_kv
+    scale_matrix = None
+    if a_mv is not None:
+        if cfg.mask_mode == "multiply":
+            scale_matrix = a_mv
+        else:
+            keep = np.where(a_mv > 0, 0.0, NEG_INF)
+            additive_mask = keep if additive_mask is None else keep + additive_mask
+    q = model._project(prefix, "q", x_q, k.shape[1] // cfg.n_heads, head_weights)
+    tables = tuple((model.params[f"{t}_k"], model.params[f"{t}_v"], idx) for t, idx in rel)
+    z = composed_attention(q, k, v, tables, additive_mask=additive_mask, scale_matrix=scale_matrix,
+                           dropout_p=cfg.dropout_p, rng=rng, training=training, capture=capture)
+    return _affine(reshape(z, (x_q.shape[0], cfg.d_model)), model.params[f"{prefix}.out_w"],
+                   model.params[f"{prefix}.out_b"])
+
+
 def gather_relative_scores(q, table, idx):
-    """The gather formulation of tensor.relative_scores, built from autodiff
+    """The gather formulation of relative_scores, built from autodiff
     ops: every query row gets its own (n_k, d) copy of the table rows it
     indexes, so out[h, i, j] = q[i, h] . table[idx[i, j]] is one batched
     matmul, (n_q, groups, d) @ (n_q, d, n_k), returned as (groups, n_q, n_k)."""
@@ -248,7 +379,7 @@ def gather_relative_scores(q, table, idx):
 
 
 def gather_relative_values(alpha, table, idx):
-    """The gather formulation of tensor.relative_values: (groups, n_q, n_k)
+    """The gather formulation of relative_values: (groups, n_q, n_k)
     weights times each query row's gathered (n_k, d) table rows, as one
     batched matmul returning (n_q, groups, d)."""
     return matmul(transpose(alpha, (1, 0, 2)), gather(table, idx))

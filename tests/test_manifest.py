@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from scriptsum.errors import FormatError
@@ -17,3 +18,26 @@ def test_non_object_is_format_error(tmp_path, payload):
     (tmp_path / MANIFEST_NAME).write_text(json.dumps(payload))
     with pytest.raises(FormatError, match="must be a JSON object"):
         load_manifest(tmp_path)
+
+
+def test_records_numpy_blas_and_thread_settings(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    RunManifest(command="train").save(tmp_path)
+    payload = json.loads((tmp_path / MANIFEST_NAME).read_text())
+    assert payload["numpy"] == np.__version__
+    info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert payload["blas"] == f"{info['name']} {info['version']}"
+    assert payload["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
+    loaded = load_manifest(tmp_path)
+    assert (loaded.numpy, loaded.blas, loaded.blas_threads) == (payload["numpy"], payload["blas"], payload["blas_threads"])
+
+
+def test_reads_manifest_without_environment_fields(tmp_path):
+    older = {"command": "eval", "config": {}, "seed": 0, "git": "abc1234", "input_digests": {},
+             "started_at": "2026-08-14T12:00:00+00:00", "finished_at": "2026-08-14T12:03:21+00:00"}
+    (tmp_path / MANIFEST_NAME).write_text(json.dumps(older))
+    loaded = load_manifest(tmp_path)
+    assert (loaded.command, loaded.git) == ("eval", "abc1234")
+    assert (loaded.numpy, loaded.blas, loaded.blas_threads) == (None, None, None)

@@ -34,19 +34,20 @@ from scriptsum.tensor import (
     grad_check,
     mul,
     no_grad,
-    relative_scores,
-    relative_values,
     sum_all,
     tensor,
 )
 
 from conftest import make_example, random_bundle, tiny_config, tiny_model
 from oracles import (
+    composed_relative_attention,
     exhaustive_decode,
     full_decode_log_probs,
     gather_relative_scores,
     gather_relative_values,
     greedy_oracle,
+    relative_scores,
+    relative_values,
     vanilla_attention,
 )
 
@@ -314,6 +315,44 @@ def _oracle_case(case, rng):
         mine.update(training=True, rng=np.random.default_rng(41))
         oracle.update(dropout_p=0.3, rng=np.random.default_rng(41))
     return model, "enc1.attn", x, x, mine, oracle
+
+
+GRADIENT_CONFIGS = {
+    "default": {},
+    "neg_inf": dict(mask_mode="neg_inf"),
+    "srpe_all": dict(srpe_placement="all"),
+}
+
+
+class TestFusedAttentionMatchesComposedReference:
+    @pytest.mark.parametrize("config", list(GRADIENT_CONFIGS))
+    def test_forward_loss_gradients_are_bit_identical(self, config, monkeypatch):
+        """forward_loss + backward with dropout on: the loss and every
+        parameter's gradient equal, bit for bit, what they are with
+        relative_attention composed from one op per step. The fused op's
+        parent order decides the order in which a layer's input sums the
+        gradients of its query, key and value projections, so it shows
+        here and not in a test of the op alone."""
+        rng = np.random.default_rng(30)
+        model = tiny_model(n_script_modules=2, n_decoder_layers=2, dropout_p=0.2, **GRADIENT_CONFIGS[config])
+        n = 7
+        bundle = random_bundle(rng, n)
+        src = rng.integers(0, model.config.src_vocab_size, n)
+        tgt = np.array([1, 4, 5, 9, 3, 2])
+
+        def loss_and_grads():
+            model.zero_grad()
+            loss = model.forward_loss(src, bundle, tgt, training=True, rng=np.random.default_rng(31))
+            backward(loss)
+            return loss.data, {name: t.grad for name, t in model.params.items()}
+
+        loss, grads = loss_and_grads()
+        monkeypatch.setattr(ScriptModel, "relative_attention", composed_relative_attention)
+        ref_loss, ref_grads = loss_and_grads()
+        assert np.array_equal(loss, ref_loss)
+        assert all(g is not None for g in grads.values())
+        for name, ref in ref_grads.items():
+            assert np.array_equal(grads[name], ref), name
 
 
 class TestRelativeAttentionMatchesPerHeadOracle:
@@ -815,6 +854,21 @@ class TestCachedDecoding:
         assert (cache.beams, cache.length) == (3, 2)
         cache.select([])
         assert (cache.beams, cache.length) == (0, 2)
+
+    def test_select_keeping_every_beam_in_place_copies_nothing(self):
+        rng = np.random.default_rng(29)
+        model = tiny_model()
+        state = model.script_encoder(np.array([1, 2, 3]), random_bundle(rng, 3))
+        cache = DecoderCache()
+        model.decode(np.array([[1], [1]]), state, cache=cache)
+        kept = list(cache.self_kv)
+        cache.select([0, 1])
+        assert cache.beams == 2 and all(a is b for a, b in zip(cache.self_kv, kept))
+        cache.select([1, 0])
+        k_before, k_after = kept[0][0].data, cache.self_kv[0][0].data
+        heads = model.config.n_heads
+        assert np.array_equal(k_after[:, :heads], k_before[:, heads:])
+        assert np.array_equal(k_after[:, heads:], k_before[:, :heads])
 
     def test_head_weights_concatenated_once_per_cache(self):
         rng = np.random.default_rng(31)

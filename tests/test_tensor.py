@@ -8,6 +8,7 @@ from scriptsum.errors import ConfigError, NumericsError, ShapeError, StateError
 from scriptsum.tensor import (
     Tensor,
     add,
+    attention,
     backward,
     concat,
     cross_entropy,
@@ -20,8 +21,6 @@ from scriptsum.tensor import (
     mean_all,
     mul,
     no_grad,
-    relative_scores,
-    relative_values,
     relu,
     reshape,
     scale,
@@ -31,6 +30,8 @@ from scriptsum.tensor import (
     tensor,
     transpose,
 )
+
+from oracles import composed_attention, relative_scores, relative_values
 
 NEG_INF = -1e9
 
@@ -445,6 +446,109 @@ class TestDropout:
         out = dropout(x, 0.5, rng, training=True)
         backward(sum_all(out))
         assert np.array_equal((x.grad > 0), (out.data > 0))
+
+
+ATTENTION_CASES = (
+    "no_tables",
+    "one_table",
+    "two_tables",
+    "groups_of_beams",
+    "multiply_gate",
+    "neg_inf_gate",
+    "causal",
+    "dropout",
+)
+
+
+def _attention_case(case, rng):
+    """(q, k, v, tables, keyword arguments) of one tensor.attention call;
+    tables hold (table_k, table_v, idx) with 5- and 3-row tables."""
+    n_q, n_k, groups, d = 4, 5, 2, 3
+    if case == "groups_of_beams":  # a decoder step: 3 beams of 2 heads, one new position
+        n_q, groups = 1, 6
+    if case == "causal":
+        n_k = n_q
+    n_tables = {"no_tables": 0, "one_table": 1}.get(case, 2)
+    q, k, v = (rng.standard_normal((n, groups, d)) for n in (n_q, n_k, n_k))
+    tables = [
+        (rng.standard_normal((rows, d)), rng.standard_normal((rows, d)), rng.integers(0, rows, (n_q, n_k)))
+        for rows in (5, 3)[:n_tables]
+    ]
+    gate = rng.uniform(0.5, 2.0, (n_q, n_k)) * (rng.random((n_q, n_k)) < 0.6)
+    gate[:, 0] = 1.0
+    kwargs = {
+        "multiply_gate": dict(scale_matrix=gate),
+        "neg_inf_gate": dict(additive_mask=np.where(gate > 0, 0.0, NEG_INF)),
+        "causal": dict(additive_mask=np.triu(np.full((n_q, n_k), NEG_INF), k=1)),
+        "dropout": dict(dropout_p=0.3, training=True),
+    }.get(case, {})
+    return q, k, v, tables, kwargs
+
+
+class TestAttention:
+    @staticmethod
+    def _run(op, q0, k0, v0, tables0, kwargs, w):
+        q, k, v = (tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
+        tables = [(tensor(tk.copy(), requires_grad=True), tensor(tv.copy(), requires_grad=True), idx)
+                  for tk, tv, idx in tables0]
+        captured = []
+        rng = np.random.default_rng(7) if kwargs.get("training") else None
+        out = op(q, k, v, tables, rng=rng, capture=captured, **kwargs)
+        backward(sum_all(mul(out, tensor(w))))
+        grads = [q.grad, k.grad, v.grad] + [t.grad for tk, tv, _ in tables for t in (tk, tv)]
+        return out.data, grads, captured
+
+    @pytest.mark.parametrize("case", ATTENTION_CASES)
+    def test_equals_composed_ops_bit_for_bit(self, case):
+        """Output, captured weights and the gradient of q, k, v and every
+        table equal the composition of one op per step exactly."""
+        rng = np.random.default_rng(ATTENTION_CASES.index(case))
+        q0, k0, v0, tables0, kwargs = _attention_case(case, rng)
+        w = rng.standard_normal(q0.shape)
+        out, grads, captured = self._run(attention, q0, k0, v0, tables0, kwargs, w)
+        ref_out, ref_grads, ref_captured = self._run(composed_attention, q0, k0, v0, tables0, kwargs, w)
+        assert np.array_equal(out, ref_out)
+        assert len(grads) == 3 + 2 * len(tables0)
+        for mine, ref in zip(grads, ref_grads):
+            assert np.array_equal(mine, ref)
+        assert len(captured) == q0.shape[1]
+        assert all(np.array_equal(a, b) for a, b in zip(captured, ref_captured))
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(20)
+        q0, k0, v0, tables0, _ = _attention_case("two_tables", rng)
+        gate = rng.uniform(0.5, 2.0, (4, 5))
+        mask = np.zeros((4, 5))
+        mask[1, 2] = NEG_INF
+        w = rng.standard_normal(q0.shape)
+
+        def f(q, k, v, sk, sv, tk, tv):
+            tables = [(sk, sv, tables0[0][2]), (tk, tv, tables0[1][2])]
+            out = attention(q, k, v, tables, additive_mask=mask, scale_matrix=gate,
+                            dropout_p=0.25, rng=np.random.default_rng(3), training=True)
+            return sum_all(mul(out, tensor(w)))
+
+        points = [tensor(a) for a in (q0, k0, v0) + tuple(t for tk, tv, _ in tables0 for t in (tk, tv))]
+        report = grad_check(f, points)
+        assert report.passed, report
+
+    def test_rejects_bad_inputs(self):
+        q, kv = tensor(np.zeros((2, 1, 3))), tensor(np.zeros((4, 1, 3)))
+        table = tensor(np.zeros((5, 3)))
+        ok_idx = np.zeros((2, 4), dtype=np.int64)
+        for bad_idx in (np.full((2, 4), 5), np.full((2, 4), -1), np.zeros((2, 4)), np.zeros((2, 3), dtype=np.int64)):
+            with pytest.raises(ShapeError):
+                attention(q, kv, kv, [(table, table, bad_idx)])
+        with pytest.raises(ShapeError):  # table width != query width
+            attention(q, kv, kv, [(tensor(np.zeros((5, 2))), tensor(np.zeros((5, 2))), ok_idx)])
+        with pytest.raises(ShapeError):  # keys and values differ
+            attention(q, kv, tensor(np.zeros((3, 1, 3))))
+        with pytest.raises(ShapeError):  # groups differ
+            attention(q, tensor(np.zeros((4, 2, 3))), tensor(np.zeros((4, 2, 3))))
+        with pytest.raises(NumericsError):
+            attention(q, kv, kv, additive_mask=np.full((2, 4), NEG_INF))
+        with pytest.raises(ConfigError):
+            attention(q, kv, kv, dropout_p=0.5, training=True)
 
 
 class TestGradCheckHarness:
