@@ -8,7 +8,7 @@ softmax).
 
 import numpy as np
 
-from scriptsum import Tensor, backward, grad_check, no_grad, tensor
+from scriptsum import Tensor, backward, grad_check, no_grad
 from scriptsum.errors import NumericsError, StateError
 from scriptsum.tensor import (
     add,
@@ -22,12 +22,12 @@ from scriptsum.tensor import (
 rng = np.random.default_rng(0)
 
 # a small classifier: x -> relu(x W1 + b1) -> layernorm -> logits
-x = tensor(rng.standard_normal((6, 8)))
-w1 = tensor(rng.standard_normal((8, 16)) * 0.3, requires_grad=True)
-b1 = tensor(np.zeros(16), requires_grad=True)
-gain = tensor(np.ones(16), requires_grad=True)
-bias = tensor(np.zeros(16), requires_grad=True)
-w2 = tensor(rng.standard_normal((16, 4)) * 0.3, requires_grad=True)
+x = Tensor(rng.standard_normal((6, 8)))
+w1 = Tensor(rng.standard_normal((8, 16)) * 0.3, requires_grad=True)
+b1 = Tensor(np.zeros(16), requires_grad=True)
+gain = Tensor(np.ones(16), requires_grad=True)
+bias = Tensor(np.zeros(16), requires_grad=True)
+w2 = Tensor(rng.standard_normal((16, 4)) * 0.3, requires_grad=True)
 targets = rng.integers(0, 4, 6)
 
 

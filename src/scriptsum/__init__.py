@@ -74,7 +74,7 @@ from .structure import (
     sequential_relpos,
     token_distance_matrix,
 )
-from .tensor import Tensor, backward, grad_check, no_grad, tensor
+from .tensor import Tensor, backward, grad_check, no_grad
 from .training import TrainConfig, TrainResult, evaluate_bleu, evaluate_loss, train
 
 __version__ = "0.1.0"
@@ -101,7 +101,6 @@ __all__ = [
     "sequential_relpos",
     "encode_structure",
     "Tensor",
-    "tensor",
     "backward",
     "grad_check",
     "no_grad",

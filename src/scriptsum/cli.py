@@ -410,8 +410,10 @@ def cmd_eval(args, manifest: RunManifest) -> int:
 
     pairs: list[EvalPair] = []
     rows: list[dict] = []
-    for idx, (ex, enc) in enumerate(zip(split, encoded)):
-        ids = model.summarize(enc.src_ids, enc.bundle, args.beam, args.max_len, args.length_penalty)
+    summaries = model.summarize_many(
+        [(enc.src_ids, enc.bundle) for enc in encoded], args.beam, args.max_len, args.length_penalty
+    )
+    for idx, (ex, ids) in enumerate(zip(split, summaries)):
         candidate = tgt_vocab.decode(ids)
         pairs.append(EvalPair(candidate=candidate, references=[list(ex.summary_tokens)]))
         rows.append(
@@ -472,11 +474,10 @@ def cmd_summarize(args, manifest: RunManifest) -> int:
     examples = list(_read_examples(Path(args.input), clip, weights))
 
     beam = 1 if args.greedy else args.beam
-    lines: list[str] = []
-    for ex in examples:
-        src_ids = src_vocab.encode(ex.code_tokens)
-        ids = model.summarize(src_ids, ex.bundle, beam, args.max_len, args.length_penalty)
-        lines.append(" ".join(tgt_vocab.decode(ids)))
+    summaries = model.summarize_many(
+        [(src_vocab.encode(ex.code_tokens), ex.bundle) for ex in examples], beam, args.max_len, args.length_penalty
+    )
+    lines = [" ".join(tgt_vocab.decode(ids)) for ids in summaries]
 
     for line in lines:
         print(line)

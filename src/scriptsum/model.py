@@ -34,17 +34,28 @@ mask the keys, values and relative offsets of earlier positions never
 change, so the cached step equals a full pass over the prefix. A step
 builds the causal-mask and sequential-offset rows of its new positions
 only, and a single new position needs no mask. Training calls `decode`
-with an empty cache and every position at once. Beam search runs the live
-beams as one batch, one row per beam, one decoder call per step; it ranks
-the beam x vocabulary candidates as one array and gathers the cache's rows
-by parent beam, unless every beam stays in place, as in each greedy step.
+with an empty cache and every position at once.
+
+Beam search decodes several sources at once: the live beams of every
+unfinished source are the rows of one batch, one decoder call per step.
+Each source's cross-attention keys and values are padded to the longest
+source's, and a per-source NEG_INF mask hides the padding; a source leaves
+the rows when it finishes. Each source ranks its own beam x vocabulary
+candidates as one array, and the cache's rows are gathered by parent beam
+unless every row stays in place, as in each greedy step of one source.
+`summarize_many`, which every inference caller uses, decodes its sources
+in input order, DECODE_CHUNK at a time; `beam_search` and `summarize` are
+the one-source case, whose every step is computed exactly as a lone
+source's.
 
 Every parameter is declared once, in `param_schema`: the constructor draws
 from it in order, and loading checks names and shapes against it without
 drawing anything.
 
-All forward passes operate on one example in float64 (the only batch axis
-is the decoder's beams), so results are bit-reproducible for a fixed seed.
+All math is float64. Training forwards one example at a time, so it is
+bit-reproducible for a fixed seed. A row's bits in a decoder step can
+depend on how many rows share the step, so a decoded summary is
+reproducible for the same sources in the same order.
 """
 
 from __future__ import annotations
@@ -53,6 +64,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -78,6 +90,9 @@ from .tensor import (
 )
 
 LAYER_TAGS = ("RDW", "SRPEi", "PLAIN")
+# sources whose beams share each decoder step in summarize_many; it bounds
+# the padded cross-attention keys and values a long input list can hold
+DECODE_CHUNK = 32
 MASK_MODES = ("multiply", "neg_inf")
 # each srpe_placement -> the layer tags whose attention adds the structural tables
 STRUCTURAL_TAGS = {"SRPEi_only": ("SRPEi",), "RDW_only": ("RDW",), "all": ("RDW", "SRPEi")}
@@ -182,20 +197,30 @@ class EncoderState:
 
 @dataclass
 class DecoderCache:
-    """Keys and values that decoding one source reuses from step to step.
+    """Keys and values that decoding reuses from step to step, for one
+    source or several decoded together.
 
+    The cache's rows are `beams` sequences; with S sources, row b * S + s
+    is beam b of the source in group s, so each source has beams // S rows.
     cross holds each decoder layer's cross-attention keys and values of the
-    encoder output, (n_src, heads, d_head), made by the first decode call.
-    self_kv holds each layer's self-attention keys and values of every
-    target position decoded so far, (positions, beams * heads, d_head),
-    beam-major on the middle axis; each decode call appends its positions.
-    Under the causal mask an earlier position's keys, values and relative
-    offsets never change, so reusing them is exact. head_weights holds the
-    self-attention q, k, v and cross-attention q weights of every head
-    concatenated, by "{prefix}.{kind}", made once for all decode calls.
+    sources, (n_max, S * heads, d_head), source-major on the middle axis,
+    made by the first decode call. A source shorter than the longest has
+    zero keys and values past its end, and cross_mask, (S, n_max), puts
+    NEG_INF on them; it is None when no source is padded.
+    sources holds the caller's index of the source in each group, which a
+    NumericsError names. self_kv holds each layer's self-attention keys and
+    values of every target position decoded so far, (positions, beams *
+    heads, d_head), row-major on the middle axis; each decode call appends
+    its positions. Under the causal mask an earlier position's keys, values
+    and relative offsets never change, so reusing them is exact.
+    head_weights holds the self-attention q, k, v and cross-attention q
+    weights of every head concatenated, by "{prefix}.{kind}", made once for
+    all decode calls.
     """
 
     cross: list[tuple[Tensor, Tensor]] = field(default_factory=list)
+    cross_mask: np.ndarray | None = None
+    sources: list[int] = field(default_factory=lambda: [0])
     self_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
     beams: int = 0
     head_weights: dict[str, Tensor] = field(default_factory=dict)
@@ -205,21 +230,32 @@ class DecoderCache:
         """Target positions decoded so far."""
         return self.self_kv[0][0].shape[0] if self.self_kv else 0
 
-    def select(self, rows: list[int]) -> None:
-        """Keep the given beams, in that order; a beam may be kept more than
-        once. The kept keys and values record no graph. Keeping every beam
-        in place, as each greedy step does, copies nothing."""
+    def select(self, rows: list[int], sources: list[int] | None = None) -> None:
+        """Keep the given rows, in that order; a row may be kept more than
+        once. sources, if given, keeps those groups' cross-attention keys
+        and values, in that order, and the rows must be laid out over them.
+        The kept keys and values record no graph. Keeping every row and
+        source in place, as each greedy step of a single source does,
+        copies nothing."""
+        if sources is not None and sources != list(range(len(self.sources))):
+            count = len(self.sources)
+            self.cross = [tuple(_keep_groups(t, sources, count) for t in kv) for kv in self.cross]
+            if self.cross_mask is not None:
+                self.cross_mask = self.cross_mask[sources]
+            self.sources = [self.sources[j] for j in sources]
         if rows == list(range(self.beams)):
             return
-
-        def pick(t: Tensor) -> Tensor:
-            n, width, dh = t.shape
-            heads = width // self.beams
-            kept = t.data.reshape(n, self.beams, heads, dh)[:, rows]
-            return Tensor(kept.reshape(n, len(rows) * heads, dh))
-
-        self.self_kv = [(pick(k), pick(v)) for k, v in self.self_kv]
+        self.self_kv = [tuple(_keep_groups(t, rows, self.beams) for t in kv) for kv in self.self_kv]
         self.beams = len(rows)
+
+
+def _keep_groups(t: Tensor, keep: list[int], count: int) -> Tensor:
+    """The given groups of t's middle axis, which holds count equal groups.
+    np.take writes them in order; indexing with [:, keep] would put the
+    picked axis first in memory, and the reshape would copy again."""
+    n, width, dh = t.shape
+    kept = np.take(t.data.reshape(n, count, width // count, dh), keep, axis=1)
+    return Tensor(kept.reshape(n, len(keep) * (width // count), dh))
 
 
 def ablation_layer_plan(n_script_modules: int, drop: str | None) -> tuple[str, ...]:
@@ -520,7 +556,7 @@ class ScriptModel:
     def decode(
         self,
         tgt_in_ids: np.ndarray,
-        state: EncoderState,
+        state: EncoderState | list[EncoderState],
         *,
         cache: DecoderCache | None = None,
         training: bool = False,
@@ -533,7 +569,9 @@ class ScriptModel:
         t of beam b. The new positions follow the cache's: they attend to its
         keys and values, and their own are appended to it. With no cache (an
         empty one) the ids are a whole prefix from BOS: the teacher-forced
-        pass.
+        pass. state is the source's encoder output, or one per source of the
+        cache, whose rows are then laid out over the sources as DecoderCache
+        says; it is read only while the cache holds no cross-attention keys.
         """
         cfg = self.config
         p = self.params
@@ -546,8 +584,18 @@ class ScriptModel:
         past = cache.length
         if past and cache.beams != beams:
             raise ShapeError(f"{beams} beams of ids for a cache of {cache.beams} beams")
+        sources = len(cache.sources)
+        if beams % sources:
+            raise ShapeError(f"{beams} beams of ids are not laid out over {sources} sources")
         if not cache.cross:
-            cache.cross = [self.keys_values(f"dec{ly}.cross", state.h) for ly in range(cfg.n_decoder_layers)]
+            states = [state] if isinstance(state, EncoderState) else list(state)
+            if len(states) != sources:
+                raise ShapeError(f"{len(states)} encoder states for a cache of {sources} sources")
+            cache.cross, cache.cross_mask = self._cross_keys_values(states)
+        cross_mask = None
+        if cache.cross_mask is not None:  # one (n_q, n_k) mask per source and head
+            per_group = np.repeat(cache.cross_mask, cfg.n_heads, axis=0)[:, None, :]
+            cross_mask = np.broadcast_to(per_group, (sources * cfg.n_heads, m * beams // sources, per_group.shape[-1]))
         y = scale(embed(p["tgt_embed"], ids.T.reshape(-1)), math.sqrt(cfg.d_model))
         y = dropout(y, cfg.dropout_p, rng, training)
         # rows of the new positions only, over every key so far; one new
@@ -578,6 +626,7 @@ class ScriptModel:
                 f"{base}.cross",
                 y,
                 cache.cross[ly],
+                additive_mask=cross_mask,
                 training=training,
                 rng=rng,
                 head_weights=cache.head_weights,
@@ -587,6 +636,26 @@ class ScriptModel:
         cache.self_kv, cache.beams = self_kv, beams
         logits = add(matmul(y, transpose(p["tgt_embed"], (1, 0))), p["out_bias"])
         return logits
+
+    def _cross_keys_values(self, states: list[EncoderState]) -> tuple[list[tuple[Tensor, Tensor]], np.ndarray | None]:
+        """Each decoder layer's cross-attention keys and values of the
+        sources, zero-padded to the longest, and the padding mask; see
+        DecoderCache. One source is neither padded nor copied."""
+        lengths = np.array([st.h.shape[0] for st in states])
+        n = int(lengths.max())
+
+        def padded(parts: list[Tensor]) -> Tensor:
+            parts = [part if part.shape[0] == n else
+                     concat([part, Tensor(np.zeros((n - part.shape[0],) + part.shape[1:]))], axis=0)
+                     for part in parts]
+            return parts[0] if len(parts) == 1 else concat(parts, axis=1)
+
+        cross = []
+        for ly in range(self.config.n_decoder_layers):
+            kv = [self.keys_values(f"dec{ly}.cross", st.h) for st in states]
+            cross.append((padded([k for k, _ in kv]), padded([v for _, v in kv])))
+        mask = None if (lengths == n).all() else np.where(np.arange(n) >= lengths[:, None], NEG_INF, 0.0)
+        return cross, mask
 
     def forward_loss(
         self,
@@ -612,13 +681,14 @@ class ScriptModel:
     # -- generation ------------------------------------------------------------
 
     def _beam_log_probs(
-        self, seqs: list[tuple[int, ...]], state: EncoderState, cache: DecoderCache
+        self, seqs: list[tuple[int, ...]], state: EncoderState | list[EncoderState], cache: DecoderCache
     ) -> np.ndarray:
-        """Next-token log-probabilities of every live beam, (beams, tgt_vocab),
-        from one cached decoder step on each beam's newest token."""
+        """Next-token log-probabilities of every row of the cache, (rows,
+        tgt_vocab), from one cached decoder step on each row's newest token;
+        seqs[i] is row i's sequence."""
         with no_grad():
             logits = self.decode(np.array([seq[-1:] for seq in seqs]), state, cache=cache).data
-        return _log_softmax(logits, seqs)
+        return _log_softmax(logits, seqs, cache.sources)
 
     def beam_search(
         self,
@@ -627,56 +697,69 @@ class ScriptModel:
         max_len: int = 50,
         length_penalty: float = 1.0,
     ) -> list[int]:
-        """Length-normalized beam search; returns generated ids without
-        BOS/EOS. Ties in score are broken toward the smaller token ids, so
-        decoding is fully deterministic. beam_size=1 is greedy decoding.
+        """Length-normalized beam search of one source; returns generated
+        ids without BOS/EOS. Ties in score are broken toward the smaller
+        token ids, so decoding is fully deterministic. beam_size=1 is
+        greedy decoding. This is the one-source case of _search."""
+        return self._search([state], 0, beam_size, max_len, length_penalty)[0]
 
-        Decoding is incremental: the live beams are the rows of one batch,
-        and each step runs the decoder once, on every beam's newest token. A
-        DecoderCache holds the source's cross-attention keys and values,
-        computed once, and each beam's self-attention keys and values of the
-        earlier positions; when the beams are re-ranked, its rows are
-        gathered by parent beam.
+    def _search(
+        self,
+        states: list[EncoderState],
+        first: int,
+        beam_size: int,
+        max_len: int,
+        length_penalty: float,
+    ) -> list[list[int]]:
+        """Beam-search every source of states at once, one decoder call per
+        step on every row's newest token; states[i] is the caller's source
+        first + i, which a NumericsError names. Row b * S + s is beam b of
+        the s-th unfinished source (see DecoderCache). A source with fewer
+        live beams than the widest repeats its last one, whose outputs are
+        ignored, and leaves the rows when its last beam ends. Each source
+        ranks its own candidates, as when decoded alone.
         """
-        if beam_size < 1:
-            raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
-        if max_len < 1:
-            raise ConfigError(f"max_len must be >= 1, got {max_len}")
-        try:  # gen_len ** length_penalty is monotone in gen_len, so max_len bounds it
-            longest = float(max_len) ** length_penalty
-        except OverflowError:
-            longest = math.inf
-        if not (math.isfinite(length_penalty) and 0.0 < longest < math.inf):
-            raise ConfigError(f"length_penalty {length_penalty!r} overflows max_len ** length_penalty")
+        _check_search(beam_size, max_len, length_penalty)
         eos, n_vocab = self.config.eos_id, self.config.tgt_vocab_size
-        cache = DecoderCache()
-        # active[i] is the cache's row i; rows stay sorted by sequence
-        active: list[tuple[tuple[int, ...], float]] = [((self.config.bos_id,), 0.0)]
-        finished: list[tuple[tuple[int, ...], float]] = []
+        cache = DecoderCache(sources=list(range(first, first + len(states))))
+        # active[s] are source s's live beams, sorted by sequence
+        active: list[list[tuple[tuple[int, ...], float]]] = [[((self.config.bos_id,), 0.0)] for _ in states]
+        finished: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in states]
+        live = list(range(len(states)))  # unfinished sources, in the cache's group order
         for _ in range(max_len):
-            if not active:
+            if not live:
                 break
-            # Live beams have equal length, so with rows sorted by sequence a
-            # stable sort on -score breaks ties by sequence + token.
-            seqs = [seq for seq, _ in active]
-            scores = np.array([lp for _, lp in active])[:, None] + self._beam_log_probs(seqs, state, cache)
-            top = np.argsort(-scores.ravel(), kind="stable")[:beam_size].tolist()
-            ranked = [(i // n_vocab, seqs[i // n_vocab] + (i % n_vocab,), scores.item(i)) for i in top]
-            finished += [(seq, lp) for _, seq, lp in ranked if seq[-1] == eos]
-            live = sorted((item for item in ranked if item[1][-1] != eos), key=lambda item: item[1])
-            cache.select([parent for parent, _, _ in live])
-            active = [(seq, lp) for _, seq, lp in live]
+            width = max(len(active[s]) for s in live)
+            seqs = [active[s][min(b, len(active[s]) - 1)][0] for b in range(width) for s in live]
+            log_probs = self._beam_log_probs(seqs, states, cache).reshape(width, len(live), n_vocab)
+            kept, parents = [], []
+            for j, s in enumerate(live):
+                # Live beams have equal length, so with them sorted by
+                # sequence a stable sort on -score breaks ties by sequence + token.
+                beams = active[s]
+                scores = np.array([lp for _, lp in beams])[:, None] + log_probs[:len(beams), j]
+                top = np.argsort(-scores.ravel(), kind="stable")[:beam_size].tolist()
+                ranked = [(i // n_vocab, beams[i // n_vocab][0] + (i % n_vocab,), scores.item(i)) for i in top]
+                finished[s] += [(seq, lp) for _, seq, lp in ranked if seq[-1] == eos]
+                survivors = sorted((item for item in ranked if item[1][-1] != eos), key=lambda item: item[1])
+                active[s] = [(seq, lp) for _, seq, lp in survivors]
+                if survivors:
+                    kept.append(j)
+                    parents.append([b * len(live) + j for b, _, _ in survivors])
+            live = [live[j] for j in kept]
+            width = max(map(len, parents), default=0)
+            cache.select([rows[min(b, len(rows) - 1)] for b in range(width) for rows in parents], kept)
 
         def rank(item: tuple[tuple[int, ...], float]) -> tuple[float, tuple[int, ...]]:
             """Best length-normalized score first, ties toward the smaller sequence."""
             seq, lp = item
             return -(lp / (len(seq) - 1) ** length_penalty), seq
 
-        best = min(finished + active, key=rank)[0]
-        out = list(best[1:])
-        if out and out[-1] == eos:
-            out.pop()
-        return out
+        summaries = []
+        for done, beams in zip(finished, active):
+            best = list(min(done + beams, key=rank)[0][1:])
+            summaries.append(best[:-1] if best and best[-1] == eos else best)
+        return summaries
 
     def greedy_decode(self, state: EncoderState, max_len: int = 50) -> list[int]:
         return self.beam_search(state, beam_size=1, max_len=max_len)
@@ -689,12 +772,32 @@ class ScriptModel:
         max_len: int = 50,
         length_penalty: float = 1.0,
     ) -> list[int]:
-        """Encode one source and beam-decode its summary ids, recording no
-        graph, under inference_numerics. Every inference caller decodes
-        through here."""
+        """Encode one source and beam-decode its summary ids: the one-source
+        case of summarize_many."""
+        return self.summarize_many([(src_ids, bundle)], beam_size, max_len, length_penalty)[0]
+
+    def summarize_many(
+        self,
+        sources: Sequence[tuple[np.ndarray, StructuralEncodings]],
+        beam_size: int = 5,
+        max_len: int = 50,
+        length_penalty: float = 1.0,
+    ) -> list[list[int]]:
+        """Encode each (src_ids, bundle) source and beam-decode its summary
+        ids, recording no graph, under inference_numerics. Every inference
+        caller decodes through here. Sources are decoded in input order, in
+        chunks of DECODE_CHUNK whose beams share each decoder step, so a
+        summary's bits can depend on the sources decoded with it: the same
+        sources in the same order give the same summaries."""
+        if sources:
+            _check_search(beam_size, max_len, length_penalty)
+        summaries: list[list[int]] = []
         with no_grad(), inference_numerics():
-            state = self.script_encoder(src_ids, bundle)
-            return self.beam_search(state, beam_size, max_len, length_penalty)
+            for first in range(0, len(sources), DECODE_CHUNK):
+                chunk = sources[first:first + DECODE_CHUNK]
+                states = [self.script_encoder(src_ids, bundle) for src_ids, bundle in chunk]
+                summaries += self._search(states, first, beam_size, max_len, length_penalty)
+        return summaries
 
 
 # -- module-level helpers ----------------------------------------------------
@@ -711,13 +814,30 @@ def inference_numerics():
             raise NumericsError(f"{exc} during inference") from exc
 
 
-def _log_softmax(logits: np.ndarray, prefixes) -> np.ndarray:
+def _check_search(beam_size: int, max_len: int, length_penalty: float) -> None:
+    """ConfigError unless beam search can run with these settings."""
+    if beam_size < 1:
+        raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
+    if max_len < 1:
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
+    try:  # gen_len ** length_penalty is monotone in gen_len, so max_len bounds it
+        longest = float(max_len) ** length_penalty
+    except OverflowError:
+        longest = math.inf
+    if not (math.isfinite(length_penalty) and 0.0 < longest < math.inf):
+        raise ConfigError(f"length_penalty {length_penalty!r} overflows max_len ** length_penalty")
+
+
+def _log_softmax(logits: np.ndarray, prefixes, sources=(0,)) -> np.ndarray:
     """Row-wise log-softmax of (rows, vocab) decoder logits; row i follows
-    prefixes[i], which a NumericsError names when the row is not finite."""
+    prefixes[i] of source sources[i % len(sources)], which a NumericsError
+    names when the row is not finite."""
     finite = np.isfinite(logits).all(axis=1)
     if not finite.all():
-        bad = list(prefixes[int(np.argmin(finite))])
-        raise NumericsError(f"decoder logits are not finite after prefix {bad}")
+        row = int(np.argmin(finite))
+        raise NumericsError(
+            f"decoder logits of source {sources[row % len(sources)]} are not finite after prefix {list(prefixes[row])}"
+        )
     z = logits - logits.max(axis=1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 

@@ -78,12 +78,12 @@ class Tensor:
         if not self.needs_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
+            # a copy in self.data's memory layout, not g's: later matmuls
+            # then take the same BLAS path as with a zero-filled buffer
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -231,6 +231,8 @@ def softmax_masked(
     """
     if logits.data.ndim not in (2, 3):
         raise ShapeError(f"softmax expects a 2-D or 3-D tensor, got {logits.shape}")
+    if additive_mask is not None and additive_mask.shape != logits.shape[-2:]:
+        raise ShapeError(f"additive mask {additive_mask.shape} != logits rows/cols {logits.shape[-2:]}")
     s = _masked_softmax(logits.data, additive_mask, scale_matrix)
 
     def backward_fn(g):
@@ -240,16 +242,17 @@ def softmax_masked(
 
 
 def _masked_softmax(z: np.ndarray, additive_mask: np.ndarray | None, scale_matrix: np.ndarray | None) -> np.ndarray:
-    """softmax_masked's forward on an array whose last two axes are (rows, cols)."""
+    """softmax_masked's forward on an array whose last two axes are (rows,
+    cols); additive_mask may also be z's own shape, one mask per head."""
     rows_cols = z.shape[-2:]
     if scale_matrix is not None:
         if scale_matrix.shape != rows_cols:
             raise ShapeError(f"scale matrix {scale_matrix.shape} != logits rows/cols {rows_cols}")
         z = z * scale_matrix
     if additive_mask is not None:
-        if additive_mask.shape != rows_cols:
-            raise ShapeError(f"additive mask {additive_mask.shape} != logits rows/cols {rows_cols}")
-        if np.any(np.all(additive_mask <= NEG_INF, axis=1)):
+        if additive_mask.shape not in (rows_cols, z.shape):
+            raise ShapeError(f"additive mask {additive_mask.shape} != logits rows/cols {rows_cols} or {z.shape}")
+        if np.any(np.all(additive_mask <= NEG_INF, axis=-1)):
             raise NumericsError("softmax row is fully masked")
         z = z + additive_mask
     z = z - z.max(axis=-1, keepdims=True)
@@ -389,8 +392,10 @@ def attention(
 
     returned as (n_q, groups, d). The table scores pick from q times the
     table; the table values sum alpha per table row, then multiply by the
-    table. capture, if given, receives each group's (n_q, n_k) softmax
-    weights, before dropout.
+    table. additive_mask is (n_q, n_k), shared by the groups, or
+    (groups, n_q, n_k), one per group; scale_matrix is (n_q, n_k). capture,
+    if given, receives each group's (n_q, n_k) softmax weights, before
+    dropout.
 
     Gradients are bit-identical to composing one op per step: each partial
     gradient is that op's expression, summed in that graph's order (into

@@ -269,11 +269,10 @@ def evaluate_bleu(
     """Mean sentence BLEU of decoded summaries against the references."""
     if not split:
         return 0.0
+    summaries = model.summarize_many([(ex.src_ids, ex.bundle) for ex in split], beam_size=beam_size, max_len=max_len)
     total = 0.0
-    for ex in split:
-        ids = model.summarize(ex.src_ids, ex.bundle, beam_size=beam_size, max_len=max_len)
-        candidate = tgt_vocab.decode(ids)
-        total += bleu4(EvalPair(candidate=candidate, references=[list(ex.summary_tokens)]))
+    for ex, ids in zip(split, summaries):
+        total += bleu4(EvalPair(candidate=tgt_vocab.decode(ids), references=[list(ex.summary_tokens)]))
     return total / len(split)
 
 

@@ -41,7 +41,6 @@ from scriptsum.tensor import (
     sigmoid,
     softmax_masked,
     sum_all,
-    tensor,
     transpose,
 )
 from scriptsum.training import (
@@ -181,9 +180,9 @@ def test_04_gradient_suite():
         # so every re-evaluation sees the same function
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
-            a = tensor(rng.standard_normal((3, 4)))
-            b = tensor(rng.standard_normal((4, 2)))
-            c = tensor(rng.standard_normal((3, 2)))
+            a = Tensor(rng.standard_normal((3, 4)))
+            b = Tensor(rng.standard_normal((4, 2)))
+            c = Tensor(rng.standard_normal((3, 2)))
             w32 = Tensor(rng.standard_normal((3, 2)))
             w34 = Tensor(rng.standard_normal((3, 4)))
             w36 = Tensor(rng.standard_normal((3, 6)))
@@ -194,17 +193,17 @@ def test_04_gradient_suite():
             check(lambda a_: sum_all(mul(sigmoid(a_), w34)), [a], seed)
             check(lambda a_: sum_all(mul(relu(a_), Tensor(np.ones((3, 4))))), [a], seed)
             check(lambda a_: sum_all(mul(softmax_masked(a_), w34)), [a], seed)
-            g = tensor(rng.standard_normal(4))
-            bias = tensor(rng.standard_normal(4))
+            g = Tensor(rng.standard_normal(4))
+            bias = Tensor(rng.standard_normal(4))
             check(
                 lambda a_, g_, b_: sum_all(mul(layernorm(a_, g_, b_), w34)),
                 [a, g, bias],
                 seed,
             )
-            logits = tensor(rng.standard_normal((5, 6)))
+            logits = Tensor(rng.standard_normal((5, 6)))
             targets = rng.integers(0, 6, 5)
             check(lambda l_: cross_entropy(l_, targets), [logits], seed)
-            table = tensor(rng.standard_normal((7, 3)))
+            table = Tensor(rng.standard_normal((7, 3)))
             ids = rng.integers(0, 7, (4,))
             check(lambda t_: sum_all(mul(embed(t_, ids), w43)), [table], seed)
             idx = rng.integers(0, 7, (2, 3))
@@ -225,7 +224,7 @@ def test_04_gradient_suite():
             rng = np.random.default_rng(200 + seed)
             model = tiny_model(seed=seed)
             bundle = random_bundle(rng, 4)
-            x = tensor(rng.standard_normal((4, model.config.d_model)))
+            x = Tensor(rng.standard_normal((4, model.config.d_model)))
             params = [
                 model.params["enc0.fc2_w"],
                 model.params["enc0.attn.q0"],
@@ -239,7 +238,7 @@ def test_04_gradient_suite():
                 rng = np.random.default_rng(300 + seed)
                 model = tiny_model(seed=seed, mask_mode=mask_mode)
                 bundle = random_bundle(rng, 4)
-                x = tensor(rng.standard_normal((4, model.config.d_model)))
+                x = Tensor(rng.standard_normal((4, model.config.d_model)))
                 params = [
                     model.params["enc1.attn.k1"],
                     model.params["enc1.str_k"],

@@ -16,6 +16,7 @@ from scriptsum.errors import (
 )
 import scriptsum.model
 from scriptsum.checkpoint import load_checkpoint, save_checkpoint
+from scriptsum.data import build_vocab, encode_examples, load_dataset
 from scriptsum.model import (
     LAYER_TAGS,
     SRPE_PLACEMENTS,
@@ -35,8 +36,8 @@ from scriptsum.tensor import (
     mul,
     no_grad,
     sum_all,
-    tensor,
 )
+from scriptsum.training import TrainConfig, train
 
 from conftest import make_example, random_bundle, tiny_config, tiny_model
 from oracles import (
@@ -404,7 +405,7 @@ class TestRdwLayer:
         model = tiny_model()
         n = 4
         bundle = random_bundle(rng, n)
-        x = tensor(rng.standard_normal((n, model.config.d_model)), requires_grad=True)
+        x = Tensor(rng.standard_normal((n, model.config.d_model)), requires_grad=True)
         params = [
             model.params["enc0.fc2_w"],
             model.params["enc0.attn.q0"],
@@ -470,7 +471,7 @@ class TestSrpeiLayer:
         model = tiny_model()
         n = 4
         bundle = random_bundle(rng, n)
-        x = tensor(rng.standard_normal((n, model.config.d_model)), requires_grad=True)
+        x = Tensor(rng.standard_normal((n, model.config.d_model)), requires_grad=True)
         params = [
             model.params["enc1.attn.k1"],
             model.params["enc1.str_k"],
@@ -900,6 +901,161 @@ class TestCachedDecoding:
         for b in range(2):
             assert np.max(np.abs(head[b::2] - full[b][:2])) <= 1e-12
             assert np.max(np.abs(tail[b::2] - full[b][2:])) <= 1e-12
+
+
+# Batched rows are not bit-identical to one-row steps (a row of a 2-D
+# matmul depends on how many rows share it, and padding changes how the
+# softmax sums associate), so each row's log-probabilities are held to this.
+LOG_PROB_TOL = 1e-9
+
+
+def _record_steps(model) -> list[tuple[list, list[int], np.ndarray]]:
+    """Wrap model._beam_log_probs (delete the attribute to unwrap); each
+    decoder step appends (row sequences, the cache's sources, log-probs)."""
+    steps, seam = [], model._beam_log_probs
+
+    def beam_log_probs(seqs, state, cache):
+        out = seam(seqs, state, cache)
+        steps.append((list(seqs), list(cache.sources), out))
+        return out
+
+    model._beam_log_probs = beam_log_probs
+    return steps
+
+
+def _rows_by_source(steps):
+    """Each step's {source: its rows' sequences}; row r of S sources is
+    beam r // S of source r % S."""
+    return [
+        {src: seqs[j::len(sources)] for j, src in enumerate(sources)}
+        for seqs, sources, _ in steps
+    ]
+
+
+def _last_steps(steps) -> set[int]:
+    """The distinct steps at which a source last had rows."""
+    return set({src: t for t, rows in enumerate(_rows_by_source(steps)) for src in rows}.values())
+
+
+def criterion7_source(seed: int):
+    """The source criterion 7 decodes with tiny_model(seed)."""
+    rng = np.random.default_rng(600 + seed)
+    n = int(rng.integers(1, 7))
+    bundle = random_bundle(rng, n)
+    return rng.integers(0, tiny_config().src_vocab_size, n), bundle
+
+
+@pytest.fixture(scope="module")
+def toy_two_epoch(tmp_path_factory, toy_corpus_path):
+    """The README train config after 2 epochs, and the encoded toy corpus."""
+    examples = load_dataset(toy_corpus_path, distance_clip=8)
+    src_vocab, tgt_vocab = build_vocab(examples)
+    config = ModelConfig(
+        src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab), d_model=64, n_heads=4,
+        n_script_modules=1, n_decoder_layers=2, ffn_dim=256, dropout_p=0.2, l=8, k=16,
+    )
+    model = ScriptModel(config, seed=0)
+    train(model, examples, examples, TrainConfig(batch_size=8, lr=3e-3, max_epochs=2, bleu_every=0, seed=0),
+          src_vocab, tgt_vocab, tmp_path_factory.mktemp("toy") / "run")
+    return model, encode_examples(examples, src_vocab, tgt_vocab)
+
+
+class TestMultiSourceDecoding:
+    """summarize_many decodes several sources per decoder step; each
+    source's summary equals decoding it alone."""
+
+    @pytest.mark.parametrize("beam", [1, 5])
+    def test_sources_of_lengths_1_to_20_match_one_source_decoding(self, beam):
+        """One chunk of 20 sources, 1 to 20 tokens long. The raised EOS
+        bias makes greedy sources finish at different steps and beam-5
+        sources carry different numbers of live beams."""
+        model = tiny_model(seed=1, n_decoder_layers=2)
+        model.params["out_bias"].data[model.config.eos_id] += 2.0
+        rng = np.random.default_rng(41)
+        sources = [(rng.integers(0, 13, n), random_bundle(rng, n)) for n in range(1, 21)]
+        with no_grad():
+            states = [model.script_encoder(ids, bundle) for ids, bundle in sources]
+        want = [model.beam_search(state, beam_size=beam, max_len=12) for state in states]
+        steps = _record_steps(model)
+        got = model.summarize_many(sources, beam_size=beam, max_len=12)
+        del model._beam_log_probs
+        assert got == want
+        assert steps[0][1] == list(range(20))
+        for seqs, sources_, log_probs in steps:
+            for r, seq in enumerate(seqs):
+                ref = full_decode_log_probs(model, seq, states[sources_[r % len(sources_)]])
+                assert np.max(np.abs(log_probs[r] - ref)) <= LOG_PROB_TOL
+        if beam == 1:
+            assert len(_last_steps(steps)) >= 3
+        else:  # a source with fewer live beams than the widest repeats its last
+            assert any(len(set(rows)) < len(rows) for step in _rows_by_source(steps) for rows in step.values())
+
+    def test_beam_sources_leave_the_rows_when_they_finish(self, monkeypatch):
+        """A beam source finishes when every top candidate ends in EOS. A
+        table of scores ends sources 0-3 at steps 2, 5, 3 and 7, and gives
+        source 1 fewer live beams at one step."""
+        model = tiny_model(tgt_vocab_size=8)
+        eos, finish = model.config.eos_id, {0: 2, 1: 5, 2: 3, 3: 7}
+
+        def next_log_probs(src, prefix):
+            generated = len(prefix) - 1
+            logits = np.random.default_rng([src, *prefix]).normal(size=model.config.tgt_vocab_size)
+            logits[eos] = 100.0 if generated >= finish[src] else 0.5 if (src, generated) == (1, 1) else -100.0
+            z = logits - logits.max()
+            return z - np.log(np.exp(z).sum())
+
+        def beam_log_probs(seqs, state, cache):  # state holds the sources' labels
+            return np.stack([next_log_probs(state[cache.sources[r % len(cache.sources)]], seq)
+                             for r, seq in enumerate(seqs)])
+
+        monkeypatch.setattr(model, "_beam_log_probs", beam_log_probs)
+        want = [model.beam_search(src, beam_size=3, max_len=10) for src in finish]
+        steps = _record_steps(model)
+        assert model._search(list(finish), 0, 3, 10, 1.0) == want
+        rows = _rows_by_source(steps)
+        assert {src: max(t for t, step in enumerate(rows) if src in step) for src in finish} == finish
+        assert len(set(rows[2][1])) == 2 and len(rows[2][1]) == 3
+
+    def test_toy_corpus_two_epoch_model_matches_one_source_decoding(self, toy_two_epoch):
+        model, encoded = toy_two_epoch
+        sources = [(enc.src_ids, enc.bundle) for enc in encoded]
+        for beam in (1, 5):
+            with no_grad():
+                want = [model.beam_search(model.script_encoder(*source), beam_size=beam) for source in sources]
+            steps = _record_steps(model)
+            assert model.summarize_many(sources, beam_size=beam) == want
+            del model._beam_log_probs
+            if beam == 1:
+                assert len(_last_steps(steps)) >= 3
+
+    def test_criterion7_models_decoded_in_groups(self):
+        """Each of criterion 7's 100 tiny models decodes its own source with
+        the next four models' sources, greedily and with beam 5."""
+        for seed in range(100):
+            model = tiny_model(seed=seed)
+            sources = [criterion7_source((seed + i) % 100) for i in range(5)]
+            for beam in (1, 5):
+                with no_grad():
+                    want = [model.beam_search(model.script_encoder(ids, bundle), beam_size=beam, max_len=8)
+                            for ids, bundle in sources]
+                assert model.summarize_many(sources, beam_size=beam, max_len=8) == want
+
+    def test_chunks_and_non_finite_logits_name_the_source(self, monkeypatch):
+        """Sources are decoded in chunks of DECODE_CHUNK; a source whose
+        logits are not finite is named by its index in the whole list."""
+        monkeypatch.setattr(scriptsum.model, "DECODE_CHUNK", 3)
+        model = tiny_model(seed=1, n_decoder_layers=2)
+        rng = np.random.default_rng(5)
+        sources = [(rng.integers(0, 12, n), random_bundle(rng, n)) for n in (3, 1, 6, 2, 4, 5, 2)]
+        sources[4] = (np.array([12, 3, 4, 5]), sources[4][1])  # the only source holding token 12
+        steps = _record_steps(model)
+        got = model.summarize_many(sources, beam_size=2, max_len=5)
+        del model._beam_log_probs
+        assert got == [model.summarize(ids, bundle, beam_size=2, max_len=5) for ids, bundle in sources]
+        assert sorted({tuple(sources_) for _, sources_, _ in steps}) == [(0, 1, 2), (3, 4, 5), (6,)]
+        model.params["src_embed"].data[12] = np.nan
+        with pytest.raises(NumericsError, match=r"^decoder logits of source 4 are not finite after prefix \[1\]$"):
+            model.summarize_many(sources, beam_size=2, max_len=5)
 
 
 def write_raw_checkpoint(path, params, data: bytes) -> None:

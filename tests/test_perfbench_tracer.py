@@ -4,7 +4,6 @@ so a renamed or deleted one would otherwise fail only a traced benchmark
 run."""
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,9 @@ import scriptsum.checkpoint  # noqa: F401  (the tracer wraps functions of every 
 import scriptsum.data  # noqa: F401
 import scriptsum.metrics  # noqa: F401
 import scriptsum.minilang  # noqa: F401
-import scriptsum.training  # noqa: F401
+import scriptsum.tensor
+import scriptsum.training
+from scriptsum.data import build_vocab, encode_examples, load_dataset
 from scriptsum.model import ScriptModel
 
 from conftest import random_bundle, tiny_model
@@ -28,21 +29,33 @@ def _load_tracing():
     return module
 
 
-def test_tracer_installs_counts_spans_and_uninstalls():
+def test_tracer_installs_counts_spans_and_uninstalls(toy_corpus_path):
+    """One-source summarize and beam_search, and BLEU validation of two
+    sources decoded together, all run under the tracer."""
     tracing = _load_tracing()
-    tensor_module = sys.modules["scriptsum.tensor"]  # the package's `tensor` attribute is a function
-    originals = {op: getattr(tensor_module, op) for op in tracing.COUNTED_OPS}
+    originals = {op: getattr(scriptsum.tensor, op) for op in tracing.COUNTED_OPS}
     methods = {meth: ScriptModel.__dict__[meth] for _, cls, meth, _ in tracing.SPANNED_METHODS if cls == "ScriptModel"}
+    examples = load_dataset(toy_corpus_path, distance_clip=4)[:2]
+    src_vocab, tgt_vocab = build_vocab(examples)
+    split = encode_examples(examples, src_vocab, tgt_vocab)
+    model = tiny_model(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab))
     tracer = tracing.Tracer()
     tracer.install()
     try:
         rng = np.random.default_rng(0)
-        model = tiny_model()
-        model.summarize(rng.integers(0, model.config.src_vocab_size, 4), random_bundle(rng, 4), beam_size=2, max_len=3)
+        ids, bundle = rng.integers(0, model.config.src_vocab_size, 4), random_bundle(rng, 4)
+        model.summarize(ids, bundle, beam_size=2, max_len=3)
+        with scriptsum.tensor.no_grad():
+            model.beam_search(model.script_encoder(ids, bundle), beam_size=2, max_len=3)
+        scriptsum.training.evaluate_bleu(model, split, tgt_vocab, max_len=3)
     finally:
         tracer.uninstall()
     spanned = {span[0] for span in tracer.spans}
-    assert {"model.script_encoder", "model.relative_attention", "model.decode", "model.beam_search"} <= spanned
+    assert {"model.script_encoder", "model.relative_attention", "model.decode", "model.beam_search",
+            "training.evaluate_bleu"} <= spanned
+    bleu_decodes = [i for i, span in enumerate(tracer.spans)
+                    if span[0] == "model.decode" and tracer.spans[span[3]][0] == "training.evaluate_bleu"]
+    assert 0 < len(bleu_decodes) <= 3  # the two sources share each of at most 3 decoder steps
     assert tracer.op_calls["setup"] > 0
-    assert all(getattr(tensor_module, op) is fn for op, fn in originals.items())
+    assert all(getattr(scriptsum.tensor, op) is fn for op, fn in originals.items())
     assert all(ScriptModel.__dict__[meth] is fn for meth, fn in methods.items())

@@ -27,7 +27,6 @@ from scriptsum.tensor import (
     sigmoid,
     softmax_masked,
     sum_all,
-    tensor,
     transpose,
 )
 
@@ -37,37 +36,37 @@ NEG_INF = -1e9
 
 
 def rand(rng, *shape):
-    return tensor(rng.standard_normal(shape), requires_grad=True)
+    return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
 class TestForwardValues:
     def test_sigmoid_at_zero(self):
-        out = sigmoid(tensor(np.zeros((3,))))
+        out = sigmoid(Tensor(np.zeros((3,))))
         assert np.allclose(out.data, 0.5)
 
     def test_sigmoid_saturation_is_finite(self):
-        out = sigmoid(tensor(np.array([-1e4, 1e4])))
+        out = sigmoid(Tensor(np.array([-1e4, 1e4])))
         assert np.all(np.isfinite(out.data))
         assert np.allclose(out.data, [0.0, 1.0])
 
     def test_softmax_uniform(self):
-        out = softmax_masked(tensor(np.zeros((1, 4))))
+        out = softmax_masked(Tensor(np.zeros((1, 4))))
         assert np.allclose(out.data, 0.25)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        out = softmax_masked(tensor(rng.standard_normal((5, 7))))
+        out = softmax_masked(Tensor(rng.standard_normal((5, 7))))
         assert np.allclose(out.data.sum(axis=1), 1.0)
 
     def test_softmax_additive_mask_drops_keys(self):
-        logits = tensor(np.zeros((2, 3)))
+        logits = Tensor(np.zeros((2, 3)))
         mask = np.array([[0.0, NEG_INF, NEG_INF], [0.0, 0.0, NEG_INF]])
         out = softmax_masked(logits, additive_mask=mask)
         assert np.allclose(out.data[0], [1.0, 0.0, 0.0])
         assert np.allclose(out.data[1], [0.5, 0.5, 0.0])
 
     def test_softmax_fully_masked_row(self):
-        logits = tensor(np.zeros((2, 3)))
+        logits = Tensor(np.zeros((2, 3)))
         mask = np.array([[0.0, 0.0, 0.0], [NEG_INF, NEG_INF, NEG_INF]])
         with pytest.raises(NumericsError):
             softmax_masked(logits, additive_mask=mask)
@@ -78,21 +77,21 @@ class TestForwardValues:
         mask = np.zeros((4, 5))
         mask[1, 2:] = NEG_INF
         gate = np.abs(rng.standard_normal((4, 5))) + 0.5
-        out = softmax_masked(tensor(logits), additive_mask=mask, scale_matrix=gate)
+        out = softmax_masked(Tensor(logits), additive_mask=mask, scale_matrix=gate)
         for h in range(3):
-            per_head = softmax_masked(tensor(logits[h]), additive_mask=mask, scale_matrix=gate)
+            per_head = softmax_masked(Tensor(logits[h]), additive_mask=mask, scale_matrix=gate)
             assert np.array_equal(out.data[h], per_head.data)
 
     @pytest.mark.parametrize("bad", [(3, 4, 5), (5, 4), (4,)])
     def test_softmax_3d_mask_must_be_rows_by_cols(self, bad):
-        logits = tensor(np.zeros((3, 4, 5)))
+        logits = Tensor(np.zeros((3, 4, 5)))
         with pytest.raises(ShapeError):
             softmax_masked(logits, additive_mask=np.zeros(bad))
         with pytest.raises(ShapeError):
             softmax_masked(logits, scale_matrix=np.ones(bad))
 
     def test_softmax_scale_matrix_gates_logits(self):
-        logits = tensor(np.array([[1.0, 2.0, 3.0]]))
+        logits = Tensor(np.array([[1.0, 2.0, 3.0]]))
         gate = np.array([[1.0, 0.0, 1.0]])
         out = softmax_masked(logits, scale_matrix=gate)
         manual = np.exp([1.0, 0.0, 3.0])
@@ -100,38 +99,38 @@ class TestForwardValues:
 
     def test_matmul_identity(self):
         rng = np.random.default_rng(1)
-        x = tensor(rng.standard_normal((4, 4)))
-        out = matmul(x, tensor(np.eye(4)))
+        x = Tensor(rng.standard_normal((4, 4)))
+        out = matmul(x, Tensor(np.eye(4)))
         assert np.allclose(out.data, x.data)
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            matmul(tensor(np.zeros((2, 3))), tensor(np.zeros((2, 3))))
+            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
     def test_cross_entropy_uniform_two_way(self):
-        loss = cross_entropy(tensor(np.zeros((1, 2))), np.array([0]))
+        loss = cross_entropy(Tensor(np.zeros((1, 2))), np.array([0]))
         assert np.isclose(float(loss.data), np.log(2.0))
 
     def test_cross_entropy_validation(self):
         with pytest.raises(ShapeError):
-            cross_entropy(tensor(np.zeros((2, 3))), np.array([0, 5]))
+            cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 5]))
         with pytest.raises(ShapeError):
-            cross_entropy(tensor(np.zeros((2, 3))), np.array([0.5, 1.5]))
+            cross_entropy(Tensor(np.zeros((2, 3))), np.array([0.5, 1.5]))
 
     def test_layernorm_standardizes(self):
         rng = np.random.default_rng(3)
-        x = tensor(rng.standard_normal((6, 8)) * 3.0 + 5.0)
-        out = layernorm(x, tensor(np.ones(8)), tensor(np.zeros(8)))
+        x = Tensor(rng.standard_normal((6, 8)) * 3.0 + 5.0)
+        out = layernorm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
         assert np.allclose(out.data.mean(axis=-1), 0.0, atol=1e-9)
         assert np.allclose(out.data.var(axis=-1), 1.0, atol=1e-3)
 
     def test_embed_lookup(self):
-        table = tensor(np.arange(12.0).reshape(4, 3))
+        table = Tensor(np.arange(12.0).reshape(4, 3))
         out = embed(table, np.array([2, 0]))
         assert np.allclose(out.data, [[6.0, 7.0, 8.0], [0.0, 1.0, 2.0]])
 
     def test_embed_rejects_bad_ids(self):
-        table = tensor(np.zeros((4, 3)))
+        table = Tensor(np.zeros((4, 3)))
         with pytest.raises(ShapeError):
             embed(table, np.array([4]))
         with pytest.raises(ShapeError):
@@ -140,7 +139,7 @@ class TestForwardValues:
             embed(table, np.array([0.5]))
 
     def test_gather_pairwise(self):
-        table = tensor(np.arange(6.0).reshape(3, 2))
+        table = Tensor(np.arange(6.0).reshape(3, 2))
         idx = np.array([[0, 1], [2, 0]])
         out = gather(table, idx)
         assert out.shape == (2, 2, 2)
@@ -148,80 +147,80 @@ class TestForwardValues:
 
     def test_relative_scores_and_values_by_hand(self):
         # 1 query, 2 groups, 3 keys over a 2-row table; keys 0 and 2 share row 1
-        table = tensor(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        table = Tensor(np.array([[1.0, 0.0], [0.0, 2.0]]))
         idx = np.array([[1, 0, 1]])
-        q = tensor(np.array([[[3.0, 5.0], [-1.0, 1.0]]]))
+        q = Tensor(np.array([[[3.0, 5.0], [-1.0, 1.0]]]))
         assert np.array_equal(relative_scores(q, table, idx).data, [[[10.0, 3.0, 10.0]], [[2.0, -1.0, 2.0]]])
-        alpha = tensor(np.array([[[0.5, 0.25, 0.25]], [[0.0, 1.0, 0.0]]]))
+        alpha = Tensor(np.array([[[0.5, 0.25, 0.25]], [[0.0, 1.0, 0.0]]]))
         assert np.array_equal(relative_values(alpha, table, idx).data, [[[0.25, 1.5], [1.0, 0.0]]])
 
     @pytest.mark.parametrize("bad", [np.array([[0, 2]]), np.array([[-1, 0]]), np.array([[0.0, 1.0]])])
     def test_relative_ops_reject_bad_ids(self, bad):
-        table = tensor(np.zeros((2, 3)))
+        table = Tensor(np.zeros((2, 3)))
         with pytest.raises(ShapeError):
-            relative_scores(tensor(np.zeros((1, 4, 3))), table, bad)
+            relative_scores(Tensor(np.zeros((1, 4, 3))), table, bad)
         with pytest.raises(ShapeError):
-            relative_values(tensor(np.zeros((4, 1, 2))), table, bad)
+            relative_values(Tensor(np.zeros((4, 1, 2))), table, bad)
 
     def test_relative_ops_reject_bad_shapes(self):
-        table = tensor(np.zeros((2, 3)))
+        table = Tensor(np.zeros((2, 3)))
         idx = np.zeros((2, 2), dtype=np.int64)
         with pytest.raises(ShapeError):  # query rows != index rows
-            relative_scores(tensor(np.zeros((3, 1, 3))), table, idx)
+            relative_scores(Tensor(np.zeros((3, 1, 3))), table, idx)
         with pytest.raises(ShapeError):  # query width != table width
-            relative_scores(tensor(np.zeros((2, 1, 4))), table, idx)
+            relative_scores(Tensor(np.zeros((2, 1, 4))), table, idx)
         with pytest.raises(ShapeError):  # weights (1, 2, 3) over a (2, 2) index
-            relative_values(tensor(np.zeros((1, 2, 3))), table, idx)
+            relative_values(Tensor(np.zeros((1, 2, 3))), table, idx)
         with pytest.raises(ShapeError):
-            relative_values(tensor(np.zeros((2, 2))), table, idx)
+            relative_values(Tensor(np.zeros((2, 2))), table, idx)
 
 
 class TestHandGradients:
     def test_sum_of_matmul_outer_product(self):
         # f(W) = sum(W @ x) has dW = 1 x^T replicated down the rows
-        w = tensor(np.zeros((2, 2)), requires_grad=True)
-        x = tensor(np.array([[3.0], [5.0]]))
+        w = Tensor(np.zeros((2, 2)), requires_grad=True)
+        x = Tensor(np.array([[3.0], [5.0]]))
         loss = sum_all(matmul(w, x))
         backward(loss)
         assert np.allclose(w.grad, [[3.0, 5.0], [3.0, 5.0]])
 
     def test_constant_operands_get_no_gradient(self):
-        x = tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        w = tensor(np.ones((2, 2)), requires_grad=True)
-        c = tensor(np.array([[2.0], [-1.0]]))
+        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        c = Tensor(np.array([[2.0], [-1.0]]))
         backward(sum_all(matmul(matmul(x, w), c)))
         assert x.grad is None and c.grad is None
         assert np.array_equal(w.grad, x.data.T @ np.ones((2, 1)) @ c.data.T)
 
     def test_sigmoid_grad_at_zero(self):
-        x = tensor(np.zeros((1,)), requires_grad=True)
+        x = Tensor(np.zeros((1,)), requires_grad=True)
         backward(sum_all(sigmoid(x)))
         assert np.allclose(x.grad, 0.25)
 
     def test_relu_gate(self):
-        x = tensor(np.array([-1.0, 2.0]), requires_grad=True)
+        x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
         backward(sum_all(relu(x)))
         assert np.allclose(x.grad, [0.0, 1.0])
 
     def test_add_broadcast_bias(self):
-        x = tensor(np.zeros((3, 2)), requires_grad=True)
-        b = tensor(np.zeros((2,)), requires_grad=True)
+        x = Tensor(np.zeros((3, 2)), requires_grad=True)
+        b = Tensor(np.zeros((2,)), requires_grad=True)
         backward(sum_all(add(x, b)))
         assert np.allclose(x.grad, 1.0)
         assert np.allclose(b.grad, [3.0, 3.0])
 
     def test_scale_constant(self):
-        x = tensor(np.ones((2, 2)), requires_grad=True)
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
         backward(sum_all(scale(x, -2.5)))
         assert np.allclose(x.grad, -2.5)
 
     def test_embed_accumulates_repeated_ids(self):
-        table = tensor(np.zeros((3, 2)), requires_grad=True)
+        table = Tensor(np.zeros((3, 2)), requires_grad=True)
         backward(sum_all(embed(table, np.array([1, 1, 2]))))
         assert np.allclose(table.grad, [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
 
     def test_grad_accumulates_across_uses(self):
-        x = tensor(np.array([2.0]), requires_grad=True)
+        x = Tensor(np.array([2.0]), requires_grad=True)
         backward(sum_all(mul(x, x)))
         assert np.allclose(x.grad, 4.0)
 
@@ -259,19 +258,19 @@ class TestFiniteDifferences:
         w = rng.standard_normal((3, 4))
 
         def f(a):
-            return sum_all(mul(softmax_masked(a), tensor(w)))
+            return sum_all(mul(softmax_masked(a), Tensor(w)))
 
         assert grad_check(f, rand(rng, 3, 4)).passed
 
     def test_layernorm_grads(self):
         rng = np.random.default_rng(9)
         x = rand(rng, 4, 6)
-        gain = tensor(rng.standard_normal(6), requires_grad=True)
-        bias = tensor(rng.standard_normal(6), requires_grad=True)
+        gain = Tensor(rng.standard_normal(6), requires_grad=True)
+        bias = Tensor(rng.standard_normal(6), requires_grad=True)
         w = rng.standard_normal((4, 6))
 
         def f(x_, g_, b_):
-            return sum_all(mul(layernorm(x_, g_, b_), tensor(w)))
+            return sum_all(mul(layernorm(x_, g_, b_), Tensor(w)))
 
         assert grad_check(f, [x, gain, bias]).passed
 
@@ -291,7 +290,7 @@ class TestFiniteDifferences:
 
         def f(a, b):
             joined = concat([embed(a, ids), b], axis=1)
-            return sum_all(mul(joined, tensor(w)))
+            return sum_all(mul(joined, Tensor(w)))
 
         table = rand(rng, 4, 3)
         other = rand(rng, 3, 2)
@@ -306,7 +305,7 @@ class TestFiniteDifferences:
 
         def f(a):
             out = softmax_masked(a, additive_mask=mask, scale_matrix=gate)
-            return sum_all(mul(out, tensor(w)))
+            return sum_all(mul(out, Tensor(w)))
 
         assert grad_check(f, rand(rng, 3, 4)).passed
 
@@ -319,7 +318,7 @@ class TestFiniteDifferences:
 
         def f(a):
             out = softmax_masked(a, additive_mask=mask, scale_matrix=gate)
-            return sum_all(mul(out, tensor(w)))
+            return sum_all(mul(out, Tensor(w)))
 
         assert grad_check(f, rand(rng, 2, 3, 4)).passed
 
@@ -329,7 +328,7 @@ class TestFiniteDifferences:
         w = rng.standard_normal((2, 4, 5))
 
         def f(q_, table_):
-            return sum_all(mul(relative_scores(q_, table_, idx), tensor(w)))
+            return sum_all(mul(relative_scores(q_, table_, idx), Tensor(w)))
 
         report = grad_check(f, [rand(rng, 4, 2, 3), rand(rng, 3, 3)])
         assert report.passed, report
@@ -340,7 +339,7 @@ class TestFiniteDifferences:
         w = rng.standard_normal((4, 2, 3))
 
         def f(alpha_, table_):
-            return sum_all(mul(relative_values(alpha_, table_, idx), tensor(w)))
+            return sum_all(mul(relative_values(alpha_, table_, idx), Tensor(w)))
 
         report = grad_check(f, [rand(rng, 2, 4, 5), rand(rng, 3, 3)])
         assert report.passed, report
@@ -348,14 +347,14 @@ class TestFiniteDifferences:
 
 class TestGraphMechanics:
     def test_double_backward_rejected(self):
-        x = tensor(np.ones((2,)), requires_grad=True)
+        x = Tensor(np.ones((2,)), requires_grad=True)
         loss = sum_all(x)
         backward(loss)
         with pytest.raises(StateError):
             backward(loss)
 
     def test_backward_frees_the_graph_without_the_cycle_collector(self):
-        x = tensor(np.ones((3, 3)), requires_grad=True)
+        x = Tensor(np.ones((3, 3)), requires_grad=True)
         gc.disable()
         try:
             hidden = sigmoid(matmul(x, x))
@@ -370,7 +369,7 @@ class TestGraphMechanics:
         assert x.grad is not None
 
     def test_backward_through_consumed_graph_rejected(self):
-        x = tensor(np.ones((2,)), requires_grad=True)
+        x = Tensor(np.ones((2,)), requires_grad=True)
         hidden = sigmoid(x)
         backward(sum_all(hidden))
         first = x.grad.copy()
@@ -382,12 +381,12 @@ class TestGraphMechanics:
         assert np.array_equal(x.grad, first + 1.0)
 
     def test_backward_requires_scalar(self):
-        x = tensor(np.ones((2,)), requires_grad=True)
+        x = Tensor(np.ones((2,)), requires_grad=True)
         with pytest.raises(ShapeError):
             backward(add(x, x))
 
     def test_no_grad_suppresses_graph(self):
-        x = tensor(np.ones((2,)), requires_grad=True)
+        x = Tensor(np.ones((2,)), requires_grad=True)
         with no_grad():
             out = sum_all(sigmoid(x))
         assert out._parents == ()
@@ -395,14 +394,14 @@ class TestGraphMechanics:
         assert x.grad is None
 
     def test_no_grad_restores_state(self):
-        x = tensor(np.ones((2,)), requires_grad=True)
+        x = Tensor(np.ones((2,)), requires_grad=True)
         with no_grad():
             pass
         backward(sum_all(x))
         assert np.allclose(x.grad, 1.0)
 
     def test_shared_subexpression_counted_once_per_path(self):
-        x = tensor(np.array([3.0]), requires_grad=True)
+        x = Tensor(np.array([3.0]), requires_grad=True)
         y = sigmoid(x)
         loss = sum_all(add(y, y))
         backward(loss)
@@ -412,29 +411,29 @@ class TestGraphMechanics:
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
-        x = tensor(np.ones((4, 4)))
+        x = Tensor(np.ones((4, 4)))
         out = dropout(x, 0.5, None, training=False)
         assert out is x
 
     def test_zero_probability_is_identity(self):
-        x = tensor(np.ones((4, 4)))
+        x = Tensor(np.ones((4, 4)))
         assert dropout(x, 0.0, np.random.default_rng(0), training=True) is x
 
     def test_invalid_probability(self):
-        x = tensor(np.ones((2,)))
+        x = Tensor(np.ones((2,)))
         with pytest.raises(ConfigError):
             dropout(x, 1.0, np.random.default_rng(0), training=True)
         with pytest.raises(ConfigError):
             dropout(x, -0.1, np.random.default_rng(0), training=True)
 
     def test_training_requires_rng(self):
-        x = tensor(np.ones((2,)))
+        x = Tensor(np.ones((2,)))
         with pytest.raises(ConfigError):
             dropout(x, 0.5, None, training=True)
 
     def test_inverted_scaling_preserves_expectation(self):
         rng = np.random.default_rng(42)
-        x = tensor(np.ones((200, 200)))
+        x = Tensor(np.ones((200, 200)))
         out = dropout(x, 0.3, rng, training=True)
         kept = out.data[out.data > 0]
         assert np.allclose(kept, 1.0 / 0.7)
@@ -442,7 +441,7 @@ class TestDropout:
 
     def test_mask_reused_in_backward(self):
         rng = np.random.default_rng(1)
-        x = tensor(np.ones((8, 8)), requires_grad=True)
+        x = Tensor(np.ones((8, 8)), requires_grad=True)
         out = dropout(x, 0.5, rng, training=True)
         backward(sum_all(out))
         assert np.array_equal((x.grad > 0), (out.data > 0))
@@ -488,13 +487,13 @@ def _attention_case(case, rng):
 class TestAttention:
     @staticmethod
     def _run(op, q0, k0, v0, tables0, kwargs, w):
-        q, k, v = (tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
-        tables = [(tensor(tk.copy(), requires_grad=True), tensor(tv.copy(), requires_grad=True), idx)
+        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
+        tables = [(Tensor(tk.copy(), requires_grad=True), Tensor(tv.copy(), requires_grad=True), idx)
                   for tk, tv, idx in tables0]
         captured = []
         rng = np.random.default_rng(7) if kwargs.get("training") else None
         out = op(q, k, v, tables, rng=rng, capture=captured, **kwargs)
-        backward(sum_all(mul(out, tensor(w))))
+        backward(sum_all(mul(out, Tensor(w))))
         grads = [q.grad, k.grad, v.grad] + [t.grad for tk, tv, _ in tables for t in (tk, tv)]
         return out.data, grads, captured
 
@@ -526,25 +525,49 @@ class TestAttention:
             tables = [(sk, sv, tables0[0][2]), (tk, tv, tables0[1][2])]
             out = attention(q, k, v, tables, additive_mask=mask, scale_matrix=gate,
                             dropout_p=0.25, rng=np.random.default_rng(3), training=True)
-            return sum_all(mul(out, tensor(w)))
+            return sum_all(mul(out, Tensor(w)))
 
-        points = [tensor(a) for a in (q0, k0, v0) + tuple(t for tk, tv, _ in tables0 for t in (tk, tv))]
+        points = [Tensor(a) for a in (q0, k0, v0) + tuple(t for tk, tv, _ in tables0 for t in (tk, tv))]
         report = grad_check(f, points)
         assert report.passed, report
 
+    def test_per_group_mask_equals_each_group_alone(self):
+        """A (groups, n_q, n_k) mask masks each group on its own: the output
+        and the q, k, v gradients equal attention over each group alone with
+        its own (n_q, n_k) mask, and one fully masked row in any group
+        raises."""
+        rng = np.random.default_rng(21)
+        n_q, n_k, groups, d = 3, 6, 4, 5
+        q0, k0, v0 = (rng.standard_normal((n, groups, d)) for n in (n_q, n_k, n_k))
+        mask = np.where(rng.random((groups, n_q, n_k)) < 0.4, NEG_INF, 0.0)
+        mask[:, :, 0] = 0.0
+        w = rng.standard_normal(q0.shape)
+        out, grads, _ = self._run(attention, q0, k0, v0, [], dict(additive_mask=mask), w)
+        for g in range(groups):
+            one = np.s_[:, g:g + 1]
+            out_g, grads_g, _ = self._run(attention, q0[one], k0[one], v0[one], [], {"additive_mask": mask[g]}, w[one])
+            assert np.array_equal(out[one], out_g)
+            for mine, ref in zip(grads, grads_g):
+                assert np.array_equal(mine[one], ref)
+        mask[2, 1] = NEG_INF
+        with pytest.raises(NumericsError):
+            attention(Tensor(q0), Tensor(k0), Tensor(v0), additive_mask=mask)
+
     def test_rejects_bad_inputs(self):
-        q, kv = tensor(np.zeros((2, 1, 3))), tensor(np.zeros((4, 1, 3)))
-        table = tensor(np.zeros((5, 3)))
+        q, kv = Tensor(np.zeros((2, 1, 3))), Tensor(np.zeros((4, 1, 3)))
+        table = Tensor(np.zeros((5, 3)))
         ok_idx = np.zeros((2, 4), dtype=np.int64)
         for bad_idx in (np.full((2, 4), 5), np.full((2, 4), -1), np.zeros((2, 4)), np.zeros((2, 3), dtype=np.int64)):
             with pytest.raises(ShapeError):
                 attention(q, kv, kv, [(table, table, bad_idx)])
         with pytest.raises(ShapeError):  # table width != query width
-            attention(q, kv, kv, [(tensor(np.zeros((5, 2))), tensor(np.zeros((5, 2))), ok_idx)])
+            attention(q, kv, kv, [(Tensor(np.zeros((5, 2))), Tensor(np.zeros((5, 2))), ok_idx)])
         with pytest.raises(ShapeError):  # keys and values differ
-            attention(q, kv, tensor(np.zeros((3, 1, 3))))
+            attention(q, kv, Tensor(np.zeros((3, 1, 3))))
         with pytest.raises(ShapeError):  # groups differ
-            attention(q, tensor(np.zeros((4, 2, 3))), tensor(np.zeros((4, 2, 3))))
+            attention(q, Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros((4, 2, 3))))
+        with pytest.raises(ShapeError):  # a mask for two groups
+            attention(q, kv, kv, additive_mask=np.zeros((2, 2, 4)))
         with pytest.raises(NumericsError):
             attention(q, kv, kv, additive_mask=np.full((2, 4), NEG_INF))
         with pytest.raises(ConfigError):
@@ -562,12 +585,12 @@ class TestGradCheckHarness:
             factor = 1.0 if calls["n"] == 1 else 2.0
             return sum_all(mul(scale(a, factor), a))
 
-        x = tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
         report = grad_check(f, x)
         assert not report.passed
         assert report.max_rel_error > 0.4
 
     def test_epsilon_and_tolerance_are_configurable(self):
-        x = tensor(np.array([0.3]), requires_grad=True)
+        x = Tensor(np.array([0.3]), requires_grad=True)
         report = grad_check(lambda a: sum_all(sigmoid(a)), x, tolerance=1e-6, epsilon=1e-6)
         assert report.tolerance == 1e-6
