@@ -275,18 +275,22 @@ def _leaf_sentinel(node: AstNode) -> str | None:
     return None
 
 
-def leaf_tokens(ast: Ast) -> tuple[list[str], TokenAlignment]:
+def leaf_tokens(ast: Ast, limit: int | None = None) -> tuple[list[str], TokenAlignment]:
     """Token stream from leaves in document order, plus its alignment.
 
     String/number leaves become the STR/NUM sentinels; identifier leaves are
-    subtoken-split, with every subtoken aligned to the same leaf id.
+    subtoken-split, with every subtoken aligned to the same leaf id. With a
+    limit, leaves past the first limit tokens are not tokenised: the result
+    is the first limit tokens of the unlimited stream.
     """
     tokens: list[str] = []
     mapping: list[int] = []
     for leaf_id in ast.leaf_order:
+        if limit is not None and len(tokens) >= limit:
+            break
         node = ast.nodes[leaf_id]
         sentinel = _leaf_sentinel(node)
         parts = [sentinel] if sentinel is not None else split_identifier(node.value or "")
         tokens.extend(parts)
         mapping.extend([leaf_id] * len(parts))
-    return tokens, TokenAlignment(tuple(mapping))
+    return tokens[:limit], TokenAlignment(tuple(mapping[:limit]))

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .astcore import Ast, TokenAlignment, ast_from_json, leaf_tokens
+from .astcore import Ast, ast_from_json, leaf_tokens
 from .minilang import parse_minilang
 from .errors import ConfigError, EmptyCorpusError, FormatError, MiniLangSyntaxError, TreeError
 from .errors import parse_json, read_json_object
@@ -161,9 +161,7 @@ def example_from_record(
         ast = parse_minilang(record["code"])
     else:
         ast = ast_from_json(record["ast"])
-    tokens, alignment = leaf_tokens(ast)
-    tokens = tokens[:MAX_SOURCE_TOKENS]
-    alignment = TokenAlignment(alignment.token_to_node[:MAX_SOURCE_TOKENS])
+    tokens, alignment = leaf_tokens(ast, MAX_SOURCE_TOKENS)
     bundle = encode_structure(ast, alignment, distance_clip, view_weights)
     summary = summary_tokens(record["summary"])[:MAX_SUMMARY_TOKENS]
     return Example(

@@ -64,6 +64,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -475,13 +476,15 @@ class ScriptModel:
         training: bool = False,
         rng: np.random.Generator | None = None,
         capture: list | None = None,
+        seq_idx: np.ndarray | None = None,
     ) -> Tensor:
         """One encoder layer: relative self-attention, then the FFN block.
 
         RDW first sums a sigmoid gate of FC1(H) + FC2(M_bar H) into H. Every
         tag adds the sequential tables, the structural tables are added when
         srpe_placement covers the tag, and SRPEi gates the attention by the
-        multi-view matrix.
+        multi-view matrix. seq_idx is the sequential tables' index,
+        _seq_idx(n), which script_encoder computes once for every layer.
         """
         p = self.params
         cfg = self.config
@@ -499,7 +502,7 @@ class ScriptModel:
                 )
             )
             x = add(x, h_hat)
-        rel = ((f"{base}.seq", self._seq_idx(n)),)
+        rel = ((f"{base}.seq", self._seq_idx(n) if seq_idx is None else seq_idx),)
         if tag in STRUCTURAL_TAGS[cfg.srpe_placement]:
             rel += ((f"{base}.str", bundle.bucket_ids),)
         attn = self.relative_attention(
@@ -544,7 +547,7 @@ class ScriptModel:
                 raise ShapeError(f"{name} shape {arr.shape} != ({n}, {n})")
         x = scale(embed(p["src_embed"], src_ids), math.sqrt(cfg.d_model))
         x = dropout(x, cfg.dropout_p, rng, training)
-        common = dict(training=training, rng=rng, capture=capture)
+        common = dict(training=training, rng=rng, capture=capture, seq_idx=self._seq_idx(n))
         for first in range(0, cfg.n_encoder_layers, 2):
             second = first + 1
             h = self.encoder_layer(cfg.layer_plan[first], first, x, bundle, **common)
@@ -716,17 +719,30 @@ class ScriptModel:
         first + i, which a NumericsError names. Row b * S + s is beam b of
         the s-th unfinished source (see DecoderCache). A source with fewer
         live beams than the widest repeats its last one, whose outputs are
-        ignored, and leaves the rows when its last beam ends. Each source
-        ranks its own candidates, as when decoded alone.
+        ignored. Each source ranks its own candidates, as when decoded
+        alone, and leaves the rows when its last beam ends or when no live
+        beam can overtake its best finished one: log-probs only fall, so a
+        live beam's normalized score can reach at most its log-prob over
+        the largest L ** length_penalty of the lengths L it can still end
+        at, and a source stops once its best finished score is strictly
+        greater than that bound for every live beam.
         """
         _check_search(beam_size, max_len, length_penalty)
         eos, n_vocab = self.config.eos_id, self.config.tgt_vocab_size
+
+        def normalized(seq: tuple[int, ...], lp: float) -> float:
+            return lp / (len(seq) - 1) ** length_penalty
+
+        # reach[t]: the largest L ** length_penalty over t < L <= max_len,
+        # the lengths a live beam of t tokens can still end at
+        reach = list(accumulate((length ** length_penalty for length in range(max_len, 0, -1)), max))[::-1]
         cache = DecoderCache(sources=list(range(first, first + len(states))))
         # active[s] are source s's live beams, sorted by sequence
         active: list[list[tuple[tuple[int, ...], float]]] = [[((self.config.bos_id,), 0.0)] for _ in states]
         finished: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in states]
+        best = [-math.inf] * len(states)  # each source's best finished normalized score
         live = list(range(len(states)))  # unfinished sources, in the cache's group order
-        for _ in range(max_len):
+        for step in range(1, max_len + 1):
             if not live:
                 break
             width = max(len(active[s]) for s in live)
@@ -740,8 +756,14 @@ class ScriptModel:
                 scores = np.array([lp for _, lp in beams])[:, None] + log_probs[:len(beams), j]
                 top = np.argsort(-scores.ravel(), kind="stable")[:beam_size].tolist()
                 ranked = [(i // n_vocab, beams[i // n_vocab][0] + (i % n_vocab,), scores.item(i)) for i in top]
-                finished[s] += [(seq, lp) for _, seq, lp in ranked if seq[-1] == eos]
+                ended = [(seq, lp) for _, seq, lp in ranked if seq[-1] == eos]
+                finished[s] += ended
+                best[s] = max([best[s]] + [normalized(seq, lp) for seq, lp in ended])
                 survivors = sorted((item for item in ranked if item[1][-1] != eos), key=lambda item: item[1])
+                if survivors and step < max_len and best[s] > max(lp for _, _, lp in survivors) / reach[step]:
+                    # dropped, not ranked: decoding on, each would end
+                    # later, below the best finished one
+                    survivors = []
                 active[s] = [(seq, lp) for _, seq, lp in survivors]
                 if survivors:
                     kept.append(j)
@@ -752,13 +774,12 @@ class ScriptModel:
 
         def rank(item: tuple[tuple[int, ...], float]) -> tuple[float, tuple[int, ...]]:
             """Best length-normalized score first, ties toward the smaller sequence."""
-            seq, lp = item
-            return -(lp / (len(seq) - 1) ** length_penalty), seq
+            return -normalized(*item), item[0]
 
         summaries = []
         for done, beams in zip(finished, active):
-            best = list(min(done + beams, key=rank)[0][1:])
-            summaries.append(best[:-1] if best and best[-1] == eos else best)
+            best_seq = list(min(done + beams, key=rank)[0][1:])
+            summaries.append(best_seq[:-1] if best_seq and best_seq[-1] == eos else best_seq)
         return summaries
 
     def greedy_decode(self, state: EncoderState, max_len: int = 50) -> list[int]:

@@ -233,37 +233,47 @@ def softmax_masked(
         raise ShapeError(f"softmax expects a 2-D or 3-D tensor, got {logits.shape}")
     if additive_mask is not None and additive_mask.shape != logits.shape[-2:]:
         raise ShapeError(f"additive mask {additive_mask.shape} != logits rows/cols {logits.shape[-2:]}")
-    s = _masked_softmax(logits.data, additive_mask, scale_matrix)
+    s = _masked_softmax(logits.data.copy(), additive_mask, scale_matrix)
 
     def backward_fn(g):
-        logits.accumulate(_masked_softmax_grad(g, s, scale_matrix))
+        logits.accumulate(_masked_softmax_grad(g.copy(), s, scale_matrix))
 
     return _make(s, (logits,), backward_fn)
 
 
 def _masked_softmax(z: np.ndarray, additive_mask: np.ndarray | None, scale_matrix: np.ndarray | None) -> np.ndarray:
-    """softmax_masked's forward on an array whose last two axes are (rows,
-    cols); additive_mask may also be z's own shape, one mask per head."""
+    """softmax_masked's forward, computed in z itself, which is returned;
+    z's last two axes are (rows, cols), and additive_mask may also be z's
+    own shape, one mask per head."""
     rows_cols = z.shape[-2:]
-    if scale_matrix is not None:
-        if scale_matrix.shape != rows_cols:
-            raise ShapeError(f"scale matrix {scale_matrix.shape} != logits rows/cols {rows_cols}")
-        z = z * scale_matrix
+    if scale_matrix is not None and scale_matrix.shape != rows_cols:
+        raise ShapeError(f"scale matrix {scale_matrix.shape} != logits rows/cols {rows_cols}")
     if additive_mask is not None:
         if additive_mask.shape not in (rows_cols, z.shape):
             raise ShapeError(f"additive mask {additive_mask.shape} != logits rows/cols {rows_cols} or {z.shape}")
         if np.any(np.all(additive_mask <= NEG_INF, axis=-1)):
             raise NumericsError("softmax row is fully masked")
-        z = z + additive_mask
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    if scale_matrix is not None:
+        z *= scale_matrix
+    if additive_mask is not None:
+        z += additive_mask
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
-def _masked_softmax_grad(g: np.ndarray, s: np.ndarray, scale_matrix: np.ndarray | None) -> np.ndarray:
-    """Gradient of the logits given the gradient g of softmax weights s."""
-    gz = (g - (g * s).sum(axis=-1, keepdims=True)) * s
-    return gz if scale_matrix is None else gz * scale_matrix
+def _masked_softmax_grad(
+    g: np.ndarray, s: np.ndarray, scale_matrix: np.ndarray | None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Gradient of the logits given the gradient g of softmax weights s,
+    computed in g itself, which is returned; g * s goes to scratch if
+    given, an array of g's shape."""
+    g -= np.multiply(g, s, out=scratch).sum(axis=-1, keepdims=True)
+    g *= s
+    if scale_matrix is not None:
+        g *= scale_matrix
+    return g
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -345,24 +355,50 @@ def gather(table: Tensor, idx: np.ndarray) -> Tensor:
 # A relative-position table has 9 to 65 rows, and an (n_q, n_k) index picks
 # one per query-key pair. The table terms work on (n_q * groups, rows)
 # arrays, row i * groups + h, instead of gathering (n_q, n_k, d) copies of
-# the rows; _row_sums and _pick are each other's adjoint.
+# the rows; _row_sums and _pick are each other's adjoint, and both address
+# a table's picks through one flat index, built once per attention call.
+#
+# The (groups, n_q, n_k) scores are the only large arrays: 5 MiB at the
+# 400-token input cap, where each fresh array costs a page fault per 4 KiB
+# page. So attention runs every elementwise pass over them in place, in
+# forward and backward, and allocates each score-sized array at most once
+# per call: the scores, which become the softmax weights; one scratch array
+# that holds each table's picked scores and then, viewed as int64, each
+# table's bincount keys; and in backward the weights' gradient. The keys are
+# rewritten into the scratch for each use rather than kept per table:
+# keeping them raised a call's peak from under 3 to over 4 score arrays, and
+# the page faults with it. An in-place operation rounds as its out-of-place
+# form does, and bincount adds each row's weights in increasing j, as the
+# composed ops do, so outputs and gradients are the same bits either way.
 
 
-def _row_sums(w: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
+def _flat_index(idx: np.ndarray, rows: int) -> np.ndarray:
+    """(n_q * n_k,) positions of idx's picks in a row of n_q tables of rows
+    rows each: query i's pick idx[i, j] sits at i * rows + idx[i, j]."""
+    return (idx + (np.arange(idx.shape[0]) * rows)[:, None]).ravel()
+
+
+def _row_sums(w: np.ndarray, flat: np.ndarray, rows: int, scratch: np.ndarray) -> np.ndarray:
     """(groups, n_q, n_k) weights summed per table row: row i * groups + h,
-    column r sums w[h, i, j] over the keys j with idx[i, j] == r."""
+    column r sums w[h, i, j] over the keys j with idx[i, j] == r, in
+    increasing j. bincount's keys are written over the C-contiguous
+    float64 scratch, an array of w's shape."""
     groups, n_q, _ = w.shape
-    offsets = (np.arange(n_q) * groups + np.arange(groups)[:, None]) * rows  # (groups, n_q)
-    keys = (idx + offsets[:, :, None]).ravel()
-    return np.bincount(keys, weights=w.ravel(), minlength=n_q * groups * rows).reshape(-1, rows)
+    keys = scratch.view(np.int64)
+    np.add(flat, (np.arange(groups) * (n_q * rows))[:, None], out=keys.reshape(groups, -1))
+    sums = np.bincount(keys.ravel(), weights=w.ravel(), minlength=groups * n_q * rows)
+    return sums.reshape(groups, n_q, rows).transpose(1, 0, 2).reshape(-1, rows)
 
 
-def _pick(m: np.ndarray, idx: np.ndarray, groups: int) -> np.ndarray:
-    """(n_q * groups, rows) picked by idx: out[h, i, j] = m[i * groups + h, idx[i, j]]."""
-    n_q, n_k = idx.shape
+def _pick(m: np.ndarray, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(n_q * groups, rows) picked by idx into the C-contiguous (groups,
+    n_q, n_k) out, which is returned: out[h, i, j] = m[i * groups + h,
+    idx[i, j]]."""
+    groups, n_q, _ = out.shape
     by_group = np.ascontiguousarray(m.reshape(n_q, groups, -1).transpose(1, 0, 2)).reshape(groups, -1)
-    flat = (idx + (np.arange(n_q) * m.shape[1])[:, None]).ravel()
-    return np.take(by_group, flat, axis=1).reshape(groups, n_q, n_k)
+    # flat is in range; mode="raise" would write through a buffered copy of out
+    np.take(by_group, flat, axis=1, out=out.reshape(groups, -1), mode="clip")
+    return out
 
 
 def attention(
@@ -397,6 +433,12 @@ def attention(
     if given, receives each group's (n_q, n_k) softmax weights, before
     dropout.
 
+    Every elementwise pass over the (groups, n_q, n_k) scores runs in
+    place (see the note above _flat_index): the scores become the softmax
+    weights, one scratch array serves every table's picks and bincount
+    keys in forward and backward, and each table's flat index is built
+    once per call. The inputs, masks and tables are only read.
+
     Gradients are bit-identical to composing one op per step: each partial
     gradient is that op's expression, summed in that graph's order (into
     alpha the alpha v term, then each table's; into q the q k^T term, then
@@ -415,21 +457,23 @@ def attention(
         idx = _check_ids(idx, table_k.shape[0], "relative-position")
         if idx.shape != (n_q, n_k):
             raise ShapeError(f"relative index {idx.shape} != scores' ({n_q}, {n_k})")
-        checked.append((table_k, table_v, idx))
+        checked.append((table_k, table_v, _flat_index(idx, table_k.shape[0])))
     tables = checked
     q_rows = q.data.reshape(-1, d)
     q_t = q.data.transpose(1, 0, 2)
     e = q_t @ k.data.transpose(1, 2, 0)  # (groups, n_q, n_k)
-    for table_k, _, idx in tables:
-        e = e + _pick(q_rows @ table_k.data.T, idx, groups)
+    scratch = np.empty_like(e) if tables else None
+    for table_k, _, flat in tables:
+        e += _pick(q_rows @ table_k.data.T, flat, scratch)
     c = 1.0 / math.sqrt(d)
-    s = _masked_softmax(e * c, additive_mask, scale_matrix)
+    e *= c
+    s = _masked_softmax(e, additive_mask, scale_matrix)  # e itself
     if capture is not None:
         capture.extend(head.copy() for head in s)
     keep = _dropout_keep(s.shape, dropout_p, rng, training)
     alpha = s if keep is None else s * keep
     out_data = (alpha @ v.data.transpose(1, 0, 2)).transpose(1, 0, 2)
-    sums = [_row_sums(alpha, idx, table_v.shape[0]) for _, table_v, idx in tables]
+    sums = [_row_sums(alpha, flat, table_v.shape[0], scratch) for _, table_v, flat in tables]
     for (_, table_v, _), rows in zip(tables, sums):
         out_data = out_data + (rows @ table_v.data).reshape(n_q, groups, d)
 
@@ -438,16 +482,17 @@ def attention(
         g_av = np.ascontiguousarray(g.transpose(1, 0, 2))
         g_alpha = g_av @ v.data.transpose(1, 2, 0)
         v.accumulate((alpha.swapaxes(-1, -2) @ g_av).transpose(1, 0, 2))
-        for (_, table_v, idx), rows in zip(tables, sums):
-            g_alpha += _pick(g_rows @ table_v.data.T, idx, groups)
+        for (_, table_v, flat), rows in zip(tables, sums):
+            g_alpha += _pick(g_rows @ table_v.data.T, flat, scratch)
             table_v.accumulate(rows.T @ g_rows)
         if keep is not None:
-            g_alpha = g_alpha * keep
-        g_e = _masked_softmax_grad(g_alpha, s, scale_matrix) * c
+            g_alpha *= keep
+        g_e = _masked_softmax_grad(g_alpha, s, scale_matrix, scratch)  # g_alpha itself
+        g_e *= c
         g_q = (g_e @ k.data.transpose(1, 0, 2)).transpose(1, 0, 2)
         k.accumulate((q_t.swapaxes(-1, -2) @ g_e).transpose(2, 0, 1))
-        for table_k, _, idx in tables:
-            rows = _row_sums(g_e, idx, table_k.shape[0])
+        for table_k, _, flat in tables:
+            rows = _row_sums(g_e, flat, table_k.shape[0], scratch)
             g_q = g_q + (rows @ table_k.data).reshape(q.shape)
             table_k.accumulate(rows.T @ q_rows)
         q.accumulate(g_q)

@@ -18,18 +18,17 @@ import numpy as np
 
 from scriptsum.astcore import Ast, AstNode, TokenAlignment
 from scriptsum.errors import ShapeError
-from scriptsum.model import NEG_INF, _affine, _log_softmax
+from scriptsum.model import NEG_INF, DecoderCache, _affine, _log_softmax
 from scriptsum.structure import _flow_edges, _statement_of
 from scriptsum.tensor import (
     Tensor,
     _check_ids,
     _make,
-    _pick,
-    _row_sums,
     add,
     dropout,
     gather,
     matmul,
+    mul,
     no_grad,
     reshape,
     scale,
@@ -258,6 +257,24 @@ def vanilla_attention(
     return np.concatenate(heads, axis=1) @ params[f"{prefix}.out_w"] + params[f"{prefix}.out_b"]
 
 
+def pick_rows(m: np.ndarray, idx: np.ndarray, groups: int) -> np.ndarray:
+    """out[h, i, j] = m[i * groups + h, idx[i, j]] for an (n_q * groups,
+    rows) m, by fancy indexing."""
+    n_q = idx.shape[0]
+    picked = m.reshape(n_q, groups, -1)[np.arange(n_q)[:, None], :, idx]  # (n_q, n_k, groups)
+    return np.ascontiguousarray(picked.transpose(2, 0, 1))
+
+
+def sum_rows(w: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
+    """(groups, n_q, n_k) weights summed per table row into an (n_q *
+    groups, rows) array by np.add.at, which adds in index order: each
+    entry sums its keys j in increasing order, from zero."""
+    groups, n_q, _ = w.shape
+    out = np.zeros((n_q, groups, rows))
+    np.add.at(out, (np.arange(n_q)[None, :, None], np.arange(groups)[:, None, None], idx[None]), w)
+    return out.reshape(-1, rows)
+
+
 def relative_scores(q: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
     """Query-table scores out[h, i, j] = q[i, h] . table[idx[i, j]] as one
     autodiff op: the key-table term of tensor.attention on its own.
@@ -275,10 +292,10 @@ def relative_scores(q: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
     if idx.ndim != 2 or idx.shape[0] != n_q:
         raise ShapeError(f"relative index {idx.shape} does not have {n_q} query rows")
     q_rows = q.data.reshape(-1, d)
-    out_data = _pick(q_rows @ table.data.T, idx, groups)
+    out_data = pick_rows(q_rows @ table.data.T, idx, groups)
 
     def backward_fn(g):
-        sums = _row_sums(g, idx, rows)
+        sums = sum_rows(g, idx, rows)
         if q.needs_grad:
             q.accumulate((sums @ table.data).reshape(q.shape))
         if table.needs_grad:
@@ -303,13 +320,13 @@ def relative_values(alpha: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
     idx = _check_ids(idx, rows, "relative-position")
     if idx.shape != (n_q, n_k):
         raise ShapeError(f"relative index {idx.shape} != weights' ({n_q}, {n_k})")
-    sums = _row_sums(alpha.data, idx, rows)
+    sums = sum_rows(alpha.data, idx, rows)
     out_data = (sums @ table.data).reshape(n_q, groups, d)
 
     def backward_fn(g):
         g_rows = g.reshape(-1, d)
         if alpha.needs_grad:
-            alpha.accumulate(_pick(g_rows @ table.data.T, idx, groups))
+            alpha.accumulate(pick_rows(g_rows @ table.data.T, idx, groups))
         if table.needs_grad:
             table.accumulate(sums.T @ g_rows)
 
@@ -319,14 +336,19 @@ def relative_values(alpha: Tensor, table: Tensor, idx: np.ndarray) -> Tensor:
 def composed_attention(q, k, v, tables=(), *, additive_mask=None, scale_matrix=None,
                        dropout_p=0.0, rng=None, training=False, capture=None):
     """tensor.attention composed from one autodiff op per step: QK^T,
-    relative_scores per table, the scale, softmax_masked, dropout, alpha V
-    and relative_values per table. The reference its outputs and gradients
-    must equal bit for bit."""
+    relative_scores per table, the scale, the gate (mul), the mask (add),
+    softmax_masked, dropout, alpha V and relative_values per table. The
+    reference its outputs and gradients must equal bit for bit. The gate
+    and mask are ops of their own, so the mask may be per group."""
     e = matmul(transpose(q, (1, 0, 2)), transpose(k, (1, 2, 0)))  # (groups, n_q, n_k)
     for table_k, _, idx in tables:
         e = add(e, relative_scores(q, table_k, idx))
     e = scale(e, 1.0 / math.sqrt(q.shape[2]))
-    alpha = softmax_masked(e, additive_mask=additive_mask, scale_matrix=scale_matrix)
+    if scale_matrix is not None:
+        e = mul(e, Tensor(np.broadcast_to(scale_matrix, e.shape)))
+    if additive_mask is not None:
+        e = add(e, Tensor(np.broadcast_to(additive_mask, e.shape)))
+    alpha = softmax_masked(e)
     if capture is not None:
         capture.extend(head.copy() for head in alpha.data)
     alpha = dropout(alpha, dropout_p, rng, training)
@@ -409,6 +431,50 @@ def greedy_oracle(model, state, max_len: int) -> list[int]:
     if out and out[-1] == eos:
         out.pop()
     return out
+
+
+def search_to_the_end(model, states, beam_size: int, max_len: int, length_penalty: float = 1.0) -> list[list[int]]:
+    """ScriptModel._search with its former stopping rule: a source ends only
+    when all of its top beam_size candidates of one step end in EOS, so a
+    beam source almost always decodes to max_len. The reference for the
+    rule that also ends a source once no live beam can overtake its best
+    finished hypothesis; decode one source per call to compare bits."""
+    eos, n_vocab = model.config.eos_id, model.config.tgt_vocab_size
+    cache = DecoderCache(sources=list(range(len(states))))
+    active = [[((model.config.bos_id,), 0.0)] for _ in states]
+    finished = [[] for _ in states]
+    live = list(range(len(states)))
+    for _ in range(max_len):
+        if not live:
+            break
+        width = max(len(active[s]) for s in live)
+        seqs = [active[s][min(b, len(active[s]) - 1)][0] for b in range(width) for s in live]
+        log_probs = model._beam_log_probs(seqs, states, cache).reshape(width, len(live), n_vocab)
+        kept, parents = [], []
+        for j, s in enumerate(live):
+            beams = active[s]
+            scores = np.array([lp for _, lp in beams])[:, None] + log_probs[:len(beams), j]
+            top = np.argsort(-scores.ravel(), kind="stable")[:beam_size].tolist()
+            ranked = [(i // n_vocab, beams[i // n_vocab][0] + (i % n_vocab,), scores.item(i)) for i in top]
+            finished[s] += [(seq, lp) for _, seq, lp in ranked if seq[-1] == eos]
+            survivors = sorted((item for item in ranked if item[1][-1] != eos), key=lambda item: item[1])
+            active[s] = [(seq, lp) for _, seq, lp in survivors]
+            if survivors:
+                kept.append(j)
+                parents.append([b * len(live) + j for b, _, _ in survivors])
+        live = [live[j] for j in kept]
+        width = max(map(len, parents), default=0)
+        cache.select([rows[min(b, len(rows) - 1)] for b in range(width) for rows in parents], kept)
+
+    def rank(item):
+        seq, lp = item
+        return -(lp / (len(seq) - 1) ** length_penalty), seq
+
+    summaries = []
+    for done, beams in zip(finished, active):
+        best = list(min(done + beams, key=rank)[0][1:])
+        summaries.append(best[:-1] if best and best[-1] == eos else best)
+    return summaries
 
 
 def _sequence_logprob(model, state, emitted: tuple[int, ...]) -> float:

@@ -206,6 +206,19 @@ class TestLeafTokens:
             assert ranks == sorted(ranks)
             assert set(ids) == set(ast.leaf_order)
 
+    def test_limit_keeps_the_unlimited_prefix(self):
+        """A limit cuts the stream, mid-leaf included, and never changes
+        the tokens it keeps."""
+        rng = np.random.default_rng(12)
+        trees = [parse_minilang("getFooBar = parse_input_text(x, 42, \"s\");")]
+        trees += [parse_minilang(random_minilang(rng, int(rng.integers(1, 8)))) for _ in range(20)]
+        for ast in trees:
+            tokens, align = leaf_tokens(ast)
+            for limit in range(len(tokens) + 2):
+                cut_tokens, cut_align = leaf_tokens(ast, limit)
+                assert cut_tokens == tokens[:limit]
+                assert cut_align.token_to_node == align.token_to_node[:limit]
+
     def test_alignment_len(self):
         ast = parse_minilang("return myValue;")
         tokens, align = leaf_tokens(ast)

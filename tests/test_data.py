@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import scriptsum.astcore
 from scriptsum.astcore import TokenAlignment, leaf_tokens
 from scriptsum.data import (
     BOS_ID,
@@ -231,6 +232,29 @@ class TestExampleFromRecord:
         ex = example_from_record({"ast": {"nodes": nodes}, "summary": "a b"})
         n = len(ex.code_tokens)
         assert ex.bundle.multiview.shape == (n, n)
+
+    def test_star_record_tokenises_only_the_kept_leaves(self, monkeypatch):
+        """A 50,001-node star of two-subtoken leaves: example_from_record
+        equals cutting the full token stream to MAX_SOURCE_TOKENS, as it did
+        before leaf_tokens took a limit, and splits only the kept leaves."""
+        size = 50_001
+        nodes = [{"id": 0, "type": "Program", "children": list(range(1, size))}]
+        nodes += [{"id": i, "type": "Identifier", "value": f"someValue{i}", "children": []} for i in range(1, size)]
+        record = {"ast": {"nodes": nodes}, "summary": "a b"}
+        ex = example_from_record(record)
+        tokens, align = leaf_tokens(ex.ast)
+        assert len(tokens) == 2 * (size - 1)
+        kept = TokenAlignment(align.token_to_node[:MAX_SOURCE_TOKENS])
+        assert ex.code_tokens == tuple(tokens[:MAX_SOURCE_TOKENS])
+        want = encode_structure(ex.ast, kept)
+        for field in ("distances", "distance_weights", "bucket_ids", "multiview"):
+            assert np.array_equal(getattr(ex.bundle, field), getattr(want, field))
+
+        calls = []
+        split = scriptsum.astcore.split_identifier
+        monkeypatch.setattr(scriptsum.astcore, "split_identifier", lambda name: calls.append(name) or split(name))
+        assert example_from_record(record).code_tokens == ex.code_tokens
+        assert len(calls) == MAX_SOURCE_TOKENS // 2
 
     @pytest.mark.parametrize("shape, size", [("star", 50_001), ("chain", 20_000)])
     def test_large_tree_memory_is_bounded(self, shape, size):

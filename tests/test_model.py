@@ -49,6 +49,7 @@ from oracles import (
     greedy_oracle,
     relative_scores,
     relative_values,
+    search_to_the_end,
     vanilla_attention,
 )
 
@@ -945,9 +946,8 @@ def criterion7_source(seed: int):
     return rng.integers(0, tiny_config().src_vocab_size, n), bundle
 
 
-@pytest.fixture(scope="module")
-def toy_two_epoch(tmp_path_factory, toy_corpus_path):
-    """The README train config after 2 epochs, and the encoded toy corpus."""
+def _toy_model(tmp_path_factory, toy_corpus_path, epochs: int):
+    """The README train config after the given epochs, and the encoded toy corpus."""
     examples = load_dataset(toy_corpus_path, distance_clip=8)
     src_vocab, tgt_vocab = build_vocab(examples)
     config = ModelConfig(
@@ -955,9 +955,19 @@ def toy_two_epoch(tmp_path_factory, toy_corpus_path):
         n_script_modules=1, n_decoder_layers=2, ffn_dim=256, dropout_p=0.2, l=8, k=16,
     )
     model = ScriptModel(config, seed=0)
-    train(model, examples, examples, TrainConfig(batch_size=8, lr=3e-3, max_epochs=2, bleu_every=0, seed=0),
+    train(model, examples, examples, TrainConfig(batch_size=8, lr=3e-3, max_epochs=epochs, bleu_every=0, seed=0),
           src_vocab, tgt_vocab, tmp_path_factory.mktemp("toy") / "run")
     return model, encode_examples(examples, src_vocab, tgt_vocab)
+
+
+@pytest.fixture(scope="module")
+def toy_two_epoch(tmp_path_factory, toy_corpus_path):
+    return _toy_model(tmp_path_factory, toy_corpus_path, 2)
+
+
+@pytest.fixture(scope="module")
+def toy_ten_epoch(tmp_path_factory, toy_corpus_path):
+    return _toy_model(tmp_path_factory, toy_corpus_path, 10)
 
 
 class TestMultiSourceDecoding:
@@ -1056,6 +1066,94 @@ class TestMultiSourceDecoding:
         model.params["src_embed"].data[12] = np.nan
         with pytest.raises(NumericsError, match=r"^decoder logits of source 4 are not finite after prefix \[1\]$"):
             model.summarize_many(sources, beam_size=2, max_len=5)
+
+
+class TestBeamEarlyStop:
+    """A beam source also ends once no live beam can overtake its best
+    finished hypothesis; every summary equals the former rule's
+    (oracles.search_to_the_end), one source per call, so bits compare."""
+
+    @staticmethod
+    def _both(model, state, beam, max_len, length_penalty=1.0):
+        """(ids, decoder steps) under the current and the former rule."""
+        patched = vars(model).get("_beam_log_probs")
+        out = []
+        for search in (lambda: model.beam_search(state, beam, max_len, length_penalty),
+                       lambda: search_to_the_end(model, [state], beam, max_len, length_penalty)[0]):
+            steps = _record_steps(model)
+            out.append((search(), len(steps)))
+            if patched is None:
+                del model._beam_log_probs
+            else:
+                model._beam_log_probs = patched
+        return out
+
+    @pytest.mark.parametrize("trained", ["toy_two_epoch", "toy_ten_epoch"])
+    def test_toy_corpus_summaries_unchanged(self, trained, request):
+        """Beam 5 over the toy corpus; the 10-epoch model ends sources early."""
+        model, encoded = request.getfixturevalue(trained)
+        saved = 0
+        for enc in encoded:
+            with no_grad():
+                state = model.script_encoder(enc.src_ids, enc.bundle)
+            (got, steps), (want, former_steps) = self._both(model, state, 5, 50)
+            assert got == want
+            assert steps <= former_steps
+            saved += former_steps - steps
+        if trained == "toy_ten_epoch":
+            assert saved > 0
+
+    def test_criterion7_models_at_any_length_penalty(self):
+        """Criterion 7's 100 tiny models with a raised EOS bias, so that
+        beams finish before max_len, at length penalties of both signs."""
+        saved = dict.fromkeys((1.0, 0.0, -0.7, 2.5), 0)
+        for seed in range(100):
+            model = tiny_model(seed=seed)
+            model.params["out_bias"].data[model.config.eos_id] += 1.5
+            with no_grad():
+                state = model.script_encoder(*criterion7_source(seed))
+            for length_penalty in saved:
+                (got, steps), (want, former_steps) = self._both(model, state, 5, 8, length_penalty)
+                assert got == want
+                assert steps <= former_steps
+                saved[length_penalty] += former_steps - steps
+        assert all(saved.values()), saved
+
+    @pytest.mark.parametrize("length_penalty", [1.0, -0.5])
+    def test_source_ends_once_no_beam_can_overtake(self, monkeypatch, length_penalty):
+        """EOS first scores -0.1; every other token scores -3, so every
+        continuation scores below -0.1 at any length: the source ends after
+        one step, where the former rule decodes all 10."""
+        model = tiny_model(tgt_vocab_size=8)
+        eos = model.config.eos_id
+
+        def beam_log_probs(seqs, state, cache):
+            log_probs = np.full((len(seqs), model.config.tgt_vocab_size), -3.0)
+            log_probs[:, eos] = -0.1
+            return log_probs
+
+        monkeypatch.setattr(model, "_beam_log_probs", beam_log_probs)
+        (got, steps), (want, former_steps) = self._both(model, None, 3, 10, length_penalty)
+        assert got == want == []
+        assert (steps, former_steps) == (1, 10)
+
+    def test_a_live_beam_that_can_tie_keeps_decoding(self, monkeypatch):
+        """EOS first scores -0.1 / 1; token 0 first costs -1.0, then nothing,
+        so its beam can reach -1.0 / 10 = -0.1 at max_len, a tie that the
+        smaller sequence wins. The source must not end on a tie."""
+        model = tiny_model(tgt_vocab_size=8)
+        eos = model.config.eos_id
+
+        def beam_log_probs(seqs, state, cache):
+            log_probs = np.full((len(seqs), model.config.tgt_vocab_size), -50.0)
+            for row, seq in enumerate(seqs):
+                log_probs[row, [0, eos]] = (-1.0, -0.1) if len(seq) == 1 else (0.0, -50.0)
+            return log_probs
+
+        monkeypatch.setattr(model, "_beam_log_probs", beam_log_probs)
+        (got, steps), (want, former_steps) = self._both(model, None, 3, 10)
+        assert got == want == [0] * 10
+        assert steps == former_steps == 10
 
 
 def write_raw_checkpoint(path, params, data: bytes) -> None:

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -552,6 +553,72 @@ class TestAttention:
         mask[2, 1] = NEG_INF
         with pytest.raises(NumericsError):
             attention(Tensor(q0), Tensor(k0), Tensor(v0), additive_mask=mask)
+
+    @staticmethod
+    def _large_case(rng, n=300, groups=4, d=8):
+        """A call at the size where in-place work matters: groups 4, n_q =
+        n_k = 300, a 33-row and a 9-row table, a scale matrix and a
+        per-group additive mask."""
+        q, k, v = (rng.standard_normal((n, groups, d)) for _ in range(3))
+        tables = [(rng.standard_normal((rows, d)), rng.standard_normal((rows, d)), rng.integers(0, rows, (n, n)))
+                  for rows in (33, 9)]
+        gate = rng.uniform(0.5, 2.0, (n, n)) * (rng.random((n, n)) < 0.7)
+        mask = np.where(rng.random((groups, n, n)) < 0.2, NEG_INF, 0.0)
+        mask[:, :, 0] = 0.0
+        return q, k, v, tables, dict(scale_matrix=gate, additive_mask=mask)
+
+    def test_large_call_equals_composed_ops_bit_for_bit(self):
+        """In-place arithmetic keeps every bit at (groups 4, n 300), with
+        both tables, the gate, a per-group mask and dropout in training."""
+        rng = np.random.default_rng(22)
+        q0, k0, v0, tables0, kwargs = self._large_case(rng)
+        kwargs.update(dropout_p=0.2, training=True)
+        w = rng.standard_normal(q0.shape)
+        out, grads, captured = self._run(attention, q0, k0, v0, tables0, kwargs, w)
+        ref_out, ref_grads, ref_captured = self._run(composed_attention, q0, k0, v0, tables0, kwargs, w)
+        assert np.array_equal(out, ref_out)
+        assert len(grads) == 7 and all(np.array_equal(a, b) for a, b in zip(grads, ref_grads))
+        assert all(np.array_equal(a, b) for a, b in zip(captured, ref_captured))
+
+    def test_inputs_are_only_read(self):
+        """attention and softmax_masked write in place only into arrays of
+        their own: the inputs, tables, ids, masks, gate and the incoming
+        gradient keep their bytes through forward and backward."""
+        rng = np.random.default_rng(23)
+        q0, k0, v0, tables0, kwargs = self._large_case(rng, n=40)
+        logits0 = rng.standard_normal((4, 40, 40))
+        arrays = [q0, k0, v0, logits0, *(a for table in tables0 for a in table), *kwargs.values()]
+        before = [a.copy() for a in arrays]
+        q, k, v = (Tensor(a, requires_grad=True) for a in (q0, k0, v0))  # Tensor shares float64 data
+        tables = [(Tensor(tk, requires_grad=True), Tensor(tv, requires_grad=True), idx) for tk, tv, idx in tables0]
+        out = attention(q, k, v, tables, dropout_p=0.2, rng=np.random.default_rng(7), training=True, **kwargs)
+        gate, mask = kwargs["scale_matrix"], kwargs["additive_mask"][0]
+        weights = softmax_masked(Tensor(logits0, requires_grad=True), additive_mask=mask, scale_matrix=gate)
+        w_out, w_weights = rng.standard_normal(out.shape), rng.standard_normal(weights.shape)
+        backward(add(sum_all(mul(out, Tensor(w_out))), sum_all(mul(weights, Tensor(w_weights)))))
+        assert q.data is q0 and np.array_equal(out.grad, w_out) and np.array_equal(weights.grad, w_weights)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+
+    def test_peak_allocation_of_a_large_call(self):
+        """One no-grad call with two tables and a scale matrix at (groups
+        4, n 300) peaks at 2.82 score-sized arrays: the scores, one
+        scratch array and each table's flat index (a quarter each), plus
+        the small per-table products. A copy per elementwise pass, as
+        before the passes ran in place, peaked at 4.03."""
+        rng = np.random.default_rng(24)
+        q0, k0, v0, tables0, kwargs = self._large_case(rng, d=16)
+        q, k, v = Tensor(q0), Tensor(k0), Tensor(v0)
+        tables = [(Tensor(tk), Tensor(tv), idx) for tk, tv, idx in tables0]
+        score_bytes = 4 * 300 * 300 * 8
+        with no_grad():
+            attention(q, k, v, tables, scale_matrix=kwargs["scale_matrix"])
+            tracemalloc.start()
+            try:
+                attention(q, k, v, tables, scale_matrix=kwargs["scale_matrix"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2.85 * score_bytes, f"peak {peak / score_bytes:.3f} score arrays"
 
     def test_rejects_bad_inputs(self):
         q, kv = Tensor(np.zeros((2, 1, 3))), Tensor(np.zeros((4, 1, 3)))
