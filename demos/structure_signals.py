@@ -16,8 +16,8 @@ from scriptsum import (
     normalize,
     parse_minilang,
     sequential_relpos,
-    token_distance_matrix,
 )
+from scriptsum.structure import ast_view, dataflow_view, flow_view
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
@@ -28,9 +28,10 @@ tokens, align = leaf_tokens(ast)
 print("tokens:", tokens, "\n")
 
 node_d = floyd_apsp(ast)
-print(f"node distance matrix is {node_d.n}x{node_d.n}; token view gathers the leaf rows:")
-m = token_distance_matrix(node_d, align)
-print(m.d.astype(int), "\n")
+print(f"node distance matrix is {len(node_d)}x{len(node_d)}; token view gathers the leaf rows:")
+rows = np.asarray(align.token_to_node)
+m = node_d.astype(np.int64)[np.ix_(rows, rows)]
+print(m, "\n")
 
 # nearer tokens get more weight; each live row sums to one
 m_bar = normalize(m)
@@ -44,13 +45,12 @@ for clip in (2, 4):
     print(buckets, "\n")
 
 # the three binary relation views, then their weighted combination
-mv = multiview(ast, align, (1 / 3, 1 / 3, 1 / 3))
-for name, view in (("ast", mv.a_ast), ("flow", mv.a_fl), ("dataflow", mv.a_dp)):
+for name, view in (("ast", ast_view), ("flow", flow_view), ("dataflow", dataflow_view)):
     print(f"{name} view:")
-    print(view.astype(int), "\n")
+    print(view(ast, align).astype(int), "\n")
 
 print("weighted combination (1/3 each):")
-print(mv.a_mv, "\n")
+print(multiview(ast, align, (1 / 3, 1 / 3, 1 / 3)), "\n")
 
 print("signed sequential offsets, window 3:")
 print(sequential_relpos(len(tokens), 3), "\n")

@@ -55,7 +55,6 @@ from .metrics import (
 )
 from .minilang import parse_minilang
 from .model import (
-    EncoderState,
     ModelConfig,
     ScriptModel,
     ablation_layer_plan,
@@ -63,8 +62,6 @@ from .model import (
     save_model_sidecar,
 )
 from .structure import (
-    DistanceMatrix,
-    MultiViewMatrix,
     StructuralEncodings,
     bucketize,
     encode_structure,
@@ -72,7 +69,6 @@ from .structure import (
     multiview,
     normalize,
     sequential_relpos,
-    token_distance_matrix,
 )
 from .tensor import Tensor, backward, grad_check, no_grad
 from .training import TrainConfig, TrainResult, evaluate_bleu, evaluate_loss, train
@@ -90,11 +86,8 @@ __all__ = [
     "sbt_sequence",
     "split_identifier",
     "parse_minilang",
-    "DistanceMatrix",
-    "MultiViewMatrix",
     "StructuralEncodings",
     "floyd_apsp",
-    "token_distance_matrix",
     "normalize",
     "bucketize",
     "multiview",
@@ -105,7 +98,6 @@ __all__ = [
     "grad_check",
     "no_grad",
     "ModelConfig",
-    "EncoderState",
     "ScriptModel",
     "ablation_layer_plan",
     "save_model_sidecar",

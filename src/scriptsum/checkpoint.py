@@ -25,24 +25,21 @@ _MAX_DIMS = 32
 
 
 def save_checkpoint(params: dict[str, np.ndarray], path) -> None:
-    """Write named arrays; names are sorted so output bytes are canonical."""
+    """Write named arrays; names are sorted so output bytes are canonical.
+    Each array's buffer is written straight to the file, with no copy of
+    its bytes, unless it is not already C-contiguous `<f8`."""
+    arrays = [(name, np.ascontiguousarray(params[name], dtype=_DTYPE)) for name in sorted(params)]
     entries = []
-    blobs = []
     offset = 0
-    for name in sorted(params):
-        arr = np.ascontiguousarray(params[name], dtype=_DTYPE)
-        raw = arr.tobytes()
-        entries.append(
-            {"name": name, "shape": list(arr.shape), "dtype": _DTYPE, "offset": offset}
-        )
-        blobs.append(raw)
-        offset += len(raw)
+    for name, arr in arrays:
+        entries.append({"name": name, "shape": list(arr.shape), "dtype": _DTYPE, "offset": offset})
+        offset += arr.nbytes
     header = json.dumps({"params": entries}, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for raw in blobs:
-            fh.write(raw)
+        for _, arr in arrays:
+            fh.write(arr)
 
 
 def _is_count(value) -> bool:

@@ -190,13 +190,6 @@ class ModelConfig:
 
 
 @dataclass
-class EncoderState:
-    """Encoder output of one source, (n, d_model), for the decoder."""
-
-    h: Tensor
-
-
-@dataclass
 class DecoderCache:
     """Keys and values that decoding reuses from step to step, for one
     source or several decoded together.
@@ -473,10 +466,10 @@ class ScriptModel:
         x: Tensor,
         bundle: StructuralEncodings,
         *,
+        seq_idx: np.ndarray,
         training: bool = False,
         rng: np.random.Generator | None = None,
         capture: list | None = None,
-        seq_idx: np.ndarray | None = None,
     ) -> Tensor:
         """One encoder layer: relative self-attention, then the FFN block.
 
@@ -502,7 +495,7 @@ class ScriptModel:
                 )
             )
             x = add(x, h_hat)
-        rel = ((f"{base}.seq", self._seq_idx(n) if seq_idx is None else seq_idx),)
+        rel = ((f"{base}.seq", seq_idx),)
         if tag in STRUCTURAL_TAGS[cfg.srpe_placement]:
             rel += ((f"{base}.str", bundle.bucket_ids),)
         attn = self.relative_attention(
@@ -531,9 +524,10 @@ class ScriptModel:
         training: bool = False,
         rng: np.random.Generator | None = None,
         capture: list | None = None,
-    ) -> EncoderState:
+    ) -> Tensor:
         """Embed tokens and run the stacked two-layer modules; each module
-        contributes the position-wise sum of its two layer outputs."""
+        contributes the position-wise sum of its two layer outputs. Returns
+        the encoder output, (n, d_model), that the decoder reads."""
         cfg = self.config
         p = self.params
         src_ids = np.asarray(src_ids, dtype=np.int64)
@@ -554,12 +548,12 @@ class ScriptModel:
             h_prime = self.encoder_layer(cfg.layer_plan[second], second, h, bundle, **common)
             x = add(h, h_prime)
         x = layernorm(x, p["enc_final_g"], p["enc_final_b"])
-        return EncoderState(h=x)
+        return x
 
     def decode(
         self,
         tgt_in_ids: np.ndarray,
-        state: EncoderState | list[EncoderState],
+        state: Tensor | list[Tensor],
         *,
         cache: DecoderCache | None = None,
         training: bool = False,
@@ -591,7 +585,7 @@ class ScriptModel:
         if beams % sources:
             raise ShapeError(f"{beams} beams of ids are not laid out over {sources} sources")
         if not cache.cross:
-            states = [state] if isinstance(state, EncoderState) else list(state)
+            states = [state] if isinstance(state, Tensor) else list(state)
             if len(states) != sources:
                 raise ShapeError(f"{len(states)} encoder states for a cache of {sources} sources")
             cache.cross, cache.cross_mask = self._cross_keys_values(states)
@@ -640,11 +634,11 @@ class ScriptModel:
         logits = add(matmul(y, transpose(p["tgt_embed"], (1, 0))), p["out_bias"])
         return logits
 
-    def _cross_keys_values(self, states: list[EncoderState]) -> tuple[list[tuple[Tensor, Tensor]], np.ndarray | None]:
+    def _cross_keys_values(self, states: list[Tensor]) -> tuple[list[tuple[Tensor, Tensor]], np.ndarray | None]:
         """Each decoder layer's cross-attention keys and values of the
         sources, zero-padded to the longest, and the padding mask; see
         DecoderCache. One source is neither padded nor copied."""
-        lengths = np.array([st.h.shape[0] for st in states])
+        lengths = np.array([h.shape[0] for h in states])
         n = int(lengths.max())
 
         def padded(parts: list[Tensor]) -> Tensor:
@@ -655,7 +649,7 @@ class ScriptModel:
 
         cross = []
         for ly in range(self.config.n_decoder_layers):
-            kv = [self.keys_values(f"dec{ly}.cross", st.h) for st in states]
+            kv = [self.keys_values(f"dec{ly}.cross", h) for h in states]
             cross.append((padded([k for k, _ in kv]), padded([v for _, v in kv])))
         mask = None if (lengths == n).all() else np.where(np.arange(n) >= lengths[:, None], NEG_INF, 0.0)
         return cross, mask
@@ -684,7 +678,7 @@ class ScriptModel:
     # -- generation ------------------------------------------------------------
 
     def _beam_log_probs(
-        self, seqs: list[tuple[int, ...]], state: EncoderState | list[EncoderState], cache: DecoderCache
+        self, seqs: list[tuple[int, ...]], state: Tensor | list[Tensor], cache: DecoderCache
     ) -> np.ndarray:
         """Next-token log-probabilities of every row of the cache, (rows,
         tgt_vocab), from one cached decoder step on each row's newest token;
@@ -695,7 +689,7 @@ class ScriptModel:
 
     def beam_search(
         self,
-        state: EncoderState,
+        state: Tensor,
         beam_size: int = 5,
         max_len: int = 50,
         length_penalty: float = 1.0,
@@ -708,7 +702,7 @@ class ScriptModel:
 
     def _search(
         self,
-        states: list[EncoderState],
+        states: list[Tensor],
         first: int,
         beam_size: int,
         max_len: int,
@@ -782,7 +776,7 @@ class ScriptModel:
             summaries.append(best_seq[:-1] if best_seq and best_seq[-1] == eos else best_seq)
         return summaries
 
-    def greedy_decode(self, state: EncoderState, max_len: int = 50) -> list[int]:
+    def greedy_decode(self, state: Tensor, max_len: int = 50) -> list[int]:
         return self.beam_search(state, beam_size=1, max_len=max_len)
 
     def summarize(
@@ -887,7 +881,6 @@ def load_model_sidecar(path) -> tuple[ModelConfig, dict]:
 
 __all__ = [
     "ModelConfig",
-    "EncoderState",
     "DecoderCache",
     "ScriptModel",
     "ablation_layer_plan",

@@ -1,17 +1,19 @@
 """Structural position signals derived from the tree.
 
-Everything the encoder needs about structure is computed here as numpy
-arrays: tree distances, the row-normalized reciprocal weighting used by
-the distance-weighted layer, clipped distance buckets and clipped
-sequential offsets for relative attention, and the weighted multi-view
-relation matrix that gates attention.
+Everything the encoder needs about structure is computed here as plain
+numpy arrays, passed from stage to stage with no wrapper: tree
+distances, the row-normalized reciprocal weighting used by the
+distance-weighted layer, clipped distance buckets and clipped sequential
+offsets for relative attention, and the weighted multi-view relation
+matrix that gates attention.
 
 Work is done in token space: distances are computed among the distinct
-leaves of the kept tokens only, then expanded to token level through the
+leaves of the kept tokens only, then gathered to token level through the
 leaf alignment, so subtokens of one identifier share that leaf's
 structural relations and sit at distance 0 from each other.
 `encode_structure` never builds a matrix sized by the whole tree, so its
-memory is O(len(ast) + tokens^2). The relation views are gathers and
+memory is O(len(ast) + tokens^2), and it builds each token matrix once,
+in the dtype it is stored in. The relation views are gathers and
 equality tests over per-token parent, statement and name ids.
 """
 
@@ -42,39 +44,9 @@ STATEMENT_TYPES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Symmetric hop-count matrix with zero diagonal; n rows/columns."""
-
-    n: int
-    d: np.ndarray
-
-    def __post_init__(self):
-        if self.d.shape != (self.n, self.n):
-            raise ValueError(f"distance matrix shape {self.d.shape} != ({self.n}, {self.n})")
-        if not np.all(np.isfinite(self.d)):
-            raise ValueError("distance matrix has non-finite entries")
-        if np.any(np.diagonal(self.d) != 0):
-            raise ValueError("distance matrix diagonal must be zero")
-        if not np.array_equal(self.d, self.d.T):
-            raise ValueError("distance matrix must be symmetric")
-
-
-@dataclass(frozen=True)
-class MultiViewMatrix:
-    """Three binary relation views and their weighted combination."""
-
-    a_ast: np.ndarray
-    a_fl: np.ndarray
-    a_dp: np.ndarray
-    alpha: float
-    beta: float
-    gamma: float
-    a_mv: np.ndarray
-
-
-def floyd_apsp(ast: Ast, nodes: Sequence[int] | np.ndarray | None = None) -> DistanceMatrix:
-    """Hop counts among the given node ids, every node by default.
+def floyd_apsp(ast: Ast, nodes: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
+    """Hop counts among the given node ids, every node by default, as a
+    symmetric (k, k) float64 array with a zero diagonal.
 
     Ids must be strictly increasing, that is, in preorder. d(a, b) is
     depth(a) + depth(b) - 2 depth(lca(a, b)), and preorder gives the lca
@@ -104,40 +76,27 @@ def floyd_apsp(ast: Ast, nodes: Sequence[int] | np.ndarray | None = None) -> Dis
     np.fill_diagonal(lca, own)
     lca = np.minimum.accumulate(lca, axis=1)
     lca = np.minimum(lca, lca.T)
-    return DistanceMatrix(n=k, d=own[:, None] + own[None, :] - 2.0 * lca)
+    return own[:, None] + own[None, :] - 2.0 * lca
 
 
-def token_distance_matrix(node_d: DistanceMatrix, align: TokenAlignment) -> DistanceMatrix:
-    """Gather node distances onto token positions via the leaf alignment,
-    which maps each token to a row of node_d.
-
-    Tokens aligned to the same leaf sit at distance 0 even off-diagonal.
-    """
-    idx = np.asarray(align.token_to_node, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= node_d.n):
-        raise ValueError("alignment references node ids outside the distance matrix")
-    return DistanceMatrix(n=len(align), d=node_d.d[np.ix_(idx, idx)])
-
-
-def normalize(m: DistanceMatrix) -> np.ndarray:
+def normalize(d: np.ndarray) -> np.ndarray:
     """Reciprocal distances, normalized per row over non-zero entries.
 
     m_bar(i,j) = (1/d(i,j)) / sum_z over {z: d(i,z) != 0} (1/d(i,z)) when
     d(i,j) != 0, else 0. A row with no non-zero entry (single-token input)
     stays all zero rather than raising.
     """
-    positive = m.d > 0
-    weights = np.zeros_like(m.d, dtype=np.float64)
-    np.divide(1.0, m.d, out=weights, where=positive)
+    weights = np.zeros(d.shape)
+    np.divide(1.0, d, out=weights, where=d > 0)
     row_sums = weights.sum(axis=1, keepdims=True)
     return np.divide(weights, row_sums, out=np.zeros_like(weights), where=row_sums > 0)
 
 
-def bucketize(m: DistanceMatrix, l: int) -> np.ndarray:
+def bucketize(d: np.ndarray, l: int) -> np.ndarray:
     """Clip distances elementwise to integer ids min(d, l) in [0, l]."""
     if not isinstance(l, int) or isinstance(l, bool) or l < 1:
         raise ConfigError(f"clip threshold must be a positive integer, got {l!r}")
-    return np.minimum(m.d, l).astype(np.int64)
+    return np.minimum(d, l).astype(np.int64, copy=False)
 
 
 def sequential_relpos(n: int, k: int) -> np.ndarray:
@@ -235,12 +194,12 @@ def multiview(
     ast: Ast,
     align: TokenAlignment,
     weights: tuple[float, float, float] = DEFAULT_VIEW_WEIGHTS,
-) -> MultiViewMatrix:
+) -> np.ndarray:
     """Weighted sum of the three relation views at token level.
 
     Weights must be non-negative, not all zero and of finite sum; every
-    view has a unit diagonal, so a_mv's diagonal equals alpha + beta + gamma
-    and bounds every entry.
+    view has a unit diagonal, so the sum's diagonal equals
+    alpha + beta + gamma and bounds every entry.
     """
     alpha, beta, gamma = (float(w) for w in weights)
     if not np.isfinite(alpha + beta + gamma):
@@ -249,13 +208,8 @@ def multiview(
         raise ConfigError(f"view weights must be non-negative, got {weights!r}")
     if alpha + beta + gamma == 0.0:
         raise ConfigError("view weights must not all be zero")
-    a_ast = ast_view(ast, align)
-    a_fl = flow_view(ast, align)
-    a_dp = dataflow_view(ast, align)
-    a_mv = alpha * a_ast + beta * a_fl + gamma * a_dp
-    return MultiViewMatrix(
-        a_ast=a_ast, a_fl=a_fl, a_dp=a_dp, alpha=alpha, beta=beta, gamma=gamma, a_mv=a_mv
-    )
+    a_ast, a_fl, a_dp = ast_view(ast, align), flow_view(ast, align), dataflow_view(ast, align)
+    return alpha * a_ast + beta * a_fl + gamma * a_dp
 
 
 @dataclass(frozen=True)
@@ -288,12 +242,11 @@ def encode_structure(
     interchangeable.
     """
     leaves, rows = np.unique(np.asarray(align.token_to_node, dtype=np.int64), return_inverse=True)
-    token_d = token_distance_matrix(floyd_apsp(ast, leaves), TokenAlignment(tuple(rows.tolist())))
-    buckets = bucketize(token_d, distance_clip)
-    clipped = DistanceMatrix(n=token_d.n, d=buckets.astype(np.float64))
+    distances = floyd_apsp(ast, leaves).astype(np.int64)[np.ix_(rows, rows)]
+    bucket_ids = bucketize(distances, distance_clip)
     return StructuralEncodings(
-        distances=token_d.d.astype(np.int64),
-        distance_weights=normalize(clipped),
-        bucket_ids=buckets,
-        multiview=multiview(ast, align, view_weights).a_mv,
+        distances=distances,
+        distance_weights=normalize(bucket_ids),
+        bucket_ids=bucket_ids,
+        multiview=multiview(ast, align, view_weights),
     )

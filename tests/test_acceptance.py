@@ -16,13 +16,11 @@ from scriptsum.metrics import EvalPair, bleu4, lcs_length, meteor, rouge_l
 from scriptsum.minilang import parse_minilang
 from scriptsum.model import ModelConfig, ScriptModel, ablation_layer_plan
 from scriptsum.structure import (
-    DistanceMatrix,
     StructuralEncodings,
     bucketize,
     encode_structure,
     floyd_apsp,
     normalize,
-    token_distance_matrix,
 )
 from scriptsum.tensor import (
     Tensor,
@@ -88,7 +86,7 @@ def test_01_graph_distance_oracle():
         t0 = time.perf_counter()
         for _ in range(1000):
             ast = random_tree(rng, int(rng.integers(1, 51)))
-            d = floyd_apsp(ast).d
+            d = floyd_apsp(ast)
             assert np.array_equal(d, bfs_apsp(ast))
             depths = node_depths(ast)
             n = len(ast.nodes)
@@ -109,10 +107,11 @@ def test_02_normalized_position_matrix_properties():
             # occasional repeats model several subtokens on one leaf
             n_tok = int(rng.integers(1, 9))
             align = TokenAlignment(tuple(int(rng.choice(leaves)) for _ in range(n_tok)))
-            m = token_distance_matrix(floyd_apsp(ast), align)
-            m_bar = normalize(m)
+            idx = list(align.token_to_node)
+            d = floyd_apsp(ast)[np.ix_(idx, idx)]
+            m_bar = normalize(d)
             for i in range(n_tok):
-                row_d = m.d[i]
+                row_d = d[i]
                 row_w = m_bar[i]
                 if (row_d > 0).any():
                     assert abs(row_w.sum() - 1.0) <= 1e-9
@@ -124,7 +123,7 @@ def test_02_normalized_position_matrix_properties():
                     for b in pos:
                         if row_d[a] < row_d[b]:
                             assert row_w[a] > row_w[b]
-        single = normalize(DistanceMatrix(n=1, d=np.zeros((1, 1))))
+        single = normalize(np.zeros((1, 1)))
         assert np.all(single == 0.0)
 
 
@@ -143,7 +142,7 @@ def test_03_clipping_invariance_is_bit_exact():
                 tokens, align = leaf_tokens(ast)
                 bundle = encode_structure(ast, align, 3, (1 / 3, 1 / 3, 1 / 3))
                 ids = rng.integers(0, model.config.src_vocab_size, len(tokens))
-                base = model.script_encoder(ids, bundle).h.data
+                base = model.script_encoder(ids, bundle).data
 
                 raw = bundle.distances.astype(np.float64).copy()
                 n = raw.shape[0]
@@ -151,16 +150,14 @@ def test_03_clipping_invariance_is_bit_exact():
                 bump = np.triu(bump, 1)
                 bump = bump + bump.T
                 raw += np.where(raw >= 3, bump, 0)
-                buckets = bucketize(DistanceMatrix(n=n, d=raw), 3)
+                buckets = bucketize(raw, 3)
                 perturbed = StructuralEncodings(
                     distances=raw.astype(np.int64),
-                    distance_weights=normalize(
-                        DistanceMatrix(n=n, d=buckets.astype(np.float64))
-                    ),
+                    distance_weights=normalize(buckets.astype(np.float64)),
                     bucket_ids=buckets,
                     multiview=bundle.multiview,
                 )
-                out = model.script_encoder(ids, perturbed).h.data
+                out = model.script_encoder(ids, perturbed).data
                 assert np.array_equal(base, out)
 
 
@@ -231,7 +228,8 @@ def test_04_gradient_suite():
                 model.params["enc0.seq_k"],
                 model.params["enc0.ffn.w1"],
             ]
-            check(lambda x_, *_: sum_all(model.encoder_layer("RDW", 0, x_, bundle)), [x, *params], seed)
+            seq_idx = model._seq_idx(4)
+            check(lambda x_, *_: sum_all(model.encoder_layer("RDW", 0, x_, bundle, seq_idx=seq_idx)), [x, *params], seed)
 
         for mask_mode in ("multiply", "neg_inf"):
             for seed in range(10):
@@ -245,7 +243,12 @@ def test_04_gradient_suite():
                     model.params["enc1.str_v"],
                     model.params["enc1.ffn.w2"],
                 ]
-                check(lambda x_, *_: sum_all(model.encoder_layer("SRPEi", 1, x_, bundle)), [x, *params], seed)
+                seq_idx = model._seq_idx(4)
+                check(
+                    lambda x_, *_: sum_all(model.encoder_layer("SRPEi", 1, x_, bundle, seq_idx=seq_idx)),
+                    [x, *params],
+                    seed,
+                )
 
         for seed in range(10):
             rng = np.random.default_rng(400 + seed)
@@ -307,14 +310,14 @@ def test_05_degeneracy_equivalences():
         n = 6
         bundle = random_bundle(rng, n)
         ids = rng.integers(0, plain.config.src_vocab_size, n)
-        base = plain.script_encoder(ids, bundle).h.data
+        base = plain.script_encoder(ids, bundle).data
         perturbed = StructuralEncodings(
             distances=bundle.distances,
             distance_weights=np.abs(rng.standard_normal((n, n))),
             bucket_ids=rng.integers(0, plain.config.l + 1, (n, n)),
             multiview=np.abs(rng.standard_normal((n, n))),
         )
-        assert np.array_equal(base, plain.script_encoder(ids, perturbed).h.data)
+        assert np.array_equal(base, plain.script_encoder(ids, perturbed).data)
 
 
 def test_06_metric_oracles():

@@ -4,12 +4,13 @@ so a renamed or deleted one would otherwise fail only a traced benchmark
 run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 
 import scriptsum.checkpoint  # noqa: F401  (the tracer wraps functions of every traced module)
-import scriptsum.data  # noqa: F401
+import scriptsum.data
 import scriptsum.metrics  # noqa: F401
 import scriptsum.minilang  # noqa: F401
 import scriptsum.tensor
@@ -59,3 +60,23 @@ def test_tracer_installs_counts_spans_and_uninstalls(toy_corpus_path):
     assert tracer.op_calls["setup"] > 0
     assert all(getattr(scriptsum.tensor, op) is fn for op, fn in originals.items())
     assert all(ScriptModel.__dict__[meth] is fn for meth, fn in methods.items())
+
+
+def test_tracer_spans_every_ingest_layer(toy_corpus_path):
+    """Ingest goes through each function perfbench spans, and builds one
+    structure per example: an inlined floyd_apsp or multiview would
+    silently zero the benchmark's per-layer structure metrics."""
+    tracing = _load_tracing()
+    records = [json.loads(line) for line in toy_corpus_path.read_text().splitlines()[:3]]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for record in records:
+            scriptsum.data.example_from_record(record)
+    finally:
+        tracer.uninstall()
+    spanned = {span[0] for span in tracer.spans}
+    assert {"minilang.parse_minilang", "astcore.leaf_tokens", "structure.floyd_apsp", "structure.multiview",
+            "structure.encode_structure", "data.example_from_record"} <= spanned
+    assert tracer.counts["examples_built"] == len(records)
+    assert tracer.counts["floyd_calls"] == tracer.counts["examples_built"]

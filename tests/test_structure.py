@@ -7,16 +7,15 @@ from scriptsum.astcore import Ast, AstNode, TokenAlignment, leaf_tokens
 from scriptsum.errors import ConfigError
 from scriptsum.minilang import parse_minilang
 from scriptsum.structure import (
-    DistanceMatrix,
-    MultiViewMatrix,
+    ast_view,
     bucketize,
     dataflow_view,
     encode_structure,
+    flow_view,
     floyd_apsp,
     multiview,
     normalize,
     sequential_relpos,
-    token_distance_matrix,
 )
 
 from oracles import (
@@ -46,12 +45,12 @@ def star_ast():
 class TestFloydApsp:
     def test_path_tree(self):
         ast = Ast([interior(0, "R", [1]), interior(1, "M", [2]), leaf(2, "x")])
-        d = floyd_apsp(ast).d
+        d = floyd_apsp(ast)
         assert d[0, 2] == 2
         assert d[0, 1] == d[1, 2] == 1
 
     def test_star_tree(self):
-        d = floyd_apsp(star_ast()).d
+        d = floyd_apsp(star_ast())
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 assert d[i, j] == (0 if i == j else 2)
@@ -63,7 +62,7 @@ class TestFloydApsp:
         trees = [random_tree(rng, 30) for _ in range(10)]
         trees += [chain, star] + [random_tree(rng, int(rng.integers(280, 320))) for _ in range(3)]
         for ast in trees:
-            assert np.array_equal(floyd_apsp(ast).d, bfs_apsp(ast))
+            assert np.array_equal(floyd_apsp(ast), bfs_apsp(ast))
 
     def test_node_subsets_match_bfs_oracle(self):
         rng = np.random.default_rng(8)
@@ -73,8 +72,8 @@ class TestFloydApsp:
             for size in (0, 1, int(rng.integers(0, len(ast) + 1))):
                 nodes = np.sort(rng.choice(len(ast), size=min(size, len(ast)), replace=False))
                 d = floyd_apsp(ast, nodes)
-                assert d.n == len(nodes)
-                assert np.array_equal(d.d, full[np.ix_(nodes, nodes)])
+                assert d.shape == (len(nodes), len(nodes))
+                assert np.array_equal(d, full[np.ix_(nodes, nodes)])
 
     @pytest.mark.parametrize("nodes", [[2, 1], [1, 1], [-1, 2], [0, 4], [[0, 1]]])
     def test_invalid_node_ids_rejected(self, nodes):
@@ -85,7 +84,7 @@ class TestFloydApsp:
         rng = np.random.default_rng(1)
         for _ in range(5)            :
             ast = random_tree(rng, 20)
-            d = floyd_apsp(ast).d
+            d = floyd_apsp(ast)
             depth = node_depths(ast)
             for i in range(len(ast)):
                 for j in range(len(ast)):
@@ -95,35 +94,32 @@ class TestFloydApsp:
     def test_invariants(self):
         rng = np.random.default_rng(2)
         ast = random_tree(rng, 25)
-        mat = floyd_apsp(ast)
-        assert np.array_equal(mat.d, mat.d.T)
-        assert np.all(np.diagonal(mat.d) == 0)
+        d = floyd_apsp(ast)
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diagonal(d) == 0)
         # triangle inequality
-        d = mat.d
-        n = mat.n
-        for k in range(n):
+        for k in range(len(d)):
             assert np.all(d <= d[:, k : k + 1] + d[k : k + 1, :] + 1e-12)
 
 
-class TestTokenDistanceMatrix:
+class TestTokenDistances:
     def test_same_leaf_zero(self):
         ast = Ast([interior(0, "R", [1, 2]), leaf(1, "getFoo"), leaf(2, "x")])
         tokens, align = leaf_tokens(ast)
-        m = token_distance_matrix(floyd_apsp(ast), align)
+        d = encode_structure(ast, align).distances
         assert tokens == ["get", "foo", "x"]
-        assert m.d[0, 1] == 0
+        assert d[0, 1] == 0
 
     def test_sibling_leaves_distance_two(self):
         ast = star_ast()
         _, align = leaf_tokens(ast)
-        m = token_distance_matrix(floyd_apsp(ast), align)
-        assert m.d[0, 1] == 2
+        assert encode_structure(ast, align).distances[0, 1] == 2
 
     def test_parent_child_sibling_pattern(self):
         # root with three children: diagonal 0, root-child 1, child-child 2
         ast = star_ast()
         align = TokenAlignment(token_to_node=(0, 1, 2, 3))
-        m = token_distance_matrix(floyd_apsp(ast), align)
+        d = encode_structure(ast, align).distances
         expected = np.array(
             [
                 [0, 1, 1, 1],
@@ -131,30 +127,30 @@ class TestTokenDistanceMatrix:
                 [1, 2, 0, 2],
                 [1, 2, 2, 0],
             ],
-            dtype=np.float64,
+            dtype=np.int64,
         )
-        assert np.array_equal(m.d, expected)
+        assert np.array_equal(d, expected)
 
     def test_out_of_range_alignment(self):
         ast = star_ast()
         with pytest.raises(ValueError):
-            token_distance_matrix(floyd_apsp(ast), TokenAlignment((0, 9)))
+            encode_structure(ast, TokenAlignment((0, 9)))
 
 
 class TestNormalize:
     def test_reciprocal_row(self):
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-        m_bar = normalize(DistanceMatrix(n=3, d=d))
+        m_bar = normalize(d)
         assert np.allclose(m_bar[0], [0.0, 2 / 3, 1 / 3])
 
     def test_single_token(self):
-        m_bar = normalize(DistanceMatrix(n=1, d=np.zeros((1, 1))))
+        m_bar = normalize(np.zeros((1, 1)))
         assert np.array_equal(m_bar, np.zeros((1, 1)))
 
     def test_degenerate_rows_stay_zero(self):
         # two subtokens of one identifier: all pairwise distances are zero
         d = np.zeros((2, 2))
-        m_bar = normalize(DistanceMatrix(n=2, d=d))
+        m_bar = normalize(d)
         assert np.array_equal(m_bar, np.zeros((2, 2)))
 
     def test_rows_sum_to_one(self):
@@ -162,10 +158,10 @@ class TestNormalize:
         for _ in range(20):
             ast = random_tree(rng, int(rng.integers(2, 30)))
             _, align = leaf_tokens(ast)
-            m = token_distance_matrix(floyd_apsp(ast), align)
-            m_bar = normalize(m)
+            d = encode_structure(ast, align).distances
+            m_bar = normalize(d)
             sums = m_bar.sum(axis=1)
-            nonzero_rows = (m.d > 0).any(axis=1)
+            nonzero_rows = (d > 0).any(axis=1)
             assert np.allclose(sums[nonzero_rows], 1.0, atol=1e-9)
             assert np.all(sums[~nonzero_rows] == 0.0)
 
@@ -173,23 +169,23 @@ class TestNormalize:
         rng = np.random.default_rng(4)
         ast = random_tree(rng, 25)
         _, align = leaf_tokens(ast)
-        m = token_distance_matrix(floyd_apsp(ast), align)
-        m_bar = normalize(m)
-        n = m.n
+        d = encode_structure(ast, align).distances
+        m_bar = normalize(d)
+        n = len(d)
         for i in range(n):
             for j in range(n):
                 for k_idx in range(n):
-                    if 0 < m.d[i, j] < m.d[i, k_idx]:
+                    if 0 < d[i, j] < d[i, k_idx]:
                         assert m_bar[i, j] > m_bar[i, k_idx]
 
     def test_row_ranking_invariant_to_scaling(self):
         rng = np.random.default_rng(5)
         ast = random_tree(rng, 20)
         _, align = leaf_tokens(ast)
-        m = token_distance_matrix(floyd_apsp(ast), align)
-        base = normalize(m)
-        scaled = normalize(DistanceMatrix(n=m.n, d=m.d * 7.0))
-        for i in range(m.n):
+        d = encode_structure(ast, align).distances
+        base = normalize(d)
+        scaled = normalize(d * 7.0)
+        for i in range(len(d)):
             assert np.array_equal(
                 np.argsort(-base[i], kind="stable"), np.argsort(-scaled[i], kind="stable")
             )
@@ -198,20 +194,19 @@ class TestNormalize:
 class TestBucketize:
     def test_clip_examples(self):
         d = np.array([[0.0, 5.0], [5.0, 0.0]])
-        b = bucketize(DistanceMatrix(n=2, d=d), 3)
+        b = bucketize(d, 3)
         assert b[0, 1] == 3
         assert b[0, 0] == 0
 
     def test_boundary(self):
         d = np.array([[0.0, 3.0], [3.0, 0.0]])
-        assert bucketize(DistanceMatrix(n=2, d=d), 3)[0, 1] == 3
+        assert bucketize(d, 3)[0, 1] == 3
 
     def test_idempotent(self):
         rng = np.random.default_rng(6)
         ast = random_tree(rng, 20)
-        m = floyd_apsp(ast)
-        once = bucketize(m, 4)
-        twice = bucketize(DistanceMatrix(n=m.n, d=once.astype(np.float64)), 4)
+        once = bucketize(floyd_apsp(ast), 4)
+        twice = bucketize(once, 4)
         assert np.array_equal(once, twice)
 
     def test_symmetric_and_bounded(self):
@@ -222,7 +217,7 @@ class TestBucketize:
         assert b.min() >= 0 and b.max() <= 5
 
     def test_invalid_threshold(self):
-        m = DistanceMatrix(n=1, d=np.zeros((1, 1)))
+        m = np.zeros((1, 1))
         with pytest.raises(ConfigError):
             bucketize(m, 0)
         with pytest.raises(ConfigError):
@@ -234,19 +229,19 @@ class TestMultiview:
         ast = parse_minilang("a = b + c;")
         _, align = leaf_tokens(ast)
         mv = multiview(ast, align, (1.0, 0.0, 0.0))
-        assert np.array_equal(mv.a_mv, mv.a_ast)
+        assert np.array_equal(mv, ast_view(ast, align))
 
     def test_single_token_diagonal(self):
         ast = Ast([leaf(0, "x")])
         _, align = leaf_tokens(ast)
         mv = multiview(ast, align, (0.5, 0.25, 0.25))
-        assert np.allclose(mv.a_mv, [[1.0]])
+        assert np.allclose(mv, [[1.0]])
 
     def test_diagonal_is_weight_sum(self):
         ast = parse_minilang("a = b; c = a;")
         _, align = leaf_tokens(ast)
         mv = multiview(ast, align, (0.2, 0.3, 0.4))
-        assert np.allclose(np.diagonal(mv.a_mv), 0.9)
+        assert np.allclose(np.diagonal(mv), 0.9)
 
     def test_dataflow_connects_same_identifier(self):
         ast = parse_minilang("a = b; c = a;")
@@ -263,8 +258,7 @@ class TestMultiview:
     def test_views_are_binary_symmetric_unit_diagonal(self):
         ast = parse_minilang("function f(n) { if (n > 0) { n = n - 1; } return n; }")
         _, align = leaf_tokens(ast)
-        mv = multiview(ast, align)
-        for view in (mv.a_ast, mv.a_fl, mv.a_dp):
+        for view in (ast_view(ast, align), flow_view(ast, align), dataflow_view(ast, align)):
             assert set(np.unique(view)) <= {0.0, 1.0}
             assert np.array_equal(view, view.T)
             assert np.all(np.diagonal(view) == 1.0)
@@ -273,9 +267,9 @@ class TestMultiview:
         ast = parse_minilang("x = y * y;")
         _, align = leaf_tokens(ast)
         mv = multiview(ast, align, (0.1, 0.2, 0.7))
-        manual = 0.1 * mv.a_ast + 0.2 * mv.a_fl + 0.7 * mv.a_dp
-        assert np.allclose(mv.a_mv, manual)
-        assert mv.a_mv.min() >= 0.0 and mv.a_mv.max() <= 1.0 + 1e-12
+        manual = 0.1 * ast_view(ast, align) + 0.2 * flow_view(ast, align) + 0.7 * dataflow_view(ast, align)
+        assert np.allclose(mv, manual)
+        assert mv.min() >= 0.0 and mv.max() <= 1.0 + 1e-12
 
     def test_zero_weights_rejected(self):
         ast = parse_minilang("x = y;")
@@ -301,16 +295,13 @@ class TestMultiview:
         for code in codes:
             ast = parse_minilang(code)
             _, align = leaf_tokens(ast)
-            mv = multiview(ast, align)
-            assert np.array_equal(mv.a_ast, ast_view_reference(ast, align))
-            assert np.array_equal(mv.a_fl, flow_view_reference(ast, align))
-            assert np.array_equal(mv.a_dp, dataflow_view_reference(ast, align))
+            assert np.array_equal(ast_view(ast, align), ast_view_reference(ast, align))
+            assert np.array_equal(flow_view(ast, align), flow_view_reference(ast, align))
+            assert np.array_equal(dataflow_view(ast, align), dataflow_view_reference(ast, align))
 
     def test_flow_view_links_consecutive_statements(self):
         ast = parse_minilang("a = 1; b = 2; c = 3;")
         tokens, align = leaf_tokens(ast)
-        from scriptsum.structure import flow_view
-
         a_fl = flow_view(ast, align)
         i = tokens.index("a")
         j = tokens.index("b")
@@ -360,8 +351,7 @@ class TestEncodeStructure:
         ast = parse_minilang("a = b + c * d - e;")
         _, align = leaf_tokens(ast)
         enc = encode_structure(ast, align, distance_clip=2)
-        clipped = DistanceMatrix(n=enc.bucket_ids.shape[0], d=enc.bucket_ids.astype(np.float64))
-        assert np.array_equal(enc.distance_weights, normalize(clipped))
+        assert np.array_equal(enc.distance_weights, normalize(enc.bucket_ids.astype(np.float64)))
 
     def test_distances_at_or_beyond_clip_are_interchangeable(self):
         # raising any already-clipped distance must not change a single bit
@@ -377,10 +367,8 @@ class TestEncodeStructure:
         perturbed = raw.astype(np.float64).copy()
         perturbed[i, j] += 5
         perturbed[j, i] += 5
-        buckets = bucketize(DistanceMatrix(n=raw.shape[0], d=perturbed), clip)
-        weights = normalize(
-            DistanceMatrix(n=raw.shape[0], d=buckets.astype(np.float64))
-        )
+        buckets = bucketize(perturbed, clip)
+        weights = normalize(buckets.astype(np.float64))
         assert np.array_equal(buckets, base.bucket_ids)
         assert np.array_equal(weights, base.distance_weights)
 
@@ -391,3 +379,41 @@ class TestEncodeStructure:
         assert enc.distances.dtype == np.int64
         assert enc.bucket_ids.dtype == np.int64
         assert enc.distance_weights.dtype == np.float64
+
+    def test_matches_references_exactly(self, toy_corpus_path):
+        """Every field against an independent reference, bit for bit: the
+        32 toy programs with their own alignments, and random trees with
+        random alignments that repeat leaves in any order."""
+        rng = np.random.default_rng(11)
+        cases = []
+        for line in toy_corpus_path.read_text().splitlines():
+            ast = parse_minilang(json.loads(line)["code"])
+            cases.append((ast, leaf_tokens(ast)[1]))
+        for _ in range(50):
+            ast = random_tree(rng, int(rng.integers(1, 40)))
+            leaves = [node.id for node in ast.nodes if not node.children]
+            picks = rng.choice(leaves, size=int(rng.integers(1, 2 * len(leaves) + 2)))
+            cases.append((ast, TokenAlignment(tuple(picks.tolist()))))
+        for ast, align in cases:
+            clip = int(rng.integers(1, 10))
+            weights = tuple(rng.choice([0.0, 0.25, 1 / 3, 0.5, 1.0], size=3).tolist())
+            if sum(weights) == 0.0:
+                weights = (1 / 3, 1 / 3, 1 / 3)
+            enc = encode_structure(ast, align, clip, weights)
+            idx = list(align.token_to_node)
+            d = enc.distances
+            assert d.dtype == np.int64 and enc.bucket_ids.dtype == np.int64
+            assert np.array_equal(d, bfs_apsp(ast)[np.ix_(idx, idx)])
+            assert np.array_equal(d, d.T) and np.all(np.diagonal(d) == 0)
+            assert np.array_equal(enc.bucket_ids, np.minimum(d, clip))
+            assert np.array_equal(enc.distance_weights, normalize(enc.bucket_ids))
+            sums = enc.distance_weights.sum(axis=1)
+            live = enc.distance_weights.any(axis=1)
+            assert np.all(np.abs(sums[live] - 1.0) <= 1e-9) and np.all(sums[~live] == 0.0)
+            alpha, beta, gamma = weights
+            expected = (
+                alpha * ast_view_reference(ast, align)
+                + beta * flow_view_reference(ast, align)
+                + gamma * dataflow_view_reference(ast, align)
+            )
+            assert np.array_equal(enc.multiview, expected)
