@@ -27,8 +27,9 @@ _MAX_DIMS = 32
 def save_checkpoint(params: dict[str, np.ndarray], path) -> None:
     """Write named arrays; names are sorted so output bytes are canonical.
     Each array's buffer is written straight to the file, with no copy of
-    its bytes, unless it is not already C-contiguous `<f8`."""
-    arrays = [(name, np.ascontiguousarray(params[name], dtype=_DTYPE)) for name in sorted(params)]
+    its bytes, unless it is not already C-contiguous `<f8`; every array
+    keeps its shape, a 0-d one included."""
+    arrays = [(name, np.asarray(params[name], dtype=_DTYPE, order="C")) for name in sorted(params)]
     entries = []
     offset = 0
     for name, arr in arrays:

@@ -7,8 +7,8 @@ recording the effective configuration, seed, git state, and input digests.
 Configuration is a flat key=value text file mirroring the ModelConfig and
 TrainConfig field names; command-line flags override file values.
 
-Exit codes: 0 success, 2 input error, 3 numeric failure, 4 artifact
-mismatch.
+Exit codes: 0 success, 2 input error (a model or input too large for the
+memory at hand included), 3 numeric failure, 4 artifact mismatch.
 """
 
 from __future__ import annotations
@@ -654,6 +654,9 @@ def main(argv=None) -> int:
         IsADirectoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_INPUT
 
 

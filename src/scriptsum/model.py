@@ -17,7 +17,9 @@ self-attention, cross-attention and FFN blocks, goes through one rule,
 `_residual`: LayerNorm(x + Dropout(sublayer(x))).
 
 Attention runs all heads in one pass, with heads as an axis of the scores.
-Between the per-head projections and the output affine, everything is one
+Each attention's q, k and v are one (d_model, d_model) parameter apiece,
+every head's weights side by side in a column block, so a projection is
+one matmul. Between the projections and the output affine, everything is one
 tensor.attention op with one hand-written backward: QK^T, each relative
 table's score term, the scale, the gate or mask, softmax, dropout, alpha V
 and each table's value term. Each relative-position table is shared by the
@@ -48,9 +50,12 @@ in input order, DECODE_CHUNK at a time; `beam_search` and `summarize` are
 the one-source case, whose every step is computed exactly as a lone
 source's.
 
-Every parameter is declared once, in `param_schema`: the constructor draws
-from it in order, and loading checks names and shapes against it without
-drawing anything.
+Every parameter is declared once, in `param_schema`, which is also the
+checkpoint format: it names each head's q, k and v block on its own
+("{prefix}.q{h}"). The constructor draws it in order, each head's block
+straight into its columns of the joined parameter; state_dict splits the
+joined parameters back into the schema's names, and loading checks names
+and shapes against the schema, without drawing anything, before joining.
 
 All math is float64. Training forwards one example at a time, so it is
 bit-reproducible for a fixed seed. A row's bits in a decoder step can
@@ -62,10 +67,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -98,6 +104,8 @@ MASK_MODES = ("multiply", "neg_inf")
 # each srpe_placement -> the layer tags whose attention adds the structural tables
 STRUCTURAL_TAGS = {"SRPEi_only": ("SRPEi",), "RDW_only": ("RDW",), "all": ("RDW", "SRPEi")}
 SRPE_PLACEMENTS = tuple(STRUCTURAL_TAGS)
+# param_schema's name of one head's block of an attention's q, k or v
+_HEAD_NAME = re.compile(r"(.+\.[qkv])(\d+)")
 
 
 @dataclass(frozen=True)
@@ -207,9 +215,6 @@ class DecoderCache:
     heads, d_head), row-major on the middle axis; each decode call appends
     its positions. Under the causal mask an earlier position's keys, values
     and relative offsets never change, so reusing them is exact.
-    head_weights holds the self-attention q, k, v and cross-attention q
-    weights of every head concatenated, by "{prefix}.{kind}", made once for
-    all decode calls.
     """
 
     cross: list[tuple[Tensor, Tensor]] = field(default_factory=list)
@@ -217,7 +222,6 @@ class DecoderCache:
     sources: list[int] = field(default_factory=lambda: [0])
     self_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
     beams: int = 0
-    head_weights: dict[str, Tensor] = field(default_factory=dict)
 
     @property
     def length(self) -> int:
@@ -308,6 +312,42 @@ def param_schema(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
     return schema
 
 
+def join_heads(config: ModelConfig, arrays: Iterable[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """The model's arrays from (param_schema name, array) pairs, taken one
+    at a time: each head's "{prefix}.q{h}" (likewise k and v) is written
+    into columns h * d_head to (h + 1) * d_head of one "{prefix}.q", made
+    at its first head; every other array is kept as it is."""
+    out: dict[str, np.ndarray] = {}
+    for name, arr in arrays:
+        key, cols = _slot(name, config.d_head)
+        if cols is None:
+            out[key] = arr
+        else:
+            if key not in out:
+                out[key] = np.empty((arr.shape[0], config.d_model))
+            out[key][:, cols] = arr
+    return out
+
+
+def split_heads(config: ModelConfig, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """join_heads reversed: param_schema's arrays as views of the model's."""
+    out = {}
+    for name in param_schema(config):
+        key, cols = _slot(name, config.d_head)
+        out[name] = arrays[key] if cols is None else arrays[key][:, cols]
+    return out
+
+
+def _slot(name: str, d_head: int) -> tuple[str, slice | None]:
+    """The model parameter holding param_schema's name, and the columns a
+    head's block takes in it (None for a whole parameter)."""
+    head = _HEAD_NAME.fullmatch(name)
+    if head is None:
+        return name, None
+    h = int(head[2])
+    return head[1], slice(h * d_head, (h + 1) * d_head)
+
+
 def _draw(rng: np.random.Generator, shape: tuple[int, ...], init: str) -> np.ndarray:
     """One initial parameter array; each random init takes one draw."""
     if init == "glorot":
@@ -324,13 +364,12 @@ class ScriptModel:
     """The full network: parameters, per-example forward passes, decoding."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        """Draw param_schema(config) in order from one generator seeded by seed."""
+        """Draw param_schema(config) in order from one generator seeded by
+        seed; each head's block goes into its joined parameter as drawn."""
         rng = np.random.default_rng(seed)
         self.config = config
-        self.params = {
-            name: Tensor(_draw(rng, shape, init), requires_grad=True)
-            for name, (shape, init) in param_schema(config).items()
-        }
+        drawn = ((name, _draw(rng, shape, init)) for name, (shape, init) in param_schema(config).items())
+        self.params = {name: Tensor(arr, requires_grad=True) for name, arr in join_heads(config, drawn).items()}
 
     @classmethod
     def from_state_dict(cls, config: ModelConfig, state: dict[str, np.ndarray]) -> "ScriptModel":
@@ -344,7 +383,9 @@ class ScriptModel:
     # -- state ------------------------------------------------------------
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.params.items()}
+        """A copy of every parameter, by param_schema name."""
+        arrays = split_heads(self.config, {name: t.data for name, t in self.params.items()})
+        return {name: arr.copy() for name, arr in arrays.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Replace every parameter. Names and shapes must match
@@ -358,15 +399,17 @@ class ScriptModel:
             raise ArtifactMismatchError(
                 f"parameter names do not match this configuration; missing {missing[:5]}, unexpected {extra[:5]}"
             )
-        arrays = {}
-        for name, (shape, _) in schema.items():
-            arr = np.asarray(state[name], dtype=np.float64)
+
+        def checked(name: str, shape: tuple[int, ...]) -> np.ndarray:
+            arr = np.array(state[name], dtype=np.float64, order="C")
             if arr.shape != shape:
                 raise ArtifactMismatchError(f"parameter {name!r} has shape {arr.shape}, expected {shape}")
             if not np.isfinite(arr).all():
                 raise NumericsError(f"parameter {name!r} holds a value that is not finite")
-            arrays[name] = arr
-        self.params = {name: Tensor(arr.copy(), requires_grad=True) for name, arr in arrays.items()}
+            return arr
+
+        arrays = join_heads(self.config, ((name, checked(name, shape)) for name, (shape, _) in schema.items()))
+        self.params = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -374,25 +417,19 @@ class ScriptModel:
 
     # -- attention ---------------------------------------------------------
 
-    def _project(self, prefix: str, kind: str, x: Tensor, groups: int, head_weights: dict | None = None) -> Tensor:
-        """Rows x through every head's "{prefix}.{kind}{h}" weights at once.
+    def _project(self, prefix: str, kind: str, x: Tensor, groups: int) -> Tensor:
+        """Rows x through every head's weights at once, "{prefix}.{kind}".
         The rows are `groups` interleaved sequences, row t * groups + g
         holding position t of sequence g; the result is
-        (positions, groups * heads, d_head), sequence-major on its middle axis.
-        head_weights, if given, keeps the concatenated weights by "{prefix}.{kind}"."""
+        (positions, groups * heads, d_head), sequence-major on its middle axis."""
         cfg = self.config
-        memo = {} if head_weights is None else head_weights
-        name = f"{prefix}.{kind}"
-        if name not in memo:
-            memo[name] = concat([self.params[f"{name}{h}"] for h in range(cfg.n_heads)], axis=1)
-        return reshape(matmul(x, memo[name]), (x.shape[0] // groups, groups * cfg.n_heads, cfg.d_head))
+        out = matmul(x, self.params[f"{prefix}.{kind}"])
+        return reshape(out, (x.shape[0] // groups, groups * cfg.n_heads, cfg.d_head))
 
-    def keys_values(
-        self, prefix: str, x: Tensor, groups: int = 1, head_weights: dict | None = None
-    ) -> tuple[Tensor, Tensor]:
+    def keys_values(self, prefix: str, x: Tensor, groups: int = 1) -> tuple[Tensor, Tensor]:
         """Keys and values of rows x for the attention at prefix, each
         (positions, groups * heads, d_head); see _project."""
-        return tuple(self._project(prefix, kind, x, groups, head_weights) for kind in "kv")
+        return tuple(self._project(prefix, kind, x, groups) for kind in "kv")
 
     def relative_attention(
         self,
@@ -406,7 +443,6 @@ class ScriptModel:
         training: bool = False,
         rng: np.random.Generator | None = None,
         capture: list | None = None,
-        head_weights: dict | None = None,
     ) -> Tensor:
         """Multi-head attention with optional clipped relative-position
         terms on keys and values and optional relation-matrix masking.
@@ -419,8 +455,8 @@ class ScriptModel:
         rows)^T / sqrt(d_head), then softmax (gated by a_mv per mask_mode),
         then z_i = sum_j alpha_ij (v_j + sum of value rows). Everything
         from q k^T to z, the table terms, gate, softmax and dropout
-        included, is one tensor.attention op between the per-head
-        projections and the output affine.
+        included, is one tensor.attention op between the projections and
+        the output affine.
 
         x_kv is the (n_k, d_model) rows to attend over, or their keys and
         values from `keys_values`, each (n_k, groups * heads, d_head). With
@@ -428,8 +464,7 @@ class ScriptModel:
         t * groups + g is query t of sequence g; see _project), and each
         sequence attends over its own keys: the sequences are extra heads.
         The decoder runs one sequence per beam. rel, a_mv and additive_mask
-        are (n_q, n_k) over one sequence's queries and keys. head_weights is
-        passed to _project for the queries.
+        are (n_q, n_k) over one sequence's queries and keys.
         """
         cfg = self.config
         k, v = self.keys_values(prefix, x_kv) if isinstance(x_kv, Tensor) else x_kv
@@ -440,7 +475,7 @@ class ScriptModel:
             else:
                 keep = np.where(a_mv > 0, 0.0, NEG_INF)
                 additive_mask = keep if additive_mask is None else keep + additive_mask
-        q = self._project(prefix, "q", x_q, k.shape[1] // cfg.n_heads, head_weights)  # (n_q, groups * heads, dh)
+        q = self._project(prefix, "q", x_q, k.shape[1] // cfg.n_heads)  # (n_q, groups * heads, dh)
         tables = tuple((self.params[f"{table}_k"], self.params[f"{table}_v"], idx) for table, idx in rel)
         z = attention(q, k, v, tables, additive_mask=additive_mask, scale_matrix=scale_matrix,
                       dropout_p=cfg.dropout_p, rng=rng, training=training, capture=capture)
@@ -603,7 +638,7 @@ class ScriptModel:
         self_kv = []
         for ly in range(cfg.n_decoder_layers):
             base = f"dec{ly}"
-            k, v = self.keys_values(f"{base}.self", y, beams, cache.head_weights)
+            k, v = self.keys_values(f"{base}.self", y, beams)
             if past:
                 k_past, v_past = cache.self_kv[ly]
                 k, v = concat([k_past, k], axis=0), concat([v_past, v], axis=0)
@@ -616,7 +651,6 @@ class ScriptModel:
                 additive_mask=causal,
                 training=training,
                 rng=rng,
-                head_weights=cache.head_weights,
             )
             y = self._residual(y, sa, f"{base}.ln1", training, rng)
             ca = self.relative_attention(
@@ -626,7 +660,6 @@ class ScriptModel:
                 additive_mask=cross_mask,
                 training=training,
                 rng=rng,
-                head_weights=cache.head_weights,
             )
             y = self._residual(y, ca, f"{base}.ln2", training, rng)
             y = self._residual(y, self._ffn(f"{base}.ffn", y), f"{base}.ln3", training, rng)

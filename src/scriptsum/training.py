@@ -38,7 +38,7 @@ from .data import (
 )
 from .errors import ConfigError, FormatError, NumericsError, read_text
 from .metrics import EvalPair, bleu4
-from .model import ModelConfig, ScriptModel, load_model_sidecar, save_model_sidecar
+from .model import ModelConfig, ScriptModel, join_heads, load_model_sidecar, param_schema, save_model_sidecar, split_heads
 from .tensor import backward, no_grad, scale
 
 HISTORY_COLUMNS = ("epoch", "train_loss", "valid_loss", "valid_bleu", "lr", "wall_seconds")
@@ -141,23 +141,27 @@ class Adam:
             p.data = p.data - lr * update
 
     def state_arrays(self) -> dict[str, np.ndarray]:
+        """The step count and the moments, by param_schema name."""
         out: dict[str, np.ndarray] = {"adam.step": np.array([float(self.step_count)])}
-        for name in self.m:
-            out[f"adam.m.{name}"] = self.m[name]
-            out[f"adam.v.{name}"] = self.v[name]
+        for kind, moments in (("m", self.m), ("v", self.v)):
+            out |= {f"adam.{kind}.{name}": arr for name, arr in split_heads(self.model.config, moments).items()}
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Restore the step count and moments; FormatError, changing nothing,
         unless adam.step holds one non-negative integer and every moment
-        is finite with its parameter's shape, and v >= 0."""
+        is finite with its param_schema shape, and v >= 0."""
         step = _state_count(arrays, "adam.step")
-        m, v = {}, {}
-        for name, p in self.model.params.items():
-            m[name] = _state_array(arrays, f"adam.m.{name}", p.data.shape)
-            v[name] = _state_array(arrays, f"adam.v.{name}", p.data.shape)
-            if (v[name] < 0).any():
-                raise FormatError(f"run state 'adam.v.{name}' holds a negative value")
+        config = self.model.config
+
+        def moments(kind: str):
+            for name, (shape, _) in param_schema(config).items():
+                arr = _state_array(arrays, f"adam.{kind}.{name}", shape)
+                if kind == "v" and (arr < 0).any():
+                    raise FormatError(f"run state 'adam.v.{name}' holds a negative value")
+                yield name, arr
+
+        m, v = join_heads(config, moments("m")), join_heads(config, moments("v"))
         self.step_count, self.m, self.v = step, m, v
 
 

@@ -4,10 +4,12 @@ Everything here is deliberately written with different algorithms than the
 library (BFS instead of preorder lca depths, pairwise loops
 instead of vectorised relation views, explicit subsequence enumeration
 instead of DP, step-by-step argmax instead of beam bookkeeping) so
-agreement is meaningful. The exception is attention: composed_attention
-builds tensor.attention from one autodiff op per step, with
-relative_scores and relative_values for the table terms, and the fused op
-must equal it bit for bit, gradients included.
+agreement is meaningful. The exceptions are attention and its
+projections. composed_attention builds tensor.attention from one autodiff
+op per step, with relative_scores and relative_values for the table terms;
+per_head_project concatenates one leaf tensor per head on every call. The
+fused op and the joined projections must equal them bit for bit,
+gradients included.
 """
 
 import math
@@ -25,6 +27,7 @@ from scriptsum.tensor import (
     _check_ids,
     _make,
     add,
+    concat,
     dropout,
     gather,
     matmul,
@@ -370,7 +373,6 @@ def composed_relative_attention(
     training=False,
     rng=None,
     capture=None,
-    head_weights=None,
 ):
     """ScriptModel.relative_attention with composed_attention in place of
     tensor.attention; same signature, so a test can patch it in."""
@@ -383,12 +385,30 @@ def composed_relative_attention(
         else:
             keep = np.where(a_mv > 0, 0.0, NEG_INF)
             additive_mask = keep if additive_mask is None else keep + additive_mask
-    q = model._project(prefix, "q", x_q, k.shape[1] // cfg.n_heads, head_weights)
+    q = model._project(prefix, "q", x_q, k.shape[1] // cfg.n_heads)
     tables = tuple((model.params[f"{t}_k"], model.params[f"{t}_v"], idx) for t, idx in rel)
     z = composed_attention(q, k, v, tables, additive_mask=additive_mask, scale_matrix=scale_matrix,
                            dropout_p=cfg.dropout_p, rng=rng, training=training, capture=capture)
     return _affine(reshape(z, (x_q.shape[0], cfg.d_model)), model.params[f"{prefix}.out_w"],
                    model.params[f"{prefix}.out_b"])
+
+
+def per_head_leaves(model) -> dict[str, Tensor]:
+    """Every head's q, k and v block of model's joined projections as a
+    leaf tensor of its own, by param_schema name: the parameters the model
+    held before it joined them."""
+    return {name: Tensor(arr, requires_grad=True)
+            for name, arr in model.state_dict().items() if name not in model.params}
+
+
+def per_head_project(heads, model, prefix, kind, x, groups):
+    """ScriptModel._project through per-head leaf tensors, heads from
+    per_head_leaves, concatenated on every call: the reference the joined
+    projection must equal bit for bit, gradients included. Bind heads and
+    model to patch it in as model._project."""
+    cfg = model.config
+    w = concat([heads[f"{prefix}.{kind}{h}"] for h in range(cfg.n_heads)], axis=1)
+    return reshape(matmul(x, w), (x.shape[0] // groups, groups * cfg.n_heads, cfg.d_head))
 
 
 def gather_relative_scores(q, table, idx):

@@ -224,7 +224,7 @@ def test_04_gradient_suite():
             x = Tensor(rng.standard_normal((4, model.config.d_model)))
             params = [
                 model.params["enc0.fc2_w"],
-                model.params["enc0.attn.q0"],
+                model.params["enc0.attn.q"],
                 model.params["enc0.seq_k"],
                 model.params["enc0.ffn.w1"],
             ]
@@ -238,7 +238,7 @@ def test_04_gradient_suite():
                 bundle = random_bundle(rng, 4)
                 x = Tensor(rng.standard_normal((4, model.config.d_model)))
                 params = [
-                    model.params["enc1.attn.k1"],
+                    model.params["enc1.attn.k"],
                     model.params["enc1.str_k"],
                     model.params["enc1.str_v"],
                     model.params["enc1.ffn.w2"],
@@ -257,8 +257,8 @@ def test_04_gradient_suite():
             src = rng.integers(0, model.config.src_vocab_size, 4)
             tgt = np.array([1, 6, 7, 2])
             params = [
-                model.params["dec0.self.q0"],
-                model.params["dec0.cross.k1"],
+                model.params["dec0.self.q"],
+                model.params["dec0.cross.k"],
                 model.params["dec0.seq_v"],
                 model.params["out_bias"],
             ]
@@ -272,9 +272,9 @@ def test_04_gradient_suite():
             src = rng.integers(0, model.config.src_vocab_size, 5)
             tgt = np.array([1, 8, 9, 6, 2])
             params = [
-                model.params["enc0.attn.v0"],
+                model.params["enc0.attn.v"],
                 model.params["enc1.str_v"],
-                model.params["dec0.cross.q1"],
+                model.params["dec0.cross.q"],
                 model.params["out_bias"],
             ]
             check(lambda *_: model.forward_loss(src, bundle, tgt), params, seed)

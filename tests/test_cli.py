@@ -1,14 +1,18 @@
 import csv
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scriptsum.cli
 from scriptsum.astcore import load_ast_json
 from scriptsum.checkpoint import load_checkpoint, save_checkpoint
 from scriptsum.cli import _CONFIG_TYPES, build_parser, main, read_config_file
@@ -18,6 +22,7 @@ from scriptsum.manifest import load_manifest, sha256_file
 from scriptsum.model import ScriptModel
 from scriptsum.tensor import _grad_enabled
 
+REPO = Path(__file__).resolve().parent.parent
 TRAIN_FLAGS = [
     "--d-model", "16",
     "--n-heads", "2",
@@ -230,6 +235,34 @@ class TestEncode:
 
 
 class TestTrainCommand:
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps allocations on Linux only")
+    def test_out_of_memory_exits_with_one_line(self, tmp_path, toy_corpus_path):
+        """A model too large for the memory a process may take fails with
+        one error line and exit code 2, not a traceback. The child process
+        caps its own address space; nothing else is limited."""
+        limit = 1 << 30
+        script = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from scriptsum.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        args = ["train", str(toy_corpus_path), str(tmp_path / "out"), "--d-model", "8192", "--n-heads", "8",
+                "--max-epochs", "1"]
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script, *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: out of memory: ") and len(proc.stderr.splitlines()) == 1, proc.stderr
+
+    def test_memory_error_without_a_message(self, tmp_path, monkeypatch, capsys):
+        def no_memory(args, manifest):
+            raise MemoryError
+
+        monkeypatch.setattr(scriptsum.cli, "cmd_parse", no_memory)
+        assert main(["parse", str(tmp_path / "data.jsonl"), str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: out of memory: an allocation failed\n"
+
     def test_artifacts_and_manifest(self, trained_dir):
         assert sorted(path.name for path in trained_dir.iterdir()) == [
             "best.ckpt", "best.json", "history.csv", "last.ckpt", "manifest.json",

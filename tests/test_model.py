@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,19 +27,22 @@ from scriptsum.model import (
     ScriptModel,
     ablation_layer_plan,
     load_model_sidecar,
+    param_schema,
     save_model_sidecar,
+    split_heads,
 )
 from scriptsum.structure import StructuralEncodings
 from scriptsum.tensor import (
     Tensor,
     _grad_enabled,
     backward,
+    concat,
     grad_check,
     mul,
     no_grad,
     sum_all,
 )
-from scriptsum.training import TrainConfig, train
+from scriptsum.training import Adam, TrainConfig, train
 
 from conftest import make_example, random_bundle, tiny_config, tiny_model
 from oracles import (
@@ -47,6 +52,8 @@ from oracles import (
     gather_relative_scores,
     gather_relative_values,
     greedy_oracle,
+    per_head_leaves,
+    per_head_project,
     relative_scores,
     relative_values,
     search_to_the_end,
@@ -359,6 +366,58 @@ class TestFusedAttentionMatchesComposedReference:
             assert np.array_equal(grads[name], ref), name
 
 
+def _per_head_reference(model):
+    """A copy of model whose projections concatenate per-head leaf tensors
+    on every call (oracles.per_head_project), and its parameters as a
+    model with one parameter per head held them, by param_schema name."""
+    ref = ScriptModel.from_state_dict(model.config, model.state_dict())
+    heads = per_head_leaves(ref)
+    ref._project = functools.partial(per_head_project, heads, ref)
+    return ref, {name: heads[name] if name in heads else ref.params[name] for name in param_schema(ref.config)}
+
+
+class TestJoinedProjectionsMatchPerHeadReference:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("config", list(GRADIENT_CONFIGS))
+    def test_training_step_and_decoding_are_bit_identical(self, config, seed):
+        """With dropout on, the loss, every gradient (a joined one split
+        per head), one Adam step and greedy and beam-5 ids equal, bit for
+        bit, what one parameter per head gives."""
+        rng = np.random.default_rng(40 + seed)
+        model = tiny_model(seed=seed, n_script_modules=2, n_decoder_layers=2, dropout_p=0.2,
+                           **GRADIENT_CONFIGS[config])
+        ref, ref_params = _per_head_reference(model)
+        bundle = random_bundle(rng, 7)
+        src = rng.integers(0, model.config.src_vocab_size, 7)
+        tgt = np.array([1, 4, 5, 9, 3, 2])
+        losses = []
+        for m in (model, ref):
+            loss = m.forward_loss(src, bundle, tgt, training=True, rng=np.random.default_rng(seed))
+            backward(loss)
+            losses.append(loss.data)
+        assert np.array_equal(*losses)
+        grads = split_heads(model.config, {name: t.grad for name, t in model.params.items()})
+        for name, p in ref_params.items():
+            assert np.array_equal(grads[name], p.grad), name
+
+        adam, ref_adam = Adam(model), Adam(SimpleNamespace(params=ref_params))
+        adam.step(1e-2)
+        ref_adam.step(1e-2)
+        state, moments = model.state_dict(), adam.state_arrays()
+        for name, p in ref_params.items():
+            assert np.array_equal(state[name], p.data), name
+            assert np.array_equal(moments[f"adam.m.{name}"], ref_adam.m[name]), name
+            assert np.array_equal(moments[f"adam.v.{name}"], ref_adam.v[name]), name
+
+        for m in (model, ref):  # every summary runs to max_len
+            m.params["out_bias"].data[m.config.eos_id] = -1e9
+        sources = [(src, bundle), (rng.integers(0, model.config.src_vocab_size, 4), random_bundle(rng, 4))]
+        for beam in (1, 5):
+            ids = model.summarize_many(sources, beam_size=beam, max_len=6)
+            assert ids == ref.summarize_many(sources, beam_size=beam, max_len=6)
+            assert [len(summary) for summary in ids] == [6, 6]
+
+
 class TestRelativeAttentionMatchesPerHeadOracle:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_matches_loop_over_heads(self, case):
@@ -411,7 +470,7 @@ class TestRdwLayer:
         x = Tensor(rng.standard_normal((n, model.config.d_model)), requires_grad=True)
         params = [
             model.params["enc0.fc2_w"],
-            model.params["enc0.attn.q0"],
+            model.params["enc0.attn.q"],
             model.params["enc0.seq_k"],
             model.params["enc0.ffn.w1"],
             model.params["enc0.ln1_g"],
@@ -474,7 +533,7 @@ class TestSrpeiLayer:
         bundle = random_bundle(rng, n)
         x = Tensor(rng.standard_normal((n, model.config.d_model)), requires_grad=True)
         params = [
-            model.params["enc1.attn.k1"],
+            model.params["enc1.attn.k"],
             model.params["enc1.str_k"],
             model.params["enc1.str_v"],
             model.params["enc1.ffn.w2"],
@@ -662,8 +721,8 @@ class TestDecoder:
         src = rng.integers(0, 13, n)
         tgt = np.array([1, 4, 5, 2])
         params = [
-            model.params["dec0.self.q0"],
-            model.params["dec0.cross.k1"],
+            model.params["dec0.self.q"],
+            model.params["dec0.cross.k"],
             model.params["dec0.seq_v"],
             model.params["dec0.ffn.w1"],
             model.params["out_bias"],
@@ -873,20 +932,29 @@ class TestCachedDecoding:
         assert np.array_equal(k_after[:, :heads], k_before[:, heads:])
         assert np.array_equal(k_after[:, heads:], k_before[:, :heads])
 
-    def test_head_weights_concatenated_once_per_cache(self):
+    def test_no_decoder_step_concatenates_a_parameter(self, monkeypatch):
+        """Every projection reads its parameter as it is: the decoder
+        concatenates cached keys and values, never weights."""
         rng = np.random.default_rng(31)
         model = tiny_model(n_decoder_layers=2)
-        state = model.script_encoder(np.array([1, 2, 3]), random_bundle(rng, 3))
+        bundles = [random_bundle(rng, 3), random_bundle(rng, 5)]
+        state = model.script_encoder(np.array([1, 2, 3]), bundles[0])
+        params = {id(t) for t in model.params.values()}
+        parts_seen = []
+
+        def recording_concat(parts, axis):
+            parts_seen.extend(id(part) for part in parts)
+            return concat(parts, axis)
+
+        monkeypatch.setattr(scriptsum.model, "concat", recording_concat)
+        model.decode(np.array([1, 4, 5]), state)
         cache = DecoderCache()
         with no_grad():
-            model.decode(np.array([[1], [1]]), state, cache=cache)
-            kept = dict(cache.head_weights)
-            model.decode(np.array([[4], [5]]), state, cache=cache)
-        expected = {f"dec{ly}.{name}" for ly in range(2) for name in ("self.q", "self.k", "self.v", "cross.q")}
-        assert set(kept) == expected
-        assert all(cache.head_weights[name] is w for name, w in kept.items())
-        heads = [model.params[f"dec1.self.v{h}"].data for h in range(model.config.n_heads)]
-        assert np.array_equal(kept["dec1.self.v"].data, np.concatenate(heads, axis=1))
+            for ids in ([[1], [1]], [[4], [5]], [[6], [7]]):
+                model.decode(np.array(ids), state, cache=cache)
+        model.summarize_many([(np.array([1, 2, 3]), bundles[0]), (np.arange(5), bundles[1])], beam_size=2, max_len=4)
+        assert parts_seen
+        assert params.isdisjoint(parts_seen)
 
     def test_several_beams_and_positions_per_call(self):
         """Row t * beams + b holds position t of beam b, with or without
@@ -1209,8 +1277,39 @@ class TestParamSchema:
         with pytest.raises(ArtifactMismatchError, match="'enc0.attn.q1' has shape"):
             ScriptModel.from_state_dict(source.config, state)
 
+    def test_model_holds_one_projection_per_attention(self):
+        config = ModelConfig(src_vocab_size=10, tgt_vocab_size=10, d_model=16, ffn_dim=16)  # defaults' layers
+        model = ScriptModel(config)
+        assert (len(param_schema(config)), len(model.params)) == (623, 245)
+        for name in ("enc0.attn.q", "dec5.self.k", "dec5.cross.v"):
+            assert model.params[name].shape == (16, 16)
+
+    def test_state_uses_schema_names_and_shapes(self):
+        model = tiny_model(seed=2, srpe_placement="all")
+        schema = param_schema(model.config)
+        state = model.state_dict()
+        assert {name: arr.shape for name, arr in state.items()} == {name: shape for name, (shape, _) in schema.items()}
+        assert set(Adam(model).state_arrays()) == {"adam.step"} | {f"adam.{kind}.{name}" for kind in "mv" for name in schema}
+
+    def test_hand_drawn_per_head_state_round_trips(self):
+        """param_schema drawn one array per name, as the model once held
+        them, is the constructor's state, and loads back unchanged."""
+        config = tiny_config(srpe_placement="all")
+        rng = np.random.default_rng(3)
+        state = {name: scriptsum.model._draw(rng, shape, init) for name, (shape, init) in param_schema(config).items()}
+        for model in (ScriptModel(config, seed=3), ScriptModel.from_state_dict(config, state)):
+            back = model.state_dict()
+            assert list(back) == list(state)
+            assert all(np.array_equal(back[name], arr) and back[name].flags.c_contiguous for name, arr in state.items())
+
 
 class TestCheckpointAndSidecar:
+    def test_zero_dim_array_round_trips(self, tmp_path):
+        path = tmp_path / "scalar.ckpt"
+        save_checkpoint({"s": np.array(2.5)}, path)
+        loaded = load_checkpoint(path)["s"]
+        assert loaded.shape == () and loaded == 2.5
+
     def test_round_trip_preserves_outputs(self, tmp_path):
         rng = np.random.default_rng(27)
         model = tiny_model(seed=11)
