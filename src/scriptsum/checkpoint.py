@@ -4,14 +4,18 @@ Layout: 8-byte little-endian unsigned header length, then a JSON header
 {"params": [{"name", "shape", "dtype", "offset"}]}, then the raw
 little-endian float64 array bytes concatenated in name order. Offsets are
 relative to the start of the data section. Writing the same parameters
-always produces byte-identical files. The reader accepts only `<f8`
-entries with unique names and at most 32 non-negative integer dims.
+always produces byte-identical files. The writer streams each array to
+the file and the reader reads each entry straight into the array it
+returns, so neither holds a second copy of any array. The reader accepts
+only `<f8` entries with unique names and at most 32 non-negative integer
+dims.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -27,20 +31,22 @@ _MAX_DIMS = 32
 def save_checkpoint(params: dict[str, np.ndarray], path) -> None:
     """Write named arrays; names are sorted so output bytes are canonical.
     Each array's buffer is written straight to the file, with no copy of
-    its bytes, unless it is not already C-contiguous `<f8`; every array
-    keeps its shape, a 0-d one included."""
-    arrays = [(name, np.asarray(params[name], dtype=_DTYPE, order="C")) for name in sorted(params)]
+    its bytes, unless it is not already C-contiguous `<f8`; such an array
+    is copied only while it is written. Every array keeps its shape, a 0-d
+    one included."""
+    names = sorted(params)
     entries = []
     offset = 0
-    for name, arr in arrays:
-        entries.append({"name": name, "shape": list(arr.shape), "dtype": _DTYPE, "offset": offset})
-        offset += arr.nbytes
+    for name in names:
+        shape = np.shape(params[name])
+        entries.append({"name": name, "shape": list(shape), "dtype": _DTYPE, "offset": offset})
+        offset += math.prod(shape) * _ITEMSIZE
     header = json.dumps({"params": entries}, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for _, arr in arrays:
-            fh.write(arr)
+        for name in names:
+            fh.write(np.asarray(params[name], dtype=_DTYPE, order="C"))
 
 
 def _is_count(value) -> bool:
@@ -71,31 +77,41 @@ def _entry_fields(entry) -> tuple[str, tuple[int, ...], int]:
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint back into name -> float64 array.
 
-    Each array is read in place from the file's bytes and copied once.
-    Entries must be `<f8` with unique names; anything else is a
-    FormatError."""
+    The header and the extent of every entry are checked against the
+    file's size before any array is made; each entry is then read straight
+    into its own fresh C-contiguous array. Entries must be `<f8` with
+    unique names; anything else is a FormatError."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8:
-        raise FormatError("checkpoint file too short for its header length field")
-    (header_len,) = struct.unpack("<Q", blob[:8])
-    base = 8 + header_len
-    if len(blob) < base:
-        raise FormatError("checkpoint header truncated")
-    try:
-        header = parse_json(blob[8:base].decode("utf-8"))
-    except (UnicodeDecodeError, FormatError) as exc:
-        raise FormatError(f"{path}: checkpoint header: {exc}") from exc
-    if not isinstance(header, dict) or not isinstance(header.get("params"), list):
-        raise FormatError("checkpoint header needs a 'params' list")
-    out: dict[str, np.ndarray] = {}
-    for entry in header["params"]:
-        name, shape, offset = _entry_fields(entry)
-        if name in out:
-            raise FormatError(f"duplicate checkpoint entry {name!r}")
-        count = math.prod(shape)
-        if offset + count * _ITEMSIZE > len(blob) - base:
-            raise FormatError(f"checkpoint entry {name!r} overruns the data section")
-        arr = np.frombuffer(blob, dtype=_DTYPE, count=count, offset=base + offset)
-        out[name] = arr.reshape(shape).astype(np.float64)
+        size = os.fstat(fh.fileno()).st_size
+        length = fh.read(8)
+        if len(length) < 8:
+            raise FormatError("checkpoint file too short for its header length field")
+        (header_len,) = struct.unpack("<Q", length)
+        base = 8 + header_len
+        if size < base:
+            raise FormatError("checkpoint header truncated")
+        raw = fh.read(header_len)
+        if len(raw) < header_len:
+            raise FormatError("checkpoint header truncated")
+        try:
+            header = parse_json(raw.decode("utf-8"))
+        except (UnicodeDecodeError, FormatError) as exc:
+            raise FormatError(f"{path}: checkpoint header: {exc}") from exc
+        if not isinstance(header, dict) or not isinstance(header.get("params"), list):
+            raise FormatError("checkpoint header needs a 'params' list")
+        extents: dict[str, tuple[tuple[int, ...], int]] = {}
+        for entry in header["params"]:
+            name, shape, offset = _entry_fields(entry)
+            if name in extents:
+                raise FormatError(f"duplicate checkpoint entry {name!r}")
+            if offset + math.prod(shape) * _ITEMSIZE > size - base:
+                raise FormatError(f"checkpoint entry {name!r} overruns the data section")
+            extents[name] = shape, offset
+        out: dict[str, np.ndarray] = {}
+        for name, (shape, offset) in extents.items():
+            arr = np.empty(shape, dtype=_DTYPE)
+            fh.seek(base + offset)
+            if fh.readinto(arr) != arr.nbytes:
+                raise FormatError(f"checkpoint entry {name!r} overruns the data section")
+            out[name] = arr
     return out

@@ -391,7 +391,10 @@ class ScriptModel:
         """Replace every parameter. Names and shapes must match
         param_schema(self.config) (ArtifactMismatchError) and every value
         must be finite (NumericsError, naming the first parameter that is
-        not); on either error no parameter changes."""
+        not); on either error no parameter changes. A C-contiguous,
+        writeable float64 array is kept as the parameter itself, so the
+        caller must not reuse it; any other array is copied. Head blocks
+        are copied into their joined parameter."""
         schema = param_schema(self.config)
         if set(schema) != set(state):
             missing = sorted(set(schema) - set(state))
@@ -401,7 +404,7 @@ class ScriptModel:
             )
 
         def checked(name: str, shape: tuple[int, ...]) -> np.ndarray:
-            arr = np.array(state[name], dtype=np.float64, order="C")
+            arr = np.require(state[name], dtype=np.float64, requirements="CW")
             if arr.shape != shape:
                 raise ArtifactMismatchError(f"parameter {name!r} has shape {arr.shape}, expected {shape}")
             if not np.isfinite(arr).all():

@@ -94,16 +94,17 @@ class TrainConfig:
 
 
 def _state_array(arrays: dict[str, np.ndarray], key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A copy of one run-state array; FormatError unless it is there, has
-    the given shape and is finite."""
+    """One run-state array, kept as it is when C-contiguous, writeable
+    float64 and copied otherwise; FormatError unless it is there, has the
+    given shape and is finite."""
     if key not in arrays:
         raise FormatError(f"missing run state {key!r}")
-    arr = np.asarray(arrays[key], dtype=np.float64)
+    arr = np.require(arrays[key], dtype=np.float64, requirements="CW")
     if arr.shape != shape:
         raise FormatError(f"run state {key!r} has shape {arr.shape}, expected {shape}")
     if not np.isfinite(arr).all():
         raise FormatError(f"run state {key!r} holds a value that is not finite")
-    return arr.copy()
+    return arr
 
 
 def _state_count(arrays: dict[str, np.ndarray], key: str) -> int:
@@ -120,8 +121,10 @@ class Adam:
         self.model = model
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in model.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in model.params.items()}
+        # np.zeros writes no page until a step does, so a resume, which
+        # replaces the moments at once, never pays for them
+        self.m = {name: np.zeros(p.data.shape) for name, p in model.params.items()}
+        self.v = {name: np.zeros(p.data.shape) for name, p in model.params.items()}
 
     def step(self, lr: float) -> None:
         self.step_count += 1
@@ -150,7 +153,10 @@ class Adam:
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Restore the step count and moments; FormatError, changing nothing,
         unless adam.step holds one non-negative integer and every moment
-        is finite with its param_schema shape, and v >= 0."""
+        is finite with its param_schema shape, and v >= 0. Like
+        ScriptModel.load_state_dict, it keeps each C-contiguous, writeable
+        float64 moment it is given, so the caller must not reuse it, and
+        copies any other array."""
         step = _state_count(arrays, "adam.step")
         config = self.model.config
 
@@ -221,6 +227,13 @@ def _replace_file(path: Path, write) -> None:
 
 def _model_params(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v for k, v in arrays.items() if not k.startswith(("adam.", "train."))}
+
+
+def _param_views(model: ScriptModel) -> dict[str, np.ndarray]:
+    """The model's parameters by param_schema name, as views of its own
+    arrays. Adam.step rebinds every parameter, so these are built for one
+    save and not kept: kept, they would hold the old arrays alive."""
+    return split_heads(model.config, {name: t.data for name, t in model.params.items()})
 
 
 def _rank(history: Sequence[HistoryRow], validate_by: str) -> tuple[float, int, int]:
@@ -338,7 +351,8 @@ def train(
     optimizer state for resuming), history.csv, and both vocabulary files,
     each replaced whole. A resume takes the step and epoch counts from
     last.ckpt and the best/bad-epoch counters from history.csv. Raises
-    NumericsError on a NaN/Inf loss.
+    NumericsError on a NaN/Inf loss, or on an overflow or invalid value in
+    a step or in the validation loss.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -363,6 +377,7 @@ def train(
             start_epoch = _state_count(arrays, EPOCH_KEY)
         except FormatError as exc:
             raise FormatError(f"{last_path}: {exc}") from exc
+        del arrays  # frees the per-head arrays; their joined copies are kept
         history = _read_history(history_path)
         # one row past last.ckpt is an epoch killed before its last.ckpt
         # write: it is dropped and trained again
@@ -400,15 +415,21 @@ def train(
         epoch_loss = 0.0
         n_batches = 0
         last_lr = lr_at_step(global_step, total_steps, cfg.lr, cfg.warmup_ratio)
-        for batch in batches:
-            last_lr = lr_at_step(global_step, total_steps, cfg.lr, cfg.warmup_ratio)
-            epoch_loss += _train_one_batch(model, batch, cfg, global_step)
-            optimizer.step(last_lr)
-            global_step += 1
-            n_batches += 1
-            if global_step >= total_steps:
-                break
-        valid_loss = evaluate_loss(model, enc_valid)
+        # an overflow or invalid value in a step or in validation is a
+        # NumericsError, as inference_numerics makes it in decoding
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                for batch in batches:
+                    last_lr = lr_at_step(global_step, total_steps, cfg.lr, cfg.warmup_ratio)
+                    epoch_loss += _train_one_batch(model, batch, cfg, global_step)
+                    optimizer.step(last_lr)
+                    global_step += 1
+                    n_batches += 1
+                    if global_step >= total_steps:
+                        break
+                valid_loss = evaluate_loss(model, enc_valid)
+            except FloatingPointError as exc:
+                raise NumericsError(f"{exc} in training epoch {epoch}, step {global_step}") from exc
         run_bleu = cfg.bleu_every > 0 and epoch % cfg.bleu_every == 0
         valid_bleu = evaluate_bleu(model, enc_valid, tgt_vocab) if run_bleu else None
         wall = time.perf_counter() - t0
@@ -426,14 +447,13 @@ def train(
 
         best_metric, best_epoch, bad_epochs = _rank(history, cfg.validate_by)
         if best_epoch == epoch:
-            _replace_file(best_path, lambda tmp: save_checkpoint(model.state_dict(), tmp))
+            _replace_file(best_path, lambda tmp: save_checkpoint(_param_views(model), tmp))
             _replace_file(
                 out_dir / "best.json",
                 lambda tmp: save_model_sidecar(tmp, model.config, {**sidecar, "epoch": epoch}),
             )
-        last = {**model.state_dict(), **optimizer.state_arrays(), EPOCH_KEY: np.array([epoch])}
-        _replace_file(last_path, lambda tmp: save_checkpoint(last, tmp))
-        del last  # a copy of every parameter, not to be held through the next epoch
+        run_state = {**optimizer.state_arrays(), EPOCH_KEY: np.array([epoch])}
+        _replace_file(last_path, lambda tmp: save_checkpoint({**_param_views(model), **run_state}, tmp))
 
         if bad_epochs >= cfg.early_stop_patience:
             stopped_early = True

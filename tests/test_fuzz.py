@@ -1,10 +1,10 @@
 """Seeded byte-mutation fuzzing of the CLI's inputs.
 
 Each case flips, inserts or deletes a few bytes of one input file (a JSONL
-dataset, a dataset holding an "ast" record, or a trained model's
-src_vocab.json, best.json or best.ckpt), or relabels a few nodes of an
-"ast" record with statement types, and runs a subcommand on it in
-process. Whatever the bytes, the command must return a documented exit code
+dataset, a dataset holding an "ast" record, a trained model's
+src_vocab.json, best.json or best.ckpt, or the last.ckpt or history.csv
+that `train --resume` reads), or relabels a few nodes of an "ast" record
+with statement types, and runs a subcommand on it in process. Whatever the bytes, the command must return a documented exit code
 (0, 2, 3 or 4) and raise nothing.
 """
 
@@ -137,3 +137,22 @@ def test_mutated_model_file(tmp_path, corpus, model_dir, name, cases):
         run_case(case, ["summarize", run_dir, data] + DECODE)
         if name == "best.json":
             run_case(case, ["eval", run_dir, data, tmp_path / "eval"] + DECODE)
+
+
+@pytest.mark.parametrize("name", ["last.ckpt", "history.csv"])
+def test_mutated_resume_file(tmp_path, corpus, model_dir, name):
+    data = tmp_path / "data.jsonl"
+    data.write_bytes(corpus)
+    run_dir = tmp_path / "model"
+    shutil.copytree(model_dir, run_dir)
+    originals = {f: (model_dir / f).read_bytes() for f in ("last.ckpt", "history.csv")}
+    original = originals[name]
+    header_end = 8 + struct.unpack("<Q", original[:8])[0] if name == "last.ckpt" else None
+    rng = random.Random(0)
+    for case in range(100):
+        for f, content in originals.items():
+            (run_dir / f).write_bytes(content)
+        # checkpoint edits go to the header half of the time, else anywhere
+        span = rng.choice([header_end, None])
+        (run_dir / name).write_bytes(mutate(rng, original, span))
+        run_case(case, ["train", data, run_dir, "--resume"] + TINY_TRAIN + ["--max-epochs", "2"])

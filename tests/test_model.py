@@ -1232,6 +1232,16 @@ def write_raw_checkpoint(path, params, data: bytes) -> None:
 
 GOOD_ENTRY = {"name": "w", "shape": [2], "dtype": "<f8", "offset": 0}
 
+
+def stepped_state():
+    """A tiny model and its last.ckpt arrays (copies) after one Adam step."""
+    model = tiny_model(seed=5)
+    opt = Adam(model)
+    for p in model.params.values():
+        p.grad = np.ones_like(p.data)
+    opt.step(0.01)
+    return model, {**model.state_dict(), **{k: v.copy() for k, v in opt.state_arrays().items()}}
+
 GOLDEN_CONFIG = ModelConfig(
     src_vocab_size=13, tgt_vocab_size=11, d_model=8, n_heads=2,
     n_script_modules=2, n_decoder_layers=2, ffn_dim=16,
@@ -1345,6 +1355,89 @@ class TestCheckpointAndSidecar:
             tracemalloc.stop()
         assert peak < 2**20, f"save peaked at {peak / 2**20:.1f} MiB"
         assert np.array_equal(load_checkpoint(path)["w"], params["w"])
+
+    def test_load_reads_each_array_once(self, tmp_path):
+        """Loading reads each entry straight into the array it returns: a
+        32 MiB array's traced load peak is the array and little more."""
+        params = {"w": np.ones((1024, 4096))}
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(params, path)
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * params["w"].nbytes, f"load peaked at {peak / 2**20:.1f} MiB"
+        assert np.array_equal(loaded["w"], params["w"])
+
+    @pytest.mark.parametrize("where", ["length-field", "header", "data-start", "last-byte"])
+    def test_cut_file_rejected(self, tmp_path, where):
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint({"a": np.arange(3.0), "b": np.ones((2, 2))}, path)
+        data = path.read_bytes()
+        base = 8 + struct.unpack("<Q", data[:8])[0]
+        cut = {"length-field": 4, "header": (8 + base) // 2, "data-start": base, "last-byte": len(data) - 1}[where]
+        path.write_bytes(data[:cut])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_loaded_arrays_become_the_state(self, tmp_path, monkeypatch):
+        """from_state_dict and Adam.load_state_arrays keep the arrays
+        load_checkpoint returns, copying only each head's block into its
+        joined array, and draw no weight."""
+        source, state = stepped_state()
+        path = tmp_path / "last.ckpt"
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+
+        def no_draws(*args):
+            raise AssertionError("a weight was drawn")
+
+        monkeypatch.setattr(scriptsum.model, "_draw", no_draws)
+        schema = param_schema(source.config)
+        model = ScriptModel.from_state_dict(source.config, {name: loaded[name] for name in schema})
+        fresh = Adam(model)
+        fresh.load_state_arrays(loaded)
+        whole = [name for name in model.params if name in schema]
+        assert len(whole) < len(model.params)
+        for name in whole:
+            assert np.shares_memory(model.params[name].data, loaded[name]), name
+            assert np.shares_memory(fresh.m[name], loaded[f"adam.m.{name}"]), name
+            assert np.shares_memory(fresh.v[name], loaded[f"adam.v.{name}"]), name
+        assert not any(np.shares_memory(model.params["enc0.attn.q"].data, loaded[f"enc0.attn.q{h}"]) for h in (0, 1))
+        assert model.state_dict().keys() == source.state_dict().keys()
+        assert all(np.array_equal(a, state[k]) for k, a in model.state_dict().items())
+
+    @pytest.mark.parametrize("layout", ["read-only", "fortran"])
+    def test_foreign_arrays_are_copied(self, layout):
+        """An array that is not C-contiguous and writeable is copied on
+        load, so the model and Adam still step it in place."""
+
+        def foreign(arr: np.ndarray) -> np.ndarray:
+            if layout == "read-only":
+                return np.frombuffer(arr.tobytes()).reshape(arr.shape)
+            return np.asfortranarray(arr.copy())
+
+        source, state = stepped_state()
+        given = {name: foreign(arr) for name, arr in state.items()}
+        schema = param_schema(source.config)
+        results = []
+        for arrays in ({k: v.copy() for k, v in state.items()}, given):
+            model = ScriptModel.from_state_dict(source.config, {name: arrays[name] for name in schema})
+            adam = Adam(model)
+            adam.load_state_arrays(arrays)
+            for name, p in model.params.items():
+                p.grad = np.full_like(p.data, 0.5)
+                assert p.data.flags.c_contiguous and p.data.flags.writeable, name
+                kept = arrays.get(name)
+                if kept is not None and not (kept.flags.c_contiguous and kept.flags.writeable):
+                    assert not np.shares_memory(p.data, kept), name
+                    assert not np.shares_memory(adam.m[name], arrays[f"adam.m.{name}"]), name
+            adam.step(0.01)
+            results.append({**model.state_dict(), **adam.state_arrays()})
+        assert results[0].keys() == results[1].keys()
+        assert all(np.array_equal(results[0][k], results[1][k]) for k in results[0])
 
     def test_mismatched_names_rejected(self, tmp_path):
         model = tiny_model()

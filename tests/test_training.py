@@ -336,6 +336,13 @@ class TestTrainLoop:
         with pytest.raises(NumericsError, match=r"^non-finite training loss nan at step 0, example 1$"):
             train(model, examples, examples[:1], self.quick_cfg(seed=1), src, tgt, tmp_path)
 
+    def test_overflow_in_training_aborts(self, toy_corpus_path, tmp_path):
+        # finite but huge embeddings overflow in the first layer
+        examples, src, tgt, model = training_setup(toy_corpus_path, 3)
+        model.params["src_embed"].data[:] = 1e200
+        with pytest.raises(NumericsError, match=r"^overflow encountered in \w+ in training epoch 1, step 0$"):
+            train(model, examples, examples[:1], self.quick_cfg(seed=1), src, tgt, tmp_path)
+
     def test_best_checkpoint_tracks_minimum_validation_loss(
         self, toy_corpus_path, tmp_path
     ):
@@ -422,6 +429,23 @@ class TestTrainLoop:
             rows = result.history
         assert [row.epoch for row in rows] == [1, 2, 3, 4]
         assert result.global_step == 5
+
+    def test_resume_holds_last_checkpoint_once(self, toy_corpus_path, tmp_path):
+        """The model and optimizer keep the arrays a resume reads from
+        last.ckpt, and the rest are freed before training: the traced peak
+        across a resumed epoch stays within 2.5 times the file."""
+        examples, src, tgt, model = training_setup(toy_corpus_path, d_model=32, ffn_dim=64)
+        train(model, examples, examples[:2], self.quick_cfg(max_epochs=1), src, tgt, tmp_path)
+        size = (tmp_path / "last.ckpt").stat().st_size
+        model = ScriptModel(model.config, seed=0)
+        tracemalloc.start()
+        try:
+            result = train(model, examples, examples[:2], self.quick_cfg(), src, tgt, tmp_path, resume=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row.epoch for row in result.history] == [1, 2]
+        assert peak < 2.5 * size, f"resume peaked at {peak / size:.2f} times last.ckpt"
 
     def test_resume_with_another_batch_size_trains_the_next_epoch(self, toy_corpus_path, tmp_path):
         # in batches of 3 the 3-step run ends one step into epoch 2; in
