@@ -57,10 +57,18 @@ straight into its columns of the joined parameter; state_dict splits the
 joined parameters back into the schema's names, and loading checks names
 and shapes against the schema, without drawing anything, before joining.
 
-All math is float64. Training forwards one example at a time, so it is
-bit-reproducible for a fixed seed. A row's bits in a decoder step can
-depend on how many rows share the step, so a decoded summary is
-reproducible for the same sources in the same order.
+All math is float64. Training and the validation loss forward a group of
+examples as one graph: `forward_loss` lays the examples' source rows end to
+end, and their decoder-input rows, with offsets and no padding. Row-wise
+work runs once over the rows; every product, every sum over rows and each
+example's attention over its own keys run per example inside their op
+(see tensor), and the tied target embedding adds each example's embedding
+gradient, then its projection's. A product over stacked rows would not
+give each example its own bits, so this keeps every loss and gradient
+bit-identical to one graph per example, and training bit-reproducible for
+a fixed seed. A row's bits in a decoder step can depend on how many rows
+share the step, so a decoded summary is reproducible for the same sources
+in the same order.
 """
 
 from __future__ import annotations
@@ -82,6 +90,7 @@ from .tensor import (
     Tensor,
     add,
     attention,
+    block_matmul,
     concat,
     cross_entropy,
     dropout,
@@ -93,7 +102,7 @@ from .tensor import (
     reshape,
     scale,
     sigmoid,
-    transpose,
+    tied_embedding,
 )
 
 LAYER_TAGS = ("RDW", "SRPEi", "PLAIN")
@@ -361,7 +370,8 @@ def _draw(rng: np.random.Generator, shape: tuple[int, ...], init: str) -> np.nda
 
 
 class ScriptModel:
-    """The full network: parameters, per-example forward passes, decoding."""
+    """The full network: parameters, forward passes of one example or a
+    group, decoding."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         """Draw param_schema(config) in order from one generator seeded by
@@ -420,19 +430,20 @@ class ScriptModel:
 
     # -- attention ---------------------------------------------------------
 
-    def _project(self, prefix: str, kind: str, x: Tensor, groups: int) -> Tensor:
+    def _project(self, prefix: str, kind: str, x: Tensor, groups: int, offsets=None) -> Tensor:
         """Rows x through every head's weights at once, "{prefix}.{kind}".
         The rows are `groups` interleaved sequences, row t * groups + g
-        holding position t of sequence g; the result is
+        holding position t of sequence g, or with offsets a group's
+        examples end to end (groups is then 1); the result is
         (positions, groups * heads, d_head), sequence-major on its middle axis."""
         cfg = self.config
-        out = matmul(x, self.params[f"{prefix}.{kind}"])
+        out = matmul(x, self.params[f"{prefix}.{kind}"], offsets)
         return reshape(out, (x.shape[0] // groups, groups * cfg.n_heads, cfg.d_head))
 
-    def keys_values(self, prefix: str, x: Tensor, groups: int = 1) -> tuple[Tensor, Tensor]:
+    def keys_values(self, prefix: str, x: Tensor, groups: int = 1, offsets=None) -> tuple[Tensor, Tensor]:
         """Keys and values of rows x for the attention at prefix, each
         (positions, groups * heads, d_head); see _project."""
-        return tuple(self._project(prefix, kind, x, groups) for kind in "kv")
+        return tuple(self._project(prefix, kind, x, groups, offsets) for kind in "kv")
 
     def relative_attention(
         self,
@@ -446,6 +457,8 @@ class ScriptModel:
         training: bool = False,
         rng: np.random.Generator | None = None,
         capture: list | None = None,
+        offsets: Sequence[int] | None = None,
+        kv_offsets: Sequence[int] | None = None,
     ) -> Tensor:
         """Multi-head attention with optional clipped relative-position
         terms on keys and values and optional relation-matrix masking.
@@ -468,32 +481,42 @@ class ScriptModel:
         sequence attends over its own keys: the sequences are extra heads.
         The decoder runs one sequence per beam. rel, a_mv and additive_mask
         are (n_q, n_k) over one sequence's queries and keys.
+
+        With offsets, x_q's rows are a group's examples end to end, and
+        x_kv's rows, or its keys' and values', are the examples' rows that
+        kv_offsets marks (offsets when None); each example attends over its
+        own keys only. Each idx of rel, a_mv, additive_mask and rng then
+        hold one entry per example (see tensor.attention).
         """
         cfg = self.config
-        k, v = self.keys_values(prefix, x_kv) if isinstance(x_kv, Tensor) else x_kv
+        kv_rows = offsets if kv_offsets is None else kv_offsets
+        k, v = self.keys_values(prefix, x_kv, offsets=kv_rows) if isinstance(x_kv, Tensor) else x_kv
         scale_matrix = None
         if a_mv is not None:
             if cfg.mask_mode == "multiply":
                 scale_matrix = a_mv
+            elif offsets is None:
+                additive_mask = _gate_mask(a_mv, additive_mask)
             else:
-                keep = np.where(a_mv > 0, 0.0, NEG_INF)
-                additive_mask = keep if additive_mask is None else keep + additive_mask
-        q = self._project(prefix, "q", x_q, k.shape[1] // cfg.n_heads)  # (n_q, groups * heads, dh)
+                masks = [None] * len(a_mv) if additive_mask is None else additive_mask
+                additive_mask = [_gate_mask(a, m) for a, m in zip(a_mv, masks)]
+        q = self._project(prefix, "q", x_q, k.shape[1] // cfg.n_heads, offsets)  # (n_q, groups * heads, dh)
         tables = tuple((self.params[f"{table}_k"], self.params[f"{table}_v"], idx) for table, idx in rel)
         z = attention(q, k, v, tables, additive_mask=additive_mask, scale_matrix=scale_matrix,
-                      dropout_p=cfg.dropout_p, rng=rng, training=training, capture=capture)
+                      dropout_p=cfg.dropout_p, rng=rng, training=training, capture=capture,
+                      offsets=offsets, kv_offsets=kv_offsets)
         cat = reshape(z, (x_q.shape[0], cfg.d_model))
-        return _affine(cat, self.params[f"{prefix}.out_w"], self.params[f"{prefix}.out_b"])
+        return _affine(cat, self.params[f"{prefix}.out_w"], self.params[f"{prefix}.out_b"], offsets)
 
-    def _ffn(self, prefix: str, x: Tensor) -> Tensor:
+    def _ffn(self, prefix: str, x: Tensor, offsets=None) -> Tensor:
         p = self.params
-        hidden = relu(_affine(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
-        return _affine(hidden, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+        hidden = relu(_affine(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"], offsets))
+        return _affine(hidden, p[f"{prefix}.w2"], p[f"{prefix}.b2"], offsets)
 
-    def _residual(self, x: Tensor, out: Tensor, ln: str, training: bool, rng) -> Tensor:
+    def _residual(self, x: Tensor, out: Tensor, ln: str, training: bool, rng, offsets=None) -> Tensor:
         """The sublayer rule: LayerNorm(x + Dropout(out)) with "{ln}_g", "{ln}_b"."""
-        out = dropout(out, self.config.dropout_p, rng, training)
-        return layernorm(add(x, out), self.params[f"{ln}_g"], self.params[f"{ln}_b"])
+        out = dropout(out, self.config.dropout_p, rng, training, offsets)
+        return layernorm(add(x, out), self.params[f"{ln}_g"], self.params[f"{ln}_b"], offsets=offsets)
 
     # -- encoder layers -----------------------------------------------------
 
@@ -502,12 +525,13 @@ class ScriptModel:
         tag: str,
         layer_idx: int,
         x: Tensor,
-        bundle: StructuralEncodings,
+        bundle: StructuralEncodings | Sequence[StructuralEncodings],
         *,
         seq_idx: np.ndarray,
         training: bool = False,
         rng: np.random.Generator | None = None,
         capture: list | None = None,
+        offsets: Sequence[int] | None = None,
     ) -> Tensor:
         """One encoder layer: relative self-attention, then the FFN block.
 
@@ -516,38 +540,41 @@ class ScriptModel:
         srpe_placement covers the tag, and SRPEi gates the attention by the
         multi-view matrix. seq_idx is the sequential tables' index,
         _seq_idx(n), which script_encoder computes once for every layer.
+        With offsets, x's rows are a group's examples end to end, and
+        bundle, seq_idx and rng hold one entry per example.
         """
         p = self.params
         cfg = self.config
         base = f"enc{layer_idx}"
-        n = x.shape[0]
+
+        def of_bundles(field: str):  # the example's array, or each example's
+            return getattr(bundle, field) if offsets is None else [getattr(b, field) for b in bundle]
+
         if tag == "RDW":
-            m_bar = bundle.distance_weights
-            if m_bar.shape != (n, n):
-                raise ShapeError(f"distance weights shape {m_bar.shape} != ({n}, {n})")
-            mixed = matmul(Tensor(m_bar), x)
+            mixed = block_matmul(of_bundles("distance_weights"), x, offsets)
             h_hat = sigmoid(
                 add(
-                    _affine(x, p[f"{base}.fc1_w"], p[f"{base}.fc1_b"]),
-                    _affine(mixed, p[f"{base}.fc2_w"], p[f"{base}.fc2_b"]),
+                    _affine(x, p[f"{base}.fc1_w"], p[f"{base}.fc1_b"], offsets),
+                    _affine(mixed, p[f"{base}.fc2_w"], p[f"{base}.fc2_b"], offsets),
                 )
             )
             x = add(x, h_hat)
         rel = ((f"{base}.seq", seq_idx),)
         if tag in STRUCTURAL_TAGS[cfg.srpe_placement]:
-            rel += ((f"{base}.str", bundle.bucket_ids),)
+            rel += ((f"{base}.str", of_bundles("bucket_ids")),)
         attn = self.relative_attention(
             f"{base}.attn",
             x,
             x,
             rel=rel,
-            a_mv=bundle.multiview if tag == "SRPEi" else None,
+            a_mv=of_bundles("multiview") if tag == "SRPEi" else None,
             training=training,
             rng=rng,
             capture=capture,
+            offsets=offsets,
         )
-        x = self._residual(x, attn, f"{base}.ln1", training, rng)
-        return self._residual(x, self._ffn(f"{base}.ffn", x), f"{base}.ln2", training, rng)
+        x = self._residual(x, attn, f"{base}.ln1", training, rng, offsets)
+        return self._residual(x, self._ffn(f"{base}.ffn", x, offsets), f"{base}.ln2", training, rng, offsets)
 
     def _seq_idx(self, n: int) -> np.ndarray:
         return sequential_relpos(n, self.config.k) + self.config.k
@@ -557,35 +584,47 @@ class ScriptModel:
     def script_encoder(
         self,
         src_ids: np.ndarray,
-        bundle: StructuralEncodings,
+        bundle: StructuralEncodings | Sequence[StructuralEncodings],
         *,
         training: bool = False,
         rng: np.random.Generator | None = None,
         capture: list | None = None,
+        offsets: Sequence[int] | None = None,
     ) -> Tensor:
         """Embed tokens and run the stacked two-layer modules; each module
         contributes the position-wise sum of its two layer outputs. Returns
-        the encoder output, (n, d_model), that the decoder reads."""
+        the encoder output, (n, d_model), that the decoder reads.
+
+        With offsets, a group: src_ids are its examples' ids end to end,
+        example e's rows offsets[e] to offsets[e + 1], bundle holds one
+        bundle per example and rng one generator per example, and the
+        output's rows are laid out the same way."""
         cfg = self.config
         p = self.params
         src_ids = np.asarray(src_ids, dtype=np.int64)
-        n = src_ids.shape[0]
-        for name, arr in (
-            ("distance weights", bundle.distance_weights),
-            ("bucket ids", bundle.bucket_ids),
-            ("multiview", bundle.multiview),
-        ):
-            if arr.shape != (n, n):
-                raise ShapeError(f"{name} shape {arr.shape} != ({n}, {n})")
-        x = scale(embed(p["src_embed"], src_ids), math.sqrt(cfg.d_model))
-        x = dropout(x, cfg.dropout_p, rng, training)
-        common = dict(training=training, rng=rng, capture=capture, seq_idx=self._seq_idx(n))
+        bundles = [bundle] if offsets is None else list(bundle)
+        lengths = [src_ids.shape[0]] if offsets is None else np.diff(offsets).tolist()
+        if len(bundles) != len(lengths):
+            raise ShapeError(f"{len(bundles)} bundles for {len(lengths)} examples")
+        for b, n in zip(bundles, lengths):
+            for name, arr in (
+                ("distance weights", b.distance_weights),
+                ("bucket ids", b.bucket_ids),
+                ("multiview", b.multiview),
+            ):
+                if arr.shape != (n, n):
+                    raise ShapeError(f"{name} shape {arr.shape} != ({n}, {n})")
+        x = scale(embed(p["src_embed"], src_ids, offsets), math.sqrt(cfg.d_model))
+        x = dropout(x, cfg.dropout_p, rng, training, offsets)
+        seq_idx = [self._seq_idx(n) for n in lengths]
+        common = dict(training=training, rng=rng, capture=capture, offsets=offsets,
+                      seq_idx=seq_idx[0] if offsets is None else seq_idx)
         for first in range(0, cfg.n_encoder_layers, 2):
             second = first + 1
             h = self.encoder_layer(cfg.layer_plan[first], first, x, bundle, **common)
             h_prime = self.encoder_layer(cfg.layer_plan[second], second, h, bundle, **common)
             x = add(h, h_prime)
-        x = layernorm(x, p["enc_final_g"], p["enc_final_b"])
+        x = layernorm(x, p["enc_final_g"], p["enc_final_b"], offsets=offsets)
         return x
 
     def decode(
@@ -596,6 +635,8 @@ class ScriptModel:
         cache: DecoderCache | None = None,
         training: bool = False,
         rng: np.random.Generator | None = None,
+        offsets: Sequence[int] | None = None,
+        state_offsets: Sequence[int] | None = None,
     ) -> Tensor:
         """Decoder logits of new target positions.
 
@@ -607,12 +648,21 @@ class ScriptModel:
         pass. state is the source's encoder output, or one per source of the
         cache, whose rows are then laid out over the sources as DecoderCache
         says; it is read only while the cache holds no cross-attention keys.
+
+        With offsets, a group's teacher-forced pass, with no cache: the ids
+        are its examples' decoder inputs end to end, example e's rows
+        offsets[e] to offsets[e + 1], state is the group's encoder output,
+        its rows marked by state_offsets (see script_encoder), and rng holds
+        one generator per example. Each example attends over its own rows
+        and its own source only, and the logits' rows are the ids'.
         """
         cfg = self.config
         p = self.params
         ids = np.asarray(tgt_in_ids, dtype=np.int64)
         if ids.ndim not in (1, 2) or ids.size == 0:
             raise ShapeError(f"decoder ids must be a non-empty (m,) or (beams, m) array, got {ids.shape}")
+        if offsets is not None and (cache is not None or ids.ndim != 1):
+            raise ShapeError("a group decodes teacher-forced: one row of ids and no cache")
         ids = ids.reshape(-1, ids.shape[-1])
         beams, m = ids.shape
         cache = DecoderCache() if cache is None else cache
@@ -626,22 +676,26 @@ class ScriptModel:
             states = [state] if isinstance(state, Tensor) else list(state)
             if len(states) != sources:
                 raise ShapeError(f"{len(states)} encoder states for a cache of {sources} sources")
-            cache.cross, cache.cross_mask = self._cross_keys_values(states)
+            if offsets is None:
+                cache.cross, cache.cross_mask = self._cross_keys_values(states)
+            else:
+                cache.cross = [self.keys_values(f"dec{ly}.cross", state, offsets=state_offsets)
+                               for ly in range(cfg.n_decoder_layers)]
         cross_mask = None
         if cache.cross_mask is not None:  # one (n_q, n_k) mask per source and head
             per_group = np.repeat(cache.cross_mask, cfg.n_heads, axis=0)[:, None, :]
             cross_mask = np.broadcast_to(per_group, (sources * cfg.n_heads, m * beams // sources, per_group.shape[-1]))
-        y = scale(embed(p["tgt_embed"], ids.T.reshape(-1)), math.sqrt(cfg.d_model))
-        y = dropout(y, cfg.dropout_p, rng, training)
-        # rows of the new positions only, over every key so far; one new
-        # position sees every key, so its causal row masks nothing
-        pos, keys = np.arange(past, past + m)[:, None], np.arange(past + m)
-        causal = np.where(keys > pos, NEG_INF, 0.0) if m > 1 else None
-        seq_idx = np.clip(keys - pos, -cfg.k, cfg.k) + cfg.k
+        rows, project = tied_embedding(p["tgt_embed"], ids.T.reshape(-1), offsets)
+        y = scale(rows, math.sqrt(cfg.d_model))
+        y = dropout(y, cfg.dropout_p, rng, training, offsets)
+        if offsets is None:
+            causal, seq_idx = _self_attention_rows(past, m, cfg.k)
+        else:
+            causal, seq_idx = zip(*(_self_attention_rows(0, length, cfg.k) for length in np.diff(offsets).tolist()))
         self_kv = []
         for ly in range(cfg.n_decoder_layers):
             base = f"dec{ly}"
-            k, v = self.keys_values(f"{base}.self", y, beams)
+            k, v = self.keys_values(f"{base}.self", y, beams, offsets)
             if past:
                 k_past, v_past = cache.self_kv[ly]
                 k, v = concat([k_past, k], axis=0), concat([v_past, v], axis=0)
@@ -654,8 +708,9 @@ class ScriptModel:
                 additive_mask=causal,
                 training=training,
                 rng=rng,
+                offsets=offsets,
             )
-            y = self._residual(y, sa, f"{base}.ln1", training, rng)
+            y = self._residual(y, sa, f"{base}.ln1", training, rng, offsets)
             ca = self.relative_attention(
                 f"{base}.cross",
                 y,
@@ -663,12 +718,13 @@ class ScriptModel:
                 additive_mask=cross_mask,
                 training=training,
                 rng=rng,
+                offsets=offsets,
+                kv_offsets=state_offsets,
             )
-            y = self._residual(y, ca, f"{base}.ln2", training, rng)
-            y = self._residual(y, self._ffn(f"{base}.ffn", y), f"{base}.ln3", training, rng)
+            y = self._residual(y, ca, f"{base}.ln2", training, rng, offsets)
+            y = self._residual(y, self._ffn(f"{base}.ffn", y, offsets), f"{base}.ln3", training, rng, offsets)
         cache.self_kv, cache.beams = self_kv, beams
-        logits = add(matmul(y, transpose(p["tgt_embed"], (1, 0))), p["out_bias"])
-        return logits
+        return add(project(y), p["out_bias"], offsets)
 
     def _cross_keys_values(self, states: list[Tensor]) -> tuple[list[tuple[Tensor, Tensor]], np.ndarray | None]:
         """Each decoder layer's cross-attention keys and values of the
@@ -693,23 +749,37 @@ class ScriptModel:
     def forward_loss(
         self,
         src_ids: np.ndarray,
-        bundle: StructuralEncodings,
+        bundle: StructuralEncodings | Sequence[StructuralEncodings],
         tgt_ids: np.ndarray,
         *,
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Mean next-token cross-entropy for one (code, summary) example.
+        """Mean next-token cross-entropy of one (code, summary) example, 0-d,
+        or of each example of a group, (examples,).
 
         tgt_ids must start with BOS and end with EOS; the decoder input is
-        tgt_ids[:-1] and the prediction targets are tgt_ids[1:].
+        tgt_ids[:-1] and the prediction targets are tgt_ids[1:]. A group is
+        one graph: src_ids, bundle and tgt_ids are sequences with one entry
+        per example, and rng, when training, one generator per example.
+        Its examples' rows are laid end to end, and each example's loss
+        and gradients are the bits it has on its own (see tensor).
         """
-        tgt_ids = np.asarray(tgt_ids, dtype=np.int64)
-        if tgt_ids.shape[0] < 2:
+        one = isinstance(bundle, StructuralEncodings)
+        sources = [src_ids] if one else list(src_ids)
+        targets = [np.asarray(t, dtype=np.int64) for t in ([tgt_ids] if one else tgt_ids)]
+        if len(sources) != len(targets):
+            raise ShapeError(f"{len(sources)} sources for {len(targets)} summaries")
+        if any(t.ndim != 1 or t.shape[0] < 2 for t in targets):
             raise ShapeError("summary encoding must contain at least BOS and EOS")
-        state = self.script_encoder(src_ids, bundle, training=training, rng=rng)
-        logits = self.decode(tgt_ids[:-1], state, training=training, rng=rng)
-        return cross_entropy(logits, tgt_ids[1:])
+        src_offsets = tgt_offsets = None
+        if not one:
+            src_offsets = tuple(accumulate((len(ids) for ids in sources), initial=0))
+            tgt_offsets = tuple(accumulate((len(t) - 1 for t in targets), initial=0))
+        state = self.script_encoder(np.concatenate(sources), bundle, training=training, rng=rng, offsets=src_offsets)
+        logits = self.decode(np.concatenate([t[:-1] for t in targets]), state, training=training, rng=rng,
+                             offsets=tgt_offsets, state_offsets=src_offsets)
+        return cross_entropy(logits, np.concatenate([t[1:] for t in targets]), tgt_offsets)
 
     # -- generation ------------------------------------------------------------
 
@@ -893,8 +963,24 @@ def _log_softmax(logits: np.ndarray, prefixes, sources=(0,)) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(x, w), b)
+def _self_attention_rows(past: int, m: int, clip: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """The causal mask and sequential-offset index of m new decoder
+    positions after past ones, over every key so far; one new position
+    sees every key, so its causal row masks nothing."""
+    pos, keys = np.arange(past, past + m)[:, None], np.arange(past + m)
+    causal = np.where(keys > pos, NEG_INF, 0.0) if m > 1 else None
+    return causal, np.clip(keys - pos, -clip, clip) + clip
+
+
+def _affine(x: Tensor, w: Tensor, b: Tensor, offsets=None) -> Tensor:
+    return add(matmul(x, w, offsets), b, offsets)
+
+
+def _gate_mask(a_mv: np.ndarray, additive_mask: np.ndarray | None) -> np.ndarray:
+    """neg_inf masking: NEG_INF where the relation matrix is not positive,
+    added to additive_mask if given."""
+    keep = np.where(a_mv > 0, 0.0, NEG_INF)
+    return keep if additive_mask is None else keep + additive_mask
 
 
 def save_model_sidecar(path, config: ModelConfig, extra: dict | None = None) -> None:

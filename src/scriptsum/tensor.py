@@ -1,10 +1,21 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Just enough operations to express the model: matmul (2-D and batched 3-D),
-elementwise add/mul, sigmoid, relu, masked softmax, layer normalization,
-dropout, embedding/gather lookups, scaled dot-product attention with
-relative-position terms as one op (attention), cross-entropy, and a few
-shape utilities.
+Just enough operations to express the model: matmul (2-D and batched 3-D)
+and a block-diagonal constant product (block_matmul), elementwise
+add/mul, sigmoid, relu, masked softmax, layer normalization, dropout,
+embedding/gather lookups and a tied output projection, scaled dot-product
+attention with relative-position terms as one op (attention),
+cross-entropy, and a few shape utilities.
+
+Several examples can share one graph as segments of the same rows: rows
+offsets[e] to offsets[e + 1] are example e's, end to end with no padding
+(see _segments). Row-wise work runs once over all the rows. The ops that
+take offsets run every product, every sum over rows and every attention
+once per segment, on slices of the stacked arrays, and add a parameter's
+gradient one segment at a time, in order. A product on a slice has the
+same bits as on the example's own array, while one product over stacked
+rows does not, so each example's outputs and gradients, and every
+parameter's sum of them, are the bits of one graph per example.
 
 Every operation records its parents and a backward closure on the output
 tensor; the closure is handed the output's gradient and holds no reference
@@ -129,32 +140,102 @@ def backward(loss: Tensor) -> None:
             node._backward, node._parents, node._consumed = None, (), True
 
 
+# -- segments --------------------------------------------------------------
+
+
+_WHOLE = [...]  # offsets None: one segment, the whole array
+
+
+def _segments(offsets: Sequence[int] | None, rows: int) -> list:
+    """The row slices of the segments that offsets mark out of rows rows:
+    segment e is rows offsets[e] to offsets[e + 1]. None is one segment,
+    the whole array (...). An argument that an op takes per segment is
+    then a sequence with one entry per segment; with offsets None it is
+    the one entry."""
+    if offsets is None:
+        return _WHOLE
+    bounds = [int(o) for o in offsets]
+    if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != rows or any(lo > hi for lo, hi in zip(bounds, bounds[1:])):
+        raise ShapeError(f"segment offsets {bounds} do not split {rows} rows")
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _per_segment(value, offsets: Sequence[int] | None, count: int, what: str) -> list:
+    """A per-segment argument as a list of count entries (see _segments)."""
+    if offsets is None:
+        return [value]
+    if value is None:
+        return [None] * count
+    value = list(value)
+    if len(value) != count:
+        raise ShapeError(f"{len(value)} {what} for {count} segments")
+    return value
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """Per-segment arrays end to end; a lone part as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _row_products(x: np.ndarray, w: np.ndarray, segs: list[slice]) -> np.ndarray:
+    """x @ w, each segment's rows of x multiplied on their own, into one
+    array; a lone segment is the plain product (of any rank)."""
+    if len(segs) == 1:
+        return x @ w
+    out = np.empty((x.shape[0], w.shape[1]))
+    for s in segs:
+        np.matmul(x[s], w, out=out[s])
+    return out
+
+
 # -- primitives ----------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; both 2-D, or both 3-D with equal leading dim."""
+def matmul(a: Tensor, b: Tensor, offsets: Sequence[int] | None = None) -> Tensor:
+    """Matrix product; both 2-D, or both 3-D with equal leading dim. With
+    offsets, a's rows are segments (2-D only), each multiplied by b on its
+    own, and b's gradient is added one segment at a time."""
     if a.data.ndim == b.data.ndim == 2:
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    elif a.data.ndim == b.data.ndim == 3:
+    elif a.data.ndim == b.data.ndim == 3 and offsets is None:
         if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
             raise ShapeError(f"batched matmul shapes differ: {a.shape} @ {b.shape}")
     else:
         raise ShapeError(f"matmul requires matching 2-D or 3-D operands: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
+    out_data = a.data @ b.data if offsets is None else _row_products(a.data, b.data, _segments(offsets, a.shape[0]))
 
     def backward_fn(g):
+        segs = _segments(offsets, a.shape[0])
         if a.needs_grad:
-            a.accumulate(g @ np.swapaxes(b.data, -1, -2))
+            a.accumulate(_row_products(g, np.swapaxes(b.data, -1, -2), segs))
         if b.needs_grad:
-            b.accumulate(np.swapaxes(a.data, -1, -2) @ g)
+            for s in segs:
+                b.accumulate(np.swapaxes(a.data[s], -1, -2) @ g[s])
 
     return _make(out_data, (a, b), backward_fn)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; b may also be a vector broadcast over the last axis."""
+def block_matmul(blocks: Sequence[np.ndarray], x: Tensor, offsets: Sequence[int] | None = None) -> Tensor:
+    """A block-diagonal constant matrix times x: segment e's rows of x are
+    multiplied by blocks[e], an (n_e, n_e) array."""
+    segs = _segments(offsets, x.shape[0])
+    blocks = [np.asarray(m, dtype=np.float64) for m in _per_segment(blocks, offsets, len(segs), "blocks")]
+    for m, s in zip(blocks, segs):
+        if x.data.ndim != 2 or m.shape != (x.data[s].shape[0],) * 2:
+            raise ShapeError(f"block {m.shape} does not fit its {x.data[s].shape[0]} rows of {x.shape}")
+    out_data = _joined([m @ x.data[s] for m, s in zip(blocks, segs)])
+
+    def backward_fn(g):
+        x.accumulate(_joined([m.T @ g[s] for m, s in zip(blocks, segs)]))
+
+    return _make(out_data, (x,), backward_fn)
+
+
+def add(a: Tensor, b: Tensor, offsets: Sequence[int] | None = None) -> Tensor:
+    """Elementwise sum; b may also be a vector broadcast over the last axis,
+    and then, with offsets, its gradient sums each segment's rows on their
+    own and is added one segment at a time."""
     if a.shape == b.shape:
         pass
     elif b.data.ndim == 1 and a.shape[-1:] == b.shape:
@@ -168,7 +249,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.shape == a.shape:
             b.accumulate(g)
         else:
-            b.accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
+            for s in _segments(offsets, a.shape[0]):
+                b.accumulate(g[s].reshape(-1, b.shape[0]).sum(axis=0))
 
     return _make(out_data, (a, b), backward_fn)
 
@@ -276,11 +358,17 @@ def _masked_softmax_grad(
     return g
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layernorm(
+    x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, offsets: Sequence[int] | None = None
+) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine.
+    With offsets, the gain's and bias's gradients sum each segment's rows
+    on their own and are added one segment at a time."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layernorm affine shapes {gain.shape}/{bias.shape} != ({d},)")
+    if offsets is not None:
+        _segments(offsets, x.shape[0])  # checks the offsets
     # a sum divided by d is np.mean's arithmetic, and the mean of the squared
     # centred values is np.var's, so the result is bit-identical to theirs
     centred = x.data - x.data.sum(axis=-1, keepdims=True) / d
@@ -289,8 +377,10 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     out_data = xhat * gain.data + bias.data
 
     def backward_fn(g):
-        gain.accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-        bias.accumulate(g.reshape(-1, d).sum(axis=0))
+        g_xhat = g * xhat
+        for s in _segments(offsets, x.shape[0]):
+            gain.accumulate(g_xhat[s].reshape(-1, d).sum(axis=0))
+            bias.accumulate(g[s].reshape(-1, d).sum(axis=0))
         gx = g * gain.data
         term = gx - gx.sum(axis=-1, keepdims=True) / d - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / d)
         x.accumulate(term * inv)
@@ -298,9 +388,13 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     return _make(out_data, (x, gain, bias), backward_fn)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout; identity in eval mode or at p=0."""
-    keep = _dropout_keep(x.shape, p, rng, training)
+def dropout(
+    x: Tensor, p: float, rng, training: bool, offsets: Sequence[int] | None = None
+) -> Tensor:
+    """Inverted dropout; identity in eval mode or at p=0. rng is a
+    generator, or with offsets one per segment, which draws that
+    segment's mask."""
+    keep = _dropout_keep(x.shape, p, rng, training, offsets)
     if keep is None:
         return x
     out_data = x.data * keep
@@ -311,16 +405,23 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool
     return _make(out_data, (x,), backward_fn)
 
 
-def _dropout_keep(shape, p: float, rng: np.random.Generator | None, training: bool) -> np.ndarray | None:
+def _dropout_keep(shape, p: float, rng, training: bool, offsets: Sequence[int] | None = None) -> np.ndarray | None:
     """Inverted-dropout multipliers of the given shape, or None when dropout
-    is the identity (eval mode or p=0)."""
+    is the identity (eval mode or p=0); with offsets, rng holds one
+    generator per segment of the leading axis."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p!r}")
     if not training or p == 0.0:
         return None
-    if rng is None:
+    if offsets is None:
+        rngs, shapes = [rng], [tuple(shape)]
+    else:
+        count = len(_segments(offsets, shape[0]))  # checks the offsets
+        rngs = _per_segment(rng, offsets, count, "random generators")
+        shapes = [(hi - lo,) + tuple(shape[1:]) for lo, hi in zip(offsets, offsets[1:])]
+    if any(r is None for r in rngs):
         raise ConfigError("dropout in training mode requires a random generator")
-    return (rng.random(shape) >= p) / (1.0 - p)
+    return _joined([r.random(size) >= p for r, size in zip(rngs, shapes)]) / (1.0 - p)
 
 
 def _check_ids(ids, rows: int, what: str) -> np.ndarray:
@@ -333,17 +434,55 @@ def _check_ids(ids, rows: int, what: str) -> np.ndarray:
     return ids
 
 
-def embed(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup: (vocab, d) table indexed by integer ids of any shape."""
+def embed(table: Tensor, ids: np.ndarray, offsets: Sequence[int] | None = None) -> Tensor:
+    """Row lookup: (vocab, d) table indexed by integer ids of any shape.
+    With offsets, each segment of ids' leading axis adds its own dense
+    table gradient, one segment at a time."""
+    return tied_embedding(table, ids, offsets)[0]
+
+
+def tied_embedding(
+    table: Tensor, ids: np.ndarray, offsets: Sequence[int] | None = None
+) -> tuple[Tensor, Callable[[Tensor], Tensor]]:
+    """embed(table, ids, offsets), and a function that projects rows y
+    computed from these embeddings, in the same segments, to y @ table.T:
+    an output projection tied to the input embedding.
+
+    One example's graph adds its embedding's table gradient E, then its
+    projection's T, since backward reaches the projection first and holds
+    it. A graph of several examples must keep that order, E1, T1, E2, T2:
+    the projection's backward keeps each segment's rows and gradient, and
+    the embedding's adds each segment's E and then its T."""
     ids = _check_ids(ids, table.shape[0], "embedding")
-    out_data = table.data[ids]
+    segs = _segments(offsets, ids.shape[0])
+    projected: list[tuple[np.ndarray, np.ndarray]] = []  # each segment's (y, gradient)
 
     def backward_fn(g):
-        g_table = np.zeros_like(table.data)
-        np.add.at(g_table, ids, g)
-        table.accumulate(g_table)
+        for e, s in enumerate(segs):
+            g_table = np.zeros_like(table.data)
+            np.add.at(g_table, ids[s], g[s])
+            table.accumulate(g_table)
+            if projected:
+                y_rows, g_rows = projected[e]
+                table.accumulate((y_rows.T @ g_rows).T)
+        projected.clear()
 
-    return _make(out_data, (table,), backward_fn)
+    rows = _make(table.data[ids], (table,), backward_fn)
+
+    def project(y: Tensor) -> Tensor:
+        if y.data.ndim != 2 or y.shape[1] != table.shape[1]:
+            raise ShapeError(f"tied projection needs (rows, {table.shape[1]}) rows, got {y.shape}")
+        y_segs = _segments(offsets, y.shape[0])
+        out_data = _row_products(y.data, table.data.T, y_segs)
+
+        def project_backward(g):
+            if y.needs_grad:
+                y.accumulate(_row_products(g, table.data, y_segs))
+            projected.extend((y.data[s], g[s]) for s in y_segs)
+
+        return _make(out_data, (y, table), project_backward)
+
+    return rows, project
 
 
 def gather(table: Tensor, idx: np.ndarray) -> Tensor:
@@ -413,6 +552,8 @@ def attention(
     rng: np.random.Generator | None = None,
     training: bool = False,
     capture: list | None = None,
+    offsets: Sequence[int] | None = None,
+    kv_offsets: Sequence[int] | None = None,
 ) -> Tensor:
     """Scaled dot-product attention with relative-position terms, one op.
 
@@ -433,6 +574,12 @@ def attention(
     if given, receives each group's (n_q, n_k) softmax weights, before
     dropout.
 
+    With offsets, q's rows are segments, and k's and v's are the segments
+    that kv_offsets marks (offsets when None). Segment e's queries attend
+    over segment e's keys only, as a call of their own would: each
+    table's ids, additive_mask, scale_matrix and rng then hold one entry
+    per segment, and the tables' gradients are added one segment at a time.
+
     Every elementwise pass over the (groups, n_q, n_k) scores runs in
     place (see the note above _flat_index): the scores become the softmax
     weights, one scratch array serves every table's picks and bincount
@@ -448,6 +595,43 @@ def attention(
     if q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape or q.shape[1:] != k.shape[1:]:
         raise ShapeError(f"attention needs (n_q, groups, d) queries and equal (n_k, groups, d) keys and values: "
                          f"{q.shape}, {k.shape}, {v.shape}")
+    if offsets is None and kv_offsets is None:
+        out_data, back = _attend(q.data, k.data, v.data, tables, additive_mask, scale_matrix, dropout_p, rng, training,
+                                 capture)
+        q_segs, backs = _WHOLE, [back]
+    else:
+        q_segs = _segments(offsets, q.shape[0])
+        k_segs = _segments(offsets if kv_offsets is None else kv_offsets, k.shape[0])
+        count = len(q_segs)
+        if len(k_segs) != count:
+            raise ShapeError(f"{count} query segments but {len(k_segs)} key segments")
+        masks = _per_segment(additive_mask, offsets, count, "additive masks")
+        scales = _per_segment(scale_matrix, offsets, count, "scale matrices")
+        rngs = _per_segment(rng, offsets, count, "random generators")
+        table_ids = [_per_segment(idx, offsets, count, "relative indexes") for _, _, idx in tables]
+        parts = [
+            _attend(q.data[qs], k.data[ks], v.data[ks],
+                    [(table_k, table_v, ids[e]) for (table_k, table_v, _), ids in zip(tables, table_ids)],
+                    masks[e], scales[e], dropout_p, rngs[e], training, capture)
+            for e, (qs, ks) in enumerate(zip(q_segs, k_segs))
+        ]
+        out_data, backs = np.concatenate([out for out, _ in parts]), [back for _, back in parts]
+
+    def backward_fn(g):
+        grads = [back(g[qs]) for back, qs in zip(backs, q_segs)]
+        g_q, g_k, g_v = (_joined([part[i] for part in grads]) for i in range(3))
+        v.accumulate(g_v)
+        k.accumulate(g_k)
+        q.accumulate(g_q)
+
+    table_parents = tuple(t for table_k, table_v, _ in tables for t in (table_k, table_v))
+    return _make(out_data, table_parents + ((v, k, q) if tables else (q, k, v)), backward_fn)
+
+
+def _attend(q, k, v, tables, additive_mask, scale_matrix, dropout_p, rng, training, capture):
+    """One segment of attention, on q's, k's and v's arrays: its output,
+    and a function that takes the output's gradient, adds each table's
+    gradients and returns the gradients of q, k and v."""
     n_q, groups, d = q.shape
     n_k = k.shape[0]
     checked = []
@@ -459,9 +643,9 @@ def attention(
             raise ShapeError(f"relative index {idx.shape} != scores' ({n_q}, {n_k})")
         checked.append((table_k, table_v, _flat_index(idx, table_k.shape[0])))
     tables = checked
-    q_rows = q.data.reshape(-1, d)
-    q_t = q.data.transpose(1, 0, 2)
-    e = q_t @ k.data.transpose(1, 2, 0)  # (groups, n_q, n_k)
+    q_rows = q.reshape(-1, d)
+    q_t = q.transpose(1, 0, 2)
+    e = q_t @ k.transpose(1, 2, 0)  # (groups, n_q, n_k)
     scratch = np.empty_like(e) if tables else None
     for table_k, _, flat in tables:
         e += _pick(q_rows @ table_k.data.T, flat, scratch)
@@ -472,16 +656,16 @@ def attention(
         capture.extend(head.copy() for head in s)
     keep = _dropout_keep(s.shape, dropout_p, rng, training)
     alpha = s if keep is None else s * keep
-    out_data = (alpha @ v.data.transpose(1, 0, 2)).transpose(1, 0, 2)
+    out = (alpha @ v.transpose(1, 0, 2)).transpose(1, 0, 2)
     sums = [_row_sums(alpha, flat, table_v.shape[0], scratch) for _, table_v, flat in tables]
     for (_, table_v, _), rows in zip(tables, sums):
-        out_data = out_data + (rows @ table_v.data).reshape(n_q, groups, d)
+        out = out + (rows @ table_v.data).reshape(n_q, groups, d)
 
-    def backward_fn(g):
+    def backward(g):
         g_rows = g.reshape(-1, d)
         g_av = np.ascontiguousarray(g.transpose(1, 0, 2))
-        g_alpha = g_av @ v.data.transpose(1, 2, 0)
-        v.accumulate((alpha.swapaxes(-1, -2) @ g_av).transpose(1, 0, 2))
+        g_alpha = g_av @ v.transpose(1, 2, 0)
+        g_v = (alpha.swapaxes(-1, -2) @ g_av).transpose(1, 0, 2)
         for (_, table_v, flat), rows in zip(tables, sums):
             g_alpha += _pick(g_rows @ table_v.data.T, flat, scratch)
             table_v.accumulate(rows.T @ g_rows)
@@ -489,20 +673,20 @@ def attention(
             g_alpha *= keep
         g_e = _masked_softmax_grad(g_alpha, s, scale_matrix, scratch)  # g_alpha itself
         g_e *= c
-        g_q = (g_e @ k.data.transpose(1, 0, 2)).transpose(1, 0, 2)
-        k.accumulate((q_t.swapaxes(-1, -2) @ g_e).transpose(2, 0, 1))
+        g_q = (g_e @ k.transpose(1, 0, 2)).transpose(1, 0, 2)
+        g_k = (q_t.swapaxes(-1, -2) @ g_e).transpose(2, 0, 1)
         for table_k, _, flat in tables:
             rows = _row_sums(g_e, flat, table_k.shape[0], scratch)
             g_q = g_q + (rows @ table_k.data).reshape(q.shape)
             table_k.accumulate(rows.T @ q_rows)
-        q.accumulate(g_q)
+        return g_q, g_k, g_v
 
-    table_parents = tuple(t for table_k, table_v, _ in tables for t in (table_k, table_v))
-    return _make(out_data, table_parents + ((v, k, q) if tables else (q, k, v)), backward_fn)
+    return out, backward
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer targets, (n, V) logits."""
+def cross_entropy(logits: Tensor, targets: np.ndarray, offsets: Sequence[int] | None = None) -> Tensor:
+    """Mean negative log-likelihood of integer targets, (n, V) logits. With
+    offsets, one mean per segment of rows, (segments,)."""
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects (n, vocab) logits, got {logits.shape}")
     targets = np.asarray(targets)
@@ -512,18 +696,23 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ShapeError("targets must be integers")
     if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
         raise ShapeError("target id out of vocabulary range")
+    n = logits.shape[0]
+    segs = _segments(offsets, n)
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - logsumexp
-    n = logits.shape[0]
     picked = logp[np.arange(n), targets]
-    out_data = np.asarray(-picked.sum() / n)
+    means = [-picked[s].sum() / picked[s].shape[0] for s in segs]
+    out_data = np.asarray(means[0]) if offsets is None else np.array(means)
 
     def backward_fn(g):
         soft = np.exp(logp)
         soft[np.arange(n), targets] -= 1.0
-        soft /= n
-        logits.accumulate(soft * float(g))
+        g = g.reshape(-1)
+        for e, s in enumerate(segs):
+            soft[s] /= soft[s].shape[0]
+            soft[s] *= float(g[e])
+        logits.accumulate(soft)
 
     return _make(out_data, (logits,), backward_fn)
 

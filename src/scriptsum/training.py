@@ -10,8 +10,18 @@ written every epoch together with a CSV history.
 All randomness is counter-based: the shuffle order is seeded by (seed,
 epoch) and every dropout pass by (seed, step, example index), so an
 interrupted run resumed from the last checkpoint retraces the exact same
-computation. Each example trains at its own length, so neither its loss
-nor its gradient depends on its batch partners or its row.
+computation.
+
+A batch runs as groups of consecutive examples, each group one graph
+whose rows are its examples' rows end to end (ScriptModel.forward_loss).
+A group closes before an example that would take its source rows, or its
+decoder-input rows, past MAX_SOURCE_TOKENS, so no group holds more rows
+than one longest input, and a graph is freed by its backward before the
+next group's is built. Each example trains at its own length, and every
+product and every sum over rows runs per example, in example order, so
+neither an example's loss nor its gradient depends on its batch partners,
+its row or its group, and each parameter's gradient is summed in example
+order: the bits of one graph per example.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
+    MAX_SOURCE_TOKENS,
     Batch,
     EncodedExample,
     Example,
@@ -39,7 +50,7 @@ from .data import (
 from .errors import ConfigError, FormatError, NumericsError, read_text
 from .metrics import EvalPair, bleu4
 from .model import ModelConfig, ScriptModel, join_heads, load_model_sidecar, param_schema, save_model_sidecar, split_heads
-from .tensor import backward, no_grad, scale
+from .tensor import backward, no_grad, scale, sum_all
 
 HISTORY_COLUMNS = ("epoch", "train_loss", "valid_loss", "valid_bleu", "lr", "wall_seconds")
 # Adam's moment decay rates and denominator guard.
@@ -264,15 +275,35 @@ class TrainResult:
     global_step: int
 
 
+def _groups(src_lens: Sequence[int], tgt_lens: Sequence[int]) -> list[list[int]]:
+    """Positions of consecutive examples in groups, given each example's
+    source and summary (BOS ... EOS) lengths. A group closes before an
+    example that would take its source rows, or its decoder-input rows,
+    past MAX_SOURCE_TOKENS (see the module docstring)."""
+    groups: list[list[int]] = []
+    src_rows = tgt_rows = 0
+    for i, (n, m) in enumerate(zip(src_lens, tgt_lens)):
+        if not groups or src_rows + n > MAX_SOURCE_TOKENS or tgt_rows + m - 1 > MAX_SOURCE_TOKENS:
+            groups.append([])
+            src_rows = tgt_rows = 0
+        groups[-1].append(i)
+        src_rows, tgt_rows = src_rows + n, tgt_rows + m - 1
+    return groups
+
+
 def evaluate_loss(model: ScriptModel, split: Sequence[EncodedExample]) -> float:
-    """Mean per-example loss without dropout."""
+    """Mean per-example loss without dropout, a group of examples at a
+    time (see the module docstring)."""
     if not split:
         return float("nan")
     total = 0.0
     with no_grad():
-        for ex in split:
-            loss = model.forward_loss(ex.src_ids, ex.bundle, ex.tgt_ids)
-            total += float(loss.data)
+        for rows in _groups([len(ex.src_ids) for ex in split], [len(ex.tgt_ids) for ex in split]):
+            group = [split[i] for i in rows]
+            losses = model.forward_loss([ex.src_ids for ex in group], [ex.bundle for ex in group],
+                                        [ex.tgt_ids for ex in group])
+            for value in losses.data.tolist():
+                total += value
     return total / len(split)
 
 
@@ -313,24 +344,31 @@ def _train_one_batch(
     cfg: TrainConfig,
     global_step: int,
 ) -> float:
+    """Forward and backward of one batch, a group at a time (see the
+    module docstring); returns the mean loss. Each parameter's gradient
+    is the sum of its examples' gradients over the batch size, in batch
+    order."""
     model.zero_grad()
     b = len(batch)
     batch_loss = 0.0
-    for i, index in enumerate(batch.example_indices):
-        loss = model.forward_loss(
-            batch.src_ids[i, : batch.src_lens[i]],
-            batch.bundles[i],
-            batch.tgt_ids[i, : batch.tgt_lens[i]],
+    for rows in _groups(batch.src_lens, batch.tgt_lens):
+        indices = [batch.example_indices[i] for i in rows]
+        losses = model.forward_loss(
+            [batch.src_ids[i, : batch.src_lens[i]] for i in rows],
+            [batch.bundles[i] for i in rows],
+            [batch.tgt_ids[i, : batch.tgt_lens[i]] for i in rows],
             training=True,
-            rng=_example_rng(cfg.seed, global_step, index),
+            rng=[_example_rng(cfg.seed, global_step, index) for index in indices],
         )
-        value = float(loss.data)
-        if not math.isfinite(value):
-            raise NumericsError(
-                f"non-finite training loss {value!r} at step {global_step}, example {index}"
-            )
-        backward(scale(loss, 1.0 / b))
-        batch_loss += value / b
+        values = losses.data.tolist()
+        for index, value in zip(indices, values):
+            if not math.isfinite(value):
+                raise NumericsError(
+                    f"non-finite training loss {value!r} at step {global_step}, example {index}"
+                )
+        backward(sum_all(scale(losses, 1.0 / b)))
+        for value in values:
+            batch_loss += value / b
     return batch_loss
 
 

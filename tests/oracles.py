@@ -4,12 +4,13 @@ Everything here is deliberately written with different algorithms than the
 library (BFS instead of preorder lca depths, pairwise loops
 instead of vectorised relation views, explicit subsequence enumeration
 instead of DP, step-by-step argmax instead of beam bookkeeping) so
-agreement is meaningful. The exceptions are attention and its
-projections. composed_attention builds tensor.attention from one autodiff
-op per step, with relative_scores and relative_values for the table terms;
-per_head_project concatenates one leaf tensor per head on every call. The
-fused op and the joined projections must equal them bit for bit,
-gradients included.
+agreement is meaningful. The exceptions are attention, its projections
+and the training step. composed_attention builds tensor.attention from one
+autodiff op per step, with relative_scores and relative_values for the
+table terms; per_head_project concatenates one leaf tensor per head on
+every call; per_example_batch runs a training batch as one graph per
+example. The fused op, the joined projections and the grouped batch must
+equal them bit for bit, gradients included.
 """
 
 import math
@@ -22,8 +23,10 @@ from scriptsum.astcore import Ast, AstNode, TokenAlignment
 from scriptsum.errors import ShapeError
 from scriptsum.model import NEG_INF, DecoderCache, _affine, _log_softmax
 from scriptsum.structure import _flow_edges, _statement_of
+from scriptsum.training import _example_rng
 from scriptsum.tensor import (
     Tensor,
+    backward,
     _check_ids,
     _make,
     add,
@@ -373,9 +376,13 @@ def composed_relative_attention(
     training=False,
     rng=None,
     capture=None,
+    offsets=None,
+    kv_offsets=None,
 ):
     """ScriptModel.relative_attention with composed_attention in place of
-    tensor.attention; same signature, so a test can patch it in."""
+    tensor.attention; same signature, so a test can patch it in. It runs
+    one example, not a group: offsets must be None."""
+    assert offsets is None and kv_offsets is None, "the composed reference runs one example"
     cfg = model.config
     k, v = model.keys_values(prefix, x_kv) if isinstance(x_kv, Tensor) else x_kv
     scale_matrix = None
@@ -401,14 +408,14 @@ def per_head_leaves(model) -> dict[str, Tensor]:
             for name, arr in model.state_dict().items() if name not in model.params}
 
 
-def per_head_project(heads, model, prefix, kind, x, groups):
+def per_head_project(heads, model, prefix, kind, x, groups, offsets=None):
     """ScriptModel._project through per-head leaf tensors, heads from
     per_head_leaves, concatenated on every call: the reference the joined
     projection must equal bit for bit, gradients included. Bind heads and
     model to patch it in as model._project."""
     cfg = model.config
     w = concat([heads[f"{prefix}.{kind}{h}"] for h in range(cfg.n_heads)], axis=1)
-    return reshape(matmul(x, w), (x.shape[0] // groups, groups * cfg.n_heads, cfg.d_head))
+    return reshape(matmul(x, w, offsets), (x.shape[0] // groups, groups * cfg.n_heads, cfg.d_head))
 
 
 def gather_relative_scores(q, table, idx):
@@ -552,3 +559,29 @@ def finite_difference_grad(f, tensors, epsilon: float = 1e-5):
             g[idx] = (up - down) / (2 * epsilon)
         grads.append(g)
     return grads
+
+
+def per_example_batch(model, batch, cfg, global_step: int) -> tuple[float, list[float]]:
+    """A training batch's forward and backward as one graph per example:
+    each example's loss over the batch size is back-propagated before the
+    next example is built, so every parameter sums the examples'
+    gradients in batch order, and each example draws dropout from its own
+    (seed, step, example index) generator. Returns the batch loss, summed
+    as the training loop sums it, and each example's loss: the reference
+    a batch run as groups must equal bit for bit."""
+    model.zero_grad()
+    b = len(batch)
+    batch_loss, losses = 0.0, []
+    for i, index in enumerate(batch.example_indices):
+        loss = model.forward_loss(
+            batch.src_ids[i, : batch.src_lens[i]],
+            batch.bundles[i],
+            batch.tgt_ids[i, : batch.tgt_lens[i]],
+            training=True,
+            rng=_example_rng(cfg.seed, global_step, index),
+        )
+        value = float(loss.data)
+        backward(scale(loss, 1.0 / b))
+        batch_loss += value / b
+        losses.append(value)
+    return batch_loss, losses

@@ -7,6 +7,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 import numpy as np
 
 import scriptsum.checkpoint  # noqa: F401  (the tracer wraps functions of every traced module)
@@ -80,3 +82,35 @@ def test_tracer_spans_every_ingest_layer(toy_corpus_path):
             "structure.encode_structure", "data.example_from_record"} <= spanned
     assert tracer.counts["examples_built"] == len(records)
     assert tracer.counts["floyd_calls"] == tracer.counts["examples_built"]
+
+
+def test_tracer_spans_a_training_run(toy_corpus_path, tmp_path):
+    """A one-epoch train on two toy examples, one group per batch, goes
+    through every training function perfbench spans, counts its batches'
+    positions from Batch, and counts ops in the train phase."""
+    tracing = _load_tracing()
+    examples = load_dataset(toy_corpus_path, distance_clip=4)[:2]
+    src_vocab, tgt_vocab = build_vocab(examples)
+    model = tiny_model(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab), dropout_p=0.2)
+    cfg = scriptsum.training.TrainConfig(batch_size=2, max_epochs=1, bleu_every=0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.phase = "train"
+        scriptsum.training.train(model, examples, examples, cfg, src_vocab, tgt_vocab, tmp_path)
+    finally:
+        tracer.uninstall()
+    spanned = [span[0] for span in tracer.spans]
+    assert {"data.make_batches", "tensor.backward", "training.adam_step", "training.evaluate_loss",
+            "model.forward_loss", "model.script_encoder", "model.decode"} <= set(spanned)
+    assert spanned.count("tensor.backward") == 1  # one group, one graph
+    assert spanned.count("model.forward_loss") == 2  # the step's group, then validation's
+    real = sum(len(ex.code_tokens) for ex in examples)
+    assert tracer.counts["real_positions"] == real
+    assert tracer.counts["padded_positions"] == 2 * max(len(ex.code_tokens) for ex in examples)
+    assert tracer.op_calls["train"] > 0
+    assert tracer.forward_seconds_in_training() > 0
+    metrics = tracing.layer_metrics(tracer, train_examples=2)
+    assert metrics["tensor.backward_forward_ratio"][0] > 0
+    assert metrics["data.real_position_ratio"][0] == pytest.approx(tracer.counts["real_positions"]
+                                                                  / tracer.counts["padded_positions"])
