@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import re
 import sys
 from dataclasses import fields, replace
@@ -47,9 +46,10 @@ from .errors import (
     TreeError,
     parse_json,
     read_text,
+    write_json,
 )
 from .manifest import RunManifest
-from .metrics import BucketSpec, EvalPair, corpus_report
+from .metrics import METRICS, BucketSpec, EvalPair, corpus_report
 from .minilang import parse_minilang
 from .model import ModelConfig, ScriptModel, ablation_layer_plan, inference_numerics
 from .structure import DEFAULT_DISTANCE_CLIP, DEFAULT_VIEW_WEIGHTS
@@ -189,16 +189,12 @@ def cmd_parse(args, manifest: RunManifest) -> int:
             report.append({"line": line, "status": "error", "error": str(exc)})
             continue
         name = f"example_{n_ok:04d}.ast.json" if jsonl else f"{in_path.stem}.ast.json"
-        with open(out_dir / name, "w", encoding="utf-8") as fh:
-            json.dump(ast_to_json(ast), fh, indent=2)
-            fh.write("\n")
+        write_json(out_dir / name, ast_to_json(ast))
         report.append({"line": lineno, "status": "ok", "output": name})
         n_ok += 1
 
     failures = [r for r in report if r["status"] == "error"]
-    with open(out_dir / "parse_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "parse_report.json", report)
     manifest.config.update({"n_ok": n_ok, "n_failed": len(failures)})
     manifest.save(out_dir)
     print(f"parsed {n_ok} example(s), {len(failures)} failure(s) -> {out_dir}")
@@ -239,9 +235,7 @@ def cmd_encode(args, manifest: RunManifest) -> int:
             "buckets": b.bucket_ids.tolist(),
             "a_mv": b.multiview.tolist(),
         }
-        with open(out_dir / f"bundle_{idx:04d}.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        write_json(out_dir / f"bundle_{idx:04d}.json", payload, indent=None)
         if b.distances.size:
             max_distance = max(max_distance, int(b.distances.max()))
         entropies.append(_row_entropy(b.distance_weights))
@@ -251,9 +245,7 @@ def cmd_encode(args, manifest: RunManifest) -> int:
         "max_distance": max_distance,
         "mean_mbar_entropy": float(np.mean(entropies)) if entropies else 0.0,
     }
-    with open(out_dir / "stats.json", "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "stats.json", stats)
     manifest.config["stats"] = stats
     manifest.save(out_dir)
     print(
@@ -433,15 +425,10 @@ def cmd_eval(args, manifest: RunManifest) -> int:
     for row, scores in zip(rows, report.pair_scores):
         row.update(scores)
     with open(out_dir / "scores.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["index", "bleu4", "rouge_l", "meteor", "src_len", "ref_len", "candidate"],
-        )
+        writer = csv.DictWriter(fh, fieldnames=["index", *METRICS, "src_len", "ref_len", "candidate"])
         writer.writeheader()
         writer.writerows(rows)
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "report.json", report.to_dict())
 
     manifest.config = {
         "model_dir": str(model_dir),

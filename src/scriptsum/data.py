@@ -21,7 +21,7 @@ import numpy as np
 from .astcore import Ast, ast_from_json, leaf_tokens
 from .minilang import parse_minilang
 from .errors import ConfigError, EmptyCorpusError, FormatError, MiniLangSyntaxError, TreeError
-from .errors import parse_json, read_json_object
+from .errors import parse_json, read_json_object, write_json
 from .structure import (
     DEFAULT_DISTANCE_CLIP,
     DEFAULT_VIEW_WEIGHTS,
@@ -88,9 +88,7 @@ class Vocabulary:
         return hashlib.sha256(payload).hexdigest()
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"tokens": self.id_to_token}, fh, indent=2)
-            fh.write("\n")
+        write_json(path, {"tokens": self.id_to_token})
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

@@ -1,5 +1,5 @@
 """Exception types shared across the toolkit, the UTF-8 text-file reader,
-and the one JSON decoder every reader goes through."""
+the one JSON decoder every reader goes through, and the one JSON writer."""
 
 import json
 
@@ -58,6 +58,13 @@ def parse_json(text: str):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
+
+
+def write_json(path, obj, *, indent=2, sort_keys=False) -> None:
+    """Write obj to path as one UTF-8 JSON document ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=indent, sort_keys=sort_keys)
+        fh.write("\n")
 
 
 def read_text(path) -> str:

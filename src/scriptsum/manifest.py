@@ -12,16 +12,15 @@ double precision.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, read_json_object
+from .errors import FormatError, read_json_object, write_json
 
 MANIFEST_NAME = "manifest.json"
 # environment variables that set the BLAS thread count, recorded as set
@@ -83,7 +82,6 @@ class RunManifest:
     input_digests: dict = field(default_factory=dict)
     started_at: str = field(default_factory=_now_iso)
     finished_at: str = ""
-    # None when read from a manifest written before these were recorded
     numpy: str | None = np.__version__
     blas: str | None = field(default_factory=blas_name)
     blas_threads: dict | None = field(default_factory=blas_threads)
@@ -94,49 +92,27 @@ class RunManifest:
     def finish(self) -> None:
         self.finished_at = _now_iso()
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "git": self.git,
-            "input_digests": dict(self.input_digests),
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "numpy": self.numpy,
-            "blas": self.blas,
-            "blas_threads": self.blas_threads,
-        }
-
     def save(self, out_dir) -> Path:
         if not self.finished_at:
             self.finish()
         path = Path(out_dir) / MANIFEST_NAME
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self), sort_keys=True)
         return path
 
 
 def load_manifest(out_dir) -> RunManifest:
     path = Path(out_dir) / MANIFEST_NAME
     payload = read_json_object(path)
-    required = {"command", "config", "seed"}
-    missing = required - payload.keys()
+    # what each optional key reads as when the manifest lacks it; the
+    # environment fields are missing from manifests older than them
+    absent = {"git": "unknown", "input_digests": {}, "started_at": "", "finished_at": "",
+              "numpy": None, "blas": None, "blas_threads": None}
+    values = {**absent, **payload}
+    names = [f.name for f in fields(RunManifest)]
+    missing = [name for name in names if name not in values]
     if missing:
-        raise FormatError(f"manifest {path} missing keys: {sorted(missing)}")
-    return RunManifest(
-        command=payload["command"],
-        config=payload["config"],
-        seed=payload["seed"],
-        git=payload.get("git", "unknown"),
-        input_digests=payload.get("input_digests", {}),
-        started_at=payload.get("started_at", ""),
-        finished_at=payload.get("finished_at", ""),
-        numpy=payload.get("numpy"),
-        blas=payload.get("blas"),
-        blas_threads=payload.get("blas_threads"),
-    )
+        raise FormatError(f"manifest {path} missing keys: {missing}")
+    return RunManifest(**{name: values[name] for name in names})
 
 
 __all__ = ["RunManifest", "load_manifest", "sha256_file", "git_describe", "MANIFEST_NAME"]

@@ -41,13 +41,6 @@ class EvalPair:
         if not self.references:
             raise ValueError("EvalPair requires at least one reference")
 
-    @staticmethod
-    def from_text(candidate: str, references: Sequence[str]) -> "EvalPair":
-        return EvalPair(
-            candidate=candidate.lower().split(),
-            references=[r.lower().split() for r in references],
-        )
-
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
@@ -223,8 +216,12 @@ def meteor(pair: EvalPair) -> float:
     return max(_meteor_single(pair.candidate, ref) for ref in pair.references)
 
 
+# every metric by its report and scores.csv name, in column order
+METRICS = {"bleu4": bleu4, "rouge_l": rouge_l, "meteor": meteor}
+
+
 def score_pair(pair: EvalPair) -> dict[str, float]:
-    return {"bleu4": bleu4(pair), "rouge_l": rouge_l(pair), "meteor": meteor(pair)}
+    return {name: metric(pair) for name, metric in METRICS.items()}
 
 
 @dataclass(frozen=True)
@@ -278,12 +275,7 @@ class CorpusReport:
 
 
 def _mean_scores(scores: Sequence[dict[str, float]]) -> dict[str, float]:
-    if not scores:
-        return {"bleu4": 0.0, "rouge_l": 0.0, "meteor": 0.0}
-    return {
-        name: sum(s[name] for s in scores) / len(scores)
-        for name in ("bleu4", "rouge_l", "meteor")
-    }
+    return {name: sum(s[name] for s in scores) / len(scores) if scores else 0.0 for name in METRICS}
 
 
 def corpus_report(
@@ -316,16 +308,13 @@ def corpus_report(
             grouped[bucket_spec.index_of(value)].append(scores)
         for label, scores in zip(labels, grouped):
             entry: dict = {"label": label, "key": bucket_spec.key, "count": len(scores)}
-            entry.update(
-                _mean_scores(scores)
-                if scores
-                else {"bleu4": None, "rouge_l": None, "meteor": None}
-            )
+            entry.update(_mean_scores(scores) if scores else dict.fromkeys(METRICS))
             buckets.append(entry)
     return CorpusReport(pair_scores=pair_scores, overall=overall, buckets=buckets)
 
 
 __all__ = [
+    "METRICS",
     "EvalPair",
     "BucketSpec",
     "CorpusReport",

@@ -73,7 +73,6 @@ in the same order.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from contextlib import contextmanager
@@ -83,7 +82,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ArtifactMismatchError, ConfigError, FormatError, NumericsError, ShapeError, read_json_object
+from .errors import ArtifactMismatchError, ConfigError, FormatError, NumericsError, ShapeError
+from .errors import read_json_object, write_json
 from .structure import DEFAULT_DISTANCE_CLIP, StructuralEncodings, sequential_relpos
 from .tensor import (
     NEG_INF,
@@ -988,9 +988,7 @@ def save_model_sidecar(path, config: ModelConfig, extra: dict | None = None) -> 
     payload = {"model_config": config.to_dict()}
     if extra:
         payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload, sort_keys=True)
 
 
 def load_model_sidecar(path) -> tuple[ModelConfig, dict]:

@@ -31,7 +31,7 @@ import io
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -52,7 +52,6 @@ from .metrics import EvalPair, bleu4
 from .model import ModelConfig, ScriptModel, join_heads, load_model_sidecar, param_schema, save_model_sidecar, split_heads
 from .tensor import backward, no_grad, scale, sum_all
 
-HISTORY_COLUMNS = ("epoch", "train_loss", "valid_loss", "valid_bleu", "lr", "wall_seconds")
 # Adam's moment decay rates and denominator guard.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -210,21 +209,16 @@ class HistoryRow:
     wall_seconds: float
 
 
+HISTORY_COLUMNS = tuple(f.name for f in fields(HistoryRow))
+
+
 def write_history(path, rows: Sequence[HistoryRow]) -> None:
+    """One CSV row per epoch: each value by repr, so floats round-trip
+    exactly, and an empty cell for None."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.epoch,
-                    repr(r.train_loss),
-                    repr(r.valid_loss),
-                    "" if r.valid_bleu is None else repr(r.valid_bleu),
-                    repr(r.lr),
-                    repr(r.wall_seconds),
-                ]
-            )
+        writer.writerows(["" if v is None else repr(v) for v in astuple(r)] for r in rows)
 
 
 def _replace_file(path: Path, write) -> None:
@@ -322,20 +316,6 @@ def evaluate_bleu(
     for ex, ids in zip(split, summaries):
         total += bleu4(EvalPair(candidate=tgt_vocab.decode(ids), references=[list(ex.summary_tokens)]))
     return total / len(split)
-
-
-def evaluate_token_accuracy(model: ScriptModel, split: Sequence[EncodedExample]) -> float:
-    """Teacher-forced next-token accuracy over a split."""
-    correct = 0
-    total = 0
-    with no_grad():
-        for ex in split:
-            state = model.script_encoder(ex.src_ids, ex.bundle)
-            logits = model.decode(ex.tgt_ids[:-1], state)
-            pred = logits.data.argmax(axis=1)
-            correct += int((pred == ex.tgt_ids[1:]).sum())
-            total += len(ex.tgt_ids) - 1
-    return correct / total if total else 0.0
 
 
 def _train_one_batch(
@@ -550,6 +530,5 @@ __all__ = [
     "write_history",
     "evaluate_loss",
     "evaluate_bleu",
-    "evaluate_token_accuracy",
     "load_model_from_dir",
 ]

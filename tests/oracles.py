@@ -10,7 +10,8 @@ autodiff op per step, with relative_scores and relative_values for the
 table terms; per_head_project concatenates one leaf tensor per head on
 every call; per_example_batch runs a training batch as one graph per
 example. The fused op, the joined projections and the grouped batch must
-equal them bit for bit, gradients included.
+equal them bit for bit, gradients included. evaluate_token_accuracy, the
+overfit criterion's measure, has no library counterpart.
 """
 
 import math
@@ -585,3 +586,19 @@ def per_example_batch(model, batch, cfg, global_step: int) -> tuple[float, list[
         batch_loss += value / b
         losses.append(value)
     return batch_loss, losses
+
+
+def evaluate_token_accuracy(model, split) -> float:
+    """Teacher-forced next-token accuracy over a split, one example at a
+    time: each example is encoded alone and decoded over its whole
+    reference prefix in one call."""
+    correct = 0
+    total = 0
+    with no_grad():
+        for ex in split:
+            state = model.script_encoder(ex.src_ids, ex.bundle)
+            logits = model.decode(ex.tgt_ids[:-1], state)
+            pred = logits.data.argmax(axis=1)
+            correct += int((pred == ex.tgt_ids[1:]).sum())
+            total += len(ex.tgt_ids) - 1
+    return correct / total if total else 0.0

@@ -44,7 +44,6 @@ from scriptsum.tensor import (
 from scriptsum.training import (
     TrainConfig,
     evaluate_bleu,
-    evaluate_token_accuracy,
     load_model_from_dir,
     train,
 )
@@ -54,6 +53,7 @@ from conftest import random_bundle, tiny_config, tiny_model
 from oracles import (
     bfs_apsp,
     brute_force_lcs,
+    evaluate_token_accuracy,
     exhaustive_decode,
     greedy_oracle,
     lca_depth,

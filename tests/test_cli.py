@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -18,9 +19,10 @@ from scriptsum.checkpoint import load_checkpoint, save_checkpoint
 from scriptsum.cli import _CONFIG_TYPES, build_parser, main, read_config_file
 from scriptsum.data import load_dataset
 from scriptsum.errors import ConfigError, FormatError, NumericsError
-from scriptsum.manifest import load_manifest, sha256_file
+from scriptsum.manifest import RunManifest, load_manifest, sha256_file
 from scriptsum.model import ScriptModel
 from scriptsum.tensor import _grad_enabled
+from scriptsum.training import HISTORY_COLUMNS
 
 REPO = Path(__file__).resolve().parent.parent
 TRAIN_FLAGS = [
@@ -1046,3 +1048,26 @@ class TestConfigRoutes:
         assert manifests["flags"]["config"]["train"]["early_stop_patience"] == 1
         best = {name: (tmp_path / name / "best.json").read_bytes() for name in runs}
         assert best["flags"] == best["file"]
+
+
+class TestDocumentedFormats:
+    """docs/file-formats.md lists the columns and keys the code writes."""
+
+    DOC = (REPO / "docs" / "file-formats.md").read_text()
+
+    def test_history_header(self, trained_dir):
+        documented = re.search(r"### `history.csv`\s+Header `([^`]+)`", self.DOC).group(1)
+        assert documented == ",".join(HISTORY_COLUMNS)
+        assert (trained_dir / "history.csv").read_text().splitlines()[0] == documented
+
+    def test_scores_columns(self, tmp_path, trained_dir, small_dataset):
+        documented = re.search(r"`scores.csv` with columns\s+`([^`]+)`", self.DOC).group(1)
+        out = tmp_path / "eval"
+        assert main(["eval", str(trained_dir), str(small_dataset), str(out), "--beam", "1", "--max-len", "2"]) == 0
+        assert (out / "scores.csv").read_text().splitlines()[0] == documented
+
+    def test_manifest_keys(self, trained_dir):
+        example = re.search(r"## Run manifest.*?```json\n(.*?)```", self.DOC, re.S).group(1)
+        documented = re.findall(r'^  "(\w+)":', example, re.M)
+        assert documented == [f.name for f in fields(RunManifest)]
+        assert sorted(json.loads((trained_dir / "manifest.json").read_text())) == sorted(documented)

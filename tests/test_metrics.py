@@ -144,11 +144,6 @@ class TestScoreProperties:
             for name in ("bleu4", "rouge_l", "meteor"):
                 assert score_pair(big)[name] >= score_pair(small)[name]
 
-    def test_from_text_lowercases_and_splits(self):
-        p = EvalPair.from_text("Return THE sum", ["return the sum"])
-        assert p.candidate == ["return", "the", "sum"]
-        assert bleu4(p) == pytest.approx(1.0)
-
     def test_requires_a_reference(self):
         with pytest.raises(ValueError):
             EvalPair(candidate=["a"], references=[])

@@ -26,7 +26,6 @@ from scriptsum.training import (
     TrainConfig,
     evaluate_bleu,
     evaluate_loss,
-    evaluate_token_accuracy,
     load_model_from_dir,
     lr_at_step,
     train,
@@ -35,7 +34,7 @@ from scriptsum.training import (
 from scriptsum.training import _read_history, _train_one_batch
 
 from conftest import random_bundle, tiny_config
-from oracles import per_example_batch
+from oracles import evaluate_token_accuracy, per_example_batch
 
 
 def training_setup(toy_corpus_path, n_examples=6, **model_overrides):
