@@ -27,16 +27,19 @@ heads, and its terms never gather a row per query-key pair: the scores
 pick from the queries times the table, and the values sum the attention
 weights per table row, then multiply by the table.
 
-Decoding is incremental, and `decode` is both the teacher-forced pass and
-the decoding step. A DecoderCache carries each decoder layer's
-cross-attention keys and values of the source, computed once, and its
-self-attention keys and values of the positions decoded so far; `decode`
-runs new positions against the cache and appends theirs. Under the causal
-mask the keys, values and relative offsets of earlier positions never
-change, so the cached step equals a full pass over the prefix. A step
-builds the causal-mask and sequential-offset rows of its new positions
-only, and a single new position needs no mask. Training calls `decode`
-with an empty cache and every position at once.
+Decoding is incremental. `decode` without a cache is the teacher-forced
+pass, an autodiff graph over every position at once, which training
+differentiates. With a DecoderCache it is one inference step, `_step`,
+on plain arrays: it records no graph, and its arithmetic is the graph's
+forward, expression for expression, so its logits are the same bits. The
+cache carries each decoder layer's cross-attention keys and values of the
+source, computed once, and its self-attention keys and values of the
+positions decoded so far; a step runs new positions against the cache and
+appends theirs. Under the causal mask the keys, values and relative
+offsets of earlier positions never change, so the cached step equals a
+full pass over the prefix. A step builds the causal-mask and
+sequential-offset rows of its new positions only, and a single new
+position needs no mask.
 
 Beam search decodes several sources at once: the live beams of every
 unfinished source are the rows of one batch, one decoder call per step.
@@ -86,12 +89,15 @@ from .errors import ArtifactMismatchError, ConfigError, FormatError, NumericsErr
 from .errors import read_json_object, write_json
 from .structure import DEFAULT_DISTANCE_CLIP, StructuralEncodings, sequential_relpos
 from .tensor import (
+    LAYERNORM_EPS,
     NEG_INF,
     Tensor,
+    _attend,
+    _check_ids,
+    _layernorm_rows,
     add,
     attention,
     block_matmul,
-    concat,
     cross_entropy,
     dropout,
     embed,
@@ -208,28 +214,28 @@ class ModelConfig:
 
 @dataclass
 class DecoderCache:
-    """Keys and values that decoding reuses from step to step, for one
-    source or several decoded together.
+    """Keys and values that cached decoding steps reuse, for one source or
+    several decoded together; every one is a plain float64 array.
 
     The cache's rows are `beams` sequences; with S sources, row b * S + s
     is beam b of the source in group s, so each source has beams // S rows.
     cross holds each decoder layer's cross-attention keys and values of the
-    sources, (n_max, S * heads, d_head), source-major on the middle axis,
-    made by the first decode call. A source shorter than the longest has
+    sources, (n_max, S * heads, d_head) arrays, source-major on the middle
+    axis, made by the first step. A source shorter than the longest has
     zero keys and values past its end, and cross_mask, (S, n_max), puts
     NEG_INF on them; it is None when no source is padded.
     sources holds the caller's index of the source in each group, which a
     NumericsError names. self_kv holds each layer's self-attention keys and
     values of every target position decoded so far, (positions, beams *
-    heads, d_head), row-major on the middle axis; each decode call appends
+    heads, d_head) arrays, row-major on the middle axis; each step appends
     its positions. Under the causal mask an earlier position's keys, values
     and relative offsets never change, so reusing them is exact.
     """
 
-    cross: list[tuple[Tensor, Tensor]] = field(default_factory=list)
+    cross: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     cross_mask: np.ndarray | None = None
     sources: list[int] = field(default_factory=lambda: [0])
-    self_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
+    self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     beams: int = 0
 
     @property
@@ -241,9 +247,8 @@ class DecoderCache:
         """Keep the given rows, in that order; a row may be kept more than
         once. sources, if given, keeps those groups' cross-attention keys
         and values, in that order, and the rows must be laid out over them.
-        The kept keys and values record no graph. Keeping every row and
-        source in place, as each greedy step of a single source does,
-        copies nothing."""
+        Keeping every row and source in place, as each greedy step of a
+        single source does, copies nothing."""
         if sources is not None and sources != list(range(len(self.sources))):
             count = len(self.sources)
             self.cross = [tuple(_keep_groups(t, sources, count) for t in kv) for kv in self.cross]
@@ -256,13 +261,13 @@ class DecoderCache:
         self.beams = len(rows)
 
 
-def _keep_groups(t: Tensor, keep: list[int], count: int) -> Tensor:
-    """The given groups of t's middle axis, which holds count equal groups.
+def _keep_groups(a: np.ndarray, keep: list[int], count: int) -> np.ndarray:
+    """The given groups of a's middle axis, which holds count equal groups.
     np.take writes them in order; indexing with [:, keep] would put the
     picked axis first in memory, and the reshape would copy again."""
-    n, width, dh = t.shape
-    kept = np.take(t.data.reshape(n, count, width // count, dh), keep, axis=1)
-    return Tensor(kept.reshape(n, len(keep) * (width // count), dh))
+    n, width, dh = a.shape
+    kept = np.take(a.reshape(n, count, width // count, dh), keep, axis=1)
+    return kept.reshape(n, len(keep) * (width // count), dh)
 
 
 def ablation_layer_plan(n_script_modules: int, drop: str | None) -> tuple[str, ...]:
@@ -642,12 +647,17 @@ class ScriptModel:
 
         tgt_in_ids is one sequence, (m,), or one row per beam, (beams, m).
         The logits are (m * beams, tgt_vocab), row t * beams + b for position
-        t of beam b. The new positions follow the cache's: they attend to its
-        keys and values, and their own are appended to it. With no cache (an
-        empty one) the ids are a whole prefix from BOS: the teacher-forced
-        pass. state is the source's encoder output, or one per source of the
-        cache, whose rows are then laid out over the sources as DecoderCache
-        says; it is read only while the cache holds no cross-attention keys.
+        t of beam b.
+
+        With no cache the ids are a whole prefix from BOS: the teacher-forced
+        pass, an autodiff graph, and state is the source's encoder output.
+        With a cache, one inference step (_step): the new positions follow
+        the cache's, attend to its keys and values, and append their own,
+        and the logits are a constant, recording no graph whether or not
+        gradients are enabled; training must be False. state is then the
+        source's encoder output, or one per source of the cache, whose rows
+        are laid out over the sources as DecoderCache says; it is read only
+        while the cache holds no cross-attention keys.
 
         With offsets, a group's teacher-forced pass, with no cache: the ids
         are its examples' decoder inputs end to end, example e's rows
@@ -664,46 +674,29 @@ class ScriptModel:
         if offsets is not None and (cache is not None or ids.ndim != 1):
             raise ShapeError("a group decodes teacher-forced: one row of ids and no cache")
         ids = ids.reshape(-1, ids.shape[-1])
+        if cache is not None:
+            if training:
+                raise ConfigError("a cached decoder step runs in eval mode; train on the teacher-forced pass")
+            return Tensor(self._step(ids, state, cache))
+        states = [state] if isinstance(state, Tensor) else list(state)
+        if len(states) != 1:
+            raise ShapeError(f"{len(states)} encoder states for one source")
         beams, m = ids.shape
-        cache = DecoderCache() if cache is None else cache
-        past = cache.length
-        if past and cache.beams != beams:
-            raise ShapeError(f"{beams} beams of ids for a cache of {cache.beams} beams")
-        sources = len(cache.sources)
-        if beams % sources:
-            raise ShapeError(f"{beams} beams of ids are not laid out over {sources} sources")
-        if not cache.cross:
-            states = [state] if isinstance(state, Tensor) else list(state)
-            if len(states) != sources:
-                raise ShapeError(f"{len(states)} encoder states for a cache of {sources} sources")
-            if offsets is None:
-                cache.cross, cache.cross_mask = self._cross_keys_values(states)
-            else:
-                cache.cross = [self.keys_values(f"dec{ly}.cross", state, offsets=state_offsets)
-                               for ly in range(cfg.n_decoder_layers)]
-        cross_mask = None
-        if cache.cross_mask is not None:  # one (n_q, n_k) mask per source and head
-            per_group = np.repeat(cache.cross_mask, cfg.n_heads, axis=0)[:, None, :]
-            cross_mask = np.broadcast_to(per_group, (sources * cfg.n_heads, m * beams // sources, per_group.shape[-1]))
+        cross = [self.keys_values(f"dec{ly}.cross", states[0], offsets=state_offsets)
+                 for ly in range(cfg.n_decoder_layers)]
         rows, project = tied_embedding(p["tgt_embed"], ids.T.reshape(-1), offsets)
         y = scale(rows, math.sqrt(cfg.d_model))
         y = dropout(y, cfg.dropout_p, rng, training, offsets)
         if offsets is None:
-            causal, seq_idx = _self_attention_rows(past, m, cfg.k)
+            causal, seq_idx = _self_attention_rows(0, m, cfg.k)
         else:
             causal, seq_idx = zip(*(_self_attention_rows(0, length, cfg.k) for length in np.diff(offsets).tolist()))
-        self_kv = []
         for ly in range(cfg.n_decoder_layers):
             base = f"dec{ly}"
-            k, v = self.keys_values(f"{base}.self", y, beams, offsets)
-            if past:
-                k_past, v_past = cache.self_kv[ly]
-                k, v = concat([k_past, k], axis=0), concat([v_past, v], axis=0)
-            self_kv.append((k, v))
             sa = self.relative_attention(
                 f"{base}.self",
                 y,
-                (k, v),
+                self.keys_values(f"{base}.self", y, beams, offsets),
                 rel=((f"{base}.seq", seq_idx),),
                 additive_mask=causal,
                 training=training,
@@ -714,8 +707,7 @@ class ScriptModel:
             ca = self.relative_attention(
                 f"{base}.cross",
                 y,
-                cache.cross[ly],
-                additive_mask=cross_mask,
+                cross[ly],
                 training=training,
                 rng=rng,
                 offsets=offsets,
@@ -723,25 +715,87 @@ class ScriptModel:
             )
             y = self._residual(y, ca, f"{base}.ln2", training, rng, offsets)
             y = self._residual(y, self._ffn(f"{base}.ffn", y, offsets), f"{base}.ln3", training, rng, offsets)
-        cache.self_kv, cache.beams = self_kv, beams
         return add(project(y), p["out_bias"], offsets)
 
-    def _cross_keys_values(self, states: list[Tensor]) -> tuple[list[tuple[Tensor, Tensor]], np.ndarray | None]:
+    def _step(self, ids: np.ndarray, states: Tensor | list[Tensor], cache: DecoderCache) -> np.ndarray:
+        """decode's cached step on plain arrays: the logits of the (beams, m)
+        ids' new positions, whose keys and values are appended to the cache.
+        Each expression is the teacher-forced graph's forward in eval mode,
+        in the same order, so the logits are the bits that graph gives."""
+        cfg = self.config
+        p = self.params
+        beams, m = ids.shape
+        past = cache.length
+        if past and cache.beams != beams:
+            raise ShapeError(f"{beams} beams of ids for a cache of {cache.beams} beams")
+        sources = len(cache.sources)
+        if beams % sources:
+            raise ShapeError(f"{beams} beams of ids are not laid out over {sources} sources")
+        # numpy indexing would read a negative id as a row from the end
+        _check_ids(ids, cfg.tgt_vocab_size, "embedding")
+        if not cache.cross:
+            states = [states] if isinstance(states, Tensor) else list(states)
+            if len(states) != sources:
+                raise ShapeError(f"{len(states)} encoder states for a cache of {sources} sources")
+            cache.cross, cache.cross_mask = self._cross_keys_values(states)
+        cross_mask = None
+        if cache.cross_mask is not None:  # one (n_q, n_k) mask per source and head
+            per_group = np.repeat(cache.cross_mask, cfg.n_heads, axis=0)[:, None, :]
+            cross_mask = np.broadcast_to(per_group, (sources * cfg.n_heads, m * beams // sources, per_group.shape[-1]))
+        causal, seq_idx = _self_attention_rows(past, m, cfg.k)
+
+        def affine(x, prefix, w, b):
+            return x @ p[f"{prefix}.{w}"].data + p[f"{prefix}.{b}"].data
+
+        def residual(x, out, ln):  # _residual in eval mode
+            return _layernorm_rows(x + out, p[f"{ln}_g"].data, p[f"{ln}_b"].data, LAYERNORM_EPS)[0]
+
+        def attend(prefix, x, k, v, tables, mask):  # relative_attention on k and v, in eval mode
+            q = self._heads(x, f"{prefix}.q", k.shape[1] // cfg.n_heads)
+            z = _attend(q, k, v, tables, mask, None, 0.0, None, False, None)[0]
+            return affine(z.reshape(x.shape[0], cfg.d_model), prefix, "out_w", "out_b")
+
+        y = p["tgt_embed"].data[ids.T.reshape(-1)] * math.sqrt(cfg.d_model)
+        self_kv = []
+        for ly in range(cfg.n_decoder_layers):
+            base = f"dec{ly}"
+            k, v = (self._heads(y, f"{base}.self.{kind}", beams) for kind in "kv")
+            if past:
+                k_past, v_past = cache.self_kv[ly]
+                k, v = np.concatenate([k_past, k]), np.concatenate([v_past, v])
+            self_kv.append((k, v))
+            tables = ((p[f"{base}.seq_k"], p[f"{base}.seq_v"], seq_idx),)
+            y = residual(y, attend(f"{base}.self", y, k, v, tables, causal), f"{base}.ln1")
+            y = residual(y, attend(f"{base}.cross", y, *cache.cross[ly], (), cross_mask), f"{base}.ln2")
+            hidden = np.maximum(affine(y, f"{base}.ffn", "w1", "b1"), 0.0)
+            y = residual(y, affine(hidden, f"{base}.ffn", "w2", "b2"), f"{base}.ln3")
+        cache.self_kv, cache.beams = self_kv, beams
+        return y @ p["tgt_embed"].data.T + p["out_bias"].data
+
+    def _heads(self, x: np.ndarray, name: str, groups: int) -> np.ndarray:
+        """_project on arrays: rows x times parameter name, (positions,
+        groups * heads, d_head)."""
+        cfg = self.config
+        return (x @ self.params[name].data).reshape(x.shape[0] // groups, groups * cfg.n_heads, cfg.d_head)
+
+    def _cross_keys_values(
+        self, states: list[Tensor]
+    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray | None]:
         """Each decoder layer's cross-attention keys and values of the
         sources, zero-padded to the longest, and the padding mask; see
         DecoderCache. One source is neither padded nor copied."""
         lengths = np.array([h.shape[0] for h in states])
         n = int(lengths.max())
 
-        def padded(parts: list[Tensor]) -> Tensor:
+        def padded(parts: list[np.ndarray]) -> np.ndarray:
             parts = [part if part.shape[0] == n else
-                     concat([part, Tensor(np.zeros((n - part.shape[0],) + part.shape[1:]))], axis=0)
+                     np.concatenate([part, np.zeros((n - part.shape[0],) + part.shape[1:])])
                      for part in parts]
-            return parts[0] if len(parts) == 1 else concat(parts, axis=1)
+            return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
         cross = []
         for ly in range(self.config.n_decoder_layers):
-            kv = [self.keys_values(f"dec{ly}.cross", h) for h in states]
+            kv = [[self._heads(h.data, f"dec{ly}.cross.{kind}", 1) for kind in "kv"] for h in states]
             cross.append((padded([k for k, _ in kv]), padded([v for _, v in kv])))
         mask = None if (lengths == n).all() else np.where(np.arange(n) >= lengths[:, None], NEG_INF, 0.0)
         return cross, mask
@@ -789,8 +843,7 @@ class ScriptModel:
         """Next-token log-probabilities of every row of the cache, (rows,
         tgt_vocab), from one cached decoder step on each row's newest token;
         seqs[i] is row i's sequence."""
-        with no_grad():
-            logits = self.decode(np.array([seq[-1:] for seq in seqs]), state, cache=cache).data
+        logits = self.decode(np.array([seq[-1:] for seq in seqs]), state, cache=cache).data
         return _log_softmax(logits, seqs, cache.sources)
 
     def beam_search(
@@ -833,9 +886,6 @@ class ScriptModel:
         def normalized(seq: tuple[int, ...], lp: float) -> float:
             return lp / (len(seq) - 1) ** length_penalty
 
-        # reach[t]: the largest L ** length_penalty over t < L <= max_len,
-        # the lengths a live beam of t tokens can still end at
-        reach = list(accumulate((length ** length_penalty for length in range(max_len, 0, -1)), max))[::-1]
         cache = DecoderCache(sources=list(range(first, first + len(states))))
         # active[s] are source s's live beams, sorted by sequence
         active: list[list[tuple[tuple[int, ...], float]]] = [[((self.config.bos_id,), 0.0)] for _ in states]
@@ -860,7 +910,8 @@ class ScriptModel:
                 finished[s] += ended
                 best[s] = max([best[s]] + [normalized(seq, lp) for seq, lp in ended])
                 survivors = sorted((item for item in ranked if item[1][-1] != eos), key=lambda item: item[1])
-                if survivors and step < max_len and best[s] > max(lp for _, _, lp in survivors) / reach[step]:
+                if survivors and step < max_len and (
+                        best[s] > max(lp for _, _, lp in survivors) / _reach(step, max_len, length_penalty)):
                     # dropped, not ranked: decoding on, each would end
                     # later, below the best finished one
                     survivors = []
@@ -947,6 +998,13 @@ def _check_search(beam_size: int, max_len: int, length_penalty: float) -> None:
         longest = math.inf
     if not (math.isfinite(length_penalty) and 0.0 < longest < math.inf):
         raise ConfigError(f"length_penalty {length_penalty!r} overflows max_len ** length_penalty")
+
+
+def _reach(step: int, max_len: int, length_penalty: float) -> float:
+    """The largest L ** length_penalty over step < L <= max_len, the lengths
+    a live beam of step tokens can still end at. L ** length_penalty is
+    monotone in L, so one end of the range holds it."""
+    return max((step + 1) ** length_penalty, max_len ** length_penalty)
 
 
 def _log_softmax(logits: np.ndarray, prefixes, sources=(0,)) -> np.ndarray:

@@ -39,6 +39,7 @@ import numpy as np
 from .errors import ConfigError, NumericsError, ShapeError, StateError
 
 NEG_INF = -1e9
+LAYERNORM_EPS = 1e-5
 
 _state = threading.local()
 
@@ -359,7 +360,7 @@ def _masked_softmax_grad(
 
 
 def layernorm(
-    x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, offsets: Sequence[int] | None = None
+    x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS, offsets: Sequence[int] | None = None
 ) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
     With offsets, the gain's and bias's gradients sum each segment's rows
@@ -369,12 +370,7 @@ def layernorm(
         raise ShapeError(f"layernorm affine shapes {gain.shape}/{bias.shape} != ({d},)")
     if offsets is not None:
         _segments(offsets, x.shape[0])  # checks the offsets
-    # a sum divided by d is np.mean's arithmetic, and the mean of the squared
-    # centred values is np.var's, so the result is bit-identical to theirs
-    centred = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / d + eps)
-    xhat = centred * inv
-    out_data = xhat * gain.data + bias.data
+    out_data, xhat, inv = _layernorm_rows(x.data, gain.data, bias.data, eps)
 
     def backward_fn(g):
         g_xhat = g * xhat
@@ -386,6 +382,20 @@ def layernorm(
         x.accumulate(term * inv)
 
     return _make(out_data, (x, gain, bias), backward_fn)
+
+
+def _layernorm_rows(
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """layernorm's forward on arrays: the output, the normalized rows xhat
+    and 1 / sqrt(variance + eps), which the backward reuses."""
+    d = x.shape[-1]
+    # a sum divided by d is np.mean's arithmetic, and the mean of the squared
+    # centred values is np.var's, so the result is bit-identical to theirs
+    centred = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = centred * inv
+    return xhat * gain + bias, xhat, inv
 
 
 def dropout(

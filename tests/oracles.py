@@ -7,10 +7,11 @@ instead of DP, step-by-step argmax instead of beam bookkeeping) so
 agreement is meaningful. The exceptions are attention, its projections
 and the training step. composed_attention builds tensor.attention from one
 autodiff op per step, with relative_scores and relative_values for the
-table terms; per_head_project concatenates one leaf tensor per head on
-every call; per_example_batch runs a training batch as one graph per
-example. The fused op, the joined projections and the grouped batch must
-equal them bit for bit, gradients included. evaluate_token_accuracy, the
+table terms; per_head_project and per_head_rows concatenate one leaf tensor
+per head on every call; per_example_batch runs a training batch as one graph per
+example; graph_decode_step runs a cached decoder step as an autodiff
+graph. The fused op, the joined projections, the grouped batch and the
+array step must equal them bit for bit, gradients included. evaluate_token_accuracy, the
 overfit criterion's measure, has no library counterpart.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from scriptsum.astcore import Ast, AstNode, TokenAlignment
 from scriptsum.errors import ShapeError
-from scriptsum.model import NEG_INF, DecoderCache, _affine, _log_softmax
+from scriptsum.model import NEG_INF, DecoderCache, _affine, _log_softmax, _self_attention_rows
 from scriptsum.structure import _flow_edges, _statement_of
 from scriptsum.training import _example_rng
 from scriptsum.tensor import (
@@ -40,6 +41,7 @@ from scriptsum.tensor import (
     reshape,
     scale,
     softmax_masked,
+    tied_embedding,
     transpose,
 )
 
@@ -419,6 +421,15 @@ def per_head_project(heads, model, prefix, kind, x, groups, offsets=None):
     return reshape(matmul(x, w, offsets), (x.shape[0] // groups, groups * cfg.n_heads, cfg.d_head))
 
 
+def per_head_rows(heads, model, x, name, groups):
+    """ScriptModel._heads, the cached step's projection, through per-head
+    leaf tensors' arrays, heads from per_head_leaves, concatenated on every
+    call. Bind heads and model to patch it in as model._heads."""
+    cfg = model.config
+    w = np.concatenate([heads[f"{name}{h}"].data for h in range(cfg.n_heads)], axis=1)
+    return (x @ w).reshape(x.shape[0] // groups, groups * cfg.n_heads, cfg.d_head)
+
+
 def gather_relative_scores(q, table, idx):
     """The gather formulation of relative_scores, built from autodiff
     ops: every query row gets its own (n_k, d) copy of the table rows it
@@ -443,6 +454,66 @@ def full_decode_log_probs(model, prefix, state) -> np.ndarray:
     with no_grad():
         logits = model.decode(np.asarray(prefix, dtype=np.int64), state).data[-1:]
     return _log_softmax(logits, [prefix])[0]
+
+
+def graph_decode_step(model, tgt_in_ids, state, cache: DecoderCache) -> Tensor:
+    """ScriptModel.decode's cached step built from autodiff ops, one per
+    step, over the cache's arrays as constant tensors: the reference whose
+    logits ScriptModel._step must equal bit for bit. It reads and updates
+    cache as _step does, and checks nothing."""
+    cfg = model.config
+    p = model.params
+    ids = np.asarray(tgt_in_ids, dtype=np.int64)
+    ids = ids.reshape(-1, ids.shape[-1])
+    beams, m = ids.shape
+    past = cache.length
+    sources = len(cache.sources)
+    if not cache.cross:
+        cache.cross, cache.cross_mask = _graph_cross_keys_values(model, [state] if isinstance(state, Tensor) else state)
+    cross_mask = None
+    if cache.cross_mask is not None:  # one (n_q, n_k) mask per source and head
+        per_group = np.repeat(cache.cross_mask, cfg.n_heads, axis=0)[:, None, :]
+        cross_mask = np.broadcast_to(per_group, (sources * cfg.n_heads, m * beams // sources, per_group.shape[-1]))
+    rows, project = tied_embedding(p["tgt_embed"], ids.T.reshape(-1))
+    y = dropout(scale(rows, math.sqrt(cfg.d_model)), cfg.dropout_p, None, False)
+    causal, seq_idx = _self_attention_rows(past, m, cfg.k)
+    self_kv = []
+    for ly in range(cfg.n_decoder_layers):
+        base = f"dec{ly}"
+        k, v = model.keys_values(f"{base}.self", y, beams)
+        if past:
+            k_past, v_past = cache.self_kv[ly]
+            k, v = concat([Tensor(k_past), k], axis=0), concat([Tensor(v_past), v], axis=0)
+        self_kv.append((k.data, v.data))
+        sa = model.relative_attention(f"{base}.self", y, (k, v), rel=((f"{base}.seq", seq_idx),),
+                                      additive_mask=causal)
+        y = model._residual(y, sa, f"{base}.ln1", False, None)
+        cross_kv = tuple(Tensor(a) for a in cache.cross[ly])
+        ca = model.relative_attention(f"{base}.cross", y, cross_kv, additive_mask=cross_mask)
+        y = model._residual(y, ca, f"{base}.ln2", False, None)
+        y = model._residual(y, model._ffn(f"{base}.ffn", y), f"{base}.ln3", False, None)
+    cache.self_kv, cache.beams = self_kv, beams
+    return add(project(y), p["out_bias"])
+
+
+def _graph_cross_keys_values(model, states):
+    """ScriptModel._cross_keys_values built from autodiff ops: each layer's
+    cross-attention keys and values, zero-padded by concat, as arrays."""
+    lengths = np.array([h.shape[0] for h in states])
+    n = int(lengths.max())
+
+    def padded(parts):
+        parts = [part if part.shape[0] == n else
+                 concat([part, Tensor(np.zeros((n - part.shape[0],) + part.shape[1:]))], axis=0)
+                 for part in parts]
+        return (parts[0] if len(parts) == 1 else concat(parts, axis=1)).data
+
+    cross = []
+    for ly in range(model.config.n_decoder_layers):
+        kv = [model.keys_values(f"dec{ly}.cross", h) for h in states]
+        cross.append((padded([k for k, _ in kv]), padded([v for _, v in kv])))
+    mask = None if (lengths == n).all() else np.where(np.arange(n) >= lengths[:, None], NEG_INF, 0.0)
+    return cross, mask
 
 
 def greedy_oracle(model, state, max_len: int) -> list[int]:

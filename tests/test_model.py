@@ -4,6 +4,7 @@ import hashlib
 import json
 import struct
 import tracemalloc
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,7 @@ from scriptsum.model import (
     ScriptModel,
     ablation_layer_plan,
     load_model_sidecar,
+    _reach,
     param_schema,
     save_model_sidecar,
     split_heads,
@@ -36,7 +38,6 @@ from scriptsum.tensor import (
     Tensor,
     _grad_enabled,
     backward,
-    concat,
     grad_check,
     mul,
     no_grad,
@@ -50,10 +51,12 @@ from oracles import (
     exhaustive_decode,
     full_decode_log_probs,
     gather_relative_scores,
+    graph_decode_step,
     gather_relative_values,
     greedy_oracle,
     per_head_leaves,
     per_head_project,
+    per_head_rows,
     relative_scores,
     relative_values,
     search_to_the_end,
@@ -367,12 +370,14 @@ class TestFusedAttentionMatchesComposedReference:
 
 
 def _per_head_reference(model):
-    """A copy of model whose projections concatenate per-head leaf tensors
-    on every call (oracles.per_head_project), and its parameters as a
+    """A copy of model whose projections, in graphs and in cached decoder
+    steps, concatenate per-head leaf tensors on every call
+    (oracles.per_head_project and per_head_rows), and its parameters as a
     model with one parameter per head held them, by param_schema name."""
     ref = ScriptModel.from_state_dict(model.config, model.state_dict())
     heads = per_head_leaves(ref)
     ref._project = functools.partial(per_head_project, heads, ref)
+    ref._heads = functools.partial(per_head_rows, heads, ref)
     return ref, {name: heads[name] if name in heads else ref.params[name] for name in param_schema(ref.config)}
 
 
@@ -705,6 +710,26 @@ class TestDecoder:
         state = model.script_encoder(np.array([1, 2, 3]), bundle)
         with pytest.raises(ShapeError):
             model.decode(np.array([], dtype=np.int64), state)
+        with pytest.raises(ShapeError):
+            model.decode(np.array([], dtype=np.int64), state, cache=DecoderCache())
+        with pytest.raises(ShapeError):
+            model.decode(np.zeros((2, 0), dtype=np.int64), state, cache=DecoderCache())
+
+    @pytest.mark.parametrize("bad", ["vocab_size", "negative"])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_decoder_id_out_of_range(self, cached, bad):
+        """A target id outside [0, tgt_vocab_size) names no embedding row; it
+        raises, teacher-forced or cached, instead of being read as a row
+        from the end. A cached call that raises leaves the cache empty."""
+        rng = np.random.default_rng(19)
+        model = tiny_model()
+        state = model.script_encoder(np.array([1, 2, 3]), random_bundle(rng, 3))
+        ids = np.array([1, 4, model.config.tgt_vocab_size if bad == "vocab_size" else -1])
+        cache = DecoderCache() if cached else None
+        with pytest.raises(ShapeError, match="out of range"):
+            model.decode(ids, state, cache=cache)
+        if cached:
+            assert cache.length == 0 and not cache.cross
 
     def test_forward_loss_requires_bos_eos_pair(self):
         rng = np.random.default_rng(20)
@@ -927,34 +952,80 @@ class TestCachedDecoding:
         cache.select([0, 1])
         assert cache.beams == 2 and all(a is b for a, b in zip(cache.self_kv, kept))
         cache.select([1, 0])
-        k_before, k_after = kept[0][0].data, cache.self_kv[0][0].data
+        k_before, k_after = kept[0][0], cache.self_kv[0][0]
         heads = model.config.n_heads
         assert np.array_equal(k_after[:, :heads], k_before[:, heads:])
         assert np.array_equal(k_after[:, heads:], k_before[:, :heads])
 
     def test_no_decoder_step_concatenates_a_parameter(self, monkeypatch):
-        """Every projection reads its parameter as it is: the decoder
-        concatenates cached keys and values, never weights."""
+        """Every projection reads its parameter as it is: decoder steps
+        concatenate cached keys and values, never weights."""
         rng = np.random.default_rng(31)
         model = tiny_model(n_decoder_layers=2)
         bundles = [random_bundle(rng, 3), random_bundle(rng, 5)]
         state = model.script_encoder(np.array([1, 2, 3]), bundles[0])
-        params = {id(t) for t in model.params.values()}
+        params = [t.data for t in model.params.values()]
         parts_seen = []
+        concatenate = np.concatenate
 
-        def recording_concat(parts, axis):
-            parts_seen.extend(id(part) for part in parts)
-            return concat(parts, axis)
+        def recording_concatenate(parts, *args, **kwargs):
+            parts_seen.extend(parts)
+            return concatenate(parts, *args, **kwargs)
 
-        monkeypatch.setattr(scriptsum.model, "concat", recording_concat)
-        model.decode(np.array([1, 4, 5]), state)
+        monkeypatch.setattr(np, "concatenate", recording_concatenate)
         cache = DecoderCache()
-        with no_grad():
-            for ids in ([[1], [1]], [[4], [5]], [[6], [7]]):
-                model.decode(np.array(ids), state, cache=cache)
+        for ids in ([[1], [1]], [[4], [5]], [[6], [7]]):
+            model.decode(np.array(ids), state, cache=cache)
         model.summarize_many([(np.array([1, 2, 3]), bundles[0]), (np.arange(5), bundles[1])], beam_size=2, max_len=4)
         assert parts_seen
-        assert params.isdisjoint(parts_seen)
+        assert not any(np.shares_memory(part, w) for part in parts_seen for w in params)
+
+    def test_cached_step_returns_a_constant_and_caches_arrays(self):
+        """With gradients enabled, a cached decode records no graph, and
+        the cache holds plain arrays."""
+        rng = np.random.default_rng(32)
+        model = tiny_model(n_decoder_layers=2)
+        state = model.script_encoder(np.array([1, 2, 3]), random_bundle(rng, 3))
+        cache = DecoderCache()
+        assert _grad_enabled()
+        for ids in ([[1], [1]], [[4], [5]]):
+            logits = model.decode(np.array(ids), state, cache=cache)
+            assert not logits.needs_grad and logits._parents == () and logits._backward is None
+        assert len(cache.self_kv) == len(cache.cross) == 2
+        assert all(type(a) is np.ndarray for kv in cache.self_kv + cache.cross for a in kv)
+        with pytest.raises(ConfigError, match="eval mode"):
+            model.decode(np.array([[6], [7]]), state, cache=cache, training=True, rng=rng)
+        assert cache.length == 2
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("config", list(GRADIENT_CONFIGS))
+    @pytest.mark.parametrize("lengths", [(5,), (3, 6, 1)])
+    @pytest.mark.parametrize("beams", [1, 5])
+    def test_step_matches_graph_step(self, beams, lengths, config, seed):
+        """_step's logits equal, bit for bit, the autodiff graph's
+        (oracles.graph_decode_step) over the same calls on caches that
+        start equal: two and three positions per call, then one, with
+        selects between calls that reorder each source's beams (a beam may
+        be kept twice), drop a source and narrow the beams. Sources of
+        several lengths pad the cross-attention keys."""
+        rng = np.random.default_rng(70 + seed)
+        model = tiny_model(seed=seed, n_decoder_layers=2, k=2, **GRADIENT_CONFIGS[config])
+        states = [model.script_encoder(rng.integers(0, 13, n), random_bundle(rng, n)) for n in lengths]
+        caches = [DecoderCache(sources=list(range(len(lengths)))) for _ in range(2)]
+        live, width = list(range(len(lengths))), beams
+        kept_after = {1: list(range(len(lengths)))[::-1][:2]}  # after the second call: drop a source, reorder
+        for call, m in enumerate((2, 3, 1, 1)):
+            ids = rng.integers(0, model.config.tgt_vocab_size, (width * len(live), m))
+            got = model._step(ids, states, caches[0])
+            want = graph_decode_step(model, ids, states, caches[1]).data
+            assert got.tobytes() == want.tobytes()
+            kept = kept_after.get(call, list(range(len(live))))
+            new_width = max(1, width - 2) if call == 1 else width
+            rows = [int(rng.integers(0, width)) * len(live) + j for _ in range(new_width) for j in kept]
+            for cache in caches:
+                cache.select(rows, kept)
+            live, width = [live[j] for j in kept], new_width
+        assert caches[0].sources == caches[1].sources == live
 
     def test_several_beams_and_positions_per_call(self):
         """Row t * beams + b holds position t of beam b, with or without
@@ -1187,6 +1258,38 @@ class TestBeamEarlyStop:
                 assert steps <= former_steps
                 saved[length_penalty] += former_steps - steps
         assert all(saved.values()), saved
+
+    def test_reach_equals_the_running_maximum_it_replaced(self):
+        """_reach(t, ...) equals the largest L ** length_penalty over
+        t < L <= max_len taken as a running maximum over every L, at
+        every step _search reads it, for penalties of both signs."""
+        reads = 0
+        for length_penalty in (0.0, 1e-3, -1e-3, -0.5, -1.7, 0.5, 0.7, 1.0, 1.3, 2.0, 3.1):
+            for max_len in [*range(1, 300), 1000, 5000]:
+                powers = (length ** length_penalty for length in range(max_len, 0, -1))
+                reach = list(accumulate(powers, max))[::-1]
+                for step in range(1, max_len):
+                    assert _reach(step, max_len, length_penalty) == reach[step], (length_penalty, max_len, step)
+                reads += max_len - 1
+        assert reads == 556_039
+
+    def test_a_huge_max_len_costs_no_memory(self):
+        """A source that ends at its first step holds no memory in
+        proportion to max_len: EOS scores near 0 and every other token
+        near -1e6, so the live beams cannot overtake it."""
+        rng = np.random.default_rng(33)
+        model = tiny_model()
+        model.params["out_bias"].data[model.config.eos_id] = 1e6
+        with no_grad():
+            state = model.script_encoder(np.array([1, 2, 3]), random_bundle(rng, 3))
+        tracemalloc.start()
+        try:
+            ids = model.beam_search(state, beam_size=5, max_len=2_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ids == []
+        assert peak < 2**20, peak
 
     @pytest.mark.parametrize("length_penalty", [1.0, -0.5])
     def test_source_ends_once_no_beam_can_overtake(self, monkeypatch, length_penalty):
