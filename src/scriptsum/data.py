@@ -20,7 +20,7 @@ import numpy as np
 
 from .astcore import Ast, ast_from_json, leaf_tokens
 from .minilang import parse_minilang
-from .errors import ConfigError, EmptyCorpusError, FormatError, MiniLangSyntaxError, TreeError
+from .errors import ConfigError, EmptyCorpusError, FormatError, MiniLangSyntaxError, ShapeError, TreeError
 from .errors import parse_json, read_json_object, write_json
 from .structure import (
     DEFAULT_DISTANCE_CLIP,
@@ -75,9 +75,13 @@ class Vocabulary:
         return np.asarray(ids, dtype=np.int64)
 
     def decode(self, ids: Iterable[int], strip_special: bool = True) -> list[str]:
+        """The tokens of ids, PAD, BOS and EOS left out when strip_special;
+        an id outside [0, len(self)) raises ShapeError."""
         out = []
-        for i in ids:
-            tok = self.id_to_token[int(i)]
+        for i in map(int, ids):
+            if not 0 <= i < len(self.id_to_token):
+                raise ShapeError(f"token id {i} out of range [0, {len(self.id_to_token)})")
+            tok = self.id_to_token[i]
             if strip_special and tok in (PAD_TOKEN, BOS_TOKEN, EOS_TOKEN):
                 continue
             out.append(tok)

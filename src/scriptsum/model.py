@@ -28,16 +28,19 @@ pick from the queries times the table, and the values sum the attention
 weights per table row, then multiply by the table.
 
 Decoding is incremental. `decode` without a cache is the teacher-forced
-pass, an autodiff graph over every position at once, which training
-differentiates. With a DecoderCache it is one inference step, `_step`,
-on plain arrays: it records no graph, and its arithmetic is the graph's
-forward, expression for expression, so its logits are the same bits. The
-cache carries each decoder layer's cross-attention keys and values of the
-source, computed once, and its self-attention keys and values of the
-positions decoded so far; a step runs new positions against the cache and
-appends theirs. Under the causal mask the keys, values and relative
-offsets of earlier positions never change, so the cached step equals a
-full pass over the prefix. A step builds the causal-mask and
+pass, an autodiff graph over every position of one sequence at once,
+which training differentiates. With a DecoderCache it is one inference
+step, `_step`, on plain arrays, recording no graph. The cache carries each
+decoder layer's cross-attention keys and values of the source, computed
+once, and its self-attention keys and values of the positions decoded so
+far; a step runs new positions against the cache and appends theirs.
+Under the causal mask the keys, values and relative offsets of earlier
+positions never change, so in exact arithmetic the cached steps equal a
+full pass over the prefix; the full pass multiplies every position's rows
+at once, so in float64 their logits agree within 1e-12, not bit for bit.
+A step's arithmetic is that of the same step built from autodiff ops
+(graph_decode_step in tests/oracles.py), expression for expression, and
+its logits are that graph's bits. A step builds the causal-mask and
 sequential-offset rows of its new positions only, and a single new
 position needs no mask.
 
@@ -435,26 +438,19 @@ class ScriptModel:
 
     # -- attention ---------------------------------------------------------
 
-    def _project(self, prefix: str, kind: str, x: Tensor, groups: int, offsets=None) -> Tensor:
-        """Rows x through every head's weights at once, "{prefix}.{kind}".
-        The rows are `groups` interleaved sequences, row t * groups + g
-        holding position t of sequence g, or with offsets a group's
-        examples end to end (groups is then 1); the result is
-        (positions, groups * heads, d_head), sequence-major on its middle axis."""
+    def _project(self, prefix: str, kind: str, x: Tensor, offsets=None) -> Tensor:
+        """Rows x through every head's weights at once, "{prefix}.{kind}":
+        (rows, heads, d_head). With offsets, x's rows are a group's
+        examples end to end."""
         cfg = self.config
         out = matmul(x, self.params[f"{prefix}.{kind}"], offsets)
-        return reshape(out, (x.shape[0] // groups, groups * cfg.n_heads, cfg.d_head))
-
-    def keys_values(self, prefix: str, x: Tensor, groups: int = 1, offsets=None) -> tuple[Tensor, Tensor]:
-        """Keys and values of rows x for the attention at prefix, each
-        (positions, groups * heads, d_head); see _project."""
-        return tuple(self._project(prefix, kind, x, groups, offsets) for kind in "kv")
+        return reshape(out, (x.shape[0], cfg.n_heads, cfg.d_head))
 
     def relative_attention(
         self,
         prefix: str,
         x_q: Tensor,
-        x_kv: Tensor | tuple[Tensor, Tensor],
+        x_kv: Tensor,
         *,
         rel: tuple[tuple[str, np.ndarray], ...] = (),
         a_mv: np.ndarray | None = None,
@@ -479,23 +475,18 @@ class ScriptModel:
         included, is one tensor.attention op between the projections and
         the output affine.
 
-        x_kv is the (n_k, d_model) rows to attend over, or their keys and
-        values from `keys_values`, each (n_k, groups * heads, d_head). With
-        groups > 1 the query rows x_q interleave that many sequences (row
-        t * groups + g is query t of sequence g; see _project), and each
-        sequence attends over its own keys: the sequences are extra heads.
-        The decoder runs one sequence per beam. rel, a_mv and additive_mask
-        are (n_q, n_k) over one sequence's queries and keys.
+        x_q is the (n_q, d_model) query rows and x_kv the (n_k, d_model)
+        rows they attend over; rel, a_mv and additive_mask are (n_q, n_k).
 
         With offsets, x_q's rows are a group's examples end to end, and
-        x_kv's rows, or its keys' and values', are the examples' rows that
-        kv_offsets marks (offsets when None); each example attends over its
-        own keys only. Each idx of rel, a_mv, additive_mask and rng then
-        hold one entry per example (see tensor.attention).
+        x_kv's rows are the examples' rows that kv_offsets marks (offsets
+        when None); each example attends over its own keys only. Each idx
+        of rel, a_mv, additive_mask and rng then hold one entry per example
+        (see tensor.attention).
         """
         cfg = self.config
         kv_rows = offsets if kv_offsets is None else kv_offsets
-        k, v = self.keys_values(prefix, x_kv, offsets=kv_rows) if isinstance(x_kv, Tensor) else x_kv
+        k, v = (self._project(prefix, kind, x_kv, kv_rows) for kind in "kv")
         scale_matrix = None
         if a_mv is not None:
             if cfg.mask_mode == "multiply":
@@ -505,7 +496,7 @@ class ScriptModel:
             else:
                 masks = [None] * len(a_mv) if additive_mask is None else additive_mask
                 additive_mask = [_gate_mask(a, m) for a, m in zip(a_mv, masks)]
-        q = self._project(prefix, "q", x_q, k.shape[1] // cfg.n_heads, offsets)  # (n_q, groups * heads, dh)
+        q = self._project(prefix, "q", x_q, offsets)
         tables = tuple((self.params[f"{table}_k"], self.params[f"{table}_v"], idx) for table, idx in rel)
         z = attention(q, k, v, tables, additive_mask=additive_mask, scale_matrix=scale_matrix,
                       dropout_p=cfg.dropout_p, rng=rng, training=training, capture=capture,
@@ -645,19 +636,19 @@ class ScriptModel:
     ) -> Tensor:
         """Decoder logits of new target positions.
 
-        tgt_in_ids is one sequence, (m,), or one row per beam, (beams, m).
-        The logits are (m * beams, tgt_vocab), row t * beams + b for position
-        t of beam b.
+        With no cache, the teacher-forced pass, an autodiff graph: tgt_in_ids
+        is one whole prefix from BOS, (m,), state is its source's encoder
+        output, and the logits are (m, tgt_vocab).
 
-        With no cache the ids are a whole prefix from BOS: the teacher-forced
-        pass, an autodiff graph, and state is the source's encoder output.
-        With a cache, one inference step (_step): the new positions follow
-        the cache's, attend to its keys and values, and append their own,
-        and the logits are a constant, recording no graph whether or not
-        gradients are enabled; training must be False. state is then the
-        source's encoder output, or one per source of the cache, whose rows
-        are laid out over the sources as DecoderCache says; it is read only
-        while the cache holds no cross-attention keys.
+        With a cache, one inference step (_step): tgt_in_ids is one
+        sequence, (m,), or one row per beam, (beams, m), and the logits are
+        (m * beams, tgt_vocab), row t * beams + b for position t of beam b.
+        The new positions follow the cache's, attend to its keys and values,
+        and append their own, and the logits are a constant, recording no
+        graph whether or not gradients are enabled; training must be False.
+        state is the source's encoder output, or one per source of the
+        cache, whose rows are laid out over the sources as DecoderCache
+        says; it is read only while the cache holds no cross-attention keys.
 
         With offsets, a group's teacher-forced pass, with no cache: the ids
         are its examples' decoder inputs end to end, example e's rows
@@ -671,24 +662,19 @@ class ScriptModel:
         ids = np.asarray(tgt_in_ids, dtype=np.int64)
         if ids.ndim not in (1, 2) or ids.size == 0:
             raise ShapeError(f"decoder ids must be a non-empty (m,) or (beams, m) array, got {ids.shape}")
-        if offsets is not None and (cache is not None or ids.ndim != 1):
-            raise ShapeError("a group decodes teacher-forced: one row of ids and no cache")
-        ids = ids.reshape(-1, ids.shape[-1])
         if cache is not None:
+            if offsets is not None:
+                raise ShapeError("a group decodes teacher-forced, with no cache")
             if training:
                 raise ConfigError("a cached decoder step runs in eval mode; train on the teacher-forced pass")
-            return Tensor(self._step(ids, state, cache))
-        states = [state] if isinstance(state, Tensor) else list(state)
-        if len(states) != 1:
-            raise ShapeError(f"{len(states)} encoder states for one source")
-        beams, m = ids.shape
-        cross = [self.keys_values(f"dec{ly}.cross", states[0], offsets=state_offsets)
-                 for ly in range(cfg.n_decoder_layers)]
-        rows, project = tied_embedding(p["tgt_embed"], ids.T.reshape(-1), offsets)
+            return Tensor(self._step(ids.reshape(-1, ids.shape[-1]), state, cache))
+        if ids.ndim != 1 or not isinstance(state, Tensor):
+            raise ShapeError("the teacher-forced pass decodes one (m,) sequence of ids from one encoder state")
+        rows, project = tied_embedding(p["tgt_embed"], ids, offsets)
         y = scale(rows, math.sqrt(cfg.d_model))
         y = dropout(y, cfg.dropout_p, rng, training, offsets)
         if offsets is None:
-            causal, seq_idx = _self_attention_rows(0, m, cfg.k)
+            causal, seq_idx = _self_attention_rows(0, ids.shape[0], cfg.k)
         else:
             causal, seq_idx = zip(*(_self_attention_rows(0, length, cfg.k) for length in np.diff(offsets).tolist()))
         for ly in range(cfg.n_decoder_layers):
@@ -696,7 +682,7 @@ class ScriptModel:
             sa = self.relative_attention(
                 f"{base}.self",
                 y,
-                self.keys_values(f"{base}.self", y, beams, offsets),
+                y,
                 rel=((f"{base}.seq", seq_idx),),
                 additive_mask=causal,
                 training=training,
@@ -707,7 +693,7 @@ class ScriptModel:
             ca = self.relative_attention(
                 f"{base}.cross",
                 y,
-                cross[ly],
+                state,
                 training=training,
                 rng=rng,
                 offsets=offsets,
@@ -720,8 +706,8 @@ class ScriptModel:
     def _step(self, ids: np.ndarray, states: Tensor | list[Tensor], cache: DecoderCache) -> np.ndarray:
         """decode's cached step on plain arrays: the logits of the (beams, m)
         ids' new positions, whose keys and values are appended to the cache.
-        Each expression is the teacher-forced graph's forward in eval mode,
-        in the same order, so the logits are the bits that graph gives."""
+        Each expression is that of the step built from autodiff ops in eval
+        mode, in the same order, so the logits are the bits that graph gives."""
         cfg = self.config
         p = self.params
         beams, m = ids.shape
@@ -773,8 +759,10 @@ class ScriptModel:
         return y @ p["tgt_embed"].data.T + p["out_bias"].data
 
     def _heads(self, x: np.ndarray, name: str, groups: int) -> np.ndarray:
-        """_project on arrays: rows x times parameter name, (positions,
-        groups * heads, d_head)."""
+        """_project on arrays for `groups` interleaved sequences, row t *
+        groups + g holding position t of sequence g: rows x times parameter
+        name, (positions, groups * heads, d_head), sequence-major on its
+        middle axis."""
         cfg = self.config
         return (x @ self.params[name].data).reshape(x.shape[0] // groups, groups * cfg.n_heads, cfg.d_head)
 
@@ -961,8 +949,7 @@ class ScriptModel:
         chunks of DECODE_CHUNK whose beams share each decoder step, so a
         summary's bits can depend on the sources decoded with it: the same
         sources in the same order give the same summaries."""
-        if sources:
-            _check_search(beam_size, max_len, length_penalty)
+        _check_search(beam_size, max_len, length_penalty)
         summaries: list[list[int]] = []
         with no_grad(), inference_numerics():
             for first in range(0, len(sources), DECODE_CHUNK):

@@ -10,7 +10,9 @@ autodiff op per step, with relative_scores and relative_values for the
 table terms; per_head_project and per_head_rows concatenate one leaf tensor
 per head on every call; per_example_batch runs a training batch as one graph per
 example; graph_decode_step runs a cached decoder step as an autodiff
-graph. The fused op, the joined projections, the grouped batch and the
+graph, with its own projection of interleaved beams and attention over
+given keys and values, since the library's graph decodes one sequence.
+The fused op, the joined projections, the grouped batch and the
 array step must equal them bit for bit, gradients included. evaluate_token_accuracy, the
 overfit criterion's measure, has no library counterpart.
 """
@@ -32,6 +34,7 @@ from scriptsum.tensor import (
     _check_ids,
     _make,
     add,
+    attention,
     concat,
     dropout,
     gather,
@@ -387,7 +390,7 @@ def composed_relative_attention(
     one example, not a group: offsets must be None."""
     assert offsets is None and kv_offsets is None, "the composed reference runs one example"
     cfg = model.config
-    k, v = model.keys_values(prefix, x_kv) if isinstance(x_kv, Tensor) else x_kv
+    k, v = (model._project(prefix, kind, x_kv) for kind in "kv")
     scale_matrix = None
     if a_mv is not None:
         if cfg.mask_mode == "multiply":
@@ -395,7 +398,7 @@ def composed_relative_attention(
         else:
             keep = np.where(a_mv > 0, 0.0, NEG_INF)
             additive_mask = keep if additive_mask is None else keep + additive_mask
-    q = model._project(prefix, "q", x_q, k.shape[1] // cfg.n_heads)
+    q = model._project(prefix, "q", x_q)
     tables = tuple((model.params[f"{t}_k"], model.params[f"{t}_v"], idx) for t, idx in rel)
     z = composed_attention(q, k, v, tables, additive_mask=additive_mask, scale_matrix=scale_matrix,
                            dropout_p=cfg.dropout_p, rng=rng, training=training, capture=capture)
@@ -411,14 +414,14 @@ def per_head_leaves(model) -> dict[str, Tensor]:
             for name, arr in model.state_dict().items() if name not in model.params}
 
 
-def per_head_project(heads, model, prefix, kind, x, groups, offsets=None):
+def per_head_project(heads, model, prefix, kind, x, offsets=None):
     """ScriptModel._project through per-head leaf tensors, heads from
     per_head_leaves, concatenated on every call: the reference the joined
     projection must equal bit for bit, gradients included. Bind heads and
     model to patch it in as model._project."""
     cfg = model.config
     w = concat([heads[f"{prefix}.{kind}{h}"] for h in range(cfg.n_heads)], axis=1)
-    return reshape(matmul(x, w, offsets), (x.shape[0] // groups, groups * cfg.n_heads, cfg.d_head))
+    return reshape(matmul(x, w, offsets), (x.shape[0], cfg.n_heads, cfg.d_head))
 
 
 def per_head_rows(heads, model, x, name, groups):
@@ -480,20 +483,40 @@ def graph_decode_step(model, tgt_in_ids, state, cache: DecoderCache) -> Tensor:
     self_kv = []
     for ly in range(cfg.n_decoder_layers):
         base = f"dec{ly}"
-        k, v = model.keys_values(f"{base}.self", y, beams)
+        k, v = (_grouped_project(model, y, f"{base}.self.{kind}", beams) for kind in "kv")
         if past:
             k_past, v_past = cache.self_kv[ly]
             k, v = concat([Tensor(k_past), k], axis=0), concat([Tensor(v_past), v], axis=0)
         self_kv.append((k.data, v.data))
-        sa = model.relative_attention(f"{base}.self", y, (k, v), rel=((f"{base}.seq", seq_idx),),
-                                      additive_mask=causal)
+        tables = ((p[f"{base}.seq_k"], p[f"{base}.seq_v"], seq_idx),)
+        sa = _eval_attention(model, f"{base}.self", y, k, v, tables, causal)
         y = model._residual(y, sa, f"{base}.ln1", False, None)
-        cross_kv = tuple(Tensor(a) for a in cache.cross[ly])
-        ca = model.relative_attention(f"{base}.cross", y, cross_kv, additive_mask=cross_mask)
+        cross_k, cross_v = (Tensor(a) for a in cache.cross[ly])
+        ca = _eval_attention(model, f"{base}.cross", y, cross_k, cross_v, (), cross_mask)
         y = model._residual(y, ca, f"{base}.ln2", False, None)
         y = model._residual(y, model._ffn(f"{base}.ffn", y), f"{base}.ln3", False, None)
     cache.self_kv, cache.beams = self_kv, beams
     return add(project(y), p["out_bias"])
+
+
+def _grouped_project(model, x, name, groups):
+    """The rows x of `groups` interleaved sequences, row t * groups + g
+    holding position t of sequence g, times parameter name as an autodiff
+    op: (positions, groups * heads, d_head), sequence-major on its middle
+    axis, as ScriptModel._heads lays out its arrays."""
+    cfg = model.config
+    return reshape(matmul(x, model.params[name]), (x.shape[0] // groups, groups * cfg.n_heads, cfg.d_head))
+
+
+def _eval_attention(model, prefix, x, k, v, tables, additive_mask):
+    """ScriptModel.relative_attention in eval mode over given keys and
+    values: queries x of as many sequences as k holds groups of heads, each
+    attending over its own keys, then the output affine."""
+    cfg = model.config
+    q = _grouped_project(model, x, f"{prefix}.q", k.shape[1] // cfg.n_heads)
+    z = attention(q, k, v, tables, additive_mask=additive_mask)
+    return _affine(reshape(z, (x.shape[0], cfg.d_model)), model.params[f"{prefix}.out_w"],
+                   model.params[f"{prefix}.out_b"])
 
 
 def _graph_cross_keys_values(model, states):
@@ -510,7 +533,7 @@ def _graph_cross_keys_values(model, states):
 
     cross = []
     for ly in range(model.config.n_decoder_layers):
-        kv = [model.keys_values(f"dec{ly}.cross", h) for h in states]
+        kv = [[_grouped_project(model, h, f"dec{ly}.cross.{kind}", 1) for kind in "kv"] for h in states]
         cross.append((padded([k for k, _ in kv]), padded([v for _, v in kv])))
     mask = None if (lengths == n).all() else np.where(np.arange(n) >= lengths[:, None], NEG_INF, 0.0)
     return cross, mask

@@ -610,6 +610,23 @@ class TestSummarize:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("setting", [["--beam", "0"], ["--max-len", "0"]])
+    @pytest.mark.parametrize("command", ["summarize", "eval"])
+    def test_bad_search_setting_on_empty_input_is_input_error(
+        self, tmp_path, trained_dir, capsys, command, setting
+    ):
+        """An input with no records refuses a setting beam search cannot
+        run with, as an input with records does, and eval writes no report."""
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = [str(tmp_path / "eval")] if command == "eval" else []
+        capsys.readouterr()
+        assert main([command, str(trained_dir), str(empty), *out, *setting]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "eval" / "report.json").exists()
+
     def test_non_finite_checkpoint_is_numeric_error(
         self, tmp_path, trained_dir, small_dataset, capsys
     ):

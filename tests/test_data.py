@@ -25,7 +25,7 @@ from scriptsum.data import (
     make_batches,
     summary_tokens,
 )
-from scriptsum.errors import ConfigError, EmptyCorpusError, FormatError
+from scriptsum.errors import ConfigError, EmptyCorpusError, FormatError, ShapeError
 from scriptsum.minilang import parse_minilang
 from scriptsum.structure import encode_structure
 
@@ -78,6 +78,15 @@ class TestVocabulary:
         vocab = Vocabulary(["sum", "list", "of"])
         tokens = ["sum", "of", "list"]
         assert vocab.decode(vocab.encode(tokens)) == tokens
+
+    @pytest.mark.parametrize("end", ["below", "above"])
+    def test_decode_refuses_id_out_of_range(self, end):
+        """An id outside [0, len) names no token: it raises one line naming
+        the id, instead of reading -1 as the last token."""
+        vocab = Vocabulary(["sum"])
+        bad = -1 if end == "below" else len(vocab)
+        with pytest.raises(ShapeError, match=rf"^token id {bad} out of range \[0, {len(vocab)}\)$"):
+            vocab.decode([4, bad])
 
     def test_sentence_marks(self):
         vocab = Vocabulary(["hi"])

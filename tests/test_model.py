@@ -715,6 +715,20 @@ class TestDecoder:
         with pytest.raises(ShapeError):
             model.decode(np.zeros((2, 0), dtype=np.int64), state, cache=DecoderCache())
 
+    def test_graph_decoder_runs_one_sequence(self):
+        """The teacher-forced pass takes one (m,) sequence and one encoder
+        state; beams and several sources are the cached step's, which
+        takes no group offsets."""
+        rng = np.random.default_rng(19)
+        model = tiny_model()
+        state = model.script_encoder(np.array([1, 2, 3]), random_bundle(rng, 3))
+        with pytest.raises(ShapeError):
+            model.decode(np.array([[1, 4], [1, 5]]), state)
+        with pytest.raises(ShapeError):
+            model.decode(np.array([1, 4]), [state])
+        with pytest.raises(ShapeError):
+            model.decode(np.array([1, 4]), state, cache=DecoderCache(), offsets=(0, 2))
+
     @pytest.mark.parametrize("bad", ["vocab_size", "negative"])
     @pytest.mark.parametrize("cached", [False, True])
     def test_decoder_id_out_of_range(self, cached, bad):
