@@ -51,8 +51,8 @@ from .errors import (
 from .manifest import RunManifest
 from .metrics import METRICS, BucketSpec, EvalPair, corpus_report
 from .minilang import parse_minilang
-from .model import ModelConfig, ScriptModel, ablation_layer_plan, inference_numerics
-from .structure import DEFAULT_DISTANCE_CLIP, DEFAULT_VIEW_WEIGHTS
+from .model import ModelConfig, ScriptModel, ablation_layer_plan, check_search, inference_numerics
+from .structure import DEFAULT_DISTANCE_CLIP, DEFAULT_VIEW_WEIGHTS, check_clip
 from .tensor import no_grad
 from .training import TrainConfig, load_model_from_dir, train
 
@@ -213,10 +213,11 @@ def _row_entropy(m_bar: np.ndarray) -> float:
 
 
 def cmd_encode(args, manifest: RunManifest) -> int:
+    check_clip(args.clip, "clip threshold")
+    weights = _coerce("view_weights", args.weights)
     in_path = Path(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    weights = _coerce("view_weights", args.weights)
     manifest.config = {
         "dataset": str(in_path),
         "distance_clip": args.clip,
@@ -385,6 +386,7 @@ def _load_model_dir(
 
 
 def cmd_eval(args, manifest: RunManifest) -> int:
+    check_search(args.beam, args.max_len, args.length_penalty)
     spec = None
     if args.buckets:
         try:
@@ -454,13 +456,14 @@ def cmd_eval(args, manifest: RunManifest) -> int:
 
 
 def cmd_summarize(args, manifest: RunManifest) -> int:
+    beam = 1 if args.greedy else args.beam
+    check_search(beam, args.max_len, args.length_penalty)
     model_dir = Path(args.model_dir)
     model, src_vocab, tgt_vocab, clip, weights, inputs = _load_model_dir(
         model_dir, args.src_vocab, args.tgt_vocab
     )
     examples = list(_read_examples(Path(args.input), clip, weights))
 
-    beam = 1 if args.greedy else args.beam
     summaries = model.summarize_many(
         [(src_vocab.encode(ex.code_tokens), ex.bundle) for ex in examples], beam, args.max_len, args.length_penalty
     )

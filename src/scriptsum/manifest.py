@@ -5,8 +5,9 @@ them, holding the effective configuration, the seed, a git-describe string
 for the working tree, sha256 digests of every input file, start/end
 timestamps, and the numpy version, BLAS library and BLAS thread settings
 the process ran with. Reruns with identical manifest inputs, under the same
-numpy, BLAS library and BLAS thread count, reproduce the artifacts in
-double precision.
+numpy, BLAS library, BLAS thread count and BLAS CPU kernel, reproduce the
+artifacts in double precision. The kernel is not recorded: OpenBLAS picks
+it by CPU, so two hosts can differ in the last bits with equal manifests.
 """
 
 from __future__ import annotations

@@ -63,18 +63,17 @@ straight into its columns of the joined parameter; state_dict splits the
 joined parameters back into the schema's names, and loading checks names
 and shapes against the schema, without drawing anything, before joining.
 
-All math is float64. Training and the validation loss forward a group of
-examples as one graph: `forward_loss` lays the examples' source rows end to
-end, and their decoder-input rows, with offsets and no padding. Row-wise
-work runs once over the rows; every product, every sum over rows and each
-example's attention over its own keys run per example inside their op
-(see tensor), and the tied target embedding adds each example's embedding
-gradient, then its projection's. A product over stacked rows would not
-give each example its own bits, so this keeps every loss and gradient
-bit-identical to one graph per example, and training bit-reproducible for
-a fixed seed. A row's bits in a decoder step can depend on how many rows
-share the step, so a decoded summary is reproducible for the same sources
-in the same order.
+All math is float64. Every forward pass runs a group of examples as one
+graph, their source rows and decoder-input rows end to end with offsets
+and no padding; one example is a group of one. Training, the validation
+loss and summarize_many's encoding group examples by one rule,
+example_groups. Every product, every sum over rows and each example's
+attention run per example inside their op (see tensor), and the tied
+target embedding adds each example's embedding gradient, then its
+projection's, so every output, loss and gradient has the bits of a group
+of one, and training is bit-reproducible for a fixed seed. A row's bits
+in a decoder step can depend on how many rows share the step, so a
+decoded summary is reproducible for the same sources in the same order.
 """
 
 from __future__ import annotations
@@ -90,6 +89,7 @@ import numpy as np
 
 from .errors import ArtifactMismatchError, ConfigError, FormatError, NumericsError, ShapeError
 from .errors import read_json_object, write_json
+from .data import MAX_SOURCE_TOKENS
 from .structure import DEFAULT_DISTANCE_CLIP, StructuralEncodings, sequential_relpos
 from .tensor import (
     LAYERNORM_EPS,
@@ -124,6 +124,8 @@ STRUCTURAL_TAGS = {"SRPEi_only": ("SRPEi",), "RDW_only": ("RDW",), "all": ("RDW"
 SRPE_PLACEMENTS = tuple(STRUCTURAL_TAGS)
 # param_schema's name of one head's block of an attention's q, k or v
 _HEAD_NAME = re.compile(r"(.+\.[qkv])(\d+)")
+# the most bytes one numpy array can hold
+_MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -163,6 +165,14 @@ class ModelConfig:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p!r}")
         if self.l < 1 or self.k < 1:
             raise ConfigError("clip thresholds l and k must be >= 1")
+        # each setting's largest parameter, and every layer's (d, d) weights together, fit one numpy array
+        d, dh, layers = self.d_model, self.d_head, self.n_encoder_layers + self.n_decoder_layers
+        for name, shape in (("d_model", (d, d)), ("src_vocab_size", (self.src_vocab_size, d)),
+                            ("tgt_vocab_size", (self.tgt_vocab_size, d)), ("ffn_dim", (self.ffn_dim, d)),
+                            ("k", (2 * self.k + 1, dh)), ("l", (self.l + 1, dh)),
+                            ("n_script_modules and n_decoder_layers", (layers, d, d))):
+            if math.prod(shape) * 8 > _MAX_ARRAY_BYTES:
+                raise ConfigError(f"{name} too large: a {shape} array is more than numpy can allocate")
         if self.mask_mode not in MASK_MODES:
             raise ConfigError(f"mask_mode must be one of {MASK_MODES}, got {self.mask_mode!r}")
         if self.srpe_placement not in SRPE_PLACEMENTS:
@@ -378,8 +388,8 @@ def _draw(rng: np.random.Generator, shape: tuple[int, ...], init: str) -> np.nda
 
 
 class ScriptModel:
-    """The full network: parameters, forward passes of one example or a
-    group, decoding."""
+    """The full network: parameters, forward passes of a group of examples
+    (one example is a group of one), decoding."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         """Draw param_schema(config) in order from one generator seeded by
@@ -452,17 +462,18 @@ class ScriptModel:
         x_q: Tensor,
         x_kv: Tensor,
         *,
-        rel: tuple[tuple[str, np.ndarray], ...] = (),
-        a_mv: np.ndarray | None = None,
-        additive_mask: np.ndarray | None = None,
+        rel: tuple[tuple[str, Sequence[np.ndarray]], ...] = (),
+        a_mv: Sequence[np.ndarray] | None = None,
+        additive_mask: Sequence[np.ndarray | None] | None = None,
         training: bool = False,
-        rng: np.random.Generator | None = None,
+        rng: Sequence[np.random.Generator | None] | None = None,
         capture: list | None = None,
-        offsets: Sequence[int] | None = None,
+        offsets: Sequence[int],
         kv_offsets: Sequence[int] | None = None,
     ) -> Tensor:
-        """Multi-head attention with optional clipped relative-position
-        terms on keys and values and optional relation-matrix masking.
+        """Multi-head attention of a group, with optional clipped
+        relative-position terms on keys and values and optional
+        relation-matrix masking.
 
         Each (table_prefix, idx) pair of rel adds row idx[i, j] of
         "{table_prefix}_k" to key j and of "{table_prefix}_v" to value j for
@@ -475,14 +486,12 @@ class ScriptModel:
         included, is one tensor.attention op between the projections and
         the output affine.
 
-        x_q is the (n_q, d_model) query rows and x_kv the (n_k, d_model)
-        rows they attend over; rel, a_mv and additive_mask are (n_q, n_k).
-
-        With offsets, x_q's rows are a group's examples end to end, and
-        x_kv's rows are the examples' rows that kv_offsets marks (offsets
-        when None); each example attends over its own keys only. Each idx
-        of rel, a_mv, additive_mask and rng then hold one entry per example
-        (see tensor.attention).
+        x_q is the (n_q, d_model) query rows, the group's examples end to
+        end as offsets mark them, and x_kv the (n_k, d_model) rows they
+        attend over, marked by kv_offsets (offsets when None); each example
+        attends over its own keys only. Each idx of rel, a_mv and
+        additive_mask hold one (n_q, n_k) array per example, and rng one
+        generator per example (see tensor.attention).
         """
         cfg = self.config
         kv_rows = offsets if kv_offsets is None else kv_offsets
@@ -491,8 +500,6 @@ class ScriptModel:
         if a_mv is not None:
             if cfg.mask_mode == "multiply":
                 scale_matrix = a_mv
-            elif offsets is None:
-                additive_mask = _gate_mask(a_mv, additive_mask)
             else:
                 masks = [None] * len(a_mv) if additive_mask is None else additive_mask
                 additive_mask = [_gate_mask(a, m) for a, m in zip(a_mv, masks)]
@@ -521,54 +528,42 @@ class ScriptModel:
         tag: str,
         layer_idx: int,
         x: Tensor,
-        bundle: StructuralEncodings | Sequence[StructuralEncodings],
+        bundles: Sequence[StructuralEncodings],
         *,
-        seq_idx: np.ndarray,
+        seq_idx: Sequence[np.ndarray],
         training: bool = False,
-        rng: np.random.Generator | None = None,
+        rng: Sequence[np.random.Generator | None] | None = None,
         capture: list | None = None,
-        offsets: Sequence[int] | None = None,
+        offsets: Sequence[int],
     ) -> Tensor:
-        """One encoder layer: relative self-attention, then the FFN block.
+        """One encoder layer of a group: relative self-attention, then the
+        FFN block. x's rows are the group's examples end to end as offsets
+        mark them, and bundles, seq_idx and rng hold one entry per example.
 
         RDW first sums a sigmoid gate of FC1(H) + FC2(M_bar H) into H. Every
         tag adds the sequential tables, the structural tables are added when
         srpe_placement covers the tag, and SRPEi gates the attention by the
-        multi-view matrix. seq_idx is the sequential tables' index,
+        multi-view matrix. seq_idx holds each example's sequential index,
         _seq_idx(n), which script_encoder computes once for every layer.
-        With offsets, x's rows are a group's examples end to end, and
-        bundle, seq_idx and rng hold one entry per example.
         """
         p = self.params
         cfg = self.config
         base = f"enc{layer_idx}"
 
-        def of_bundles(field: str):  # the example's array, or each example's
-            return getattr(bundle, field) if offsets is None else [getattr(b, field) for b in bundle]
+        def of_bundles(field: str):  # each example's array
+            return [getattr(b, field) for b in bundles]
 
         if tag == "RDW":
             mixed = block_matmul(of_bundles("distance_weights"), x, offsets)
-            h_hat = sigmoid(
-                add(
-                    _affine(x, p[f"{base}.fc1_w"], p[f"{base}.fc1_b"], offsets),
-                    _affine(mixed, p[f"{base}.fc2_w"], p[f"{base}.fc2_b"], offsets),
-                )
-            )
+            h_hat = sigmoid(add(_affine(x, p[f"{base}.fc1_w"], p[f"{base}.fc1_b"], offsets),
+                                _affine(mixed, p[f"{base}.fc2_w"], p[f"{base}.fc2_b"], offsets)))
             x = add(x, h_hat)
         rel = ((f"{base}.seq", seq_idx),)
         if tag in STRUCTURAL_TAGS[cfg.srpe_placement]:
             rel += ((f"{base}.str", of_bundles("bucket_ids")),)
-        attn = self.relative_attention(
-            f"{base}.attn",
-            x,
-            x,
-            rel=rel,
-            a_mv=of_bundles("multiview") if tag == "SRPEi" else None,
-            training=training,
-            rng=rng,
-            capture=capture,
-            offsets=offsets,
-        )
+        a_mv = of_bundles("multiview") if tag == "SRPEi" else None
+        attn = self.relative_attention(f"{base}.attn", x, x, rel=rel, a_mv=a_mv, training=training, rng=rng,
+                                       capture=capture, offsets=offsets)
         x = self._residual(x, attn, f"{base}.ln1", training, rng, offsets)
         return self._residual(x, self._ffn(f"{base}.ffn", x, offsets), f"{base}.ln2", training, rng, offsets)
 
@@ -583,23 +578,25 @@ class ScriptModel:
         bundle: StructuralEncodings | Sequence[StructuralEncodings],
         *,
         training: bool = False,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
         capture: list | None = None,
         offsets: Sequence[int] | None = None,
     ) -> Tensor:
-        """Embed tokens and run the stacked two-layer modules; each module
-        contributes the position-wise sum of its two layer outputs. Returns
-        the encoder output, (n, d_model), that the decoder reads.
-
-        With offsets, a group: src_ids are its examples' ids end to end,
-        example e's rows offsets[e] to offsets[e + 1], bundle holds one
-        bundle per example and rng one generator per example, and the
-        output's rows are laid out the same way."""
+        """Embed a group's tokens and run the stacked two-layer modules;
+        each module contributes the position-wise sum of its two layer
+        outputs. Returns the encoder output, (n, d_model), that the decoder
+        reads. src_ids are the group's examples' ids end to end, example
+        e's rows offsets[e] to offsets[e + 1], bundle holds one bundle per
+        example and rng one generator per example, and the output's rows
+        are laid out the same way. With offsets None, src_ids, bundle and
+        rng are one example's, a group of one."""
         cfg = self.config
         p = self.params
         src_ids = np.asarray(src_ids, dtype=np.int64)
-        bundles = [bundle] if offsets is None else list(bundle)
-        lengths = [src_ids.shape[0]] if offsets is None else np.diff(offsets).tolist()
+        if offsets is None:
+            bundle, rng, offsets = [bundle], [rng], (0, src_ids.shape[0])
+        bundles = list(bundle)
+        lengths = [hi - lo for lo, hi in zip(offsets, offsets[1:])]
         if len(bundles) != len(lengths):
             raise ShapeError(f"{len(bundles)} bundles for {len(lengths)} examples")
         for b, n in zip(bundles, lengths):
@@ -612,13 +609,12 @@ class ScriptModel:
                     raise ShapeError(f"{name} shape {arr.shape} != ({n}, {n})")
         x = scale(embed(p["src_embed"], src_ids, offsets), math.sqrt(cfg.d_model))
         x = dropout(x, cfg.dropout_p, rng, training, offsets)
-        seq_idx = [self._seq_idx(n) for n in lengths]
         common = dict(training=training, rng=rng, capture=capture, offsets=offsets,
-                      seq_idx=seq_idx[0] if offsets is None else seq_idx)
+                      seq_idx=[self._seq_idx(n) for n in lengths])
         for first in range(0, cfg.n_encoder_layers, 2):
             second = first + 1
-            h = self.encoder_layer(cfg.layer_plan[first], first, x, bundle, **common)
-            h_prime = self.encoder_layer(cfg.layer_plan[second], second, h, bundle, **common)
+            h = self.encoder_layer(cfg.layer_plan[first], first, x, bundles, **common)
+            h_prime = self.encoder_layer(cfg.layer_plan[second], second, h, bundles, **common)
             x = add(h, h_prime)
         x = layernorm(x, p["enc_final_g"], p["enc_final_b"], offsets=offsets)
         return x
@@ -636,9 +632,15 @@ class ScriptModel:
     ) -> Tensor:
         """Decoder logits of new target positions.
 
-        With no cache, the teacher-forced pass, an autodiff graph: tgt_in_ids
-        is one whole prefix from BOS, (m,), state is its source's encoder
-        output, and the logits are (m, tgt_vocab).
+        With no cache, the teacher-forced pass of a group, an autodiff
+        graph: tgt_in_ids are its examples' decoder inputs, each a whole
+        prefix from BOS, end to end, example e's rows offsets[e] to
+        offsets[e + 1]; state is the group's encoder output, its rows
+        marked by state_offsets (see script_encoder), and rng holds one
+        generator per example. Each example attends over its own rows and
+        its own source only, and the logits' rows are the ids', (m,
+        tgt_vocab). With offsets None, the ids are one (m,) sequence, state
+        its source's encoder output and rng its generator, a group of one.
 
         With a cache, one inference step (_step): tgt_in_ids is one
         sequence, (m,), or one row per beam, (beams, m), and the logits are
@@ -649,13 +651,6 @@ class ScriptModel:
         state is the source's encoder output, or one per source of the
         cache, whose rows are laid out over the sources as DecoderCache
         says; it is read only while the cache holds no cross-attention keys.
-
-        With offsets, a group's teacher-forced pass, with no cache: the ids
-        are its examples' decoder inputs end to end, example e's rows
-        offsets[e] to offsets[e + 1], state is the group's encoder output,
-        its rows marked by state_offsets (see script_encoder), and rng holds
-        one generator per example. Each example attends over its own rows
-        and its own source only, and the logits' rows are the ids'.
         """
         cfg = self.config
         p = self.params
@@ -670,35 +665,19 @@ class ScriptModel:
             return Tensor(self._step(ids.reshape(-1, ids.shape[-1]), state, cache))
         if ids.ndim != 1 or not isinstance(state, Tensor):
             raise ShapeError("the teacher-forced pass decodes one (m,) sequence of ids from one encoder state")
+        if offsets is None:
+            rng, offsets, state_offsets = [rng], (0, ids.shape[0]), (0, state.shape[0])
         rows, project = tied_embedding(p["tgt_embed"], ids, offsets)
         y = scale(rows, math.sqrt(cfg.d_model))
         y = dropout(y, cfg.dropout_p, rng, training, offsets)
-        if offsets is None:
-            causal, seq_idx = _self_attention_rows(0, ids.shape[0], cfg.k)
-        else:
-            causal, seq_idx = zip(*(_self_attention_rows(0, length, cfg.k) for length in np.diff(offsets).tolist()))
+        causal, seq_idx = zip(*(_self_attention_rows(0, hi - lo, cfg.k) for lo, hi in zip(offsets, offsets[1:])))
         for ly in range(cfg.n_decoder_layers):
             base = f"dec{ly}"
-            sa = self.relative_attention(
-                f"{base}.self",
-                y,
-                y,
-                rel=((f"{base}.seq", seq_idx),),
-                additive_mask=causal,
-                training=training,
-                rng=rng,
-                offsets=offsets,
-            )
+            sa = self.relative_attention(f"{base}.self", y, y, rel=((f"{base}.seq", seq_idx),), additive_mask=causal,
+                                         training=training, rng=rng, offsets=offsets)
             y = self._residual(y, sa, f"{base}.ln1", training, rng, offsets)
-            ca = self.relative_attention(
-                f"{base}.cross",
-                y,
-                state,
-                training=training,
-                rng=rng,
-                offsets=offsets,
-                kv_offsets=state_offsets,
-            )
+            ca = self.relative_attention(f"{base}.cross", y, state, training=training, rng=rng, offsets=offsets,
+                                         kv_offsets=state_offsets)
             y = self._residual(y, ca, f"{base}.ln2", training, rng, offsets)
             y = self._residual(y, self._ffn(f"{base}.ffn", y, offsets), f"{base}.ln3", training, rng, offsets)
         return add(project(y), p["out_bias"], offsets)
@@ -797,31 +776,30 @@ class ScriptModel:
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Mean next-token cross-entropy of one (code, summary) example, 0-d,
-        or of each example of a group, (examples,).
+        """Mean next-token cross-entropy of each example of a group,
+        (examples,), as one graph: src_ids, bundle, tgt_ids and rng hold
+        one entry per example, and each example's loss and gradients are
+        the bits it has on its own (see tensor). One example's arguments
+        are a group of one, whose loss is 0-d.
 
         tgt_ids must start with BOS and end with EOS; the decoder input is
-        tgt_ids[:-1] and the prediction targets are tgt_ids[1:]. A group is
-        one graph: src_ids, bundle and tgt_ids are sequences with one entry
-        per example, and rng, when training, one generator per example.
-        Its examples' rows are laid end to end, and each example's loss
-        and gradients are the bits it has on its own (see tensor).
+        tgt_ids[:-1] and the prediction targets are tgt_ids[1:].
         """
         one = isinstance(bundle, StructuralEncodings)
-        sources = [src_ids] if one else list(src_ids)
-        targets = [np.asarray(t, dtype=np.int64) for t in ([tgt_ids] if one else tgt_ids)]
+        if one:
+            src_ids, bundle, tgt_ids, rng = [src_ids], [bundle], [tgt_ids], [rng]
+        sources, targets = list(src_ids), [np.asarray(t, dtype=np.int64) for t in tgt_ids]
         if len(sources) != len(targets):
             raise ShapeError(f"{len(sources)} sources for {len(targets)} summaries")
         if any(t.ndim != 1 or t.shape[0] < 2 for t in targets):
             raise ShapeError("summary encoding must contain at least BOS and EOS")
-        src_offsets = tgt_offsets = None
-        if not one:
-            src_offsets = tuple(accumulate((len(ids) for ids in sources), initial=0))
-            tgt_offsets = tuple(accumulate((len(t) - 1 for t in targets), initial=0))
+        src_offsets = tuple(accumulate((len(ids) for ids in sources), initial=0))
+        tgt_offsets = tuple(accumulate((len(t) - 1 for t in targets), initial=0))
         state = self.script_encoder(np.concatenate(sources), bundle, training=training, rng=rng, offsets=src_offsets)
         logits = self.decode(np.concatenate([t[:-1] for t in targets]), state, training=training, rng=rng,
                              offsets=tgt_offsets, state_offsets=src_offsets)
-        return cross_entropy(logits, np.concatenate([t[1:] for t in targets]), tgt_offsets)
+        # the cross-entropy of one segment, 0-d, is a lone example's loss
+        return cross_entropy(logits, np.concatenate([t[1:] for t in targets]), None if one else tgt_offsets)
 
     # -- generation ------------------------------------------------------------
 
@@ -868,7 +846,7 @@ class ScriptModel:
         at, and a source stops once its best finished score is strictly
         greater than that bound for every live beam.
         """
-        _check_search(beam_size, max_len, length_penalty)
+        check_search(beam_size, max_len, length_penalty)
         eos, n_vocab = self.config.eos_id, self.config.tgt_vocab_size
 
         def normalized(seq: tuple[int, ...], lp: float) -> float:
@@ -948,18 +926,41 @@ class ScriptModel:
         caller decodes through here. Sources are decoded in input order, in
         chunks of DECODE_CHUNK whose beams share each decoder step, so a
         summary's bits can depend on the sources decoded with it: the same
-        sources in the same order give the same summaries."""
-        _check_search(beam_size, max_len, length_penalty)
+        sources in the same order give the same summaries. A chunk is
+        encoded in the groups of example_groups; a source's state is its
+        rows of its group's output, the bits it has when encoded alone."""
+        check_search(beam_size, max_len, length_penalty)
         summaries: list[list[int]] = []
         with no_grad(), inference_numerics():
             for first in range(0, len(sources), DECODE_CHUNK):
                 chunk = sources[first:first + DECODE_CHUNK]
-                states = [self.script_encoder(src_ids, bundle) for src_ids, bundle in chunk]
+                states = []
+                for group in example_groups([len(src_ids) for src_ids, _ in chunk]):
+                    ids, bundles = zip(*(chunk[i] for i in group))
+                    offsets = tuple(accumulate(map(len, ids), initial=0))
+                    out = self.script_encoder(np.concatenate(ids), bundles, offsets=offsets).data
+                    states += [Tensor(out[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
                 summaries += self._search(states, first, beam_size, max_len, length_penalty)
         return summaries
 
 
 # -- module-level helpers ----------------------------------------------------
+
+
+def example_groups(*rows: Sequence[int]) -> list[list[int]]:
+    """Positions of consecutive examples in groups, given each example's
+    rows of each kind (source, decoder input): a group closes before an
+    example that would take its rows of any kind past MAX_SOURCE_TOKENS.
+    Training, the validation loss and inference all group by this rule."""
+    groups: list[list[int]] = []
+    totals: list[int] = []
+    for i, counts in enumerate(zip(*rows)):
+        if not groups or any(t + n > MAX_SOURCE_TOKENS for t, n in zip(totals, counts)):
+            groups.append([])
+            totals = [0] * len(counts)
+        groups[-1].append(i)
+        totals = [t + n for t, n in zip(totals, counts)]
+    return groups
 
 
 @contextmanager
@@ -973,7 +974,7 @@ def inference_numerics():
             raise NumericsError(f"{exc} during inference") from exc
 
 
-def _check_search(beam_size: int, max_len: int, length_penalty: float) -> None:
+def check_search(beam_size: int, max_len: int, length_penalty: float) -> None:
     """ConfigError unless beam search can run with these settings."""
     if beam_size < 1:
         raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
@@ -1014,7 +1015,7 @@ def _self_attention_rows(past: int, m: int, clip: int) -> tuple[np.ndarray | Non
     sees every key, so its causal row masks nothing."""
     pos, keys = np.arange(past, past + m)[:, None], np.arange(past + m)
     causal = np.where(keys > pos, NEG_INF, 0.0) if m > 1 else None
-    return causal, np.clip(keys - pos, -clip, clip) + clip
+    return causal, np.minimum(np.maximum(keys - pos, -clip), clip) + clip
 
 
 def _affine(x: Tensor, w: Tensor, b: Tensor, offsets=None) -> Tensor:
@@ -1049,6 +1050,8 @@ __all__ = [
     "DecoderCache",
     "ScriptModel",
     "ablation_layer_plan",
+    "check_search",
+    "example_groups",
     "inference_numerics",
     "param_schema",
     "save_model_sidecar",

@@ -92,19 +92,23 @@ def normalize(d: np.ndarray) -> np.ndarray:
     return np.divide(weights, row_sums, out=np.zeros_like(weights), where=row_sums > 0)
 
 
+def check_clip(value: int, what: str) -> None:
+    """ConfigError unless value is a clip threshold that int64 ids hold."""
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 < value < 2**63:
+        raise ConfigError(f"{what} must be an integer in [1, 2**63 - 1], got {value!r}")
+
+
 def bucketize(d: np.ndarray, l: int) -> np.ndarray:
     """Clip distances elementwise to integer ids min(d, l) in [0, l]."""
-    if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-        raise ConfigError(f"clip threshold must be a positive integer, got {l!r}")
+    check_clip(l, "clip threshold")
     return np.minimum(d, l).astype(np.int64, copy=False)
 
 
 def sequential_relpos(n: int, k: int) -> np.ndarray:
     """Signed sequential offsets clamp(j - i, -k, k), shape (n, n)."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ConfigError(f"offset window must be a positive integer, got {k!r}")
-    offsets = np.arange(n)[None, :] - np.arange(n)[:, None]
-    return np.clip(offsets, -k, k).astype(np.int64)
+    check_clip(k, "offset window")
+    positions = np.arange(n, dtype=np.int64)
+    return np.minimum(np.maximum(positions - positions[:, None], -k), k)
 
 
 def _statement_of(ast: Ast) -> list[int]:

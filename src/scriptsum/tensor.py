@@ -7,13 +7,14 @@ embedding/gather lookups and a tied output projection, scaled dot-product
 attention with relative-position terms as one op (attention),
 cross-entropy, and a few shape utilities.
 
-Several examples can share one graph as segments of the same rows: rows
-offsets[e] to offsets[e + 1] are example e's, end to end with no padding
-(see _segments). Row-wise work runs once over all the rows. The ops that
-take offsets run every product, every sum over rows and every attention
-once per segment, on slices of the stacked arrays, and add a parameter's
-gradient one segment at a time, in order. A product on a slice has the
-same bits as on the example's own array, while one product over stacked
+An op's rows are segments, one per example of a graph: rows offsets[e]
+to offsets[e + 1] are example e's, end to end with no padding, and
+offsets None is one segment of all the rows (see _segments). Each op has
+one code path for any number of segments. Row-wise work runs once over
+all the rows; every product, every sum over rows and every attention runs
+once per segment, on slices of the stacked arrays, and a parameter's
+gradient is added one segment at a time, in order. A product on a slice
+has the bits of the example's own array, while one product over stacked
 rows does not, so each example's outputs and gradients, and every
 parameter's sum of them, are the bits of one graph per example.
 
@@ -29,6 +30,7 @@ fixed seed gives bit-identical results across runs.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -99,10 +101,9 @@ class Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable[[np.ndarray], None]) -> Tensor:
-    out = Tensor(data)
-    if _grad_enabled():
-        out._parents = parents
-        out._backward = backward
+    out = Tensor.__new__(Tensor)  # data is a float64 array already: no conversion
+    out.data, out.requires_grad, out.grad, out._consumed = data, False, None, False
+    out._parents, out._backward = (parents, backward) if _grad_enabled() else ((), None)
     return out
 
 
@@ -144,21 +145,20 @@ def backward(loss: Tensor) -> None:
 # -- segments --------------------------------------------------------------
 
 
-_WHOLE = [...]  # offsets None: one segment, the whole array
-
-
-def _segments(offsets: Sequence[int] | None, rows: int) -> list:
+def _segments(offsets: Sequence[int] | None, rows: int) -> tuple[slice, ...]:
     """The row slices of the segments that offsets mark out of rows rows:
-    segment e is rows offsets[e] to offsets[e + 1]. None is one segment,
-    the whole array (...). An argument that an op takes per segment is
-    then a sequence with one entry per segment; with offsets None it is
-    the one entry."""
-    if offsets is None:
-        return _WHOLE
-    bounds = [int(o) for o in offsets]
-    if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != rows or any(lo > hi for lo, hi in zip(bounds, bounds[1:])):
-        raise ShapeError(f"segment offsets {bounds} do not split {rows} rows")
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    segment e is rows offsets[e] to offsets[e + 1]. None is one segment of
+    all the rows. An argument that an op takes per segment is then a
+    sequence with one entry per segment; with offsets None it is the one
+    entry (see _per_segment)."""
+    return _split((0, rows) if offsets is None else tuple(offsets), rows)
+
+
+@functools.lru_cache(maxsize=1024)  # every op of a graph checks the same offsets
+def _split(offsets: tuple, rows: int) -> tuple[slice, ...]:
+    if len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != rows or any(a > b for a, b in zip(offsets, offsets[1:])):
+        raise ShapeError(f"segment offsets {[int(o) for o in offsets]} do not split {rows} rows")
+    return tuple(slice(int(lo), int(hi)) for lo, hi in zip(offsets, offsets[1:]))
 
 
 def _per_segment(value, offsets: Sequence[int] | None, count: int, what: str) -> list:
@@ -178,7 +178,7 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _row_products(x: np.ndarray, w: np.ndarray, segs: list[slice]) -> np.ndarray:
+def _row_products(x: np.ndarray, w: np.ndarray, segs: Sequence[slice]) -> np.ndarray:
     """x @ w, each segment's rows of x multiplied on their own, into one
     array; a lone segment is the plain product (of any rank)."""
     if len(segs) == 1:
@@ -199,15 +199,17 @@ def matmul(a: Tensor, b: Tensor, offsets: Sequence[int] | None = None) -> Tensor
     if a.data.ndim == b.data.ndim == 2:
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    elif a.data.ndim == b.data.ndim == 3 and offsets is None:
+    elif a.data.ndim == b.data.ndim == 3:
         if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
             raise ShapeError(f"batched matmul shapes differ: {a.shape} @ {b.shape}")
     else:
         raise ShapeError(f"matmul requires matching 2-D or 3-D operands: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data if offsets is None else _row_products(a.data, b.data, _segments(offsets, a.shape[0]))
+    segs = _segments(offsets, a.shape[0])
+    if a.data.ndim == 3 and len(segs) > 1:
+        raise ShapeError("a batched matmul takes one segment")
+    out_data = _row_products(a.data, b.data, segs)
 
     def backward_fn(g):
-        segs = _segments(offsets, a.shape[0])
         if a.needs_grad:
             a.accumulate(_row_products(g, np.swapaxes(b.data, -1, -2), segs))
         if b.needs_grad:
@@ -282,7 +284,9 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))  # never overflows
+    denom = 1.0 + e
+    s = np.where(x >= 0, 1.0 / denom, e / denom)
 
     def backward_fn(g):
         a.accumulate(g * s * (1.0 - s))
@@ -368,13 +372,12 @@ def layernorm(
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layernorm affine shapes {gain.shape}/{bias.shape} != ({d},)")
-    if offsets is not None:
-        _segments(offsets, x.shape[0])  # checks the offsets
+    segs = _segments(offsets, x.shape[0])
     out_data, xhat, inv = _layernorm_rows(x.data, gain.data, bias.data, eps)
 
     def backward_fn(g):
         g_xhat = g * xhat
-        for s in _segments(offsets, x.shape[0]):
+        for s in segs:
             gain.accumulate(g_xhat[s].reshape(-1, d).sum(axis=0))
             bias.accumulate(g[s].reshape(-1, d).sum(axis=0))
         gx = g * gain.data
@@ -423,21 +426,17 @@ def _dropout_keep(shape, p: float, rng, training: bool, offsets: Sequence[int] |
         raise ConfigError(f"dropout probability must be in [0, 1), got {p!r}")
     if not training or p == 0.0:
         return None
-    if offsets is None:
-        rngs, shapes = [rng], [tuple(shape)]
-    else:
-        count = len(_segments(offsets, shape[0]))  # checks the offsets
-        rngs = _per_segment(rng, offsets, count, "random generators")
-        shapes = [(hi - lo,) + tuple(shape[1:]) for lo, hi in zip(offsets, offsets[1:])]
+    segs = _segments(offsets, shape[0])
+    rngs = _per_segment(rng, offsets, len(segs), "random generators")
     if any(r is None for r in rngs):
         raise ConfigError("dropout in training mode requires a random generator")
-    return _joined([r.random(size) >= p for r, size in zip(rngs, shapes)]) / (1.0 - p)
+    return _joined([r.random((s.stop - s.start, *shape[1:])) >= p for r, s in zip(rngs, segs)]) / (1.0 - p)
 
 
 def _check_ids(ids, rows: int, what: str) -> np.ndarray:
     """ids as an integer array, every entry a row of a table of rows rows."""
     ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
+    if ids.dtype.kind not in "iu":
         raise ShapeError(f"{what} ids must be integers")
     if ids.size and (ids.min() < 0 or ids.max() >= rows):
         raise ShapeError(f"{what} id out of range [0, {rows}): min {ids.min()}, max {ids.max()}")
@@ -605,27 +604,22 @@ def attention(
     if q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape or q.shape[1:] != k.shape[1:]:
         raise ShapeError(f"attention needs (n_q, groups, d) queries and equal (n_k, groups, d) keys and values: "
                          f"{q.shape}, {k.shape}, {v.shape}")
-    if offsets is None and kv_offsets is None:
-        out_data, back = _attend(q.data, k.data, v.data, tables, additive_mask, scale_matrix, dropout_p, rng, training,
-                                 capture)
-        q_segs, backs = _WHOLE, [back]
-    else:
-        q_segs = _segments(offsets, q.shape[0])
-        k_segs = _segments(offsets if kv_offsets is None else kv_offsets, k.shape[0])
-        count = len(q_segs)
-        if len(k_segs) != count:
-            raise ShapeError(f"{count} query segments but {len(k_segs)} key segments")
-        masks = _per_segment(additive_mask, offsets, count, "additive masks")
-        scales = _per_segment(scale_matrix, offsets, count, "scale matrices")
-        rngs = _per_segment(rng, offsets, count, "random generators")
-        table_ids = [_per_segment(idx, offsets, count, "relative indexes") for _, _, idx in tables]
-        parts = [
-            _attend(q.data[qs], k.data[ks], v.data[ks],
-                    [(table_k, table_v, ids[e]) for (table_k, table_v, _), ids in zip(tables, table_ids)],
-                    masks[e], scales[e], dropout_p, rngs[e], training, capture)
-            for e, (qs, ks) in enumerate(zip(q_segs, k_segs))
-        ]
-        out_data, backs = np.concatenate([out for out, _ in parts]), [back for _, back in parts]
+    q_segs = _segments(offsets, q.shape[0])
+    k_segs = _segments(offsets if kv_offsets is None else kv_offsets, k.shape[0])
+    count = len(q_segs)
+    if len(k_segs) != count:
+        raise ShapeError(f"{count} query segments but {len(k_segs)} key segments")
+    masks = _per_segment(additive_mask, offsets, count, "additive masks")
+    scales = _per_segment(scale_matrix, offsets, count, "scale matrices")
+    rngs = _per_segment(rng, offsets, count, "random generators")
+    table_ids = [_per_segment(idx, offsets, count, "relative indexes") for _, _, idx in tables]
+    parts = [
+        _attend(q.data[qs], k.data[ks], v.data[ks],
+                [(table_k, table_v, ids[e]) for (table_k, table_v, _), ids in zip(tables, table_ids)],
+                masks[e], scales[e], dropout_p, rngs[e], training, capture)
+        for e, (qs, ks) in enumerate(zip(q_segs, k_segs))
+    ]
+    out_data, backs = _joined([out for out, _ in parts]), [back for _, back in parts]
 
     def backward_fn(g):
         grads = [back(g[qs]) for back, qs in zip(backs, q_segs)]
@@ -712,8 +706,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, offsets: Sequence[int] | 
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - logsumexp
     picked = logp[np.arange(n), targets]
-    means = [-picked[s].sum() / picked[s].shape[0] for s in segs]
-    out_data = np.asarray(means[0]) if offsets is None else np.array(means)
+    means = np.array([-picked[s].sum() / picked[s].shape[0] for s in segs])
+    out_data = means.reshape(-1 if np.ndim(offsets) else ())  # offsets None: the one mean, 0-d
 
     def backward_fn(g):
         soft = np.exp(logp)

@@ -12,16 +12,16 @@ epoch) and every dropout pass by (seed, step, example index), so an
 interrupted run resumed from the last checkpoint retraces the exact same
 computation.
 
-A batch runs as groups of consecutive examples, each group one graph
-whose rows are its examples' rows end to end (ScriptModel.forward_loss).
-A group closes before an example that would take its source rows, or its
-decoder-input rows, past MAX_SOURCE_TOKENS, so no group holds more rows
-than one longest input, and a graph is freed by its backward before the
-next group's is built. Each example trains at its own length, and every
-product and every sum over rows runs per example, in example order, so
-neither an example's loss nor its gradient depends on its batch partners,
-its row or its group, and each parameter's gradient is summed in example
-order: the bits of one graph per example.
+A batch, and the validation loss, run as groups of consecutive examples,
+each group one graph whose rows are its examples' rows end to end
+(ScriptModel.forward_loss). model.example_groups, the rule inference uses
+too, closes a group before an example that would take its source rows,
+or its decoder-input rows, past MAX_SOURCE_TOKENS, and a graph is freed
+by its backward before the next group's is built. Each example trains at
+its own length, and every product and every sum over rows runs per
+example, in example order, so neither an example's loss nor its gradient
+depends on its batch partners, its row or its group, and each parameter's
+gradient is summed in example order: the bits of one graph per example.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
-    MAX_SOURCE_TOKENS,
     Batch,
     EncodedExample,
     Example,
@@ -49,7 +48,8 @@ from .data import (
 )
 from .errors import ConfigError, FormatError, NumericsError, read_text
 from .metrics import EvalPair, bleu4
-from .model import ModelConfig, ScriptModel, join_heads, load_model_sidecar, param_schema, save_model_sidecar, split_heads
+from .model import ScriptModel, example_groups, join_heads, load_model_sidecar, param_schema
+from .model import save_model_sidecar, split_heads
 from .tensor import backward, no_grad, scale, sum_all
 
 # Adam's moment decay rates and denominator guard.
@@ -269,22 +269,6 @@ class TrainResult:
     global_step: int
 
 
-def _groups(src_lens: Sequence[int], tgt_lens: Sequence[int]) -> list[list[int]]:
-    """Positions of consecutive examples in groups, given each example's
-    source and summary (BOS ... EOS) lengths. A group closes before an
-    example that would take its source rows, or its decoder-input rows,
-    past MAX_SOURCE_TOKENS (see the module docstring)."""
-    groups: list[list[int]] = []
-    src_rows = tgt_rows = 0
-    for i, (n, m) in enumerate(zip(src_lens, tgt_lens)):
-        if not groups or src_rows + n > MAX_SOURCE_TOKENS or tgt_rows + m - 1 > MAX_SOURCE_TOKENS:
-            groups.append([])
-            src_rows = tgt_rows = 0
-        groups[-1].append(i)
-        src_rows, tgt_rows = src_rows + n, tgt_rows + m - 1
-    return groups
-
-
 def evaluate_loss(model: ScriptModel, split: Sequence[EncodedExample]) -> float:
     """Mean per-example loss without dropout, a group of examples at a
     time (see the module docstring)."""
@@ -292,7 +276,7 @@ def evaluate_loss(model: ScriptModel, split: Sequence[EncodedExample]) -> float:
         return float("nan")
     total = 0.0
     with no_grad():
-        for rows in _groups([len(ex.src_ids) for ex in split], [len(ex.tgt_ids) for ex in split]):
+        for rows in example_groups([len(ex.src_ids) for ex in split], [len(ex.tgt_ids) - 1 for ex in split]):
             group = [split[i] for i in rows]
             losses = model.forward_loss([ex.src_ids for ex in group], [ex.bundle for ex in group],
                                         [ex.tgt_ids for ex in group])
@@ -331,7 +315,7 @@ def _train_one_batch(
     model.zero_grad()
     b = len(batch)
     batch_loss = 0.0
-    for rows in _groups(batch.src_lens, batch.tgt_lens):
+    for rows in example_groups(batch.src_lens, [m - 1 for m in batch.tgt_lens]):
         indices = [batch.example_indices[i] for i in rows]
         losses = model.forward_loss(
             [batch.src_ids[i, : batch.src_lens[i]] for i in rows],

@@ -48,6 +48,26 @@ def tiny_model(seed: int = 0, **overrides) -> ScriptModel:
     return ScriptModel(tiny_config(**overrides), seed=seed)
 
 
+def relative_attention_of_one(model, prefix, x_q, x_kv, *, rel=(), a_mv=None, additive_mask=None, rng=None, **kwargs):
+    """model.relative_attention of one example's rows, as a group of one:
+    each per-example argument becomes a list of one entry."""
+
+    def one(value):
+        return None if value is None else [value]
+
+    return model.relative_attention(
+        prefix, x_q, x_kv, rel=tuple((table, [idx]) for table, idx in rel), a_mv=one(a_mv),
+        additive_mask=one(additive_mask), rng=[rng], offsets=(0, x_q.shape[0]), kv_offsets=(0, x_kv.shape[0]),
+        **kwargs,
+    )
+
+
+def encoder_layer_of_one(model, tag, layer_idx, x, bundle, *, seq_idx, rng=None, **kwargs):
+    """model.encoder_layer of one example's rows, as a group of one."""
+    return model.encoder_layer(tag, layer_idx, x, [bundle], seq_idx=[seq_idx], rng=[rng], offsets=(0, x.shape[0]),
+                               **kwargs)
+
+
 def tree_with_n_leaves(rng: np.random.Generator, n: int):
     """Random-depth tree with exactly n single-subtoken leaves."""
     from scriptsum.astcore import Ast, AstNode

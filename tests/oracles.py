@@ -8,10 +8,11 @@ agreement is meaningful. The exceptions are attention, its projections
 and the training step. composed_attention builds tensor.attention from one
 autodiff op per step, with relative_scores and relative_values for the
 table terms; per_head_project and per_head_rows concatenate one leaf tensor
-per head on every call; per_example_batch runs a training batch as one graph per
-example; graph_decode_step runs a cached decoder step as an autodiff
-graph, with its own projection of interleaved beams and attention over
-given keys and values, since the library's graph decodes one sequence.
+per head on every call; per_example_batch runs a training batch as one
+graph per example, a group of one each; graph_decode_step runs a cached
+decoder step as an autodiff graph, with its own projection of interleaved
+beams and attention over given keys and values, since the library's graph
+decodes one sequence.
 The fused op, the joined projections, the grouped batch and the
 array step must equal them bit for bit, gradients included. evaluate_token_accuracy, the
 overfit criterion's measure, has no library counterpart.
@@ -382,13 +383,20 @@ def composed_relative_attention(
     training=False,
     rng=None,
     capture=None,
-    offsets=None,
+    offsets,
     kv_offsets=None,
 ):
     """ScriptModel.relative_attention with composed_attention in place of
-    tensor.attention; same signature, so a test can patch it in. It runs
-    one example, not a group: offsets must be None."""
-    assert offsets is None and kv_offsets is None, "the composed reference runs one example"
+    tensor.attention; same signature, so a test can patch it in. It runs a
+    group of one example: each per-example argument holds one entry."""
+    kv_offsets = offsets if kv_offsets is None else kv_offsets
+    assert len(offsets) == len(kv_offsets) == 2, "the composed reference runs a group of one"
+
+    def only(entries):  # the one example's entry of a per-example argument
+        (entry,) = entries or [None]
+        return entry
+
+    a_mv, additive_mask, rng = only(a_mv), only(additive_mask), only(rng)
     cfg = model.config
     k, v = (model._project(prefix, kind, x_kv) for kind in "kv")
     scale_matrix = None
@@ -399,7 +407,7 @@ def composed_relative_attention(
             keep = np.where(a_mv > 0, 0.0, NEG_INF)
             additive_mask = keep if additive_mask is None else keep + additive_mask
     q = model._project(prefix, "q", x_q)
-    tables = tuple((model.params[f"{t}_k"], model.params[f"{t}_v"], idx) for t, idx in rel)
+    tables = tuple((model.params[f"{t}_k"], model.params[f"{t}_v"], only(idx)) for t, idx in rel)
     z = composed_attention(q, k, v, tables, additive_mask=additive_mask, scale_matrix=scale_matrix,
                            dropout_p=cfg.dropout_p, rng=rng, training=training, capture=capture)
     return _affine(reshape(z, (x_q.shape[0], cfg.d_model)), model.params[f"{prefix}.out_w"],
@@ -657,13 +665,14 @@ def finite_difference_grad(f, tensors, epsilon: float = 1e-5):
 
 
 def per_example_batch(model, batch, cfg, global_step: int) -> tuple[float, list[float]]:
-    """A training batch's forward and backward as one graph per example:
-    each example's loss over the batch size is back-propagated before the
-    next example is built, so every parameter sums the examples'
-    gradients in batch order, and each example draws dropout from its own
-    (seed, step, example index) generator. Returns the batch loss, summed
-    as the training loop sums it, and each example's loss: the reference
-    a batch run as groups must equal bit for bit."""
+    """A training batch's forward and backward as one graph per example,
+    each example run as a group of one: each example's loss over the
+    batch size is back-propagated before the next example is built, so
+    every parameter sums the examples' gradients in batch order, and each
+    example draws dropout from its own (seed, step, example index)
+    generator. Returns the batch loss, summed as the training loop sums
+    it, and each example's loss: the reference a batch run as groups must
+    equal bit for bit."""
     model.zero_grad()
     b = len(batch)
     batch_loss, losses = 0.0, []

@@ -49,7 +49,7 @@ from scriptsum.training import (
 )
 from scriptsum.training import _read_history
 
-from conftest import random_bundle, tiny_config, tiny_model
+from conftest import encoder_layer_of_one, random_bundle, relative_attention_of_one, tiny_config, tiny_model
 from oracles import (
     bfs_apsp,
     brute_force_lcs,
@@ -229,7 +229,7 @@ def test_04_gradient_suite():
                 model.params["enc0.ffn.w1"],
             ]
             seq_idx = model._seq_idx(4)
-            check(lambda x_, *_: sum_all(model.encoder_layer("RDW", 0, x_, bundle, seq_idx=seq_idx)), [x, *params], seed)
+            check(lambda x_, *_: sum_all(encoder_layer_of_one(model, "RDW", 0, x_, bundle, seq_idx=seq_idx)), [x, *params], seed)
 
         for mask_mode in ("multiply", "neg_inf"):
             for seed in range(10):
@@ -245,7 +245,7 @@ def test_04_gradient_suite():
                 ]
                 seq_idx = model._seq_idx(4)
                 check(
-                    lambda x_, *_: sum_all(model.encoder_layer("SRPEi", 1, x_, bundle, seq_idx=seq_idx)),
+                    lambda x_, *_: sum_all(encoder_layer_of_one(model, "SRPEi", 1, x_, bundle, seq_idx=seq_idx)),
                     [x, *params],
                     seed,
                 )
@@ -296,7 +296,8 @@ def test_05_degeneracy_equivalences():
                     model.params[name].data = np.zeros_like(model.params[name].data)
             n = 6
             x = rng.standard_normal((n, model.config.d_model))
-            out = model.relative_attention(
+            out = relative_attention_of_one(
+                model,
                 "enc1.attn",
                 Tensor(x),
                 Tensor(x),

@@ -846,6 +846,45 @@ class TestManifestTimes:
         assert manifest["finished_at"] == (start + timedelta(minutes=1)).isoformat(timespec="seconds")
 
 
+BEYOND_INT64 = str(10**20)
+
+
+class TestSettingsCheckedFirst:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["train", "{data}", "{out}", "--distance-clip", BEYOND_INT64], "l ", id="train-distance-clip"),
+            pytest.param(["train", "{data}", "{out}", "--seq-window", BEYOND_INT64], "k ", id="train-seq-window"),
+            pytest.param(["train", "{data}", "{out}", "--d-model", BEYOND_INT64, "--n-heads", "1"], "d_model ",
+                         id="train-d-model"),
+            pytest.param(["train", "{data}", "{out}", "--ffn-dim", BEYOND_INT64], "ffn_dim ", id="train-ffn-dim"),
+            pytest.param(["train", "{data}", "{out}", "--n-script-modules", BEYOND_INT64], "n_script_modules ",
+                         id="train-n-script-modules"),
+            pytest.param(["train", "{data}", "{out}", "--n-decoder-layers", BEYOND_INT64], "n_script_modules ",
+                         id="train-n-decoder-layers"),
+            pytest.param(["encode", "{data}", "{out}", "--clip", BEYOND_INT64], "clip threshold ", id="encode-clip"),
+            pytest.param(["eval", "{model}", "{data}", "{out}", "--beam", "0"], "beam_size ", id="eval-beam"),
+            pytest.param(["summarize", "{model}", "{data}", "--beam", "0", "--out", "{out}"], "beam_size ",
+                         id="summarize-beam"),
+        ],
+    )
+    def test_impossible_setting_exits_2_before_any_work(self, tmp_path, capsys, argv, message):
+        """An integer setting too large for any array, or a search setting
+        beam search cannot run with, exits 2 with one line naming it before
+        any work: no OUT/ is made, the missing model directory is not
+        opened, and the dataset's second line, which does not parse, is
+        not read."""
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"code": "x = a;", "summary": "b"}\n{"code": "x = ;", "summary": "c"}\n')
+        out = tmp_path / "OUT"
+        paths = {"data": str(data), "out": str(out), "model": str(tmp_path / "no_model")}
+        capsys.readouterr()
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
 OVERSIZED_JSON = [pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting")]
 if hasattr(sys, "get_int_max_str_digits"):  # the interpreter caps int literals
     OVERSIZED_JSON.append(pytest.param("7" * 5_000, id="long-integer"))

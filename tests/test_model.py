@@ -45,7 +45,7 @@ from scriptsum.tensor import (
 )
 from scriptsum.training import Adam, TrainConfig, train
 
-from conftest import make_example, random_bundle, tiny_config, tiny_model
+from conftest import encoder_layer_of_one, make_example, random_bundle, relative_attention_of_one, tiny_config, tiny_model
 from oracles import (
     composed_relative_attention,
     exhaustive_decode,
@@ -152,7 +152,8 @@ class TestRelativeAttentionDegeneracy:
         n = 6
         x = rng.standard_normal((n, model.config.d_model))
         # enc0 is RDW, which carries no structural tables under the default placement
-        out = model.relative_attention(
+        out = relative_attention_of_one(
+            model,
             "enc0.attn",
             Tensor(x),
             Tensor(x),
@@ -169,7 +170,8 @@ class TestRelativeAttentionDegeneracy:
         n = 5
         x = rng.standard_normal((n, model.config.d_model))
         captured = []
-        out = model.relative_attention(
+        out = relative_attention_of_one(
+            model,
             "enc0.attn",
             Tensor(x),
             Tensor(x),
@@ -266,7 +268,8 @@ class TestRelativeTermMemory:
         x = Tensor(rng.standard_normal((n, cfg.d_model)))
         tracemalloc.start()
         try:
-            out = model.encoder_layer(
+            out = encoder_layer_of_one(
+                model,
                 "SRPEi", 1, x, bundle, seq_idx=model._seq_idx(n), training=True, rng=np.random.default_rng(1)
             )
             backward(sum_all(out))
@@ -429,7 +432,7 @@ class TestRelativeAttentionMatchesPerHeadOracle:
         rng = np.random.default_rng(ORACLE_CASES.index(case))
         model, prefix, x_q, x_kv, kwargs, oracle_kwargs = _oracle_case(case, rng)
         captured = []
-        out = model.relative_attention(prefix, Tensor(x_q), Tensor(x_kv), capture=captured, **kwargs)
+        out = relative_attention_of_one(model, prefix, Tensor(x_q), Tensor(x_kv), capture=captured, **kwargs)
         expected = vanilla_attention(
             model.state_dict(), prefix, x_q, model.config.n_heads, **oracle_kwargs
         )
@@ -455,8 +458,8 @@ class TestRdwLayer:
             bucket_ids=bundle.bucket_ids,
             multiview=bundle.multiview,
         )
-        out_a = model.encoder_layer("RDW", 0, x, bundle, seq_idx=model._seq_idx(n))
-        out_b = model.encoder_layer("RDW", 0, x, perturbed, seq_idx=model._seq_idx(n))
+        out_a = encoder_layer_of_one(model, "RDW", 0, x, bundle, seq_idx=model._seq_idx(n))
+        out_b = encoder_layer_of_one(model, "RDW", 0, x, perturbed, seq_idx=model._seq_idx(n))
         assert np.array_equal(out_a.data, out_b.data)
 
     def test_distance_weight_shape_mismatch(self):
@@ -465,7 +468,7 @@ class TestRdwLayer:
         x = Tensor(rng.standard_normal((3, model.config.d_model)))
         bundle = random_bundle(rng, 4)
         with pytest.raises(ShapeError):
-            model.encoder_layer("RDW", 0, x, bundle, seq_idx=model._seq_idx(3))
+            encoder_layer_of_one(model, "RDW", 0, x, bundle, seq_idx=model._seq_idx(3))
 
     def test_gradients(self):
         rng = np.random.default_rng(5)
@@ -482,7 +485,7 @@ class TestRdwLayer:
         ]
 
         def f(x_, *_):
-            return sum_all(model.encoder_layer("RDW", 0, x_, bundle, seq_idx=model._seq_idx(n)))
+            return sum_all(encoder_layer_of_one(model, "RDW", 0, x_, bundle, seq_idx=model._seq_idx(n)))
 
         report = grad_check(f, [x, *params])
         assert report.passed, report
@@ -510,8 +513,8 @@ class TestSrpeiLayer:
             bucket_ids=buckets,
             multiview=bundle.multiview,
         )
-        out_a = model.encoder_layer("SRPEi", 1, x, bundle, seq_idx=model._seq_idx(n))
-        out_b = model.encoder_layer("SRPEi", 1, x, perturbed, seq_idx=model._seq_idx(n))
+        out_a = encoder_layer_of_one(model, "SRPEi", 1, x, bundle, seq_idx=model._seq_idx(n))
+        out_b = encoder_layer_of_one(model, "SRPEi", 1, x, perturbed, seq_idx=model._seq_idx(n))
         assert np.array_equal(out_a.data, out_b.data)
 
     def test_equal_views_make_weight_choice_irrelevant(self):
@@ -527,8 +530,8 @@ class TestSrpeiLayer:
         flow_only = encode_structure(ast, align, 4, (0.0, 1.0, 0.0))
         assert np.array_equal(ast_only.multiview, flow_only.multiview)
         x = Tensor(rng.standard_normal((1, model.config.d_model)))
-        out_a = model.encoder_layer("SRPEi", 1, x, ast_only, seq_idx=model._seq_idx(1))
-        out_b = model.encoder_layer("SRPEi", 1, x, flow_only, seq_idx=model._seq_idx(1))
+        out_a = encoder_layer_of_one(model, "SRPEi", 1, x, ast_only, seq_idx=model._seq_idx(1))
+        out_b = encoder_layer_of_one(model, "SRPEi", 1, x, flow_only, seq_idx=model._seq_idx(1))
         assert np.array_equal(out_a.data, out_b.data)
 
     def test_gradients(self):
@@ -545,7 +548,7 @@ class TestSrpeiLayer:
         ]
 
         def f(x_, *_):
-            return sum_all(model.encoder_layer("SRPEi", 1, x_, bundle, seq_idx=model._seq_idx(n)))
+            return sum_all(encoder_layer_of_one(model, "SRPEi", 1, x_, bundle, seq_idx=model._seq_idx(n)))
 
         report = grad_check(f, [x, *params])
         assert report.passed, report
@@ -561,7 +564,7 @@ class TestEncoderLayerRouting:
         bundle = random_bundle(rng, n)
         x = Tensor(rng.standard_normal((n, model.config.d_model)))
         seq_idx = model._seq_idx(n)
-        base = model.encoder_layer(tag, 0, x, bundle, seq_idx=seq_idx).data
+        base = encoder_layer_of_one(model, tag, 0, x, bundle, seq_idx=seq_idx).data
         covered = {"SRPEi_only": {"SRPEi"}, "RDW_only": {"RDW"}, "all": {"RDW", "SRPEi"}}
         perturbed = {
             "bucket_ids": ((bundle.bucket_ids + 1) % (model.config.l + 1), tag in covered[placement]),
@@ -569,7 +572,7 @@ class TestEncoderLayerRouting:
             "distance_weights": (bundle.distance_weights[::-1].copy(), tag == "RDW"),
         }
         for field, (value, used) in perturbed.items():
-            out = model.encoder_layer(tag, 0, x, dataclasses.replace(bundle, **{field: value}), seq_idx=seq_idx).data
+            out = encoder_layer_of_one(model, tag, 0, x, dataclasses.replace(bundle, **{field: value}), seq_idx=seq_idx).data
             assert (not np.array_equal(out, base)) == used, field
 
 
@@ -699,7 +702,7 @@ class TestDecoder:
         x_q = Tensor(rng.standard_normal((3, model.config.d_model)))
         x_kv = Tensor(rng.standard_normal((1, model.config.d_model)))
         captured = []
-        model.relative_attention("dec0.cross", x_q, x_kv, capture=captured)
+        relative_attention_of_one(model, "dec0.cross", x_q, x_kv, capture=captured)
         for alpha in captured:
             assert np.allclose(alpha, 1.0)
 

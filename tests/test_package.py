@@ -1,7 +1,8 @@
 """The package's public names all resolve, no package attribute named
-after a submodule is shadowed by a function or class of that name, and
-JSON is decoded and written in one place."""
+after a submodule is shadowed by a function or class of that name, JSON
+is decoded and written in one place, and every forward pass runs groups."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -41,3 +42,24 @@ def test_json_is_read_and_written_only_in_errors():
         if calls.search(line)
     ]
     assert found == []
+
+
+def test_a_single_example_is_a_group_of_one():
+    """A forward pass has one form, the group; one example is a group of
+    one. So `offsets is None` (or `is not None`) appears in model.py only
+    where a public entry makes one example a group of one, and in
+    tensor.py only where _segments and _per_segment read None as one
+    segment of all the rows."""
+    allowed = {"model.py": {"script_encoder", "decode", "forward_loss"}, "tensor.py": {"_segments", "_per_segment"}}
+    fork = re.compile(r"\boffsets is (not )?None\b")
+    package = Path(scriptsum.__file__).parent
+    for name, entries in allowed.items():
+        source = (package / name).read_text(encoding="utf-8")
+        functions = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)]
+        found = []
+        for lineno, line in enumerate(source.splitlines(), start=1):
+            if fork.search(line):
+                around = [f for f in functions if f.lineno <= lineno <= f.end_lineno]
+                innermost = min(around, key=lambda f: f.end_lineno - f.lineno).name if around else "<module>"
+                found.append(f"{name}:{lineno}: {innermost}: {line.strip()}")
+        assert [entry for entry in found if entry.split(": ")[1] not in entries] == []

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scriptsum import training
+from scriptsum import model as scriptsum_model, training
 from scriptsum.checkpoint import save_checkpoint
 from scriptsum.data import (
     BOS_ID,
@@ -19,7 +19,7 @@ from scriptsum.data import (
     make_batches,
 )
 from scriptsum.errors import ArtifactMismatchError, ConfigError, NumericsError
-from scriptsum.model import ModelConfig, ScriptModel, ablation_layer_plan, save_model_sidecar
+from scriptsum.model import ModelConfig, ScriptModel, ablation_layer_plan, example_groups, save_model_sidecar
 from scriptsum.training import (
     Adam,
     HistoryRow,
@@ -298,7 +298,7 @@ class TestPartnerIndependence:
         split += tiny_examples(model)
         rows = [32, 5, 0, 17, 33, 9, 2, 28, 11, 30]
         assert len(check_against_oracle(model, _pad_batch(split, rows))) == 1
-        monkeypatch.setattr(training, "MAX_SOURCE_TOKENS", 30)
+        monkeypatch.setattr(scriptsum_model, "MAX_SOURCE_TOKENS", 30)
         assert len(check_against_oracle(model, _pad_batch(split, rows))) > 2
 
     def test_long_sources_split_into_groups(self):
@@ -309,8 +309,8 @@ class TestPartnerIndependence:
         split = [EncodedExample(rng.integers(0, 13, n), np.array([BOS_ID, 6, 7, EOS_ID]), random_bundle(rng, n), ())
                  for n in (210, 195)]
         assert [len(group) for group in check_against_oracle(model, _pad_batch(split, [0, 1]))] == [1, 1]
-        assert training._groups([210, 190, 9], [4, 4, 4]) == [[0, 1], [2]]
-        assert training._groups([3, 3, 3], [300, 103, 101]) == [[0], [1, 2]]
+        assert example_groups([210, 190, 9], [3, 3, 3]) == [[0, 1], [2]]
+        assert example_groups([3, 3, 3], [299, 102, 100]) == [[0], [1, 2]]
 
 
 class TestGroupMemory:
